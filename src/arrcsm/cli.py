@@ -6,7 +6,8 @@ document.  JSON output is key-sorted and contains nothing run-dependent,
 so two runs on the same input are byte-identical; wall-clock timing only
 ever appears in text output.
 
-Exit codes: 0 success / verified, 1 a verification failed, 2 input error.
+Exit codes: 0 success / verified, 1 a verification failed, 2 input error,
+3 internal error (a consistency check inside arrcsm failed).
 """
 
 from __future__ import annotations
@@ -221,11 +222,20 @@ def _text_verify(vr: VerificationReport, elapsed_ms: float) -> None:
     print(f"elapsed: {elapsed_ms:.1f} ms")
 
 
+def _is_internal(exc: RuntimeError) -> bool:
+    return str(exc).startswith("internal consistency failure")
+
+
 def corpus_runner(directory: Path) -> tuple[dict, int]:
-    """Verify every .arr file in a directory; summary payload and exit code."""
+    """Verify every .arr file in a directory; summary payload and exit code.
+
+    num_error counts both input errors (status "error") and internal
+    errors (status "internal_error"); any internal error makes the code 3.
+    """
     files = sorted(directory.glob("*.arr"))
     entries = []
     num_pass = num_fail = num_error = 0
+    internal = False
     for path in files:
         try:
             arr = parse_file(path)
@@ -233,6 +243,13 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
         except (ParseError, OSError, ValueError) as exc:
             entries.append({"file": path.name, "status": "error", "message": str(exc)})
             num_error += 1
+            continue
+        except RuntimeError as exc:
+            if not _is_internal(exc):
+                raise
+            entries.append({"file": path.name, "status": "internal_error", "message": str(exc)})
+            num_error += 1
+            internal = True
             continue
         status = "pass" if vr.passed else "fail"
         if vr.passed:
@@ -256,7 +273,7 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
         "num_fail": num_fail,
         "num_error": num_error,
     }
-    code = 2 if num_error else (1 if num_fail else 0)
+    code = 3 if internal else 2 if num_error else 1 if num_fail else 0
     return payload, code
 
 
@@ -539,6 +556,11 @@ def run(argv: list[str]) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        if not _is_internal(exc):
+            raise
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return 3
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,20 +1,33 @@
 """Dense exact linear algebra over the rationals.
 
-Everything here works on Fraction entries; pivots are chosen by exact
-nonzero test (magnitude is irrelevant without rounding).  Kernel bases
-come out echelon-shaped and rescaled to leading coefficient 1, one
-vector per free column in ascending column order, so results are
+Matrices hold Fraction entries and every result is exact.  Pivots are
+chosen by exact nonzero test (magnitude is irrelevant without rounding).
+Kernel bases come out echelon-shaped and rescaled to leading coefficient
+1, one vector per free column in ascending column order, so results are
 deterministic and directly comparable.
+
+QMatrix.kernel_basis eliminates modulo the prime p = 2^61 - 1 with plain
+ints on sparse rows, lifts the pivot entries back to Q by rational
+reconstruction, and keeps the lift only when every lifted vector is
+annihilated exactly by the integer-scaled rows.  That check certifies
+the lift as the Fraction RREF kernel basis (see _modular_kernel); when
+it fails, the Fraction elimination computes the basis instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt, lcm
 from typing import Iterable, Sequence
 
 from .poly import MultiPoly, Scalar
 
 Vector = tuple[Fraction, ...]
+
+_P = 2**61 - 1
+# Wang's bound: a residue has at most one lift n/d with |n|, d <= _LIFT_BOUND.
+_LIFT_BOUND = isqrt(_P // 2)
+_ZERO = Fraction(0)
 
 
 def _to_fraction_rows(rows: Iterable[Sequence[Scalar]]) -> list[list[Fraction]]:
@@ -43,6 +56,115 @@ def _rref_in_place(mat: list[list[Fraction]]) -> list[int]:
         if r == nrows:
             break
     return pivots
+
+
+def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[dict[int, int]]:
+    """Each row times the lcm of its denominators, as {column: nonzero entry}."""
+    out = []
+    for row in rows:
+        nonzero = [(j, x) for j, x in enumerate(row) if x]
+        scale = lcm(*(x.denominator for _, x in nonzero))
+        out.append({j: x.numerator * (scale // x.denominator) for j, x in nonzero})
+    return out
+
+
+def _subtract(work: dict[int, int], factor: int, row: dict[int, int], skip: int) -> None:
+    """work -= factor * row over Z/p, leaving out column skip; drops zeros."""
+    for j, b in row.items():
+        if j != skip:
+            v = (work.get(j, 0) - factor * b) % _P
+            if v:
+                work[j] = v
+            else:
+                del work[j]
+
+
+def _rref_mod_p(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """RREF over Z/p of the span of sparse integer rows, as {pivot column: row}.
+
+    Rows join one at a time.  Each basis row has a 1 at its pivot and 0
+    at every other pivot, so a new row is reduced by one pass over the
+    pivots it touches; the RREF of a span is unique, so the join order
+    does not matter.
+    """
+    basis: dict[int, dict[int, int]] = {}
+    for row in rows:
+        work = {j: v for j, v in ((j, a % _P) for j, a in row.items()) if v}
+        for c in [c for c in work if c in basis]:
+            _subtract(work, work.pop(c), basis[c], c)
+        if not work:
+            continue
+        lead = min(work)
+        inv = pow(work[lead], -1, _P)
+        work = {j: a * inv % _P for j, a in work.items()}
+        for other in basis.values():
+            factor = other.pop(lead, 0)
+            if factor:
+                _subtract(other, factor, work, lead)
+        basis[lead] = work
+    return basis
+
+
+def _lift(a: int) -> tuple[int, int] | None:
+    """(n, d) with n = a*d (mod p), |n| <= _LIFT_BOUND and 0 < d <= _LIFT_BOUND, or None.
+
+    Rational reconstruction by the half extended Euclidean algorithm
+    (Wang, Guy & Davenport, SIGSAM Bull. 1982).
+    """
+    r0, r1, s0, s1 = _P, a, 0, 1
+    while r1 > _LIFT_BOUND:
+        q = r0 // r1
+        r0, r1 = r1, r0 - q * r1
+        s0, s1 = s1, s0 - q * s1
+    if abs(s1) > _LIFT_BOUND:
+        return None
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
+
+
+def _modular_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vector] | None:
+    """The RREF kernel basis of rows, found mod p and certified over Q; None if unproven.
+
+    For each mod-p free column fc the lifted vector has entry 1 at fc and
+    is supported on fc and the mod-p pivots before it.  If every such
+    vector is exactly annihilated by the rows, they are ncols - rank_p
+    independent vectors of the rational kernel, and rank_Q >= rank_p, so
+    they span it.  Each one writes column fc through earlier columns, so
+    the mod-p pivots are exactly the greedy pivots over Q and each vector
+    is the one the Fraction RREF gives for fc.
+    """
+    int_rows = _integer_rows(rows)
+    reduced = _rref_mod_p(int_rows)
+    # column j of the RREF and of the integer matrix, as (row key, entry) pairs
+    rref_cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for pc, row in reduced.items():
+        for j, a in row.items():
+            if j != pc:
+                rref_cols[j].append((pc, a))
+    int_cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
+    for i, row in enumerate(int_rows):
+        for j, a in row.items():
+            int_cols[j].append((i, a))
+    basis: list[Vector] = []
+    for fc in range(ncols):
+        if fc in reduced:
+            continue
+        lifted = [(fc, 1, 1)]
+        for pc, a in rref_cols[fc]:
+            nd = _lift(_P - a)
+            if nd is None:
+                return None
+            lifted.append((pc, *nd))
+        den = lcm(*(d for _, _, d in lifted))
+        w = {j: n * (den // d) for j, n, d in lifted}
+        image: dict[int, int] = {}
+        for j, wj in w.items():
+            for i, a in int_cols[j]:
+                image[i] = image.get(i, 0) + a * wj
+        if any(image.values()):
+            return None
+        lead = w[min(w)]
+        basis.append(tuple(Fraction(w[j], lead) if j in w else _ZERO for j in range(ncols)))
+    return basis
 
 
 class QMatrix:
@@ -93,10 +215,13 @@ class QMatrix:
         Vectors are ordered by free column index and rescaled so the
         first nonzero entry is 1.
         """
+        basis = _modular_kernel(self.entries, self.ncols)
+        if basis is not None:
+            return basis
         reduced, pivots = self.rref()
         pivot_set = set(pivots)
         free_cols = [c for c in range(self.ncols) if c not in pivot_set]
-        basis: list[Vector] = []
+        basis = []
         for fc in free_cols:
             v = [Fraction(0)] * self.ncols
             v[fc] = Fraction(1)

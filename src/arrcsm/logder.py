@@ -182,7 +182,6 @@ class GradedBasis:
     """Degree-by-degree picture of D(A) up to the search bound."""
 
     dimensions: dict[int, int]
-    bases: dict[int, tuple[Derivation, ...]]
     generators: tuple[Derivation, ...]
     exit_reason: str
     search_log: tuple[str, ...]
@@ -205,14 +204,12 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
     m = arr.size
     gens: list[Derivation] = []
     dims: dict[int, int] = {}
-    bases: dict[int, tuple[Derivation, ...]] = {}
     log: list[str] = []
     exit_reason = "exhausted"
     for d in range(m + 1):
         monos = monomials_of_degree(n1, d)
         kernel = _degree_kernel(arr, d, monos)
         dims[d] = len(kernel)
-        bases[d] = tuple(vector_to_derivation(v, n1, d, monos) for v in kernel)
         span = IncrementalSpan(n1 * len(monos))
         for g in gens:
             for mono in monomials_of_degree(n1, d - g.degree):
@@ -240,7 +237,6 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
         log.append(f"search exhausted degrees 0..{m}")
     return GradedBasis(
         dimensions=dims,
-        bases=bases,
         generators=tuple(gens),
         exit_reason=exit_reason,
         search_log=tuple(log),

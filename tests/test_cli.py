@@ -261,3 +261,41 @@ def test_module_execution():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["passed"] is True
+
+
+def _raise_internal(*args, **kwargs):
+    raise RuntimeError("internal consistency failure: injected by the test")
+
+
+def test_internal_error_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr("arrcsm.chow.tjurina_route", _raise_internal)
+    code = run(["verify", "--input", str(THREE_CONC)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "error: internal: internal consistency failure: injected" in captured.err
+    assert "VERIFIED" not in captured.out
+
+
+def test_other_runtime_errors_still_propagate(monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("unrelated")
+
+    monkeypatch.setattr("arrcsm.chow.tjurina_route", crash)
+    with pytest.raises(RuntimeError, match="unrelated"):
+        run(["verify", "--input", str(THREE_CONC)])
+
+
+def test_corpus_marks_internal_error_and_continues(monkeypatch, tmp_path, capsys):
+    # tjurina_route runs only in P^2, so the P^3 file still passes
+    monkeypatch.setattr("arrcsm.chow.tjurina_route", _raise_internal)
+    (tmp_path / "a_plane.arr").write_text(THREE_CONC.read_text(encoding="utf-8"), encoding="utf-8")
+    (tmp_path / "b_space.arr").write_text(
+        (CORPUS / "tetrahedron_p3.arr").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    (tmp_path / "c_broken.arr").write_text("vars 3\n1 0\n", encoding="utf-8")
+    payload, code = corpus_runner(tmp_path)
+    assert code == 3
+    assert [e["status"] for e in payload["entries"]] == ["internal_error", "pass", "error"]
+    assert payload["num_pass"] == 1 and payload["num_error"] == 2
+    assert run(["corpus", "--input", str(tmp_path)]) == 3
+    assert "a_plane.arr" in capsys.readouterr().out

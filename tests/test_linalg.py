@@ -6,6 +6,7 @@ import pytest
 from arrcsm.linalg import (
     IncrementalSpan,
     QMatrix,
+    _modular_kernel,
     intersect_spans,
     poly_det,
     rref_rows,
@@ -123,3 +124,75 @@ def test_incremental_span():
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         QMatrix([[1, 2], [1]])
+
+
+def _reference_kernel(m: QMatrix) -> list[tuple[Fraction, ...]]:
+    """Kernel basis read off the Fraction RREF: one vector per free column, leading 1."""
+    reduced, pivots = m.rref()
+    basis = []
+    for fc in (c for c in range(m.ncols) if c not in pivots):
+        v = [Fraction(0)] * m.ncols
+        v[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced.row(r)[fc]
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return basis
+
+
+def _random_matrix(rng: random.Random) -> QMatrix:
+    nrows = rng.randint(0, 8)
+    ncols = rng.randint(0, 10)
+    rank = rng.randint(0, min(nrows, ncols))
+    span = rng.choice([1, 3, 9])
+
+    def entry():
+        if rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.randint(-span, span), rng.randint(1, 7))
+
+    base = [[entry() for _ in range(ncols)] for _ in range(rank)]
+    rows = []
+    for _ in range(nrows):
+        if not base or rng.random() < 0.15:
+            rows.append([Fraction(0)] * ncols)
+            continue
+        weights = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in base]
+        rows.append([sum((w * b[j] for w, b in zip(weights, base)), Fraction(0)) for j in range(ncols)])
+    return QMatrix(rows, ncols=ncols)
+
+
+def test_kernel_matches_fraction_rref_on_random_matrices():
+    rng = random.Random(2024)
+    certified = 0
+    for _ in range(400):
+        m = _random_matrix(rng)
+        expected = _reference_kernel(m)
+        assert m.kernel_basis() == expected
+        fast = _modular_kernel(m.entries, m.ncols)
+        assert fast is None or fast == expected
+        certified += fast is not None
+    # most small matrices take the certified modular path
+    assert certified > 300
+
+
+def test_kernel_degenerate_shapes():
+    for m in (QMatrix([], ncols=0), QMatrix([[]]), QMatrix([[], []]), QMatrix([], ncols=3),
+              QMatrix([[0, 0], [0, 0]]), QMatrix([[Fraction(1, 3), Fraction(2, 7)]] * 3)):
+        assert m.kernel_basis() == _reference_kernel(m)
+        assert _modular_kernel(m.entries, m.ncols) == _reference_kernel(m)
+
+
+@pytest.mark.parametrize(
+    "rows,expected",
+    [
+        # p = 2^61 - 1 divides the pivot, so column 0 is free mod p but not over Q
+        ([[2**61 - 1, 1]], [(Fraction(1), Fraction(-(2**61 - 1)))]),
+        # the kernel entry -1/3^40 is far beyond the reconstruction bound
+        ([[3**40, 1]], [(Fraction(1), Fraction(-(3**40)))]),
+    ],
+)
+def test_kernel_falls_back_to_fractions(rows, expected):
+    m = QMatrix(rows)
+    assert _modular_kernel(m.entries, m.ncols) is None
+    assert m.kernel_basis() == expected == _reference_kernel(m)
