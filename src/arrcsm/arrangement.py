@@ -78,23 +78,6 @@ class Arrangement:
         if len(canon) != len(self.forms):
             raise ValueError("duplicate hyperplanes must be collapsed before construction")
 
-    @classmethod
-    def from_rows(cls, nvars: int, rows, name: str = "") -> "Arrangement":
-        """Build directly from coefficient rows, collapsing duplicates."""
-        forms: list[LinearForm] = []
-        warnings: list[str] = []
-        seen: dict[tuple[Fraction, ...], int] = {}
-        for idx, row in enumerate(rows):
-            f = LinearForm.make(row)
-            if f.coeffs in seen:
-                warnings.append(
-                    f"form {idx + 1} duplicates form {seen[f.coeffs] + 1}; collapsed"
-                )
-                continue
-            seen[f.coeffs] = idx
-            forms.append(f)
-        return cls(nvars=nvars, forms=tuple(forms), name=name, warnings=tuple(warnings))
-
     @property
     def size(self) -> int:
         return len(self.forms)

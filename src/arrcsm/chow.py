@@ -34,7 +34,7 @@ from .arrangement import Arrangement
 from .lattice import IntersectionLattice, build_lattice, csm_complement
 from .linalg import QMatrix
 from .logder import FreenessReport, chern_class_free, decide_freeness
-from .poly import Scalar
+from .poly import Scalar, render_terms
 
 ROUTE_NAMES = ("lattice_csm", "exponent_product", "tjurina", "blowup_pushforward")
 
@@ -119,20 +119,7 @@ class FormalClass:
         return tuple(int(c) for c in self.coeffs)
 
     def render(self, var: str = "X") -> str:
-        pieces: list[str] = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            if i == 0:
-                body = str(abs(c))
-            else:
-                power = var if i == 1 else f"{var}^{i}"
-                body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-            if not pieces:
-                pieces.append(body if c > 0 else f"-{body}")
-            else:
-                pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-        return " ".join(pieces) if pieces else "0"
+        return render_terms((c, [(var, i)]) for i, c in enumerate(self.coeffs))
 
     def _check(self, other: "FormalClass") -> None:
         if self.order != other.order:
@@ -435,16 +422,25 @@ class VerificationReport:
     notes: tuple[str, ...]
 
 
-def verify_arrangement(arr: Arrangement) -> VerificationReport:
-    """Compute every applicable route and compare them pairwise."""
-    lat = build_lattice(arr)
+def verify_arrangement(
+    arr: Arrangement,
+    lattice: IntersectionLattice | None = None,
+    freeness: FreenessReport | None = None,
+) -> VerificationReport:
+    """Compute every applicable route and compare them pairwise.
+
+    A caller that already holds the lattice or the freeness decision of
+    arr passes it in; either is computed here otherwise.
+    """
+    lat = lattice or build_lattice(arr)
     n = arr.projective_dim
     notes: list[str] = []
     routes: dict[str, tuple[int, ...] | None] = {name: None for name in ROUTE_NAMES}
 
     routes["lattice_csm"] = csm_complement(arr, lat)
 
-    freeness = decide_freeness(arr)
+    if freeness is None:
+        freeness = decide_freeness(arr)
     if freeness.free and arr.size >= 1:
         routes["exponent_product"] = chern_class_free(arr, freeness)
     elif not freeness.free:

@@ -6,6 +6,13 @@ document.  JSON output is key-sorted and contains nothing run-dependent,
 so two runs on the same input are byte-identical; wall-clock timing only
 ever appears in text output.
 
+Each subcommand is one entry of HANDLERS: a handler that computes only
+the stages its command reads, each of them once (report builds one
+lattice and runs one derivation search), and returns the JSON result
+with the exit code; and a text renderer that prints the report from
+that result alone.  run() does the shared work once: parse the input,
+print warnings, emit JSON, turn errors into exit codes.
+
 Exit codes: 0 success / verified, 1 a verification failed, 2 input error,
 3 internal error (a consistency check inside arrcsm failed).
 """
@@ -20,9 +27,10 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
-from .arrangement import Arrangement, ParseError, parse_file
+from .arrangement import Arrangement, parse_file
 from .chow import (
     BlowupRoute,
+    FormalClass,
     ROUTE_NAMES,
     VerificationReport,
     projection_check,
@@ -31,7 +39,6 @@ from .chow import (
     verify_pencil_koszul,
 )
 from .lattice import (
-    BadReductionError,
     IntersectionLattice,
     build_lattice,
     char_poly,
@@ -41,11 +48,13 @@ from .lattice import (
     reduced_char_poly,
     render_poly_in_t,
 )
-from .logder import decide_freeness, log_derivation_space, minimal_generators
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x)
+from .logder import (
+    FreenessReport,
+    GradedBasis,
+    decide_freeness,
+    degree_dimension,
+    minimal_generators,
+)
 
 
 def _arrangement_payload(arr: Arrangement) -> dict:
@@ -56,7 +65,7 @@ def _arrangement_payload(arr: Arrangement) -> dict:
         "num_forms": arr.size,
         "rank": arr.rank(),
         "essential": arr.is_essential(),
-        "forms": [[_fraction_str(c) for c in f.coeffs] for f in arr.forms],
+        "forms": [[str(c) for c in f.coeffs] for f in arr.forms],
         "warnings": list(arr.warnings),
     }
 
@@ -69,13 +78,11 @@ def _lattice_payload(lat: IntersectionLattice) -> dict:
                 "codim": f.codim,
                 "mu": f.mu,
                 "hyperplanes": list(f.indices),
-                "basis": [[_fraction_str(c) for c in row] for row in f.rows],
+                "basis": [[str(c) for c in row] for row in f.rows],
             }
             for f in lat.flats
         ],
     }
-
-
 def _charpoly_payload(arr: Arrangement, lat: IntersectionLattice) -> dict:
     chi = char_poly(arr, lat)
     payload = {
@@ -101,23 +108,12 @@ def _csm_payload(arr: Arrangement, lat: IntersectionLattice) -> dict:
     }
 
 
-def _oracle_payload(arr: Arrangement, lat: IntersectionLattice, primes: list[int]) -> dict:
-    reduced = reduced_char_poly(arr, lat) if arr.size >= 1 else None
-    checks = []
-    for p in primes:
-        count = point_count_oracle(arr, p)
-        entry: dict = {"prime": p, "count": count}
-        if reduced is not None:
-            expected = poly_eval_int(reduced, p)
-            entry["reduced_charpoly_value"] = expected
-            entry["match"] = count == expected
-        checks.append(entry)
-    return {"checks": checks, "all_match": all(c.get("match", True) for c in checks)}
-
-
-def _derivations_payload(arr: Arrangement, max_degree: int) -> dict:
-    dims = [[d, len(log_derivation_space(arr, d))] for d in range(max_degree + 1)]
-    gb = minimal_generators(arr)
+def _derivations_payload(arr: Arrangement, gb: GradedBasis, max_degree: int) -> dict:
+    # the search stops early; only degrees past its stop need their own kernel
+    dims = [
+        [d, gb.dimensions[d] if d in gb.dimensions else degree_dimension(arr, d)]
+        for d in range(max_degree + 1)
+    ]
     return {
         "dims": dims,
         "generator_degrees": list(gb.generator_degrees),
@@ -127,12 +123,11 @@ def _derivations_payload(arr: Arrangement, max_degree: int) -> dict:
     }
 
 
-def _freeness_payload(arr: Arrangement) -> dict:
-    rep = decide_freeness(arr)
+def _freeness_payload(rep: FreenessReport) -> dict:
     return {
         "free": rep.free,
         "exponents": list(rep.exponents) if rep.exponents is not None else None,
-        "saito_scalar": _fraction_str(rep.saito_scalar) if rep.saito_scalar is not None else None,
+        "saito_scalar": str(rep.saito_scalar) if rep.saito_scalar is not None else None,
         "reason": rep.reason,
         "generators": [g.render() for g in rep.generators],
         "search_log": list(rep.search_log),
@@ -162,12 +157,13 @@ def _blowup_payload(blowup: BlowupRoute | None) -> dict | None:
     }
 
 
+def _routes_payload(routes: dict) -> dict:
+    return {name: (list(vec) if vec is not None else None) for name, vec in routes.items()}
+
+
 def _verify_payload(vr: VerificationReport) -> dict:
     return {
-        "routes": {
-            name: (list(vec) if vec is not None else None)
-            for name, vec in vr.routes.items()
-        },
+        "routes": _routes_payload(vr.routes),
         "agreements": [[a, b, ok] for a, b, ok in vr.agreements],
         "passed": vr.passed,
         "notes": list(vr.notes),
@@ -175,51 +171,6 @@ def _verify_payload(vr: VerificationReport) -> dict:
         "exponents": list(vr.freeness.exponents) if vr.freeness.exponents is not None else None,
         "blowup_class": _blowup_payload(vr.blowup),
     }
-
-
-def _emit_json(payload: dict) -> None:
-    sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
-def _wrap(command: str, result: dict, arr: Arrangement | None = None) -> dict:
-    payload = {
-        "command": command,
-        "result": result,
-        "tool": {"name": "arrcsm", "version": __version__},
-    }
-    if arr is not None:
-        payload["arrangement"] = _arrangement_payload(arr)
-    return payload
-
-
-def _print_warnings(arr: Arrangement) -> None:
-    for w in arr.warnings:
-        print(f"warning: {w}")
-
-
-def _vec_str(vec) -> str:
-    return "(" + ", ".join(str(v) for v in vec) + ")"
-
-
-def _text_verify(vr: VerificationReport, elapsed_ms: float) -> None:
-    label = vr.label or "(unnamed)"
-    print(f"arrangement: {label} (P^{vr.projective_dim})")
-    for name in ROUTE_NAMES:
-        vec = vr.routes[name]
-        print(f"  {name:20s} {'skipped' if vec is None else _vec_str(vec)}")
-    for note in vr.notes:
-        print(f"  note: {note}")
-    if vr.blowup is not None:
-        cls = vr.blowup.cls
-        parts = [f"{cls.unit}*[V-hat]", f"{cls.h}*h"]
-        parts += [
-            f"{coef}*E{i}({center.render()})"
-            for i, (center, coef) in enumerate(zip(vr.blowup.centers, cls.exc))
-        ]
-        parts.append(f"{cls.pt}*pt")
-        print("  blow-up class: " + " + ".join(parts))
-    print(f"result: {'VERIFIED' if vr.passed else 'DISAGREEMENT'}")
-    print(f"elapsed: {elapsed_ms:.1f} ms")
 
 
 def _is_internal(exc: RuntimeError) -> bool:
@@ -232,40 +183,23 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
     num_error counts both input errors (status "error") and internal
     errors (status "internal_error"); any internal error makes the code 3.
     """
-    files = sorted(directory.glob("*.arr"))
     entries = []
-    num_pass = num_fail = num_error = 0
-    internal = False
-    for path in files:
+    for path in sorted(directory.glob("*.arr")):
         try:
-            arr = parse_file(path)
-            vr = verify_arrangement(arr)
-        except (ParseError, OSError, ValueError) as exc:
+            vr = verify_arrangement(parse_file(path))
+        except (OSError, ValueError) as exc:  # ParseError is a ValueError
             entries.append({"file": path.name, "status": "error", "message": str(exc)})
-            num_error += 1
             continue
         except RuntimeError as exc:
             if not _is_internal(exc):
                 raise
             entries.append({"file": path.name, "status": "internal_error", "message": str(exc)})
-            num_error += 1
-            internal = True
             continue
         status = "pass" if vr.passed else "fail"
-        if vr.passed:
-            num_pass += 1
-        else:
-            num_fail += 1
-        entries.append(
-            {
-                "file": path.name,
-                "status": status,
-                "routes": {
-                    name: (list(vec) if vec is not None else None)
-                    for name, vec in vr.routes.items()
-                },
-            }
-        )
+        entries.append({"file": path.name, "status": status, "routes": _routes_payload(vr.routes)})
+    statuses = [e["status"] for e in entries]
+    num_pass, num_fail = statuses.count("pass"), statuses.count("fail")
+    num_error = len(statuses) - num_pass - num_fail
     payload = {
         "directory": directory.name,
         "entries": entries,
@@ -273,7 +207,7 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
         "num_fail": num_fail,
         "num_error": num_error,
     }
-    code = 3 if internal else 2 if num_error else 1 if num_fail else 0
+    code = 3 if "internal_error" in statuses else 2 if num_error else 1 if num_fail else 0
     return payload, code
 
 
@@ -284,30 +218,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def with_input(p: argparse.ArgumentParser) -> None:
+    def on_file(name: str, help_text: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("--input", required=True, help=".arr file")
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
+        return p
 
-    p_lattice = sub.add_parser("lattice", help="intersection lattice with Mobius values")
-    with_input(p_lattice)
-    p_lattice.add_argument("--primes", help="comma-separated primes for the counting oracle")
-
-    p_charpoly = sub.add_parser("charpoly", help="characteristic polynomial")
-    with_input(p_charpoly)
-
-    p_csm = sub.add_parser("csm", help="CSM class of the projective complement")
-    with_input(p_csm)
-
-    p_der = sub.add_parser("derivations", help="logarithmic derivation module")
-    with_input(p_der)
-    p_der.add_argument("--max-degree", type=int, default=3, help="largest degree to tabulate")
-
-    p_free = sub.add_parser("freeness", help="freeness decision via Saito's criterion")
-    with_input(p_free)
-
-    p_verify = sub.add_parser("verify", help="compute all routes and compare")
-    with_input(p_verify)
-    p_verify.add_argument("--primes", help="comma-separated primes for the counting oracle")
+    primes_help = "comma-separated primes for the counting oracle"
+    on_file("lattice", "intersection lattice with Mobius values").add_argument(
+        "--primes", help=primes_help
+    )
+    on_file("charpoly", "characteristic polynomial")
+    on_file("csm", "CSM class of the projective complement")
+    on_file("derivations", "logarithmic derivation module").add_argument(
+        "--max-degree", type=int, default=3, help="largest degree to tabulate"
+    )
+    on_file("freeness", "freeness decision via Saito's criterion")
+    on_file("verify", "compute all routes and compare").add_argument("--primes", help=primes_help)
 
     p_ex = sub.add_parser("example41", help="pencil-family identity in a formal divisor class")
     p_ex.add_argument("--m", type=int, required=True, help="number of pencil members, >= 2")
@@ -320,9 +247,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_proj.add_argument("--n", type=int, default=2, help="ambient projective dimension")
     p_proj.add_argument("--json", action="store_true")
 
-    p_report = sub.add_parser("report", help="full report: lattice, classes, freeness, verification")
-    with_input(p_report)
-    p_report.add_argument("--primes", help="comma-separated primes for the counting oracle")
+    p_report = on_file("report", "full report: lattice, classes, freeness, verification")
+    p_report.add_argument("--primes", help=primes_help)
     p_report.add_argument("--max-degree", type=int, default=3)
 
     p_corpus = sub.add_parser("corpus", help="verify every .arr file in a directory")
@@ -341,219 +267,258 @@ def _parse_primes(spec: str | None) -> list[int]:
         raise ValueError(f"cannot parse prime list {spec!r}") from None
 
 
+def _add_oracle(result: dict, arr: Arrangement, lat: IntersectionLattice, spec: str | None) -> bool:
+    """Attach the --primes point counts to result; False when one disagrees."""
+    primes = _parse_primes(spec)
+    if not primes:
+        return True
+    reduced = reduced_char_poly(arr, lat) if arr.size >= 1 else None
+    checks = []
+    for p in primes:
+        count = point_count_oracle(arr, p)
+        entry: dict = {"prime": p, "count": count}
+        if reduced is not None:
+            expected = poly_eval_int(reduced, p)
+            entry["reduced_charpoly_value"] = expected
+            entry["match"] = count == expected
+        checks.append(entry)
+    result["oracle"] = {"checks": checks, "all_match": all(c.get("match", True) for c in checks)}
+    return result["oracle"]["all_match"]
+
+
+# Handlers: (args, arrangement or None) -> (JSON result, exit code).  Each
+# computes only the stages its command reads.
+
+
+def _lattice(args, arr):
+    lat = build_lattice(arr)
+    result = _lattice_payload(lat)
+    oracle_ok = _add_oracle(result, arr, lat, args.primes)
+    return result, 0 if oracle_ok else 1
+
+
+def _charpoly(args, arr):
+    return _charpoly_payload(arr, build_lattice(arr)), 0
+
+
+def _csm(args, arr):
+    return _csm_payload(arr, build_lattice(arr)), 0
+
+
+def _derivations(args, arr):
+    return _derivations_payload(arr, minimal_generators(arr), args.max_degree), 0
+
+
+def _freeness(args, arr):
+    return _freeness_payload(decide_freeness(arr)), 0
+
+
+def _verify(args, arr):
+    lat = build_lattice(arr)  # verify_arrangement builds its own: perfbench/test_bench.py pins 2
+    vr = verify_arrangement(arr)
+    result = _verify_payload(vr)
+    oracle_ok = _add_oracle(result, arr, lat, args.primes)
+    return result, 0 if (vr.passed and oracle_ok) else 1
+
+
+def _report(args, arr):
+    lat = build_lattice(arr)
+    graded = minimal_generators(arr)
+    freeness = decide_freeness(arr, graded)
+    vr = verify_arrangement(arr, lat, freeness)
+    result = {
+        "lattice": _lattice_payload(lat),
+        "charpoly": _charpoly_payload(arr, lat),
+        "csm": _csm_payload(arr, lat),
+        "derivations": _derivations_payload(arr, graded, args.max_degree),
+        "freeness": _freeness_payload(freeness),
+        "verification": _verify_payload(vr),
+    }
+    oracle_ok = _add_oracle(result, arr, lat, args.primes)
+    return result, 0 if (vr.passed and oracle_ok) else 1
+
+
+def _example41(args, _arr):
+    ok, csm_side, chern_side = verify_pencil_identity(args.m, args.n)
+    k_ok, twisted = verify_pencil_koszul(args.m, args.n)
+    result = {
+        "m": args.m,
+        "n": args.n,
+        "identity": {
+            "csm_side": list(csm_side.to_int_vector()),
+            "chern_side": list(chern_side.to_int_vector()),
+            "equal": ok,
+        },
+        "koszul": {"twisted_class": list(twisted.to_int_vector()), "equal": k_ok},
+    }
+    return result, 0 if (ok and k_ok) else 1
+
+
+def _projection(args, _arr):
+    chk = projection_check(args.d, args.e, args.n)
+    result = {
+        "d": args.d,
+        "e": args.e,
+        "n": args.n,
+        "structure_sheaf": {
+            "pushed": [str(c) for c in chk.structure_pushed],
+            "capped": [str(c) for c in chk.structure_capped],
+            "equal": chk.structure_equal,
+        },
+        "transverse": {
+            "pushed": [str(c) for c in chk.transverse_pushed],
+            "capped": [str(c) for c in chk.transverse_capped],
+            "equal": chk.transverse_equal,
+        },
+        "as_expected": chk.as_expected,
+    }
+    return result, 0 if chk.as_expected else 1
+
+
+def _corpus(args, _arr):
+    directory = Path(args.input)
+    if not directory.is_dir():
+        raise ValueError(f"{directory} is not a directory")
+    return corpus_runner(directory)
+
+
+# Text renderers: (JSON result, arrangement or None, elapsed ms) -> printed
+# report.  They read nothing but the result, so text and --json agree.
+
+
+def _lattice_text(result: dict, arr, elapsed_ms: float) -> None:
+    print(f"{result['num_flats']} flats")
+    for f in result["flats"]:
+        lines = ",".join(str(i) for i in f["hyperplanes"])
+        print(f"  codim {f['codim']}  mu {f['mu']:3d}  hyperplanes [{lines}]")
+    for c in result.get("oracle", {"checks": []})["checks"]:
+        tail = ""
+        if "match" in c:
+            tail = f"  chi-bar({c['prime']}) = {c['reduced_charpoly_value']}  match: {c['match']}"
+        print(f"  p = {c['prime']}: {c['count']} points{tail}")
+
+
+def _charpoly_text(result: dict, arr, elapsed_ms: float) -> None:
+    print(f"chi(t) = {result['rendered']}")
+    if result["reduced_rendered"] is not None:
+        print(f"chi(t)/(t-1) = {result['reduced_rendered']}")
+
+
+def _csm_text(result: dict, arr, elapsed_ms: float) -> None:
+    terms = " + ".join(f"{v}*{lbl}" for v, lbl in zip(result["vector"], result["basis_labels"]))
+    print(f"csm = {terms}")
+    print(f"euler characteristic of the complement: {result['euler_characteristic']}")
+
+
+def _derivations_text(result: dict, arr, elapsed_ms: float) -> None:
+    for d, dim in result["dims"]:
+        print(f"  degree {d}: dim {dim}")
+    print(f"minimal generator degrees: {tuple(result['generator_degrees'])}")
+    print(f"search exit: {result['exit_reason']}")
+
+
+def _freeness_line(result: dict) -> None:
+    if result["free"]:
+        print(f"free, exponents {tuple(result['exponents'])}")
+    else:
+        print(f"not free: {result['reason']}")
+
+
+def _freeness_text(result: dict, arr, elapsed_ms: float) -> None:
+    _freeness_line(result)
+    if result["free"]:
+        print(f"Saito scalar: {result['saito_scalar']}")
+    for line in result["search_log"]:
+        print(f"  {line}")
+
+
+def _verify_text(result: dict, arr: Arrangement, elapsed_ms: float) -> None:
+    print(f"arrangement: {arr.name or '(unnamed)'} (P^{arr.projective_dim})")
+    for name in ROUTE_NAMES:
+        vec = result["routes"][name]
+        shown = "skipped" if vec is None else "(" + ", ".join(str(v) for v in vec) + ")"
+        print(f"  {name:20s} {shown}")
+    for note in result["notes"]:
+        print(f"  note: {note}")
+    blowup = result["blowup_class"]
+    if blowup is not None:
+        parts = [f"{blowup['unit']}*[V-hat]", f"{blowup['h']}*h"]
+        parts += [f"{c}*E{i}({point})" for i, (point, c) in enumerate(blowup["exceptional"])]
+        parts.append(f"{blowup['pt']}*pt")
+        print("  blow-up class: " + " + ".join(parts))
+    print(f"result: {'VERIFIED' if result['passed'] else 'DISAGREEMENT'}")
+    print(f"elapsed: {elapsed_ms:.1f} ms")
+    for c in result.get("oracle", {"checks": []})["checks"]:
+        tail = ""
+        if "match" in c:
+            tail = f"  chi-bar = {c['reduced_charpoly_value']}  match: {c['match']}"
+        print(f"  oracle p = {c['prime']}: {c['count']} points{tail}")
+
+
+def _report_text(result: dict, arr: Arrangement, elapsed_ms: float) -> None:
+    print(f"chi(t) = {result['charpoly']['rendered']}")
+    print(f"csm vector: {tuple(result['csm']['vector'])}")
+    _freeness_line(result["freeness"])
+    _verify_text(result["verification"], arr, elapsed_ms)
+
+
+def _example41_text(result: dict, arr, elapsed_ms: float) -> None:
+    def render(vec) -> str:
+        return FormalClass.make(vec, len(vec) - 1).render()
+
+    identity, koszul = result["identity"], result["koszul"]
+    print(f"m = {result['m']}, truncation order {result['n']}")
+    print(f"  csm side:     {render(identity['csm_side'])}")
+    print(f"  chern side:   {render(identity['chern_side'])}")
+    print(f"  identity:     {'equal' if identity['equal'] else 'NOT EQUAL'}")
+    print(f"  twisted class: {render(koszul['twisted_class'])}")
+    print(f"  koszul route: {'equal' if koszul['equal'] else 'NOT EQUAL'}")
+
+
+def _projection_text(result: dict, arr, elapsed_ms: float) -> None:
+    print(f"hypersurface degrees d = {result['d']}, e = {result['e']} in P^{result['n']}")
+    for key, label, expected in (("structure_sheaf", "structure sheaf:", False),
+                                 ("transverse", "transverse:     ", True)):
+        side = result[key]
+        print(f"  {label} pushed {[Fraction(c) for c in side['pushed']]}")
+        print(f"                   capped {[Fraction(c) for c in side['capped']]}")
+        print(f"                   equal: {side['equal']} (expected {expected})")
+
+
+def _corpus_text(result: dict, arr, elapsed_ms: float) -> None:
+    for entry in result["entries"]:
+        msg = entry.get("message", "")
+        print(f"  {entry['file']:24s} {entry['status']}{': ' + msg if msg else ''}")
+    print(
+        f"total: {result['num_pass']} pass, {result['num_fail']} fail, "
+        f"{result['num_error']} error"
+    )
+    print(f"elapsed: {elapsed_ms:.1f} ms")
+
+
+# subcommand -> (handler, text renderer, whether it reads the .arr file --input)
+HANDLERS = {
+    "lattice": (_lattice, _lattice_text, True),
+    "charpoly": (_charpoly, _charpoly_text, True),
+    "csm": (_csm, _csm_text, True),
+    "derivations": (_derivations, _derivations_text, True),
+    "freeness": (_freeness, _freeness_text, True),
+    "verify": (_verify, _verify_text, True),
+    "report": (_report, _report_text, True),
+    "example41": (_example41, _example41_text, False),
+    "projection": (_projection, _projection_text, False),
+    "corpus": (_corpus, _corpus_text, False),
+}
+
+
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     started = time.perf_counter()
-
+    handler, show, reads_arrangement = HANDLERS[args.command]
     try:
-        if args.command == "example41":
-            ok, csm_side, chern_side = verify_pencil_identity(args.m, args.n)
-            k_ok, twisted = verify_pencil_koszul(args.m, args.n)
-            result = {
-                "m": args.m,
-                "n": args.n,
-                "identity": {
-                    "csm_side": list(csm_side.to_int_vector()),
-                    "chern_side": list(chern_side.to_int_vector()),
-                    "equal": ok,
-                },
-                "koszul": {
-                    "twisted_class": list(twisted.to_int_vector()),
-                    "equal": k_ok,
-                },
-            }
-            if args.json:
-                _emit_json(_wrap("example41", result))
-            else:
-                print(f"m = {args.m}, truncation order {args.n}")
-                print(f"  csm side:     {csm_side.render()}")
-                print(f"  chern side:   {chern_side.render()}")
-                print(f"  identity:     {'equal' if ok else 'NOT EQUAL'}")
-                print(f"  twisted class: {twisted.render()}")
-                print(f"  koszul route: {'equal' if k_ok else 'NOT EQUAL'}")
-            return 0 if (ok and k_ok) else 1
-
-        if args.command == "projection":
-            chk = projection_check(args.d, args.e, args.n)
-            result = {
-                "d": args.d,
-                "e": args.e,
-                "n": args.n,
-                "structure_sheaf": {
-                    "pushed": [str(c) for c in chk.structure_pushed],
-                    "capped": [str(c) for c in chk.structure_capped],
-                    "equal": chk.structure_equal,
-                },
-                "transverse": {
-                    "pushed": [str(c) for c in chk.transverse_pushed],
-                    "capped": [str(c) for c in chk.transverse_capped],
-                    "equal": chk.transverse_equal,
-                },
-                "as_expected": chk.as_expected,
-            }
-            if args.json:
-                _emit_json(_wrap("projection", result))
-            else:
-                print(f"hypersurface degrees d = {args.d}, e = {args.e} in P^{args.n}")
-                print(f"  structure sheaf: pushed {list(chk.structure_pushed)}")
-                print(f"                   capped {list(chk.structure_capped)}")
-                print(f"                   equal: {chk.structure_equal} (expected False)")
-                print(f"  transverse:      pushed {list(chk.transverse_pushed)}")
-                print(f"                   capped {list(chk.transverse_capped)}")
-                print(f"                   equal: {chk.transverse_equal} (expected True)")
-            return 0 if chk.as_expected else 1
-
-        if args.command == "corpus":
-            directory = Path(args.input)
-            if not directory.is_dir():
-                print(f"error: {directory} is not a directory", file=sys.stderr)
-                return 2
-            payload, code = corpus_runner(directory)
-            if args.json:
-                _emit_json(_wrap("corpus", payload))
-            else:
-                for entry in payload["entries"]:
-                    msg = entry.get("message", "")
-                    print(f"  {entry['file']:24s} {entry['status']}{': ' + msg if msg else ''}")
-                print(
-                    f"total: {payload['num_pass']} pass, {payload['num_fail']} fail, "
-                    f"{payload['num_error']} error"
-                )
-                print(f"elapsed: {(time.perf_counter() - started) * 1000:.1f} ms")
-            return code
-
-        # everything below reads one arrangement
-        arr = parse_file(args.input)
-        lat = build_lattice(arr)
-
-        if args.command == "lattice":
-            result = _lattice_payload(lat)
-            primes = _parse_primes(getattr(args, "primes", None))
-            if primes:
-                result["oracle"] = _oracle_payload(arr, lat, primes)
-            if args.json:
-                _emit_json(_wrap("lattice", result, arr))
-            else:
-                _print_warnings(arr)
-                print(f"{result['num_flats']} flats")
-                for f in lat.flats:
-                    lines = ",".join(str(i) for i in f.indices)
-                    print(f"  codim {f.codim}  mu {f.mu:3d}  hyperplanes [{lines}]")
-                if primes:
-                    for c in result["oracle"]["checks"]:
-                        tail = ""
-                        if "match" in c:
-                            tail = f"  chi-bar({c['prime']}) = {c['reduced_charpoly_value']}  match: {c['match']}"
-                        print(f"  p = {c['prime']}: {c['count']} points{tail}")
-            if "oracle" in result and not result["oracle"]["all_match"]:
-                return 1
-            return 0
-
-        if args.command == "charpoly":
-            result = _charpoly_payload(arr, lat)
-            if args.json:
-                _emit_json(_wrap("charpoly", result, arr))
-            else:
-                _print_warnings(arr)
-                print(f"chi(t) = {result['rendered']}")
-                if result["reduced_rendered"] is not None:
-                    print(f"chi(t)/(t-1) = {result['reduced_rendered']}")
-            return 0
-
-        if args.command == "csm":
-            result = _csm_payload(arr, lat)
-            if args.json:
-                _emit_json(_wrap("csm", result, arr))
-            else:
-                _print_warnings(arr)
-                terms = " + ".join(
-                    f"{v}*{lbl}" for v, lbl in zip(result["vector"], result["basis_labels"])
-                )
-                print(f"csm = {terms}")
-                print(f"euler characteristic of the complement: {result['euler_characteristic']}")
-            return 0
-
-        if args.command == "derivations":
-            result = _derivations_payload(arr, args.max_degree)
-            if args.json:
-                _emit_json(_wrap("derivations", result, arr))
-            else:
-                _print_warnings(arr)
-                for d, dim in result["dims"]:
-                    print(f"  degree {d}: dim {dim}")
-                print(f"minimal generator degrees: {tuple(result['generator_degrees'])}")
-                print(f"search exit: {result['exit_reason']}")
-            return 0
-
-        if args.command == "freeness":
-            result = _freeness_payload(arr)
-            if args.json:
-                _emit_json(_wrap("freeness", result, arr))
-            else:
-                _print_warnings(arr)
-                if result["free"]:
-                    print(f"free, exponents {tuple(result['exponents'])}")
-                    print(f"Saito scalar: {result['saito_scalar']}")
-                else:
-                    print(f"not free: {result['reason']}")
-                for line in result["search_log"]:
-                    print(f"  {line}")
-            return 0
-
-        if args.command == "verify":
-            vr = verify_arrangement(arr)
-            result = _verify_payload(vr)
-            primes = _parse_primes(getattr(args, "primes", None))
-            if primes:
-                result["oracle"] = _oracle_payload(arr, lat, primes)
-            if args.json:
-                _emit_json(_wrap("verify", result, arr))
-            else:
-                _print_warnings(arr)
-                _text_verify(vr, (time.perf_counter() - started) * 1000)
-                if primes:
-                    for c in result["oracle"]["checks"]:
-                        tail = ""
-                        if "match" in c:
-                            tail = f"  chi-bar = {c['reduced_charpoly_value']}  match: {c['match']}"
-                        print(f"  oracle p = {c['prime']}: {c['count']} points{tail}")
-            oracle_ok = result.get("oracle", {"all_match": True})["all_match"]
-            return 0 if (vr.passed and oracle_ok) else 1
-
-        if args.command == "report":
-            vr = verify_arrangement(arr)
-            result = {
-                "lattice": _lattice_payload(lat),
-                "charpoly": _charpoly_payload(arr, lat),
-                "csm": _csm_payload(arr, lat),
-                "derivations": _derivations_payload(arr, args.max_degree),
-                "freeness": _freeness_payload(arr),
-                "verification": _verify_payload(vr),
-            }
-            primes = _parse_primes(getattr(args, "primes", None))
-            if primes:
-                result["oracle"] = _oracle_payload(arr, lat, primes)
-            if args.json:
-                _emit_json(_wrap("report", result, arr))
-            else:
-                _print_warnings(arr)
-                print(f"chi(t) = {result['charpoly']['rendered']}")
-                print(f"csm vector: {tuple(result['csm']['vector'])}")
-                if result["freeness"]["free"]:
-                    print(f"free, exponents {tuple(result['freeness']['exponents'])}")
-                else:
-                    print(f"not free: {result['freeness']['reason']}")
-                _text_verify(vr, (time.perf_counter() - started) * 1000)
-            oracle_ok = result.get("oracle", {"all_match": True})["all_match"]
-            return 0 if (vr.passed and oracle_ok) else 1
-
-        raise AssertionError(f"unhandled command {args.command!r}")
-
-    except (ParseError, OSError, BadReductionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+        arr = parse_file(args.input) if reads_arrangement else None
+        result, code = handler(args, arr)
+    except (OSError, ValueError) as exc:  # ParseError and BadReductionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
@@ -561,6 +526,20 @@ def run(argv: list[str]) -> int:
             raise
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
+    if args.json:
+        payload = {
+            "command": args.command,
+            "result": result,
+            "tool": {"name": "arrcsm", "version": __version__},
+        }
+        if arr is not None:
+            payload["arrangement"] = _arrangement_payload(arr)
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        for w in arr.warnings if arr is not None else ():
+            print(f"warning: {w}")
+        show(result, arr, (time.perf_counter() - started) * 1000)
+    return code
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-import numpy as np
-
 from .arrangement import Arrangement
 from .linalg import rref_rows, span_contains
+from .poly import render_terms
 
 
 class BadReductionError(ValueError):
@@ -157,21 +156,7 @@ def reduced_char_poly(arr: Arrangement, lattice: IntersectionLattice | None = No
 
 
 def render_poly_in_t(coeffs: tuple[int, ...], var: str = "t") -> str:
-    pieces: list[str] = []
-    for i in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[i]
-        if not c:
-            continue
-        if i == 0:
-            body = str(abs(c))
-        else:
-            power = var if i == 1 else f"{var}^{i}"
-            body = power if abs(c) == 1 else f"{abs(c)}*{power}"
-        if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
-        else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
-    return " ".join(pieces) if pieces else "0"
+    return render_terms((coeffs[i], [(var, i)]) for i in reversed(range(len(coeffs))))
 
 
 def csm_complement(arr: Arrangement, lattice: IntersectionLattice | None = None) -> tuple[int, ...]:
@@ -203,6 +188,11 @@ def _is_prime(p: int) -> bool:
     return True
 
 
+# Largest chart, p^n points of P^n(F_p), that the oracle sweeps: each
+# int64 grid then takes at most 16 MB.
+ORACLE_MAX_POINTS = 2_000_000
+
+
 def point_count_oracle(arr: Arrangement, p: int) -> int:
     """Count points of P^n(F_p) lying on no hyperplane, by enumeration.
 
@@ -210,13 +200,20 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
     sweeps every projective point chart by chart (vectorized, int64
     modular arithmetic, no rounding anywhere).  Refuses primes of bad
     reduction: a coefficient denominator divisible by p, or a form
-    vanishing identically mod p.
+    vanishing identically mod p; refuses a largest chart p^n above
+    ORACLE_MAX_POINTS before allocating anything.
     """
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
     if p > 1000:
         raise ValueError("oracle is restricted to primes up to 1000")
     n1 = arr.nvars
+    if p ** (n1 - 1) > ORACLE_MAX_POINTS:
+        raise ValueError(
+            f"oracle chart of {p}^{n1 - 1} points exceeds the bound of {ORACLE_MAX_POINTS}"
+        )
+    import numpy as np  # only this oracle uses numpy; the CLI starts without it
+
     reduced_forms: list[list[int]] = []
     for f in arr.forms:
         row = []

@@ -58,6 +58,28 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     return out
 
 
+def render_terms(terms: Iterable[tuple[Scalar, Iterable[tuple[str, int]]]]) -> str:
+    """Sign-aware sum of coefficient * monomial terms, in the given order.
+
+    A monomial is a sequence of (variable name, exponent) factors.  Zero
+    terms and zero exponents are skipped, a coefficient of magnitude 1 is
+    left off a nonconstant monomial, later terms are joined by "+ " or
+    "- ", and an empty sum renders as "0".
+    """
+    pieces: list[str] = []
+    for coef, factors in terms:
+        if not coef:
+            continue
+        body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in factors if e)
+        mag = abs(coef)
+        chunk = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        if not pieces:
+            pieces.append(chunk if coef > 0 else f"-{chunk}")
+        else:
+            pieces.append(f"+ {chunk}" if coef > 0 else f"- {chunk}")
+    return " ".join(pieces) if pieces else "0"
+
+
 class MultiPoly:
     """Immutable sparse polynomial: {exponent tuple: nonzero Fraction}."""
 
@@ -211,30 +233,9 @@ class MultiPoly:
         return total
 
     def render(self, names: list[str] | None = None) -> str:
-        if not self._terms:
-            return "0"
         if names is None:
             names = [f"x{i}" for i in range(self.nvars)]
-        pieces: list[str] = []
-        for mono, coef in self.terms():
-            factors = [
-                names[i] if e == 1 else f"{names[i]}^{e}"
-                for i, e in enumerate(mono)
-                if e
-            ]
-            body = "*".join(factors)
-            mag = abs(coef)
-            if not factors:
-                chunk = str(mag)
-            elif mag == 1:
-                chunk = body
-            else:
-                chunk = f"{mag}*{body}"
-            if not pieces:
-                pieces.append(chunk if coef > 0 else f"-{chunk}")
-            else:
-                pieces.append(f"+ {chunk}" if coef > 0 else f"- {chunk}")
-        return " ".join(pieces)
+        return render_terms((coef, zip(names, mono)) for mono, coef in self.terms())
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.render()})"

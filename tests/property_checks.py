@@ -8,7 +8,7 @@ actually exercised so callers can enforce a minimum volume.
 from fractions import Fraction
 from random import Random
 
-from arrcsm.arrangement import Arrangement
+from arrcsm.arrangement import Arrangement, parse
 from arrcsm.lattice import build_lattice
 from arrcsm.linalg import QMatrix
 from arrcsm.logder import (
@@ -30,7 +30,7 @@ def random_arrangement(rng: Random, nvars: int, max_forms: int) -> Arrangement:
         row = [rng.randint(-2, 2) for _ in range(nvars)]
         if any(row):
             rows.append(row)
-    return Arrangement.from_rows(nvars, rows)
+    return parse(f"vars {nvars}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
 
 
 def random_poly(rng: Random, nvars: int, degree: int) -> MultiPoly:

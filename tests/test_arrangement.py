@@ -36,6 +36,11 @@ def test_duplicate_collapse_with_warning():
     assert "collapsed" in arr.warnings[0]
 
 
+def test_duplicate_warning_text():
+    arr = parse("vars 3\n0 1 1\n0 2 2\n1 0 0\n")
+    assert arr.warnings == ("line 3: proportional to the form on line 2; collapsed",)
+
+
 def test_zero_form_rejected():
     with pytest.raises(ParseError) as exc:
         parse("vars 2\n1 0\n0 0\n")

@@ -17,7 +17,8 @@ from arrcsm.chow import (
     verify_pencil_identity,
     verify_pencil_koszul,
 )
-from arrcsm.lattice import csm_complement
+from arrcsm.lattice import build_lattice, csm_complement
+from arrcsm.logder import decide_freeness
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n", name="boolean")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n", name="three_concurrent")
@@ -291,3 +292,16 @@ def test_routes_agree_with_csm():
         vr = verify_arrangement(arr)
         assert vr.routes["lattice_csm"] == csm_complement(arr)
         assert vr.passed
+
+
+def test_verify_reuses_precomputed_inputs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("recomputed a stage that was passed in")
+
+    for arr in (THREE_CONC, FOUR_GENERIC, TETRAHEDRON):
+        lat, freeness = build_lattice(arr), decide_freeness(arr)
+        fresh = verify_arrangement(arr)
+        with monkeypatch.context() as m:
+            m.setattr("arrcsm.chow.build_lattice", refuse)
+            m.setattr("arrcsm.chow.decide_freeness", refuse)
+            assert verify_arrangement(arr, lat, freeness) == fresh

@@ -247,6 +247,72 @@ def test_duplicate_warning_shown(tmp_path, capsys):
     assert "collapsed" in out
 
 
+def test_duplicate_warning_in_json(tmp_path, capsys):
+    dup = tmp_path / "dup.arr"
+    dup.write_text("vars 3\n0 1 0\n0 2 0\n", encoding="utf-8")
+    assert run(["csm", "--input", str(dup), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["arrangement"]["warnings"] == [
+        "line 3: proportional to the form on line 2; collapsed"
+    ]
+    assert doc["arrangement"]["num_forms"] == 1
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Count build_lattice and minimal_generators calls wherever they are looked up."""
+    from arrcsm import chow, cli, lattice, logder
+
+    calls = {"build_lattice": 0, "minimal_generators": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name, owner, users in (
+        ("build_lattice", lattice, (cli, chow, lattice)),
+        ("minimal_generators", logder, (cli, logder)),
+    ):
+        wrapper = counting(name, getattr(owner, name))
+        for module in users:
+            monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "argv,builds,searches",
+    [
+        (["report", "--primes", "101", "--max-degree", "4"], 1, 1),
+        (["derivations", "--max-degree", "4"], 0, 1),
+        (["freeness"], 0, 1),
+    ],
+    ids=["report", "derivations", "freeness"],
+)
+def test_each_stage_runs_once(stage_calls, capsys, argv, builds, searches):
+    # the search on three_concurrent stops at degree 2, below --max-degree
+    assert run([argv[0], "--input", str(THREE_CONC), "--json", *argv[1:]]) == 0
+    capsys.readouterr()
+    assert stage_calls == {"build_lattice": builds, "minimal_generators": searches}
+
+
+def test_importing_the_cli_does_not_load_numpy():
+    code = "import sys, arrcsm.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_oracle_point_bound_is_an_input_error(capsys):
+    code = run(["lattice", "--input", str(CORPUS / "tetrahedron_p3.arr"), "--primes", "997"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: oracle chart of 997^3 points exceeds the bound" in captured.err
+    assert captured.out == ""
+
+
 def test_main_entry(capsys):
     assert main(["csm", "--input", str(THREE_CONC)]) == 0
     capsys.readouterr()

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,17 @@ def test_oracle_validates_prime():
         point_count_oracle(BOOLEAN, 6)
     with pytest.raises(ValueError):
         point_count_oracle(BOOLEAN, 1009)
+
+
+def test_oracle_refuses_a_chart_over_its_point_bound():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"997\^3 points exceeds the bound of 2000000"):
+            point_count_oracle(parse("vars 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n"), 997)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_lattice_flat_rows_are_canonical():
