@@ -41,7 +41,6 @@ from .logder import (
     GradedBasis,
     chern_class_free,
     decide_freeness,
-    euler_derivation,
     intersection_property_check,
     is_logarithmic,
     log_derivation_space,
@@ -71,7 +70,6 @@ __all__ = [
     "chern_class_free",
     "csm_complement",
     "decide_freeness",
-    "euler_derivation",
     "intersection_property_check",
     "is_logarithmic",
     "log_derivation_space",

@@ -99,11 +99,6 @@ class Arrangement:
             q = q * f.poly()
         return q
 
-    def delete(self, i: int) -> "Arrangement":
-        """Sub-arrangement with the i-th hyperplane removed."""
-        forms = self.forms[:i] + self.forms[i + 1:]
-        return Arrangement(nvars=self.nvars, forms=forms, name=self.name)
-
     def single(self, i: int) -> "Arrangement":
         """Sub-arrangement holding only the i-th hyperplane."""
         return Arrangement(nvars=self.nvars, forms=(self.forms[i],), name=self.name)

@@ -71,9 +71,6 @@ class FormalClass:
         self._check(other)
         return FormalClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "FormalClass":
-        return FormalClass(tuple(-a for a in self.coeffs))
-
     def __mul__(self, other: "FormalClass | Scalar") -> "FormalClass":
         if isinstance(other, FormalClass):
             self._check(other)
@@ -105,13 +102,6 @@ class FormalClass:
                 acc += self.coeffs[i] * out[k - i]
             out[k] = -acc * inv0
         return FormalClass(tuple(out))
-
-    def __pow__(self, k: int) -> "FormalClass":
-        base = self if k >= 0 else self.inverse()
-        result = FormalClass.one(self.order)
-        for _ in range(abs(k)):
-            result = result * base
-        return result
 
     def to_int_vector(self) -> tuple[int, ...]:
         if any(c.denominator != 1 for c in self.coeffs):
@@ -241,15 +231,6 @@ class SurfaceClass:
             self.pt + other.pt,
         )
 
-    def __sub__(self, other: "SurfaceClass") -> "SurfaceClass":
-        self._check(other)
-        return SurfaceClass(
-            self.unit - other.unit,
-            self.h - other.h,
-            tuple(a - b for a, b in zip(self.exc, other.exc)),
-            self.pt - other.pt,
-        )
-
     def __mul__(self, other: "SurfaceClass | Scalar") -> "SurfaceClass":
         if isinstance(other, SurfaceClass):
             self._check(other)
@@ -290,13 +271,6 @@ class SurfaceClass:
         )
         return SurfaceClass(Fraction(1) / u, h, exc, pt)
 
-    def __pow__(self, k: int) -> "SurfaceClass":
-        base = self if k >= 0 else self.inverse()
-        result = SurfaceClass.make(1, exc=(Fraction(0),) * len(self.exc))
-        for _ in range(abs(k)):
-            result = result * base
-        return result
-
 
 def pushforward_to_p2(cls: SurfaceClass) -> tuple[int, ...]:
     """Proper pushforward along the blow-down: exceptional parts die."""
@@ -304,12 +278,6 @@ def pushforward_to_p2(cls: SurfaceClass) -> tuple[int, ...]:
         if c.denominator != 1:
             raise RuntimeError("internal consistency failure: non-integral class vector")
     return (int(cls.unit), int(cls.h), int(cls.pt))
-
-
-def pullback_p2_class(vec, k: int) -> SurfaceClass:
-    """Pull a P^2 class vector back to the k-point blow-up."""
-    a, b, c = (Fraction(v) for v in vec)
-    return SurfaceClass(a, b, (Fraction(0),) * k, c)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -480,8 +479,8 @@ def _projection_text(result: dict, arr, elapsed_ms: float) -> None:
     for key, label, expected in (("structure_sheaf", "structure sheaf:", False),
                                  ("transverse", "transverse:     ", True)):
         side = result[key]
-        print(f"  {label} pushed {[Fraction(c) for c in side['pushed']]}")
-        print(f"                   capped {[Fraction(c) for c in side['capped']]}")
+        print(f"  {label} pushed [{', '.join(side['pushed'])}]")
+        print(f"                   capped [{', '.join(side['capped'])}]")
         print(f"                   equal: {side['equal']} (expected {expected})")
 
 

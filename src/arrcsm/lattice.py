@@ -42,18 +42,11 @@ class Flat:
     indices: tuple[int, ...]
     mu: int
 
-    def dim(self, nvars: int) -> int:
-        return nvars - self.codim
-
 
 @dataclass(frozen=True)
 class IntersectionLattice:
     arrangement: Arrangement
     flats: tuple[Flat, ...]
-
-    @property
-    def ambient(self) -> Flat:
-        return self.flats[0]
 
     def of_codim(self, c: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.codim == c)
@@ -63,48 +56,39 @@ class IntersectionLattice:
 
 
 def build_lattice(arr: Arrangement) -> IntersectionLattice:
-    """All intersections of subsets of hyperplanes, with Mobius values."""
+    """All intersections of subsets of hyperplanes, with Mobius values.
+
+    A flat is found as the closed set of hyperplanes through it: the
+    covers of a flat are the closures of the flat plus one hyperplane
+    that no earlier cover of that flat contains.
+    """
     form_rows = [f.coeffs for f in arr.forms]
-    spans: dict[tuple, tuple] = {(): ()}
+    found: dict[tuple[int, ...], tuple] = {(): ()}  # closed index set -> RREF basis
     frontier = [()]
     while frontier:
         nxt = []
-        for key in frontier:
-            basis = spans[key]
-            for row in form_rows:
-                if basis and span_contains(basis, row):
-                    continue
-                if not basis and not any(row):
-                    continue
-                new_basis = rref_rows(list(basis) + [row])
-                if new_basis not in spans:
-                    spans[new_basis] = new_basis
-                    nxt.append(new_basis)
+        for indices in frontier:
+            below = found[indices]
+            outside = [i for i in range(len(form_rows)) if i not in indices]
+            while outside:
+                basis = rref_rows(below + (form_rows[outside[0]],))
+                through = [i for i in outside if span_contains(basis, form_rows[i])]
+                outside = [i for i in outside if i not in through]
+                cover = tuple(sorted(indices + tuple(through)))
+                if cover not in found:
+                    found[cover] = basis
+                    nxt.append(cover)
         frontier = nxt
-
-    raw = []
-    for basis in spans:
-        indices = tuple(
-            i for i, row in enumerate(form_rows)
-            if (span_contains(basis, row) if basis else False)
-        )
-        raw.append((len(basis), basis, indices))
-    raw.sort(key=lambda t: (t[0], t[1]))
 
     # mu by top-down recursion: flats strictly below x are those whose
     # index set is a proper subset of x's (equivalent to span inclusion).
-    mu: dict[tuple[int, ...], int] = {}
     flats: list[Flat] = []
-    for codim, basis, indices in raw:
-        if codim == 0:
-            value = 1
-        else:
-            idx_set = set(indices)
-            value = -sum(
-                f.mu for f in flats if set(f.indices) < idx_set
-            )
-        mu[indices] = value
-        flats.append(Flat(rows=basis, codim=codim, indices=indices, mu=value))
+    sets: list[frozenset[int]] = []
+    for indices, basis in sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1])):
+        s = frozenset(indices)
+        mu = -sum(f.mu for f, t in zip(flats, sets) if t < s) if indices else 1
+        flats.append(Flat(rows=basis, codim=len(basis), indices=indices, mu=mu))
+        sets.append(s)
     return IntersectionLattice(arrangement=arr, flats=tuple(flats))
 
 
@@ -171,10 +155,6 @@ def csm_complement(arr: Arrangement, lattice: IntersectionLattice | None = None)
         for i in range(d + 1):
             out[f.codim + i] += f.mu * comb(d + 1, i)
     return tuple(out)
-
-
-def euler_characteristic_complement(arr: Arrangement) -> int:
-    return csm_complement(arr)[-1]
 
 
 def _is_prime(p: int) -> bool:

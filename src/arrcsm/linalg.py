@@ -6,6 +6,11 @@ Kernel bases come out echelon-shaped and rescaled to leading coefficient
 1, one vector per free column in ascending column order, so results are
 deterministic and directly comparable.
 
+Every Fraction elimination runs through one core that keeps a span as
+RREF rows keyed by pivot column: _reduce clears a vector at those
+pivots and _insert joins it to the span.  rref_rows, span_contains,
+IncrementalSpan.add and the kernel_basis fallback all call it.
+
 QMatrix.kernel_basis eliminates modulo the prime p = 2^61 - 1 with plain
 ints on sparse rows, lifts the pivot entries back to Q by rational
 reconstruction, and keeps the lift only when every lifted vector is
@@ -30,32 +35,38 @@ _LIFT_BOUND = isqrt(_P // 2)
 _ZERO = Fraction(0)
 
 
-def _to_fraction_rows(rows: Iterable[Sequence[Scalar]]) -> list[list[Fraction]]:
-    return [[Fraction(x) for x in row] for row in rows]
+def _reduce(basis: dict[int, Sequence[Fraction]], v: list[Fraction]) -> list[Fraction]:
+    """v minus the combination of basis rows that clears v at every pivot.
+
+    basis maps each pivot column to its RREF row: 1 at that pivot and 0
+    at every other pivot, so one pass in any order clears them all.
+    """
+    for pc, row in basis.items():
+        c = v[pc]
+        if c:
+            v = [a - c * b if b else a for a, b in zip(v, row)]
+    return v
 
 
-def _rref_in_place(mat: list[list[Fraction]]) -> list[int]:
-    """Reduce mat to reduced row echelon form; returns pivot column list."""
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, nrows) if mat[i][col]), None)
-        if pivot_row is None:
-            continue
-        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-        inv = Fraction(1) / mat[r][col]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(nrows):
-            if i != r and mat[i][col]:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+def _insert(basis: dict[int, Sequence[Fraction]], v: list[Fraction]) -> list[Fraction] | None:
+    """Join v to the span kept in basis, which stays in RREF.
+
+    Returns the residue of v scaled to leading coefficient 1 (the new
+    basis row), or None when v already lies in the span.
+    """
+    v = _reduce(basis, v)
+    lead = next((j for j, x in enumerate(v) if x), None)
+    if lead is None:
+        return None
+    if v[lead] != 1:
+        inv = 1 / v[lead]
+        v = [x * inv for x in v]
+    for pc, row in basis.items():
+        c = row[lead]
+        if c:
+            basis[pc] = [a - c * b if b else a for a, b in zip(row, v)]
+    basis[lead] = v
+    return v
 
 
 def _integer_rows(rows: Iterable[Sequence[Fraction]]) -> list[dict[int, int]]:
@@ -170,7 +181,7 @@ def _modular_kernel(rows: Sequence[Sequence[Fraction]], ncols: int) -> list[Vect
 class QMatrix:
     """Immutable dense rational matrix."""
 
-    __slots__ = ("nrows", "ncols", "entries", "_rref_cache")
+    __slots__ = ("nrows", "ncols", "entries")
 
     def __init__(self, entries: Iterable[Sequence[Scalar]], ncols: int | None = None):
         rows = tuple(tuple(Fraction(x) for x in row) for row in entries)
@@ -187,27 +198,9 @@ class QMatrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self.entries = rows
-        self._rref_cache: tuple[tuple[Vector, ...], tuple[int, ...]] | None = None
-
-    @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        return cls([[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
-
-    def row(self, i: int) -> Vector:
-        return self.entries[i]
-
-    def rref(self) -> tuple["QMatrix", tuple[int, ...]]:
-        if self._rref_cache is None:
-            work = [list(r) for r in self.entries]
-            pivots = _rref_in_place(work)
-            rows = tuple(tuple(r) for r in work)
-            self._rref_cache = (rows, tuple(pivots))
-        rows, pivots = self._rref_cache
-        m = QMatrix(rows, ncols=self.ncols)
-        return m, pivots
 
     def rank(self) -> int:
-        return len(self.rref()[1])
+        return len(rref_rows(self.entries))
 
     def kernel_basis(self) -> list[Vector]:
         """Basis of {v : M v = 0}, one vector per free column.
@@ -218,24 +211,20 @@ class QMatrix:
         basis = _modular_kernel(self.entries, self.ncols)
         if basis is not None:
             return basis
-        reduced, pivots = self.rref()
-        pivot_set = set(pivots)
-        free_cols = [c for c in range(self.ncols) if c not in pivot_set]
+        reduced: dict[int, Sequence[Fraction]] = {}
+        for row in self.entries:
+            _insert(reduced, list(row))
         basis = []
-        for fc in free_cols:
-            v = [Fraction(0)] * self.ncols
+        for fc in range(self.ncols):
+            if fc in reduced:
+                continue
+            v = [_ZERO] * self.ncols
             v[fc] = Fraction(1)
-            for r, pc in enumerate(pivots):
-                v[pc] = -reduced.entries[r][fc]
+            for pc, row in reduced.items():
+                v[pc] = -row[fc]
             lead = next(x for x in v if x)
             basis.append(tuple(x / lead for x in v))
         return basis
-
-    def mul_vec(self, v: Sequence[Scalar]) -> Vector:
-        vv = [Fraction(x) for x in v]
-        if len(vv) != self.ncols:
-            raise ValueError("dimension mismatch")
-        return tuple(sum((a * b for a, b in zip(row, vv)), Fraction(0)) for row in self.entries)
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -259,14 +248,6 @@ class QMatrix:
                     work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
         return result * sign
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return self.ncols == other.ncols and self.entries == other.entries
-
-    def __repr__(self) -> str:
-        return f"QMatrix({self.nrows}x{self.ncols})"
-
 
 class IncrementalSpan:
     """Growing subspace kept in reduced row echelon form.
@@ -278,39 +259,14 @@ class IncrementalSpan:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: list[tuple[int, list[Fraction]]] = []  # (pivot, row), pivot ascending
-
-    def rank(self) -> int:
-        return len(self._rows)
+        self._rows: dict[int, Sequence[Fraction]] = {}  # pivot column -> RREF row
 
     def add(self, v: Sequence[Scalar]) -> Vector | None:
         work = [Fraction(x) for x in v]
         if len(work) != self.dim:
             raise ValueError("dimension mismatch")
-        for pivot, row in self._rows:
-            if work[pivot]:
-                factor = work[pivot]
-                work = [a - factor * b for a, b in zip(work, row)]
-        lead = next((j for j, x in enumerate(work) if x), None)
-        if lead is None:
-            return None
-        inv = Fraction(1) / work[lead]
-        work = [x * inv for x in work]
-        for _, row in self._rows:
-            if row[lead]:
-                factor = row[lead]
-                row[:] = [a - factor * b for a, b in zip(row, work)]
-        self._rows.append((lead, list(work)))
-        self._rows.sort(key=lambda t: t[0])
-        return tuple(work)
-
-    def contains(self, v: Sequence[Scalar]) -> bool:
-        work = [Fraction(x) for x in v]
-        for pivot, row in self._rows:
-            if work[pivot]:
-                factor = work[pivot]
-                work = [a - factor * b for a, b in zip(work, row)]
-        return not any(work)
+        residue = _insert(self._rows, work)
+        return None if residue is None else tuple(residue)
 
 
 def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -341,27 +297,16 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 def rref_rows(vectors: Iterable[Sequence[Scalar]]) -> tuple[Vector, ...]:
     """Canonical basis (RREF, zero rows dropped) of the span of the input."""
-    rows = _to_fraction_rows(vectors)
-    if not rows:
-        return ()
-    _rref_in_place(rows)
-    return tuple(tuple(r) for r in rows if any(r))
+    basis: dict[int, Sequence[Fraction]] = {}
+    for v in vectors:
+        _insert(basis, [Fraction(x) for x in v])
+    return tuple(tuple(basis[pc]) for pc in sorted(basis))
+
 
 def span_contains(basis: Sequence[Sequence[Fraction]], v: Sequence[Scalar]) -> bool:
-    """Membership test against an RREF basis."""
-    work = [Fraction(x) for x in v]
-    for row in basis:
-        lead = next((j for j, x in enumerate(row) if x), None)
-        if lead is None:
-            continue
-        if work[lead]:
-            factor = work[lead] / row[lead]
-            work = [a - factor * b for a, b in zip(work, row)]
-    return not any(work)
-
-
-def spans_equal(a: Iterable[Sequence[Scalar]], b: Iterable[Sequence[Scalar]]) -> bool:
-    return rref_rows(a) == rref_rows(b)
+    """Membership test against an RREF basis, as rref_rows returns it."""
+    pivots = {next(j for j, x in enumerate(row) if x): row for row in basis}
+    return not any(_reduce(pivots, [Fraction(x) for x in v]))
 
 
 def intersect_spans(

@@ -73,13 +73,6 @@ class Derivation:
         return " + ".join(pieces) if pieces else "0"
 
 
-def euler_derivation(nvars: int) -> Derivation:
-    return Derivation(
-        coeffs=tuple(MultiPoly.variable(nvars, j) for j in range(nvars)),
-        degree=1,
-    )
-
-
 def _columns(nvars: int, monos: list[Monomial]) -> list[tuple[int, Monomial]]:
     return [(j, m) for j in range(nvars) for m in monos]
 

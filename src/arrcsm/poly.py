@@ -17,10 +17,6 @@ Monomial = tuple[int, ...]
 Scalar = int | Fraction
 
 
-def monomial_degree(mono: Monomial) -> int:
-    return sum(mono)
-
-
 def monomial_key(mono: Monomial) -> tuple[int, Monomial]:
     """Sort key realizing ascending degree-lexicographic order."""
     return (sum(mono), mono)
@@ -108,13 +104,6 @@ class MultiPoly:
         return cls(nvars, {(0,) * nvars: Fraction(c)})
 
     @classmethod
-    def variable(cls, nvars: int, i: int) -> "MultiPoly":
-        if not 0 <= i < nvars:
-            raise ValueError(f"variable index {i} out of range")
-        mono = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(nvars, {mono: Fraction(1)})
-
-    @classmethod
     def linear_form(cls, coeffs: Iterable[Scalar]) -> "MultiPoly":
         """Sum of coeffs[i] * x_i."""
         cs = [Fraction(c) for c in coeffs]
@@ -144,13 +133,6 @@ class MultiPoly:
         if not self._terms:
             return -1
         return max(sum(m) for m in self._terms)
-
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(m) for m in self._terms}
-        return len(degrees) <= 1
-
-    def homogeneous_part(self, d: int) -> "MultiPoly":
-        return MultiPoly(self.nvars, {m: c for m, c in self._terms.items() if sum(m) == d})
 
     def leading_term(self) -> tuple[Monomial, Fraction]:
         if not self._terms:
@@ -219,19 +201,6 @@ class MultiPoly:
                 terms[dm] = terms.get(dm, Fraction(0)) + c * e
         return MultiPoly(self.nvars, terms)
 
-    def evaluate(self, point: Iterable[Scalar]) -> Fraction:
-        vals = [Fraction(v) for v in point]
-        if len(vals) != self.nvars:
-            raise ValueError("point arity mismatch")
-        total = Fraction(0)
-        for m, c in self._terms.items():
-            prod = c
-            for v, e in zip(vals, m):
-                if e:
-                    prod *= v ** e
-            total += prod
-        return total
-
     def render(self, names: list[str] | None = None) -> str:
         if names is None:
             names = [f"x{i}" for i in range(self.nvars)]
@@ -297,10 +266,3 @@ def poly_divmod(p: MultiPoly, f: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
             remainder = remainder + t
             work = work - t
     return quotient, remainder
-
-
-def divides(f: MultiPoly, p: MultiPoly) -> bool:
-    """True when f divides p exactly."""
-    if p.is_zero():
-        return True
-    return poly_divmod(p, f)[1].is_zero()

@@ -13,13 +13,16 @@ from arrcsm.lattice import build_lattice
 from arrcsm.linalg import QMatrix
 from arrcsm.logder import (
     Derivation,
-    euler_derivation,
     intersection_property_check,
     is_logarithmic,
     is_logarithmic_for_polynomial,
     log_derivation_space,
 )
 from arrcsm.poly import MultiPoly, monomials_of_degree
+
+
+def arrangement_text(nvars: int, rows) -> str:
+    return f"vars {nvars}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows)
 
 
 def random_arrangement(rng: Random, nvars: int, max_forms: int) -> Arrangement:
@@ -30,7 +33,17 @@ def random_arrangement(rng: Random, nvars: int, max_forms: int) -> Arrangement:
         row = [rng.randint(-2, 2) for _ in range(nvars)]
         if any(row):
             rows.append(row)
-    return parse(f"vars {nvars}\n" + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+    return parse(arrangement_text(nvars, rows))
+
+
+def euler_field(nvars: int) -> Derivation:
+    """The Euler derivation sum x_j d/dx_j, of degree 1."""
+    return Derivation(
+        coeffs=tuple(
+            MultiPoly.linear_form([int(k == j) for k in range(nvars)]) for j in range(nvars)
+        ),
+        degree=1,
+    )
 
 
 def random_poly(rng: Random, nvars: int, degree: int) -> MultiPoly:
@@ -61,7 +74,10 @@ def mobius_alternation(rng: Random, cases: int) -> int:
             sign = (-1) ** flat.codim
             assert sign * flat.mu > 0, (arr.render(), flat)
         if arr.size > 1:
-            smaller = arr.delete(rng.randrange(arr.size))
+            drop = rng.randrange(arr.size)
+            rest = [f.coeffs for i, f in enumerate(arr.forms) if i != drop]
+            smaller = parse(arrangement_text(arr.nvars, rest))
+            assert smaller.size == arr.size - 1
             assert build_lattice(smaller).size() <= lat.size()
         done += 1
     return done
@@ -74,7 +90,7 @@ def euler_membership(rng: Random, cases: int) -> int:
     for _ in range(cases):
         nvars = rng.choice([2, 3])
         arr = random_arrangement(rng, nvars, 4)
-        assert is_logarithmic(euler_derivation(nvars), arr)
+        assert is_logarithmic(euler_field(nvars), arr)
         d = rng.choice([0, 1, 2])
         basis = log_derivation_space(arr, d)
         if basis:
@@ -135,6 +151,6 @@ def kernel_rank_exactness(rng: Random, cases: int) -> int:
         kern = m.kernel_basis()
         assert m.rank() + len(kern) == ncols
         for v in kern:
-            assert all(x == 0 for x in m.mul_vec(v))
+            assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.entries)
         done += 1
     return done

@@ -108,10 +108,10 @@ def test_rank_and_essential():
     assert parse("vars 3\n").rank() == 0
 
 
-def test_delete_and_single():
+def test_single():
     arr = parse(THREE_CONCURRENT)
-    assert arr.delete(0).size == 2
     assert arr.single(2).forms[0].coeffs == (0, 1, 1)
+    assert arr.single(2).size == 1
 
 
 def test_duplicate_construction_rejected():

@@ -157,6 +157,18 @@ def test_projection(capsys):
     assert "expected True" in out
 
 
+def test_projection_text_prints_the_json_strings(capsys):
+    assert run(["projection", "--d", "2", "--e", "3", "--n", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["result"]
+    assert run(["projection", "--d", "2", "--e", "3", "--n", "3"]) == 0
+    out = capsys.readouterr().out
+    assert "pushed [0, 2, 0, 0]" in out
+    for side in ("structure_sheaf", "transverse"):
+        for key in ("pushed", "capped"):
+            assert f"{key} [{', '.join(doc[side][key])}]" in out
+    assert "Fraction" not in out
+
+
 def test_corpus_all_pass(capsys):
     code = run(["corpus", "--input", str(CORPUS)])
     out = capsys.readouterr().out

@@ -1,5 +1,8 @@
+import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
+from math import lcm
 
 import pytest
 
@@ -10,13 +13,13 @@ from arrcsm.lattice import (
     char_poly,
     csm_complement,
     divide_by_t_minus_1,
-    euler_characteristic_complement,
     point_count_oracle,
     poly_eval_int,
     poly_from_roots,
     reduced_char_poly,
     render_poly_in_t,
 )
+from property_checks import arrangement_text
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n")
@@ -28,7 +31,7 @@ def test_boolean_lattice_shape():
     assert lat.size() == 8
     by_codim = {c: len(lat.of_codim(c)) for c in range(4)}
     assert by_codim == {0: 1, 1: 3, 2: 3, 3: 1}
-    assert lat.ambient.mu == 1
+    assert lat.flats[0].mu == 1
     for f in lat.of_codim(1):
         assert f.mu == -1
     for f in lat.of_codim(2):
@@ -49,8 +52,8 @@ def test_three_concurrent_lattice():
 def test_empty_lattice():
     lat = build_lattice(EMPTY)
     assert lat.size() == 1
-    assert lat.ambient.codim == 0
-    assert lat.ambient.indices == ()
+    assert lat.flats[0].codim == 0
+    assert lat.flats[0].indices == ()
 
 
 def test_codim_one_flats_match_size():
@@ -110,9 +113,9 @@ def test_csm_inclusion_exclusion_decomposition():
 
 
 def test_euler_characteristic():
-    assert euler_characteristic_complement(THREE_CONC) == -1
-    assert euler_characteristic_complement(BOOLEAN) == 0
-    assert euler_characteristic_complement(EMPTY) == 3
+    assert csm_complement(THREE_CONC)[-1] == -1
+    assert csm_complement(BOOLEAN)[-1] == 0
+    assert csm_complement(EMPTY)[-1] == 3
 
 
 def test_point_count_oracle_frozen():
@@ -166,3 +169,78 @@ def test_lattice_flat_rows_are_canonical():
             assert all(isinstance(v, Fraction) for v in row)
             lead = next(v for v in row if v)
             assert lead == 1
+
+
+# Every minor of the small integer rows below is far below 2^61 - 1
+# (Hadamard's bound), so ranks modulo this prime are ranks over Q.
+BIG_PRIME = 2**61 - 1
+
+
+def _rank(rows) -> int:
+    work = [[x % BIG_PRIME for x in r] for r in rows]
+    rank = 0
+    for col in range(len(work[0]) if work else 0):
+        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
+        if piv is None:
+            continue
+        work[rank], work[piv] = work[piv], work[rank]
+        inv = pow(work[rank][col], -1, BIG_PRIME)
+        for i in range(rank + 1, len(work)):
+            if work[i][col]:
+                f = work[i][col] * inv
+                work[i] = [(a - f * b) % BIG_PRIME for a, b in zip(work[i], work[rank])]
+        rank += 1
+    return rank
+
+
+def _brute_force_flats(arr):
+    """{(indices, codim, mu)} from every subset of the forms.
+
+    The flat of a subset S is its closure, the forms whose row does not
+    raise the rank of S; mu of a flat is the sum of (-1)^|S| over the
+    subsets S whose closure it is.
+    """
+    rows = []
+    for f in arr.forms:
+        scale = lcm(*(c.denominator for c in f.coeffs))
+        rows.append([int(c * scale) for c in f.coeffs])
+    mu: dict[tuple[int, ...], int] = {}
+    codim: dict[tuple[int, ...], int] = {}
+    for k in range(len(rows) + 1):
+        for subset in combinations(range(len(rows)), k):
+            r = _rank([rows[i] for i in subset])
+            closure = tuple(
+                i for i in range(len(rows))
+                if _rank([rows[j] for j in subset] + [rows[i]]) == r
+            )
+            mu[closure] = mu.get(closure, 0) + (-1) ** k
+            codim[closure] = r
+    return {(idx, codim[idx], m) for idx, m in mu.items()}
+
+
+def _random_rows(rng: random.Random, nvars: int) -> list[list[int]]:
+    """Forms drawn from a random subspace, with pencils through a point."""
+    dim = rng.randint(1, nvars)  # dim < nvars gives a non-essential arrangement
+    gens = [[rng.randint(-2, 2) for _ in range(nvars)] for _ in range(dim)]
+    rows = []
+    for _ in range(rng.randint(0, 7)):
+        # a pencil uses two generators only, so several lines share a point
+        use = gens[:2] if rng.random() < 0.4 else gens
+        weights = [rng.randint(-2, 2) for _ in use]
+        rows.append([sum(w * g[j] for w, g in zip(weights, use)) for j in range(nvars)])
+    return [r for r in rows if any(r)]
+
+
+def test_lattice_matches_brute_force_over_subsets():
+    rng = random.Random(8080)
+    essential = nonessential = concurrent = 0
+    for _ in range(200):
+        nvars = rng.randint(2, 4)
+        rows = _random_rows(rng, nvars)
+        arr = parse(arrangement_text(nvars, rows))
+        flats = build_lattice(arr).flats
+        assert {(f.indices, f.codim, f.mu) for f in flats} == _brute_force_flats(arr), arr.render()
+        essential += arr.is_essential()
+        nonessential += arr.size > 0 and not arr.is_essential()
+        concurrent += any(f.codim == 2 and len(f.indices) >= 3 for f in flats)
+    assert essential > 20 and nonessential > 20 and concurrent > 20

@@ -9,7 +9,6 @@ from arrcsm.logder import (
     decide_freeness,
     degree_dimension,
     derivation_to_vector,
-    euler_derivation,
     intersection_property_check,
     is_logarithmic,
     is_logarithmic_for_polynomial,
@@ -19,6 +18,7 @@ from arrcsm.logder import (
 )
 from arrcsm.linalg import poly_det
 from arrcsm.poly import MultiPoly, monomials_of_degree
+from property_checks import euler_field
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n")
@@ -32,9 +32,9 @@ RANK2 = parse("vars 2\n1 0\n0 1\n1 1\n")
 
 
 def test_euler_derivation():
-    e = euler_derivation(3)
+    e = euler_field(3)
     assert e.degree == 1
-    assert e.coeffs[0] == MultiPoly.variable(3, 0)
+    assert e.coeffs[0] == MultiPoly.linear_form([1, 0, 0])
     q = BOOLEAN.defining_polynomial()
     # Euler applied to a degree-3 homogeneous polynomial gives 3 * it
     assert e.apply_to_poly(q) == q.scale(3)
