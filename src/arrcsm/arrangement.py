@@ -55,9 +55,6 @@ class LinearForm:
     def poly(self) -> MultiPoly:
         return MultiPoly.linear_form(self.coeffs)
 
-    def render(self) -> str:
-        return " ".join(str(c) for c in self.coeffs)
-
 
 @dataclass(frozen=True)
 class Arrangement:
@@ -102,14 +99,6 @@ class Arrangement:
     def single(self, i: int) -> "Arrangement":
         """Sub-arrangement holding only the i-th hyperplane."""
         return Arrangement(nvars=self.nvars, forms=(self.forms[i],), name=self.name)
-
-    def render(self) -> str:
-        lines = []
-        if self.name:
-            lines.append(f"# {self.name}")
-        lines.append(f"vars {self.nvars}")
-        lines.extend(f.render() for f in self.forms)
-        return "\n".join(lines) + "\n"
 
 
 def _parse_rational(token: str, line_no: int) -> Fraction:

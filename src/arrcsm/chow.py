@@ -22,7 +22,8 @@ logarithmic derivation bundle of a projective line arrangement:
                        the normal-crossing class upstairs, push forward
 
 All four must land on the same integer vector; verify_arrangement
-computes whichever routes apply and compares them.
+computes whichever routes apply and compares them.  Each route takes
+the lattice or the freeness decision it reads and builds neither.
 """
 
 from __future__ import annotations
@@ -30,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arrangement import Arrangement
-from .lattice import IntersectionLattice, build_lattice, csm_complement
+from .lattice import IntersectionLattice, csm_complement
 from .linalg import QMatrix
-from .logder import FreenessReport, chern_class_free, decide_freeness
+from .logder import FreenessReport, chern_class_free
 from .poly import Scalar, render_terms
 
 ROUTE_NAMES = ("lattice_csm", "exponent_product", "tjurina", "blowup_pushforward")
@@ -222,15 +222,6 @@ class SurfaceClass:
         if len(self.exc) != len(other.exc):
             raise ValueError("classes live on different blow-ups")
 
-    def __add__(self, other: "SurfaceClass") -> "SurfaceClass":
-        self._check(other)
-        return SurfaceClass(
-            self.unit + other.unit,
-            self.h + other.h,
-            tuple(a + b for a, b in zip(self.exc, other.exc)),
-            self.pt + other.pt,
-        )
-
     def __mul__(self, other: "SurfaceClass | Scalar") -> "SurfaceClass":
         if isinstance(other, SurfaceClass):
             self._check(other)
@@ -255,9 +246,6 @@ class SurfaceClass:
             tuple(a * c for a in self.exc),
             self.pt * c,
         )
-
-    def __rmul__(self, other: Scalar) -> "SurfaceClass":
-        return self * other
 
     def inverse(self) -> "SurfaceClass":
         if not self.unit:
@@ -293,11 +281,10 @@ class SingularPoint:
         return f"[{inner}]"
 
 
-def singular_points(arr: Arrangement, lattice: IntersectionLattice | None = None) -> tuple[SingularPoint, ...]:
+def singular_points(lat: IntersectionLattice) -> tuple[SingularPoint, ...]:
     """Codimension-2 flats of a line arrangement as projective points."""
-    if arr.nvars != 3:
+    if lat.arrangement.nvars != 3:
         raise ValueError("singular point analysis is for line arrangements in P^2")
-    lat = lattice or build_lattice(arr)
     points = []
     for flat in lat.of_codim(2):
         kern = QMatrix(flat.rows, ncols=3).kernel_basis()
@@ -321,7 +308,7 @@ class BlowupRoute:
     centers: tuple[SingularPoint, ...]
 
 
-def blowup_chern_snc(arr: Arrangement, lattice: IntersectionLattice | None = None) -> BlowupRoute:
+def blowup_chern_snc(lat: IntersectionLattice) -> BlowupRoute:
     """Chern class of log derivations along the normal-crossing model.
 
     Blow up every point where at least three lines meet.  Upstairs the
@@ -329,9 +316,10 @@ def blowup_chern_snc(arr: Arrangement, lattice: IntersectionLattice | None = Non
     normal-crossing divisor, so the class is c(T V-hat) divided by
     (1 + C) over each component C.
     """
+    arr = lat.arrangement
     if arr.nvars != 3:
         raise ValueError("blow-up route is for line arrangements in P^2")
-    pts = singular_points(arr, lattice)
+    pts = singular_points(lat)
     centers = tuple(p for p in pts if p.multiplicity >= 3)
     k = len(centers)
     chern_tangent = SurfaceClass(
@@ -357,19 +345,20 @@ def blowup_chern_snc(arr: Arrangement, lattice: IntersectionLattice | None = Non
     return BlowupRoute(cls=total, centers=centers)
 
 
-def tjurina_route(arr: Arrangement, lattice: IntersectionLattice | None = None) -> tuple[int, ...]:
+def tjurina_route(lat: IntersectionLattice) -> tuple[int, ...]:
     """Surface route through the singular-point correction.
 
     c(TP^2)/(1 + mh) picks up the full-flag class of the divisor; each
     ordinary point of multiplicity mu contributes a correction of
     (mu - 1)^2 times the point class.
     """
+    arr = lat.arrangement
     if arr.nvars != 3:
         raise ValueError("Tjurina route is for line arrangements in P^2")
     if arr.size < 1:
         raise ValueError("Tjurina route needs at least one line")
     m = arr.size
-    tau = sum((p.multiplicity - 1) ** 2 for p in singular_points(arr, lattice))
+    tau = sum((p.multiplicity - 1) ** 2 for p in singular_points(lat))
     tangent = SurfaceClass.make(1, 3, (), 3)
     divisor = SurfaceClass.make(1, m, (), 0)
     correction = SurfaceClass.make(1, 0, (), -tau)
@@ -380,8 +369,6 @@ def tjurina_route(arr: Arrangement, lattice: IntersectionLattice | None = None) 
 class VerificationReport:
     """Outcome of running every applicable route on one arrangement."""
 
-    label: str
-    projective_dim: int
     routes: dict[str, tuple[int, ...] | None]
     agreements: tuple[tuple[str, str, bool], ...]
     passed: bool
@@ -390,37 +377,30 @@ class VerificationReport:
     notes: tuple[str, ...]
 
 
-def verify_arrangement(
-    arr: Arrangement,
-    lattice: IntersectionLattice | None = None,
-    freeness: FreenessReport | None = None,
-) -> VerificationReport:
+def verify_arrangement(lat: IntersectionLattice, freeness: FreenessReport) -> VerificationReport:
     """Compute every applicable route and compare them pairwise.
 
-    A caller that already holds the lattice or the freeness decision of
-    arr passes it in; either is computed here otherwise.
+    lat and freeness are the lattice and the freeness decision of one
+    arrangement, lat.arrangement.
     """
-    lat = lattice or build_lattice(arr)
-    n = arr.projective_dim
+    arr = lat.arrangement
     notes: list[str] = []
     routes: dict[str, tuple[int, ...] | None] = {name: None for name in ROUTE_NAMES}
 
-    routes["lattice_csm"] = csm_complement(arr, lat)
+    routes["lattice_csm"] = csm_complement(lat)
 
-    if freeness is None:
-        freeness = decide_freeness(arr)
     if freeness.free and arr.size >= 1:
-        routes["exponent_product"] = chern_class_free(arr, freeness)
+        routes["exponent_product"] = chern_class_free(freeness)
     elif not freeness.free:
         notes.append("exponent route skipped: not free")
     else:
         notes.append("exponent route skipped: empty arrangement has no Euler slot")
 
     blowup = None
-    if n == 2:
+    if arr.projective_dim == 2:
         if arr.size >= 1:
-            routes["tjurina"] = tjurina_route(arr, lat)
-            blowup = blowup_chern_snc(arr, lat)
+            routes["tjurina"] = tjurina_route(lat)
+            blowup = blowup_chern_snc(lat)
             routes["blowup_pushforward"] = pushforward_to_p2(blowup.cls)
         else:
             notes.append("surface routes skipped: empty arrangement")
@@ -435,8 +415,6 @@ def verify_arrangement(
     )
     passed = all(ok for _, _, ok in agreements)
     return VerificationReport(
-        label=arr.name,
-        projective_dim=n,
         routes=routes,
         agreements=agreements,
         passed=passed,

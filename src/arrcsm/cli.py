@@ -10,8 +10,11 @@ Each subcommand is one entry of HANDLERS: a handler that computes only
 the stages its command reads, each of them once (report builds one
 lattice and runs one derivation search), and returns the JSON result
 with the exit code; and a text renderer that prints the report from
-that result alone.  run() does the shared work once: parse the input,
-print warnings, emit JSON, turn errors into exit codes.
+that result alone.  Only the handlers and corpus_runner call
+build_lattice, minimal_generators and decide_freeness; every stage in
+lattice, logder and chow takes the results it reads.  run() does the
+shared work once: parse the input, print warnings, emit JSON, turn
+errors into exit codes.
 
 Exit codes: 0 success / verified, 1 a verification failed, 2 input error,
 3 internal error (a consistency check inside arrcsm failed).
@@ -82,24 +85,26 @@ def _lattice_payload(lat: IntersectionLattice) -> dict:
             for f in lat.flats
         ],
     }
-def _charpoly_payload(arr: Arrangement, lat: IntersectionLattice) -> dict:
-    chi = char_poly(arr, lat)
+
+
+def _charpoly_payload(lat: IntersectionLattice) -> dict:
+    chi = char_poly(lat)
     payload = {
         "ascending_coeffs": list(chi),
         "rendered": render_poly_in_t(chi),
         "reduced_ascending_coeffs": None,
         "reduced_rendered": None,
     }
-    if arr.size >= 1:
-        reduced = reduced_char_poly(arr, lat)
+    if lat.arrangement.size >= 1:
+        reduced = reduced_char_poly(lat)
         payload["reduced_ascending_coeffs"] = list(reduced)
         payload["reduced_rendered"] = render_poly_in_t(reduced)
     return payload
 
 
-def _csm_payload(arr: Arrangement, lat: IntersectionLattice) -> dict:
-    n = arr.projective_dim
-    vec = csm_complement(arr, lat)
+def _csm_payload(lat: IntersectionLattice) -> dict:
+    n = lat.arrangement.projective_dim
+    vec = csm_complement(lat)
     return {
         "vector": list(vec),
         "basis_labels": [f"[P^{n - j}]" for j in range(n + 1)],
@@ -185,7 +190,9 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
     entries = []
     for path in sorted(directory.glob("*.arr")):
         try:
-            vr = verify_arrangement(parse_file(path))
+            arr = parse_file(path)
+            freeness = decide_freeness(arr, minimal_generators(arr))
+            vr = verify_arrangement(build_lattice(arr), freeness)
         except (OSError, ValueError) as exc:  # ParseError is a ValueError
             entries.append({"file": path.name, "status": "error", "message": str(exc)})
             continue
@@ -266,15 +273,15 @@ def _parse_primes(spec: str | None) -> list[int]:
         raise ValueError(f"cannot parse prime list {spec!r}") from None
 
 
-def _add_oracle(result: dict, arr: Arrangement, lat: IntersectionLattice, spec: str | None) -> bool:
+def _add_oracle(result: dict, lat: IntersectionLattice, spec: str | None) -> bool:
     """Attach the --primes point counts to result; False when one disagrees."""
     primes = _parse_primes(spec)
     if not primes:
         return True
-    reduced = reduced_char_poly(arr, lat) if arr.size >= 1 else None
+    reduced = reduced_char_poly(lat) if lat.arrangement.size >= 1 else None
     checks = []
     for p in primes:
-        count = point_count_oracle(arr, p)
+        count = point_count_oracle(lat.arrangement, p)
         entry: dict = {"prime": p, "count": count}
         if reduced is not None:
             expected = poly_eval_int(reduced, p)
@@ -292,16 +299,16 @@ def _add_oracle(result: dict, arr: Arrangement, lat: IntersectionLattice, spec: 
 def _lattice(args, arr):
     lat = build_lattice(arr)
     result = _lattice_payload(lat)
-    oracle_ok = _add_oracle(result, arr, lat, args.primes)
+    oracle_ok = _add_oracle(result, lat, args.primes)
     return result, 0 if oracle_ok else 1
 
 
 def _charpoly(args, arr):
-    return _charpoly_payload(arr, build_lattice(arr)), 0
+    return _charpoly_payload(build_lattice(arr)), 0
 
 
 def _csm(args, arr):
-    return _csm_payload(arr, build_lattice(arr)), 0
+    return _csm_payload(build_lattice(arr)), 0
 
 
 def _derivations(args, arr):
@@ -309,14 +316,15 @@ def _derivations(args, arr):
 
 
 def _freeness(args, arr):
-    return _freeness_payload(decide_freeness(arr)), 0
+    return _freeness_payload(decide_freeness(arr, minimal_generators(arr))), 0
 
 
 def _verify(args, arr):
-    lat = build_lattice(arr)  # verify_arrangement builds its own: perfbench/test_bench.py pins 2
-    vr = verify_arrangement(arr)
+    lat = build_lattice(arr)
+    # the routes get a second lattice: perfbench/test_bench.py pins 2 builds per verify
+    vr = verify_arrangement(build_lattice(arr), decide_freeness(arr, minimal_generators(arr)))
     result = _verify_payload(vr)
-    oracle_ok = _add_oracle(result, arr, lat, args.primes)
+    oracle_ok = _add_oracle(result, lat, args.primes)
     return result, 0 if (vr.passed and oracle_ok) else 1
 
 
@@ -324,16 +332,16 @@ def _report(args, arr):
     lat = build_lattice(arr)
     graded = minimal_generators(arr)
     freeness = decide_freeness(arr, graded)
-    vr = verify_arrangement(arr, lat, freeness)
+    vr = verify_arrangement(lat, freeness)
     result = {
         "lattice": _lattice_payload(lat),
-        "charpoly": _charpoly_payload(arr, lat),
-        "csm": _csm_payload(arr, lat),
+        "charpoly": _charpoly_payload(lat),
+        "csm": _csm_payload(lat),
         "derivations": _derivations_payload(arr, graded, args.max_degree),
         "freeness": _freeness_payload(freeness),
         "verification": _verify_payload(vr),
     }
-    oracle_ok = _add_oracle(result, arr, lat, args.primes)
+    oracle_ok = _add_oracle(result, lat, args.primes)
     return result, 0 if (vr.passed and oracle_ok) else 1
 
 

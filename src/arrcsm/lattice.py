@@ -92,12 +92,12 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     return IntersectionLattice(arrangement=arr, flats=tuple(flats))
 
 
-def char_poly(arr: Arrangement, lattice: IntersectionLattice | None = None) -> tuple[int, ...]:
+def char_poly(lat: IntersectionLattice) -> tuple[int, ...]:
     """Coefficients of chi(A, t), ascending powers, length nvars + 1."""
-    lat = lattice or build_lattice(arr)
-    coeffs = [0] * (arr.nvars + 1)
+    nvars = lat.arrangement.nvars
+    coeffs = [0] * (nvars + 1)
     for f in lat.flats:
-        coeffs[arr.nvars - f.codim] += f.mu
+        coeffs[nvars - f.codim] += f.mu
     return tuple(coeffs)
 
 
@@ -132,20 +132,20 @@ def divide_by_t_minus_1(coeffs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reduced_char_poly(arr: Arrangement, lattice: IntersectionLattice | None = None) -> tuple[int, ...]:
+def reduced_char_poly(lat: IntersectionLattice) -> tuple[int, ...]:
     """chi(A, t) / (t - 1); defined for nonempty arrangements."""
-    if arr.size == 0:
+    if lat.arrangement.size == 0:
         raise ValueError("reduced characteristic polynomial needs at least one hyperplane")
-    return divide_by_t_minus_1(char_poly(arr, lattice))
+    return divide_by_t_minus_1(char_poly(lat))
 
 
 def render_poly_in_t(coeffs: tuple[int, ...], var: str = "t") -> str:
     return render_terms((coeffs[i], [(var, i)]) for i in reversed(range(len(coeffs))))
 
 
-def csm_complement(arr: Arrangement, lattice: IntersectionLattice | None = None) -> tuple[int, ...]:
+def csm_complement(lat: IntersectionLattice) -> tuple[int, ...]:
     """CSM class of P^n minus the arrangement, entries by codimension."""
-    lat = lattice or build_lattice(arr)
+    arr = lat.arrangement
     n = arr.projective_dim
     out = [0] * (n + 1)
     for f in lat.flats:

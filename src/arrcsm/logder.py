@@ -16,7 +16,7 @@ exponents are nonnegative and sum to that number.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .arrangement import Arrangement, LinearForm
@@ -40,9 +40,6 @@ class Derivation:
     @property
     def nvars(self) -> int:
         return len(self.coeffs)
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     def apply_to_form(self, form: LinearForm) -> MultiPoly:
         """theta(alpha) for a linear form: sum of lambda_j * theta_j."""
@@ -244,17 +241,14 @@ class FreenessReport:
     generators: tuple[Derivation, ...]
     reason: str | None
     search_log: tuple[str, ...]
-    dimensions: tuple[tuple[int, int], ...] = field(default=())
 
 
-def decide_freeness(arr: Arrangement, graded: GradedBasis | None = None) -> FreenessReport:
-    """Saito's criterion, driven by the minimal generator search."""
-    gb = graded if graded is not None else minimal_generators(arr)
-    log = list(gb.search_log)
+def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
+    """Saito's criterion on the generators that minimal_generators(arr) found."""
+    log = list(graded.search_log)
     n1 = arr.nvars
     m = arr.size
-    gens = gb.generators
-    dims = tuple(sorted(gb.dimensions.items()))
+    gens = graded.generators
 
     def failed(reason: str) -> FreenessReport:
         log.append(f"not free: {reason}")
@@ -265,10 +259,9 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis | None = None) -> Free
             generators=gens,
             reason=reason,
             search_log=tuple(log),
-            dimensions=dims,
         )
 
-    if gb.exit_reason == "overflow":
+    if graded.exit_reason == "overflow":
         return failed(
             f"needs {len(gens)} minimal generators, more than the rank bound {n1}"
         )
@@ -297,27 +290,25 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis | None = None) -> Free
         generators=gens,
         reason=None,
         search_log=tuple(log),
-        dimensions=dims,
     )
 
 
-def chern_class_free(arr: Arrangement, report: FreenessReport | None = None) -> tuple[int, ...]:
+def chern_class_free(freeness: FreenessReport) -> tuple[int, ...]:
     """Chern class of the projective log-derivation bundle of a free arrangement.
 
     With central exponents e_0 <= ... <= e_n, one exponent equal to 1 is
     consumed by the Euler field; the remaining n exponents give the
     truncated product of (1 + (1 - e) h) in A_*(P^n).
     """
-    rep = report if report is not None else decide_freeness(arr)
-    if not rep.free:
+    if not freeness.free:
         raise ValueError("arrangement is not free")
-    exps = list(rep.exponents)
+    exps = list(freeness.exponents)
+    n = len(exps) - 1
     if 1 not in exps:
         raise RuntimeError(
             "internal consistency failure: free exponents contain no Euler slot"
         )
     exps.remove(1)
-    n = arr.projective_dim
     out = [Fraction(0)] * (n + 1)
     out[0] = Fraction(1)
     for e in exps:

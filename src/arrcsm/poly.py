@@ -175,14 +175,6 @@ class MultiPoly:
             return MultiPoly.zero(self.nvars)
         return MultiPoly(self.nvars, {m: cc * c for m, cc in self._terms.items()})
 
-    def __pow__(self, k: int) -> "MultiPoly":
-        if k < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MultiPoly.const(self.nvars, 1)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, MultiPoly):
             return NotImplemented

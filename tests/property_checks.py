@@ -9,14 +9,18 @@ from fractions import Fraction
 from random import Random
 
 from arrcsm.arrangement import Arrangement, parse
+from arrcsm.chow import VerificationReport, verify_arrangement
 from arrcsm.lattice import build_lattice
 from arrcsm.linalg import QMatrix
 from arrcsm.logder import (
     Derivation,
+    FreenessReport,
+    decide_freeness,
     intersection_property_check,
     is_logarithmic,
     is_logarithmic_for_polynomial,
     log_derivation_space,
+    minimal_generators,
 )
 from arrcsm.poly import MultiPoly, monomials_of_degree
 
@@ -34,6 +38,16 @@ def random_arrangement(rng: Random, nvars: int, max_forms: int) -> Arrangement:
         if any(row):
             rows.append(row)
     return parse(arrangement_text(nvars, rows))
+
+
+def freeness_of(arr: Arrangement) -> FreenessReport:
+    """Saito's criterion on a fresh generator search of arr."""
+    return decide_freeness(arr, minimal_generators(arr))
+
+
+def verify(arr: Arrangement) -> VerificationReport:
+    """Every route on arr, from a fresh lattice and a fresh freeness decision."""
+    return verify_arrangement(build_lattice(arr), freeness_of(arr))
 
 
 def euler_field(nvars: int) -> Derivation:
@@ -72,7 +86,7 @@ def mobius_alternation(rng: Random, cases: int) -> int:
         lat = build_lattice(arr)
         for flat in lat.flats:
             sign = (-1) ** flat.codim
-            assert sign * flat.mu > 0, (arr.render(), flat)
+            assert sign * flat.mu > 0, (arr.forms, flat)
         if arr.size > 1:
             drop = rng.randrange(arr.size)
             rest = [f.coeffs for i, f in enumerate(arr.forms) if i != drop]

@@ -15,11 +15,11 @@ from arrcsm.chow import (
     blowup_chern_snc,
     projection_check,
     pushforward_to_p2,
-    verify_arrangement,
     verify_pencil_identity,
     verify_pencil_koszul,
 )
 from arrcsm.lattice import (
+    build_lattice,
     char_poly,
     point_count_oracle,
     poly_eval_int,
@@ -27,14 +27,15 @@ from arrcsm.lattice import (
     reduced_char_poly,
 )
 from arrcsm.linalg import poly_det
-from arrcsm.logder import decide_freeness
 from arrcsm.arrangement import parse
 from property_checks import (
     euler_membership,
+    freeness_of,
     intersection_der,
     kernel_rank_exactness,
     mobius_alternation,
     reduction_invariance,
+    verify,
 )
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -110,7 +111,7 @@ def test_criterion_03_corpus_routes_agree():
     failures = []
     t0 = time.perf_counter()
     for name, arr in _corpus().items():
-        vr = verify_arrangement(arr)
+        vr = verify(arr)
         if not vr.passed:
             failures.append(f"{name}: routes disagree {vr.routes}")
         if vr.routes["lattice_csm"] != EXPECTED_CLASS[name]:
@@ -126,7 +127,7 @@ def test_criterion_03_corpus_routes_agree():
 def test_criterion_04_blowup_class():
     failures = []
     arr = parse_file(CORPUS / "three_concurrent.arr")
-    route = blowup_chern_snc(arr)
+    route = blowup_chern_snc(build_lattice(arr))
     want = SurfaceClass.make(1, 0, (1,), -1)
     if route.cls != want:
         failures.append(f"blow-up class {route.cls} != {want}")
@@ -144,7 +145,7 @@ def test_criterion_05_freeness_decisions():
     t0 = time.perf_counter()
     for name, arr in cases.items():
         want = EXPECTED_FREENESS.get(name, (1, 2))
-        rep = decide_freeness(arr)
+        rep = freeness_of(arr)
         if rep.free != (want is not None):
             failures.append(f"{name}: free={rep.free}")
             continue
@@ -169,7 +170,7 @@ def test_criterion_06_terao_factorization():
         want = EXPECTED_FREENESS[name]
         if want is None:
             continue
-        chi = char_poly(arr)
+        chi = char_poly(build_lattice(arr))
         product = poly_from_roots(want)
         if chi != product:
             failures.append(f"{name}: {chi} != roots {want}")
@@ -179,7 +180,7 @@ def test_criterion_06_terao_factorization():
 def test_criterion_07_point_count_oracle():
     failures = []
     for name, arr in _corpus().items():
-        reduced = reduced_char_poly(arr)
+        reduced = reduced_char_poly(build_lattice(arr))
         for p in (101, 103, 107):
             count = point_count_oracle(arr, p)
             expected = poly_eval_int(reduced, p)

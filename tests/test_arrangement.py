@@ -84,13 +84,6 @@ def test_fractions_parse():
     assert arr.forms[0].coeffs == (1, 2)  # canonicalized from (1/2, 1)
 
 
-def test_round_trip():
-    arr = parse(THREE_CONCURRENT, name="three")
-    again = parse(arr.render(), name="three")
-    assert again == arr
-    assert again.render() == arr.render()
-
-
 def test_defining_polynomial():
     arr = parse(THREE_CONCURRENT)
     q = arr.defining_polynomial()

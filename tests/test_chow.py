@@ -17,7 +17,7 @@ from arrcsm.chow import (
     verify_pencil_koszul,
 )
 from arrcsm.lattice import build_lattice, csm_complement
-from arrcsm.logder import decide_freeness
+from property_checks import freeness_of, verify
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n", name="boolean")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n", name="three_concurrent")
@@ -177,7 +177,7 @@ def test_pushforward_and_pullback():
 
 
 def test_singular_points_three_concurrent():
-    pts = singular_points(THREE_CONC)
+    pts = singular_points(build_lattice(THREE_CONC))
     assert len(pts) == 1
     (p,) = pts
     assert p.multiplicity == 3
@@ -187,45 +187,46 @@ def test_singular_points_three_concurrent():
 
 
 def test_singular_points_counts():
-    assert len(singular_points(BOOLEAN)) == 3
-    assert all(p.multiplicity == 2 for p in singular_points(BOOLEAN))
-    braid_pts = singular_points(BRAID)
+    boolean_pts = singular_points(build_lattice(BOOLEAN))
+    assert len(boolean_pts) == 3
+    assert all(p.multiplicity == 2 for p in boolean_pts)
+    braid_pts = singular_points(build_lattice(BRAID))
     mults = sorted(p.multiplicity for p in braid_pts)
     assert mults == [2, 2, 2, 3, 3, 3, 3]
     with pytest.raises(ValueError):
-        singular_points(TETRAHEDRON)
+        singular_points(build_lattice(TETRAHEDRON))
 
 
 def test_blowup_three_concurrent_frozen():
-    route = blowup_chern_snc(THREE_CONC)
+    route = blowup_chern_snc(build_lattice(THREE_CONC))
     assert len(route.centers) == 1
     assert route.cls == SurfaceClass.make(1, 0, (1,), -1)
     assert pushforward_to_p2(route.cls) == (1, 0, -1)
 
 
 def test_blowup_no_centers():
-    route = blowup_chern_snc(BOOLEAN)
+    route = blowup_chern_snc(build_lattice(BOOLEAN))
     assert route.centers == ()
     assert pushforward_to_p2(route.cls) == (1, 0, 0)
-    single = blowup_chern_snc(SINGLE)
+    single = blowup_chern_snc(build_lattice(SINGLE))
     assert pushforward_to_p2(single.cls) == (1, 2, 1)
 
 
 def test_blowup_braid():
-    route = blowup_chern_snc(BRAID)
+    route = blowup_chern_snc(build_lattice(BRAID))
     assert len(route.centers) == 4
     assert pushforward_to_p2(route.cls) == (1, -3, 2)
 
 
 def test_tjurina_route_frozen():
-    assert tjurina_route(TWO_LINES) == (1, 1, 0)
-    assert tjurina_route(THREE_CONC) == (1, 0, -1)
-    assert tjurina_route(FOUR_GENERIC) == (1, -1, 1)
-    assert tjurina_route(SINGLE) == (1, 2, 1)
+    assert tjurina_route(build_lattice(TWO_LINES)) == (1, 1, 0)
+    assert tjurina_route(build_lattice(THREE_CONC)) == (1, 0, -1)
+    assert tjurina_route(build_lattice(FOUR_GENERIC)) == (1, -1, 1)
+    assert tjurina_route(build_lattice(SINGLE)) == (1, 2, 1)
     with pytest.raises(ValueError):
-        tjurina_route(EMPTY)
+        tjurina_route(build_lattice(EMPTY))
     with pytest.raises(ValueError):
-        tjurina_route(TETRAHEDRON)
+        tjurina_route(build_lattice(TETRAHEDRON))
 
 
 def test_route_names_constant():
@@ -238,9 +239,10 @@ def test_route_names_constant():
 
 
 def test_verify_three_concurrent():
-    vr = verify_arrangement(THREE_CONC)
+    lat = build_lattice(THREE_CONC)
+    vr = verify_arrangement(lat, freeness_of(THREE_CONC))
     assert vr.passed
-    assert vr.projective_dim == 2
+    assert lat.arrangement.projective_dim == 2
     for name in ROUTE_NAMES:
         assert vr.routes[name] == (1, 0, -1)
     assert len(vr.agreements) == 6
@@ -251,7 +253,7 @@ def test_verify_three_concurrent():
 
 
 def test_verify_four_generic_not_free():
-    vr = verify_arrangement(FOUR_GENERIC)
+    vr = verify(FOUR_GENERIC)
     assert vr.passed
     assert vr.routes["exponent_product"] is None
     assert "exponent route skipped: not free" in vr.notes
@@ -260,7 +262,7 @@ def test_verify_four_generic_not_free():
 
 
 def test_verify_empty():
-    vr = verify_arrangement(EMPTY)
+    vr = verify(EMPTY)
     assert vr.passed
     assert vr.routes["lattice_csm"] == (1, 3, 3)
     assert vr.routes["tjurina"] is None
@@ -270,7 +272,7 @@ def test_verify_empty():
 
 
 def test_verify_higher_dimension():
-    vr = verify_arrangement(TETRAHEDRON)
+    vr = verify(TETRAHEDRON)
     assert vr.passed
     assert vr.routes["lattice_csm"] == (1, 0, 0, 0)
     assert vr.routes["exponent_product"] == (1, 0, 0, 0)
@@ -280,8 +282,9 @@ def test_verify_higher_dimension():
 
 def test_routes_agree_with_csm():
     for arr in (BOOLEAN, THREE_CONC, FOUR_GENERIC, BRAID):
-        vr = verify_arrangement(arr)
-        assert vr.routes["lattice_csm"] == csm_complement(arr)
+        lat = build_lattice(arr)
+        vr = verify_arrangement(lat, freeness_of(arr))
+        assert vr.routes["lattice_csm"] == csm_complement(lat)
         assert vr.passed
 
 
@@ -290,9 +293,10 @@ def test_verify_reuses_precomputed_inputs(monkeypatch):
         raise AssertionError("recomputed a stage that was passed in")
 
     for arr in (THREE_CONC, FOUR_GENERIC, TETRAHEDRON):
-        lat, freeness = build_lattice(arr), decide_freeness(arr)
-        fresh = verify_arrangement(arr)
+        lat, freeness = build_lattice(arr), freeness_of(arr)
+        fresh = verify(arr)
         with monkeypatch.context() as m:
-            m.setattr("arrcsm.chow.build_lattice", refuse)
-            m.setattr("arrcsm.chow.decide_freeness", refuse)
-            assert verify_arrangement(arr, lat, freeness) == fresh
+            m.setattr("arrcsm.lattice.build_lattice", refuse)
+            m.setattr("arrcsm.logder.minimal_generators", refuse)
+            m.setattr("arrcsm.logder.decide_freeness", refuse)
+            assert verify_arrangement(lat, freeness) == fresh

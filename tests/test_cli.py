@@ -1,4 +1,6 @@
+import ast
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -275,6 +277,10 @@ def stage_calls(monkeypatch):
     """Count build_lattice and minimal_generators calls wherever they are looked up."""
     from arrcsm import chow, cli, lattice, logder
 
+    # only cli starts these stages; chow evaluates routes on what it is given
+    for name in ("build_lattice", "decide_freeness", "minimal_generators"):
+        assert not hasattr(chow, name), name
+
     calls = {"build_lattice": 0, "minimal_generators": 0}
 
     def counting(name, fn):
@@ -284,12 +290,9 @@ def stage_calls(monkeypatch):
 
         return wrapper
 
-    for name, owner, users in (
-        ("build_lattice", lattice, (cli, chow, lattice)),
-        ("minimal_generators", logder, (cli, logder)),
-    ):
+    for name, owner in (("build_lattice", lattice), ("minimal_generators", logder)):
         wrapper = counting(name, getattr(owner, name))
-        for module in users:
+        for module in (cli, owner):
             monkeypatch.setattr(module, name, wrapper)
     return calls
 
@@ -300,14 +303,35 @@ def stage_calls(monkeypatch):
         (["report", "--primes", "101", "--max-degree", "4"], 1, 1),
         (["derivations", "--max-degree", "4"], 0, 1),
         (["freeness"], 0, 1),
+        # the second build is pinned by perfbench/test_bench.py
+        (["verify", "--primes", "101"], 2, 1),
+        (["corpus"], 1, 1),
     ],
-    ids=["report", "derivations", "freeness"],
+    ids=["report", "derivations", "freeness", "verify", "corpus"],
 )
-def test_each_stage_runs_once(stage_calls, capsys, argv, builds, searches):
+def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searches):
+    target = THREE_CONC
+    if argv[0] == "corpus":  # a directory holding that one file
+        target = tmp_path
+        shutil.copy(THREE_CONC, tmp_path)
     # the search on three_concurrent stops at degree 2, below --max-degree
-    assert run([argv[0], "--input", str(THREE_CONC), "--json", *argv[1:]]) == 0
+    assert run([argv[0], "--input", str(target), "--json", *argv[1:]]) == 0
     capsys.readouterr()
     assert stage_calls == {"build_lattice": builds, "minimal_generators": searches}
+
+
+def test_only_the_cli_starts_the_shared_stages():
+    stages = {"build_lattice", "minimal_generators", "decide_freeness"}
+    for name in ("lattice", "logder", "chow"):
+        tree = ast.parse((REPO / "src" / "arrcsm" / f"{name}.py").read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                assert node.func.id not in stages, f"{name} calls {node.func.id}"
+            if isinstance(node, ast.FunctionDef):
+                defaults = node.args.defaults + [d for d in node.args.kw_defaults if d]
+                assert not any(
+                    isinstance(d, ast.Constant) and d.value is None for d in defaults
+                ), f"{name}.{node.name} has an optional input"
 
 
 def test_importing_the_cli_does_not_load_numpy():

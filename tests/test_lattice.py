@@ -64,22 +64,22 @@ def test_codim_one_flats_match_size():
 
 def test_char_poly_frozen():
     # ascending coefficients: p(t) = c0 + c1 t + c2 t^2 + ...
-    assert char_poly(THREE_CONC) == (0, 2, -3, 1)
-    assert char_poly(BOOLEAN) == (-1, 3, -3, 1)
-    assert char_poly(EMPTY) == (0, 0, 0, 1)
+    assert char_poly(build_lattice(THREE_CONC)) == (0, 2, -3, 1)
+    assert char_poly(build_lattice(BOOLEAN)) == (-1, 3, -3, 1)
+    assert char_poly(build_lattice(EMPTY)) == (0, 0, 0, 1)
 
 
 def test_char_poly_roots_boolean():
     # (t-1)^3 for the coordinate arrangement
-    assert char_poly(BOOLEAN) == poly_from_roots([1, 1, 1])
+    assert char_poly(build_lattice(BOOLEAN)) == poly_from_roots([1, 1, 1])
 
 
 def test_reduced_char_poly():
     # t^3 - 3t^2 + 2t = (t-1) * (t^2 - 2t), so the reduced poly is t(t-2)
-    assert reduced_char_poly(THREE_CONC) == (0, -2, 1)
-    assert reduced_char_poly(BOOLEAN) == (1, -2, 1)
+    assert reduced_char_poly(build_lattice(THREE_CONC)) == (0, -2, 1)
+    assert reduced_char_poly(build_lattice(BOOLEAN)) == (1, -2, 1)
     with pytest.raises(ValueError):
-        reduced_char_poly(EMPTY)
+        reduced_char_poly(build_lattice(EMPTY))
 
 
 def test_poly_helpers():
@@ -94,9 +94,9 @@ def test_poly_helpers():
 
 
 def test_csm_frozen_vectors():
-    assert csm_complement(THREE_CONC) == (1, 0, -1)
-    assert csm_complement(BOOLEAN) == (1, 0, 0)
-    assert csm_complement(EMPTY) == (1, 3, 3)
+    assert csm_complement(build_lattice(THREE_CONC)) == (1, 0, -1)
+    assert csm_complement(build_lattice(BOOLEAN)) == (1, 0, 0)
+    assert csm_complement(build_lattice(EMPTY)) == (1, 3, 3)
 
 
 def test_csm_inclusion_exclusion_decomposition():
@@ -109,13 +109,13 @@ def test_csm_inclusion_exclusion_decomposition():
     total = tuple(
         ambient[i] - 3 * line[i] + 2 * point[i] for i in range(3)
     )
-    assert total == csm_complement(THREE_CONC)
+    assert total == csm_complement(build_lattice(THREE_CONC))
 
 
 def test_euler_characteristic():
-    assert csm_complement(THREE_CONC)[-1] == -1
-    assert csm_complement(BOOLEAN)[-1] == 0
-    assert csm_complement(EMPTY)[-1] == 3
+    assert csm_complement(build_lattice(THREE_CONC))[-1] == -1
+    assert csm_complement(build_lattice(BOOLEAN))[-1] == 0
+    assert csm_complement(build_lattice(EMPTY))[-1] == 3
 
 
 def test_point_count_oracle_frozen():
@@ -127,7 +127,7 @@ def test_point_count_oracle_frozen():
 def test_oracle_matches_reduced_char_poly():
     for arr in (BOOLEAN, THREE_CONC, EMPTY):
         if arr.size:
-            poly = reduced_char_poly(arr)
+            poly = reduced_char_poly(build_lattice(arr))
         else:
             # complement of nothing: all of P^2, (p^3-1)/(p-1) points
             poly = (1, 1, 1)
@@ -239,7 +239,7 @@ def test_lattice_matches_brute_force_over_subsets():
         rows = _random_rows(rng, nvars)
         arr = parse(arrangement_text(nvars, rows))
         flats = build_lattice(arr).flats
-        assert {(f.indices, f.codim, f.mu) for f in flats} == _brute_force_flats(arr), arr.render()
+        assert {(f.indices, f.codim, f.mu) for f in flats} == _brute_force_flats(arr), arr.forms
         essential += arr.is_essential()
         nonessential += arr.size > 0 and not arr.is_essential()
         concurrent += any(f.codim == 2 and len(f.indices) >= 3 for f in flats)

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from arrcsm.arrangement import parse
-from arrcsm.lattice import char_poly, poly_from_roots
 from arrcsm.logder import (
     chern_class_free,
     decide_freeness,
@@ -18,7 +17,7 @@ from arrcsm.logder import (
 )
 from arrcsm.linalg import poly_det
 from arrcsm.poly import MultiPoly, monomials_of_degree
-from property_checks import euler_field
+from property_checks import euler_field, freeness_of
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n")
@@ -98,8 +97,8 @@ FREENESS_CASES = [
 
 def test_decide_freeness_frozen():
     for arr, want_free, want_exps in FREENESS_CASES:
-        report = decide_freeness(arr)
-        assert report.free is want_free, arr.render()
+        report = decide_freeness(arr, minimal_generators(arr))
+        assert report.free is want_free, arr.forms
         if want_free:
             assert report.exponents == want_exps
             assert report.saito_scalar != 0
@@ -114,12 +113,12 @@ def test_free_reports_include_euler_slot():
     for arr, want_free, want_exps in FREENESS_CASES:
         if not want_free or arr.size == 0:
             continue
-        report = decide_freeness(arr)
+        report = decide_freeness(arr, minimal_generators(arr))
         assert 1 in report.exponents
 
 
 def test_saito_determinant_rank2():
-    report = decide_freeness(RANK2)
+    report = decide_freeness(RANK2, minimal_generators(RANK2))
     assert report.free
     mat = [list(theta.coeffs) for theta in report.generators]
     det = poly_det(mat)
@@ -131,7 +130,7 @@ def test_saito_rejects_degenerate_generators():
     # Replace one generator by a monomial multiple of another: the resulting
     # tuple is still made of logarithmic derivations, but the determinant
     # collapses to zero, so it no longer certifies freeness.
-    report = decide_freeness(BOOLEAN)
+    report = decide_freeness(BOOLEAN, minimal_generators(BOOLEAN))
     _, g1, g2 = report.generators
     fake = g1.scaled_by_monomial((1, 0, 0))
     assert is_logarithmic(fake, BOOLEAN)
@@ -140,17 +139,17 @@ def test_saito_rejects_degenerate_generators():
 
 
 def test_chern_class_free_frozen():
-    assert chern_class_free(THREE_CONC) == (1, 0, -1)
-    assert chern_class_free(BOOLEAN) == (1, 0, 0)
-    assert chern_class_free(SINGLE) == (1, 2, 1)
-    assert chern_class_free(NEAR_PENCIL_4) == (1, -1, 0)
+    assert chern_class_free(freeness_of(THREE_CONC)) == (1, 0, -1)
+    assert chern_class_free(freeness_of(BOOLEAN)) == (1, 0, 0)
+    assert chern_class_free(freeness_of(SINGLE)) == (1, 2, 1)
+    assert chern_class_free(freeness_of(NEAR_PENCIL_4)) == (1, -1, 0)
 
 
 def test_chern_class_free_errors():
     with pytest.raises(ValueError):
-        chern_class_free(FOUR_GENERIC)
+        chern_class_free(freeness_of(FOUR_GENERIC))
     with pytest.raises(RuntimeError):
-        chern_class_free(EMPTY)
+        chern_class_free(freeness_of(EMPTY))
 
 
 def test_intersection_property_single():
