@@ -7,27 +7,25 @@ degree of its coefficient polynomials, so the Euler field sum x_j d/dx_j
 has degree 1 and constant fields have degree 0.
 
 Freeness is decided by Saito's criterion: hunt for n+1 minimal
-generators by exact kernel computations degree by degree, then test
-whether their coefficient determinant is a nonzero scalar multiple of
-the defining polynomial (exact division, no factorization).  The search
-never needs degrees beyond the number of hyperplanes: a free module's
-exponents are nonnegative and sum to that number.
+generators degree by degree, D(A)_d being the exact kernel of integer
+rows that evaluate at lattice points of each hyperplane (_degree_kernel),
+then test whether their coefficient determinant is a nonzero scalar
+multiple of the defining polynomial (exact division, no factorization).
+The search never needs degrees beyond the number of hyperplanes: a free
+module's exponents are nonnegative and sum to that number.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .arrangement import Arrangement, LinearForm
-from .linalg import IncrementalSpan, QMatrix, intersect_spans, poly_det, rref_rows
-from .poly import (
-    Monomial,
-    MultiPoly,
-    monomials_of_degree,
-    poly_divmod,
-    reduce_mod_linear,
-)
+from .linalg import IncrementalSpan, integer_kernel, integer_rows, intersect_spans, poly_det
+from .linalg import _rref_mod_p, rref_rows
+from .poly import Monomial, MultiPoly, monomial_mul, monomials_of_degree, poly_divmod
+from .poly import reduce_mod_linear
 
 
 @dataclass(frozen=True)
@@ -56,26 +54,11 @@ class Derivation:
                 out = out + c * f.derivative(j)
         return out
 
-    def scaled_by_monomial(self, mono: Monomial) -> "Derivation":
-        m = MultiPoly(self.nvars, {mono: Fraction(1)})
-        return Derivation(
-            coeffs=tuple(c * m for c in self.coeffs),
-            degree=self.degree + sum(mono),
-        )
-
     def render(self) -> str:
         pieces = [
             f"({c.render()})*d/dx{j}" for j, c in enumerate(self.coeffs) if not c.is_zero()
         ]
         return " + ".join(pieces) if pieces else "0"
-
-
-def _columns(nvars: int, monos: list[Monomial]) -> list[tuple[int, Monomial]]:
-    return [(j, m) for j in range(nvars) for m in monos]
-
-
-def derivation_to_vector(der: Derivation, monos: list[Monomial]) -> tuple[Fraction, ...]:
-    return tuple(der.coeffs[j].coefficient(m) for j in range(der.nvars) for m in monos)
 
 
 def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) -> Derivation:
@@ -92,18 +75,26 @@ def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) ->
 
 
 def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[tuple[Fraction, ...]]:
-    """Kernel vectors spanning D(A)_d in the (variable, monomial) layout."""
-    n1 = arr.nvars
-    cols = _columns(n1, monos)
-    rows: list[list[Fraction]] = []
-    for form in arr.forms:
-        fp = form.poly()
-        pivot = next(i for i, c in enumerate(form.coeffs) if c)
-        residues = {m: reduce_mod_linear(MultiPoly(n1, {m: Fraction(1)}), fp) for m in monos}
-        targets = [m for m in monos if m[pivot] == 0]
-        for t in targets:
-            rows.append([form.coeffs[j] * residues[m].coefficient(t) for (j, m) in cols])
-    return QMatrix(rows, ncols=len(cols)).kernel_basis()
+    """Kernel vectors spanning D(A)_d in the (variable, monomial) layout.
+
+    A form scaled to integers a, with pivot p its first nonzero index, gets
+    one row per monomial t of degree d free of x_p: a_j * m(P) at (j, m), for
+    P = sum_k t_k (a_p e_k - a_k e_p) = a_p t - (a . t) e_p on alpha = 0.  This
+    principal lattice is unisolvent for forms of degree d (Chung & Yao, SIAM J.
+    Numer. Anal. 14, 1977), so the rows cut out D(A)_d.
+    """
+    per = len(monos)
+    rows: list[dict[int, int]] = []
+    for a in integer_rows(form.coeffs for form in arr.forms):
+        pivot = min(a)
+        for t in monos:
+            if t[pivot]:
+                continue
+            point = [a[pivot] * e for e in t]
+            point[pivot] = -sum(c * t[j] for j, c in a.items())
+            values = [(k, prod(map(pow, point, mono))) for k, mono in enumerate(monos)]
+            rows.append({j * per + k: c * v for j, c in a.items() for k, v in values if v})
+    return integer_kernel(rows, arr.nvars * per)
 
 
 def log_derivation_space(arr: Arrangement, d: int) -> list[Derivation]:
@@ -186,30 +177,43 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
 
     At each degree the span of monomial multiples of earlier generators
     is built first; new generators are an echelon-canonical complement
-    basis inside the degree-d kernel.  Early exits: more than n+1
-    generators (never free), or exactly n+1 with degree sum |A| (Saito
-    candidate found).
+    basis inside the degree-d kernel.  The multiples lie in D(A)_d and
+    rank_p <= rank_Q for their integer rows, so when rank_p reaches dim
+    D(A)_d the degree adds no generator and the exact span is skipped.
+    Early exits: more than n+1 generators (never free), or exactly n+1
+    with degree sum |A| (Saito candidate found).
     """
     n1 = arr.nvars
     m = arr.size
     gens: list[Derivation] = []
+    # per generator: its degree and its integer-scaled (variable, monomial, coefficient) terms
+    scaled: list[tuple[int, list[tuple[int, Monomial, int]]]] = []
     dims: dict[int, int] = {}
     log: list[str] = []
     exit_reason = "exhausted"
     for d in range(m + 1):
         monos = monomials_of_degree(n1, d)
+        per = len(monos)
         kernel = _degree_kernel(arr, d, monos)
         dims[d] = len(kernel)
-        span = IncrementalSpan(n1 * len(monos))
-        for g in gens:
-            for mono in monomials_of_degree(n1, d - g.degree):
-                span.add(derivation_to_vector(g.scaled_by_monomial(mono), monos))
+        column = {mono: k for k, mono in enumerate(monos)}
+        multiples = [
+            {j * per + column[monomial_mul(mono, shift)]: c for j, mono, c in terms}
+            for e, terms in scaled
+            for shift in monomials_of_degree(n1, d - e)
+        ]
         fresh = 0
-        for v in kernel:
-            residue = span.add(v)
-            if residue is not None:
-                gens.append(vector_to_derivation(residue, n1, d, monos))
-                fresh += 1
+        if len(multiples) < dims[d] or len(_rref_mod_p(multiples)) < dims[d]:
+            span = IncrementalSpan(n1 * per)
+            for row in multiples:
+                span.add([row.get(c, 0) for c in range(span.dim)])
+            for v in kernel:
+                residue = span.add(v)
+                if residue is not None:
+                    gens.append(vector_to_derivation(residue, n1, d, monos))
+                    (entries,) = integer_rows([residue])
+                    scaled.append((d, [(c // per, monos[c % per], a) for c, a in entries.items()]))
+                    fresh += 1
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
         if len(gens) > n1:
             exit_reason = "overflow"

@@ -15,6 +15,7 @@ from arrcsm.linalg import QMatrix
 from arrcsm.logder import (
     Derivation,
     FreenessReport,
+    _degree_kernel,
     decide_freeness,
     intersection_property_check,
     is_logarithmic,
@@ -22,7 +23,7 @@ from arrcsm.logder import (
     log_derivation_space,
     minimal_generators,
 )
-from arrcsm.poly import MultiPoly, monomials_of_degree
+from arrcsm.poly import MultiPoly, monomials_of_degree, reduce_mod_linear
 
 
 def arrangement_text(nvars: int, rows) -> str:
@@ -38,6 +39,69 @@ def random_arrangement(rng: Random, nvars: int, max_forms: int) -> Arrangement:
         if any(row):
             rows.append(row)
     return parse(arrangement_text(nvars, rows))
+
+
+def random_rational_arrangement(rng: Random, nvars: int, max_forms: int) -> Arrangement:
+    """Nonempty arrangement with small rational coefficients.
+
+    About half the draws leave some coordinates out of every form, which
+    makes the arrangement non-essential and, when x0 is left out, puts
+    every form's first nonzero coefficient past index 0.
+    """
+    unused = set()
+    if rng.random() < 0.5:
+        unused = set(rng.sample(range(nvars), rng.randint(0, nvars - 1)))
+
+    def entry(j: int) -> Fraction:
+        if j in unused or rng.random() < 0.3:
+            return Fraction(0)
+        return Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 1, 2, 3]))
+
+    rows = []
+    target = rng.randint(1, max_forms)
+    while len(rows) < target:
+        row = [entry(j) for j in range(nvars)]
+        if any(row):
+            rows.append(row)
+    return parse(arrangement_text(nvars, rows))
+
+
+def reduction_kernel(arr: Arrangement, d: int) -> list[tuple[Fraction, ...]]:
+    """D(A)_d from residues modulo each form, without point evaluation.
+
+    Every monomial of degree d is reduced modulo the form by substituting
+    its pivot variable (reduce_mod_linear); sum_j a_j theta_j lies in
+    (alpha) when the coefficient of each pivot-free monomial in its
+    residue vanishes.  Columns are (variable, monomial) as in the search.
+    """
+    n1 = arr.nvars
+    monos = monomials_of_degree(n1, d)
+    cols = [(j, m) for j in range(n1) for m in monos]
+    rows = []
+    for form in arr.forms:
+        fp = form.poly()
+        pivot = next(i for i, c in enumerate(form.coeffs) if c)
+        residues = {m: reduce_mod_linear(MultiPoly(n1, {m: Fraction(1)}), fp) for m in monos}
+        for t in (m for m in monos if m[pivot] == 0):
+            rows.append([form.coeffs[j] * residues[m].coefficient(t) for j, m in cols])
+    return QMatrix(rows, ncols=len(cols)).kernel_basis()
+
+
+def assert_point_rows_match_reduction(arr: Arrangement) -> None:
+    """_degree_kernel equals the residue oracle at every degree 0..|A|."""
+    for d in range(arr.size + 1):
+        monos = monomials_of_degree(arr.nvars, d)
+        assert _degree_kernel(arr, d, monos) == reduction_kernel(arr, d), (arr.forms, d)
+
+
+def point_rows_match_reduction(rng: Random, cases: int) -> int:
+    """Point-evaluation rows and residue rows have the same kernel in P^1-P^3."""
+    done = 0
+    for _ in range(cases):
+        nvars = rng.choice([2, 3, 4])
+        assert_point_rows_match_reduction(random_rational_arrangement(rng, nvars, 6 - nvars // 2))
+        done += 1
+    return done
 
 
 def freeness_of(arr: Arrangement) -> FreenessReport:
@@ -58,6 +122,19 @@ def euler_field(nvars: int) -> Derivation:
         ),
         degree=1,
     )
+
+
+def scaled_by_monomial(theta: Derivation, mono: tuple[int, ...]) -> Derivation:
+    """theta times the monomial with exponents mono."""
+    m = MultiPoly(theta.nvars, {mono: 1})
+    return Derivation(
+        coeffs=tuple(c * m for c in theta.coeffs), degree=theta.degree + sum(mono)
+    )
+
+
+def derivation_to_vector(theta: Derivation, monos) -> tuple[Fraction, ...]:
+    """theta's coefficients in the (variable, monomial) layout of the kernels."""
+    return tuple(theta.coeffs[j].coefficient(m) for j in range(theta.nvars) for m in monos)
 
 
 def random_poly(rng: Random, nvars: int, degree: int) -> MultiPoly:
@@ -112,7 +189,7 @@ def euler_membership(rng: Random, cases: int) -> int:
             mono = tuple(
                 1 if j == rng.randrange(nvars) else 0 for j in range(nvars)
             )
-            assert is_logarithmic(theta.scaled_by_monomial(mono), arr)
+            assert is_logarithmic(scaled_by_monomial(theta, mono), arr)
         done += 1
     return done
 

@@ -272,6 +272,23 @@ def test_duplicate_warning_in_json(tmp_path, capsys):
     assert doc["arrangement"]["num_forms"] == 1
 
 
+def test_rational_forms_are_scaled_not_truncated(tmp_path, capsys):
+    # x0 + (2/3) x1 meets x0 and x1 at (0 : 0 : 1), so with x2 this is a
+    # near-pencil of 4 lines, free with exponents (1, 1, 2); truncating
+    # 2/3 to 0 would make it a duplicate of x0.
+    outputs = []
+    for form in ("1/2 1/3 0", "3 2 0"):
+        path = tmp_path / "pencil.arr"
+        path.write_text(f"vars 3\n1 0 0\n0 1 0\n0 0 1\n{form}\n", encoding="utf-8")
+        for command in ("derivations", "freeness"):
+            assert run([command, "--input", str(path), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+    assert outputs[:2] == outputs[2:]
+    freeness = json.loads(outputs[1])["result"]
+    assert freeness["free"] is True
+    assert freeness["exponents"] == [1, 1, 2]
+
+
 @pytest.fixture
 def stage_calls(monkeypatch):
     """Count build_lattice and minimal_generators calls wherever they are looked up."""

@@ -8,6 +8,7 @@ from arrcsm.linalg import (
     IncrementalSpan,
     QMatrix,
     _modular_kernel,
+    integer_rows,
     intersect_spans,
     poly_det,
     rref_rows,
@@ -170,7 +171,7 @@ def test_kernel_matches_fraction_rref_on_random_matrices():
         m = _random_matrix(rng)
         expected = _reference_kernel(m)
         assert m.kernel_basis() == expected
-        fast = _modular_kernel(m.entries, m.ncols)
+        fast = _modular_kernel(integer_rows(m.entries), m.ncols)
         assert fast is None or fast == expected
         certified += fast is not None
     # most small matrices take the certified modular path
@@ -189,7 +190,7 @@ def test_kernel_degenerate_shapes():
     for m in (QMatrix([], ncols=0), QMatrix([[]]), QMatrix([[], []]), QMatrix([], ncols=3),
               QMatrix([[0, 0], [0, 0]]), QMatrix([[Fraction(1, 3), Fraction(2, 7)]] * 3)):
         assert m.kernel_basis() == _reference_kernel(m)
-        assert _modular_kernel(m.entries, m.ncols) == _reference_kernel(m)
+        assert _modular_kernel(integer_rows(m.entries), m.ncols) == _reference_kernel(m)
 
 
 @pytest.mark.parametrize(
@@ -203,5 +204,5 @@ def test_kernel_degenerate_shapes():
 )
 def test_kernel_falls_back_to_fractions(rows, expected):
     m = QMatrix(rows)
-    assert _modular_kernel(m.entries, m.ncols) is None
+    assert _modular_kernel(integer_rows(m.entries), m.ncols) is None
     assert m.kernel_basis() == expected == _reference_kernel(m)

@@ -1,13 +1,15 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from arrcsm.arrangement import parse
+from arrcsm import linalg, logder
+from arrcsm.arrangement import parse, parse_file
 from arrcsm.logder import (
+    _degree_kernel,
     chern_class_free,
     decide_freeness,
     degree_dimension,
-    derivation_to_vector,
     intersection_property_check,
     is_logarithmic,
     is_logarithmic_for_polynomial,
@@ -17,7 +19,7 @@ from arrcsm.logder import (
 )
 from arrcsm.linalg import poly_det
 from arrcsm.poly import MultiPoly, monomials_of_degree
-from property_checks import euler_field, freeness_of
+from property_checks import derivation_to_vector, euler_field, freeness_of, scaled_by_monomial
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n")
@@ -132,7 +134,7 @@ def test_saito_rejects_degenerate_generators():
     # collapses to zero, so it no longer certifies freeness.
     report = decide_freeness(BOOLEAN, minimal_generators(BOOLEAN))
     _, g1, g2 = report.generators
-    fake = g1.scaled_by_monomial((1, 0, 0))
+    fake = scaled_by_monomial(g1, (1, 0, 0))
     assert is_logarithmic(fake, BOOLEAN)
     mat = [list(fake.coeffs), list(g1.coeffs), list(g2.coeffs)]
     assert poly_det(mat) == MultiPoly.zero(3)
@@ -161,3 +163,61 @@ def test_intersection_property_examples():
     for arr in (BOOLEAN, THREE_CONC, FOUR_GENERIC):
         for d in range(3):
             assert intersection_property_check(arr, d)
+
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+
+def test_search_without_the_modular_kernel(monkeypatch):
+    arrs = [parse_file(path) for path in sorted(CORPUS.glob("*.arr"))]
+    modular = [minimal_generators(arr) for arr in arrs]
+    monkeypatch.setattr(linalg, "_modular_kernel", lambda rows, ncols: None)
+    assert [minimal_generators(arr) for arr in arrs] == modular
+    for arr in arrs:
+        for d in range(4):
+            kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
+            assert all(type(x) is Fraction for v in kernel for x in v), (arr.name, d)
+
+
+def _spy_on_the_search(monkeypatch):
+    """Record each mod-p rank the search takes as (rows, rank), and each exact span's dimension."""
+    ranks, spans = [], []
+    rref_mod_p = logder._rref_mod_p
+
+    def recorded_rref(rows):
+        reduced = rref_mod_p(rows)
+        ranks.append((len(rows), len(reduced)))
+        return reduced
+
+    class RecordedSpan(logder.IncrementalSpan):
+        def __init__(self, dim):
+            spans.append(dim)
+            super().__init__(dim)
+
+    monkeypatch.setattr(logder, "_rref_mod_p", recorded_rref)
+    monkeypatch.setattr(logder, "IncrementalSpan", RecordedSpan)
+    return ranks, spans
+
+
+def test_degrees_without_new_generators_skip_the_exact_span(monkeypatch):
+    ranks, spans = _spy_on_the_search(monkeypatch)
+    near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
+    graded = minimal_generators(near_pencil_5)
+    assert graded.generator_degrees == (1, 1, 3)
+    # degree 2: the 6 multiples of the two linear generators have rank 6 mod p = dim D(A)_2
+    assert (6, 6) in ranks and graded.dimensions[2] == 6
+    assert spans == [3 * 3, 3 * 10]
+
+
+def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
+    # Four lines through (c : 1 : 0), c = 2^61 - 1, and x0 = 0.  The linear
+    # generators carry 1/c, so their integer-scaled multiples lose rank mod c.
+    c = 2**61 - 1
+    arr = parse(f"vars 3\n0 0 1\n1 {-c} 0\n1 {-c} 1\n1 {-c} -1\n1 0 0\n")
+    ranks, spans = _spy_on_the_search(monkeypatch)
+    graded = minimal_generators(arr)
+    assert graded.search_log[2] == "degree 2: dim 6, 0 new generator(s), total 2"
+    assert ranks == [(0, 0), (6, 3)]
+    assert 3 * 6 in spans  # degree 2 ran the exact span, and it found no generator
+    monkeypatch.setattr(logder, "_rref_mod_p", lambda rows: {})  # rank 0: no skip
+    assert minimal_generators(arr) == graded

@@ -1,10 +1,18 @@
+from fractions import Fraction
 from random import Random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from arrcsm.arrangement import parse
 from property_checks import (
+    arrangement_text,
+    assert_point_rows_match_reduction,
     euler_membership,
     intersection_der,
     kernel_rank_exactness,
     mobius_alternation,
+    point_rows_match_reduction,
     reduction_invariance,
 )
 
@@ -27,3 +35,26 @@ def test_intersection_der():
 
 def test_kernel_rank_exactness():
     assert kernel_rank_exactness(Random(505), 60) == 60
+
+
+def test_point_rows_match_reduction():
+    assert point_rows_match_reduction(Random(606), 30) == 30
+
+
+coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def arrangements(draw):
+    """1 to 4 forms in 2 to 4 coordinates, some of them never used."""
+    nvars = draw(st.integers(2, 4))
+    used = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars).filter(any))
+    form = st.tuples(*(coefficients if u else st.just(Fraction(0)) for u in used))
+    rows = draw(st.lists(form.filter(any), min_size=1, max_size=4))
+    return parse(arrangement_text(nvars, rows))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(arrangements())
+def test_point_rows_match_reduction_property(arr):
+    assert_point_rows_match_reduction(arr)
