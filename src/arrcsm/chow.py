@@ -350,7 +350,9 @@ def tjurina_route(lat: IntersectionLattice) -> tuple[int, ...]:
 
     c(TP^2)/(1 + mh) picks up the full-flag class of the divisor; each
     ordinary point of multiplicity mu contributes a correction of
-    (mu - 1)^2 times the point class.
+    (mu - 1)^2 times the point class.  The points are the codimension-2
+    flats and mu counts the lines through each, so no coordinates are
+    needed.
     """
     arr = lat.arrangement
     if arr.nvars != 3:
@@ -358,7 +360,7 @@ def tjurina_route(lat: IntersectionLattice) -> tuple[int, ...]:
     if arr.size < 1:
         raise ValueError("Tjurina route needs at least one line")
     m = arr.size
-    tau = sum((p.multiplicity - 1) ** 2 for p in singular_points(lat))
+    tau = sum((len(f.indices) - 1) ** 2 for f in lat.of_codim(2))
     tangent = SurfaceClass.make(1, 3, (), 3)
     divisor = SurfaceClass.make(1, m, (), 0)
     correction = SurfaceClass.make(1, 0, (), -tau)

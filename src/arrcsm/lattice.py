@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from .arrangement import Arrangement
-from .linalg import rref_rows, span_contains
+from .linalg import _insert, _reduce
 from .poly import render_terms
 
 
@@ -58,33 +58,40 @@ class IntersectionLattice:
 def build_lattice(arr: Arrangement) -> IntersectionLattice:
     """All intersections of subsets of hyperplanes, with Mobius values.
 
-    A flat is found as the closed set of hyperplanes through it: the
-    covers of a flat are the closures of the flat plus one hyperplane
-    that no earlier cover of that flat contains.
+    A flat is found as the closed set of hyperplanes through it, its span
+    kept as {pivot column: RREF row}.  Each hyperplane outside a flat F is
+    reduced once against that span; form_j lies in span(F, form_i) exactly
+    when the residues of form_i and form_j are proportional, so the
+    hyperplanes grouped by residue scaled to leading coefficient 1 are the
+    covers of F, one group each.
     """
-    form_rows = [f.coeffs for f in arr.forms]
-    found: dict[tuple[int, ...], tuple] = {(): ()}  # closed index set -> RREF basis
-    frontier = [()]
+    found: dict[tuple[int, ...], dict] = {(): {}}  # closed index set -> span
+    frontier = [((), {})]
     while frontier:
         nxt = []
-        for indices in frontier:
-            below = found[indices]
-            outside = [i for i in range(len(form_rows)) if i not in indices]
-            while outside:
-                basis = rref_rows(below + (form_rows[outside[0]],))
-                through = [i for i in outside if span_contains(basis, form_rows[i])]
-                outside = [i for i in outside if i not in through]
+        for indices, span in frontier:
+            covers: dict[tuple[Fraction, ...], list[int]] = {}
+            for i, form in enumerate(arr.forms):
+                if i not in indices:
+                    residue = _reduce(span, list(form.coeffs))
+                    lead = next(x for x in residue if x)
+                    covers.setdefault(tuple(x / lead for x in residue), []).append(i)
+            for residue, through in covers.items():
                 cover = tuple(sorted(indices + tuple(through)))
                 if cover not in found:
-                    found[cover] = basis
-                    nxt.append(cover)
+                    # _insert rebinds rows and never mutates a row list, so a
+                    # shallow copy leaves the flat's own span intact
+                    found[cover] = dict(span)
+                    _insert(found[cover], list(residue))
+                    nxt.append((cover, found[cover]))
         frontier = nxt
 
     # mu by top-down recursion: flats strictly below x are those whose
     # index set is a proper subset of x's (equivalent to span inclusion).
     flats: list[Flat] = []
     sets: list[frozenset[int]] = []
-    for indices, basis in sorted(found.items(), key=lambda kv: (len(kv[1]), kv[1])):
+    bases = [(tuple(tuple(span[pc]) for pc in sorted(span)), ix) for ix, span in found.items()]
+    for basis, indices in sorted(bases, key=lambda b: (len(b[0]), b[0])):
         s = frozenset(indices)
         mu = -sum(f.mu for f, t in zip(flats, sets) if t < s) if indices else 1
         flats.append(Flat(rows=basis, codim=len(basis), indices=indices, mu=mu))
@@ -168,8 +175,10 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-# Largest chart, p^n points of P^n(F_p), that the oracle sweeps: each
-# int64 grid then takes at most 16 MB.
+# Largest chart, p^n points of P^n(F_p), that the oracle sweeps.  The
+# coordinates are open grids, so the sweep holds at most two int64 arrays
+# of the chart's size (a form's values and their residues mod p), 16 MB
+# each at this bound, and two boolean masks.
 ORACLE_MAX_POINTS = 2_000_000
 
 
@@ -207,16 +216,15 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
 
     total = 0
     for lead in range(n1):
-        # chart: coordinates (0, ..., 0, 1, y_{lead+1}, ..., y_n), y free
-        nfree = n1 - lead - 1
-        shape = (p,) * nfree
-        ok = np.ones(shape, dtype=bool)
-        grids = np.indices(shape, dtype=np.int64) if nfree else None
+        # chart: coordinates (0, ..., 0, 1, y_{lead+1}, ..., y_n), y free;
+        # each y_k is an open grid, p long on its own axis and 1 on the others
+        grids = np.ix_(*[np.arange(p, dtype=np.int64)] * (n1 - lead - 1))
+        ok = np.ones((p,) * len(grids), dtype=bool)
         for row in reduced_forms:
-            val = np.full(shape, row[lead], dtype=np.int64)
-            for j in range(nfree):
-                if row[lead + 1 + j]:
-                    val = val + row[lead + 1 + j] * grids[j]
+            val = row[lead]
+            for c, y in zip(row[lead + 1:], grids):
+                if c:
+                    val = val + c * y
             ok &= (val % p) != 0
         total += int(ok.sum())
     return total

@@ -1,15 +1,17 @@
-"""Dense exact linear algebra over the rationals.
+"""Exact linear algebra over the rationals.
 
-Matrices hold Fraction entries and every result is exact.  Pivots are
-chosen by exact nonzero test (magnitude is irrelevant without rounding).
-Kernel bases come out echelon-shaped and rescaled to leading coefficient
-1, one vector per free column in ascending column order, so results are
-deterministic and directly comparable.
+Every result is exact: dense matrices and spans hold Fraction entries,
+and the modular kernel's sparse integer rows are certified over Q.
+Pivots are chosen by exact nonzero test (magnitude is irrelevant without
+rounding).  Kernel bases come out echelon-shaped and rescaled to leading
+coefficient 1, one vector per free column in ascending column order, so
+results are deterministic and directly comparable.  Determinants come
+in two kinds: QMatrix.det for scalars and poly_det for polynomials.
 
 Every Fraction elimination runs through one core that keeps a span as
 RREF rows keyed by pivot column: _reduce clears a vector at those
-pivots and _insert joins it to the span.  rref_rows, span_contains,
-IncrementalSpan.add and the integer_kernel fallback all call it.
+pivots and _insert joins it to the span.  rref_rows, IncrementalSpan.add,
+the integer_kernel fallback and lattice.build_lattice all call it.
 
 integer_kernel eliminates sparse integer rows modulo the prime
 p = 2^61 - 1 with plain ints, lifts the pivot entries back to Q by
@@ -308,12 +310,6 @@ def rref_rows(vectors: Iterable[Sequence[Scalar]]) -> tuple[Vector, ...]:
     for v in vectors:
         _insert(basis, [Fraction(x) for x in v])
     return tuple(tuple(basis[pc]) for pc in sorted(basis))
-
-
-def span_contains(basis: Sequence[Sequence[Fraction]], v: Sequence[Scalar]) -> bool:
-    """Membership test against an RREF basis, as rref_rows returns it."""
-    pivots = {next(j for j, x in enumerate(row) if x): row for row in basis}
-    return not any(_reduce(pivots, [Fraction(x) for x in v]))
 
 
 def intersect_spans(

@@ -9,8 +9,9 @@ has degree 1 and constant fields have degree 0.
 Freeness is decided by Saito's criterion: hunt for n+1 minimal
 generators degree by degree, D(A)_d being the exact kernel of integer
 rows that evaluate at lattice points of each hyperplane (_degree_kernel),
-then test whether their coefficient determinant is a nonzero scalar
-multiple of the defining polynomial (exact division, no factorization).
+then read the scalar c in det M(theta) = c * Q off one integer point
+where the defining polynomial Q does not vanish: free if and only if
+c != 0 (a scalar determinant, no polynomial products or division).
 The search never needs degrees beyond the number of hyperplanes: a free
 module's exponents are nonnegative and sum to that number.
 """
@@ -22,7 +23,7 @@ from fractions import Fraction
 from math import prod
 
 from .arrangement import Arrangement, LinearForm
-from .linalg import IncrementalSpan, integer_kernel, integer_rows, intersect_spans, poly_det
+from .linalg import IncrementalSpan, QMatrix, integer_kernel, integer_rows, intersect_spans
 from .linalg import _rref_mod_p, rref_rows
 from .poly import Monomial, MultiPoly, monomial_mul, monomials_of_degree, poly_divmod
 from .poly import reduce_mod_linear
@@ -247,8 +248,22 @@ class FreenessReport:
     search_log: tuple[str, ...]
 
 
+def _evaluate(poly: MultiPoly, point: list[int]) -> Fraction:
+    """poly at an integer point."""
+    return sum((c * prod(map(pow, point, mono)) for mono, c in poly.terms()), Fraction(0))
+
+
 def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
-    """Saito's criterion on the generators that minimal_generators(arr) found."""
+    """Saito's criterion on the generators that minimal_generators(arr) found.
+
+    Saito's lemma (Orlik & Terao, Arrangements of Hyperplanes, Prop. 4.12):
+    for theta_0, ..., theta_n in D(A), the defining polynomial Q divides
+    det M(theta).  That determinant is zero or homogeneous of degree
+    sum deg theta_i = |A|, so it is c * Q for a scalar c, read off as
+    det M(theta)(x0) / Q(x0) at one point x0 off the arrangement.  By
+    Saito's criterion the theta_i are a basis of D(A), and the
+    arrangement is free, if and only if c != 0.
+    """
     log = list(graded.search_log)
     n1 = arr.nvars
     m = arr.size
@@ -278,14 +293,16 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
         return failed(
             f"generator degrees {tuple(degrees)} sum to {sum(degrees)}, not {m}"
         )
-    q_poly = arr.defining_polynomial()
-    det = poly_det([[g.coeffs[j] for j in range(n1)] for g in gens])
-    if det.is_zero():
+    # x0 = (1, t, ..., t^n): a form is a nonzero polynomial of degree <= n in t,
+    # so one of t = 0, ..., m*n leaves Q(x0), the product of the forms, nonzero
+    for t in range(m * (n1 - 1) + 1):
+        x0 = [t**j for j in range(n1)]
+        q_x0 = prod(_evaluate(f.poly(), x0) for f in arr.forms)
+        if q_x0:
+            break
+    scalar = QMatrix([[_evaluate(c, x0) for c in g.coeffs] for g in gens]).det() / q_x0
+    if not scalar:
         return failed("Saito determinant vanishes")
-    quotient, remainder = poly_divmod(det, q_poly)
-    if not remainder.is_zero() or quotient.degree() != 0:
-        return failed("Saito determinant is not a scalar multiple of the defining polynomial")
-    scalar = quotient.coefficient((0,) * n1)
     log.append(f"free: Saito determinant = {scalar} * defining polynomial")
     return FreenessReport(
         free=True,

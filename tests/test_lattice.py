@@ -3,10 +3,11 @@ import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from pathlib import Path
 
 import pytest
 
-from arrcsm.arrangement import parse
+from arrcsm.arrangement import parse, parse_file
 from arrcsm.lattice import (
     BadReductionError,
     build_lattice,
@@ -19,11 +20,13 @@ from arrcsm.lattice import (
     reduced_char_poly,
     render_poly_in_t,
 )
+from arrcsm.linalg import rref_rows
 from property_checks import arrangement_text
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n")
 EMPTY = parse("vars 3\n")
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def test_boolean_lattice_shape():
@@ -162,6 +165,20 @@ def test_oracle_refuses_a_chart_over_its_point_bound():
     assert peak < 1_000_000
 
 
+def test_oracle_sweeps_a_p3_chart_in_open_grids():
+    # The largest chart holds 101^3 points, 8.2 MB per int64 array: room for
+    # a form's values and their residues, not for one full grid per coordinate.
+    arr = parse_file(CORPUS / "generic5_p3.arr")
+    tracemalloc.start()
+    try:
+        count = point_count_oracle(arr, 101)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == poly_eval_int(reduced_char_poly(build_lattice(arr)), 101)
+    assert peak < 32_000_000
+
+
 def test_lattice_flat_rows_are_canonical():
     lat = build_lattice(THREE_CONC)
     for flat in lat.of_codim(1):
@@ -240,6 +257,8 @@ def test_lattice_matches_brute_force_over_subsets():
         arr = parse(arrangement_text(nvars, rows))
         flats = build_lattice(arr).flats
         assert {(f.indices, f.codim, f.mu) for f in flats} == _brute_force_flats(arr), arr.forms
+        for f in flats:
+            assert f.rows == rref_rows(arr.forms[i].coeffs for i in f.indices)
         essential += arr.is_essential()
         nonessential += arr.size > 0 and not arr.is_essential()
         concurrent += any(f.codim == 2 and len(f.indices) >= 3 for f in flats)

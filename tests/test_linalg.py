@@ -12,7 +12,6 @@ from arrcsm.linalg import (
     intersect_spans,
     poly_det,
     rref_rows,
-    span_contains,
 )
 from arrcsm.poly import MultiPoly
 
@@ -91,13 +90,6 @@ def test_rref_rows_canonical_under_row_operations():
         rng.shuffle(shuffled)
         scaled = [[Fraction(3) * x for x in r] for r in shuffled]
         assert rref_rows(rows) == rref_rows(scaled)
-
-
-def test_span_contains():
-    basis = rref_rows([[1, 0, 1], [0, 1, 1]])
-    assert span_contains(basis, [1, 1, 2])
-    assert not span_contains(basis, [0, 0, 1])
-    assert span_contains(basis, [0, 0, 0])
 
 
 def test_intersect_spans():

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,12 +121,25 @@ def test_free_reports_include_euler_slot():
 
 
 def test_saito_determinant_rank2():
-    report = decide_freeness(RANK2, minimal_generators(RANK2))
-    assert report.free
-    mat = [list(theta.coeffs) for theta in report.generators]
-    det = poly_det(mat)
-    q = RANK2.defining_polynomial()
-    assert det == q.scale(report.saito_scalar)
+    # (1, t) lies on a line of the second arrangement for t = 0, 1 and 2, so
+    # its scalar is read at t = 3
+    for arr in (RANK2, parse("vars 2\n0 1\n1 -1\n2 -1\n")):
+        report = decide_freeness(arr, minimal_generators(arr))
+        assert report.free
+        mat = [list(theta.coeffs) for theta in report.generators]
+        det = poly_det(mat)
+        q = arr.defining_polynomial()
+        assert det == q.scale(report.saito_scalar)
+
+
+def test_saito_scalar_vanishes_on_dependent_generators():
+    # three logarithmic fields of degrees summing to |A| that span a rank-2
+    # module: det M(theta) is 0, so c is 0 and they certify nothing
+    graded = minimal_generators(BOOLEAN)
+    g0, g1, _ = graded.generators
+    report = decide_freeness(BOOLEAN, replace(graded, generators=(g0, g1, g1)))
+    assert not report.free
+    assert report.reason == "Saito determinant vanishes"
 
 
 def test_saito_rejects_degenerate_generators():

@@ -19,7 +19,8 @@ ORACLES = {
     "intersection_property_check": "D(A)_d rebuilt one hyperplane at a time by intersect_spans",
     "log_derivation_space": "one degree's kernel alone, without the generator search",
     "poly_from_roots": "the Terao factorization check of the characteristic polynomial",
-    "QMatrix.det": "the scalar reference that poly_det is tested against",
+    "poly_det": "the polynomial Saito determinant that saito_scalar is checked against",
+    "Arrangement.defining_polynomial": "Q as a product of forms, for checking det M = c * Q",
     "QMatrix.rank": "the rank-nullity reference for kernel_basis",
 }
 
