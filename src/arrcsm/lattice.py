@@ -25,7 +25,7 @@ from fractions import Fraction
 from math import comb
 
 from .arrangement import Arrangement
-from .linalg import _insert, _reduce
+from .linalg import _insert, _integer_vector, _rational_rows, _reduce
 from .poly import render_terms
 
 
@@ -59,23 +59,26 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     """All intersections of subsets of hyperplanes, with Mobius values.
 
     A flat is found as the closed set of hyperplanes through it, its span
-    kept as {pivot column: RREF row}.  Each hyperplane outside a flat F is
-    reduced once against that span; form_j lies in span(F, form_i) exactly
-    when the residues of form_i and form_j are proportional, so the
-    hyperplanes grouped by residue scaled to leading coefficient 1 are the
-    covers of F, one group each.
+    kept in linalg's integer form: {pivot column: primitive integer row}.
+    Each hyperplane outside a flat F carries its residue against that
+    span, made primitive with a positive leading entry.  form_j lies in
+    span(F, form_i) exactly when the residues of form_i and form_j are
+    proportional, that is equal, so the hyperplanes grouped by residue
+    are the covers of F, one group each.  A residue is 0 at the pivots
+    of F, so one elimination step at the cover's new pivot turns it into
+    the residue against the cover.  Fractions are made only for the
+    flats' RREF rows.
     """
     found: dict[tuple[int, ...], dict] = {(): {}}  # closed index set -> span
-    frontier = [((), {})]
+    # (closed index set, span, {form index: residue} of the forms outside it)
+    residues = {i: _reduce({}, _integer_vector(f.coeffs)) for i, f in enumerate(arr.forms)}
+    frontier = [((), {}, residues)]
     while frontier:
         nxt = []
-        for indices, span in frontier:
-            covers: dict[tuple[Fraction, ...], list[int]] = {}
-            for i, form in enumerate(arr.forms):
-                if i not in indices:
-                    residue = _reduce(span, list(form.coeffs))
-                    lead = next(x for x in residue if x)
-                    covers.setdefault(tuple(x / lead for x in residue), []).append(i)
+        for indices, span, residues in frontier:
+            covers: dict[tuple[int, ...], list[int]] = {}
+            for i, residue in residues.items():
+                covers.setdefault(tuple(residue), []).append(i)
             for residue, through in covers.items():
                 cover = tuple(sorted(indices + tuple(through)))
                 if cover not in found:
@@ -83,14 +86,16 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
                     # shallow copy leaves the flat's own span intact
                     found[cover] = dict(span)
                     _insert(found[cover], list(residue))
-                    nxt.append((cover, found[cover]))
+                    nxt.append((cover, found[cover], {
+                        j: _reduce(found[cover], r) for j, r in residues.items() if j not in through
+                    }))
         frontier = nxt
 
     # mu by top-down recursion: flats strictly below x are those whose
     # index set is a proper subset of x's (equivalent to span inclusion).
     flats: list[Flat] = []
     sets: list[frozenset[int]] = []
-    bases = [(tuple(tuple(span[pc]) for pc in sorted(span)), ix) for ix, span in found.items()]
+    bases = [(_rational_rows(span), ix) for ix, span in found.items()]
     for basis, indices in sorted(bases, key=lambda b: (len(b[0]), b[0])):
         s = frozenset(indices)
         mu = -sum(f.mu for f, t in zip(flats, sets) if t < s) if indices else 1

@@ -1,30 +1,37 @@
 """Exact linear algebra over the rationals.
 
-Every result is exact: dense matrices and spans hold Fraction entries,
-and the modular kernel's sparse integer rows are certified over Q.
-Pivots are chosen by exact nonzero test (magnitude is irrelevant without
-rounding).  Kernel bases come out echelon-shaped and rescaled to leading
-coefficient 1, one vector per free column in ascending column order, so
-results are deterministic and directly comparable.  Determinants come
-in two kinds: QMatrix.det for scalars and poly_det for polynomials.
+Every result is exact: QMatrix holds Fraction entries, spans hold
+integer rows standing for rational ones, and the modular kernel's sparse
+integer rows are certified over Q.  Pivots are chosen by exact nonzero
+test (magnitude is irrelevant without rounding).  Kernel bases come out
+echelon-shaped and rescaled to leading coefficient 1, one vector per
+free column in ascending column order, so results are deterministic and
+directly comparable.  Determinants come in two kinds: QMatrix.det for
+scalars and poly_det for polynomials.
 
-Every Fraction elimination runs through one core that keeps a span as
-RREF rows keyed by pivot column: _reduce clears a vector at those
-pivots and _insert joins it to the span.  rref_rows, IncrementalSpan.add,
-the integer_kernel fallback and lattice.build_lattice all call it.
+Every RREF over Q runs through one integer core.  It keeps
+a span as {pivot column: row}, each row a primitive integer vector: gcd
+1, positive at its own pivot and 0 at every other pivot, so each row is
+its RREF row times its pivot entry.  _reduce clears a vector at those
+pivots and _insert joins it to the span, with every intermediate value
+an int.  rref_rows, IncrementalSpan.add, the integer_kernel fallback and
+lattice.build_lattice all call it.  Fractions are made only where a
+result leaves the core: _rational_rows divides each row by its pivot
+entry, the fallback kernel divides by pivot entries too, and
+IncrementalSpan.add scales its residue to leading coefficient 1.
 
 integer_kernel eliminates sparse integer rows modulo the prime
 p = 2^61 - 1 with plain ints, lifts the pivot entries back to Q by
 rational reconstruction, and keeps the lift only when every lifted
 vector is annihilated exactly by the rows.  That check certifies the
-lift as the Fraction RREF kernel basis (see _modular_kernel); when it
-fails, the Fraction elimination computes the basis instead.
+lift as the RREF kernel basis over Q (see _modular_kernel); when it
+fails, the integer core computes the basis instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 from .poly import MultiPoly, Scalar
@@ -35,50 +42,82 @@ _P = 2**61 - 1
 # Wang's bound: a residue has at most one lift n/d with |n|, d <= _LIFT_BOUND.
 _LIFT_BOUND = isqrt(_P // 2)
 _ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
-def _reduce(basis: dict[int, Sequence[Fraction]], v: list[Fraction]) -> list[Fraction]:
-    """v minus the combination of basis rows that clears v at every pivot.
+def _eliminate(v: list[int], row: Sequence[int], col: int) -> list[int]:
+    """row[col] * v - v[col] * row, which is 0 at col, divided by the gcd of its entries.
 
-    basis maps each pivot column to its RREF row: 1 at that pivot and 0
-    at every other pivot, so one pass in any order clears them all.
+    Fraction-free elimination in the manner of Bareiss (Math. Comp. 22,
+    1968): every entry stays an int, and dividing by the gcd after each
+    step keeps the entries from growing over many steps.
+    """
+    p, c = row[col], v[col]
+    w = [p * a - c * b for a, b in zip(v, row)]
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
+
+
+def _reduce(basis: dict[int, list[int]], v: list[int]) -> list[int]:
+    """v cleared at every pivot of basis, made primitive.
+
+    Each basis row is positive at its pivot and 0 at every other pivot,
+    so one pass in any order clears them all.  The result is v's residue
+    against the span scaled to a primitive integer vector with its first
+    nonzero entry positive (all zeros when v lies in the span), so two
+    vectors reduce to the same list exactly when their residues are
+    proportional.
     """
     for pc, row in basis.items():
-        c = v[pc]
-        if c:
-            v = [a - c * b if b else a for a, b in zip(v, row)]
-    return v
+        if v[pc]:
+            v = _eliminate(v, row, pc)
+    g = gcd(*v)
+    if next((a for a in v if a), 0) < 0:
+        g = -g
+    return v if g in (0, 1) else [a // g for a in v]
 
 
-def _insert(basis: dict[int, Sequence[Fraction]], v: list[Fraction]) -> list[Fraction] | None:
-    """Join v to the span kept in basis, which stays in RREF.
+def _insert(basis: dict[int, list[int]], v: list[int]) -> list[int] | None:
+    """Join v to the span kept in basis.
 
-    Returns the residue of v scaled to leading coefficient 1 (the new
-    basis row), or None when v already lies in the span.
+    Returns the reduced v (the new basis row), or None when v already
+    lies in the span.  Rows of basis are rebound, never mutated.
     """
     v = _reduce(basis, v)
-    lead = next((j for j, x in enumerate(v) if x), None)
+    lead = next((j for j, a in enumerate(v) if a), None)
     if lead is None:
         return None
-    if v[lead] != 1:
-        inv = 1 / v[lead]
-        v = [x * inv for x in v]
     for pc, row in basis.items():
-        c = row[lead]
-        if c:
-            basis[pc] = [a - c * b if b else a for a, b in zip(row, v)]
+        if row[lead]:
+            basis[pc] = _eliminate(row, v, lead)
     basis[lead] = v
     return v
 
 
+def _integer_vector(v: Sequence[Scalar]) -> list[int]:
+    """v times the lcm of its denominators."""
+    ratios = [x.as_integer_ratio() for x in v]
+    scale = lcm(*(d for _, d in ratios))
+    return [n * (scale // d) for n, d in ratios]
+
+
+def _rational(row: list[int], p: int) -> Vector:
+    """row / p as Fractions.
+
+    Zeros and ones are shared objects, so comparing two such vectors (the
+    lattice sorts its flats by their rows) rarely calls Fraction.__eq__.
+    """
+    return tuple(_ZERO if a == 0 else _ONE if a == p else Fraction(a, p) for a in row)
+
+
+def _rational_rows(basis: dict[int, list[int]]) -> tuple[Vector, ...]:
+    """The RREF rows of a span that _insert keeps, in pivot order."""
+    return tuple(_rational(row, row[pc]) for pc, row in sorted(basis.items()))
+
+
 def integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[dict[int, int]]:
     """Each row times the lcm of its denominators, as {column: nonzero entry}."""
-    out = []
-    for row in rows:
-        nonzero = [(j, x) for j, x in enumerate(row) if x]
-        scale = lcm(*(x.denominator for _, x in nonzero))
-        out.append({j: x.numerator * (scale // x.denominator) for j, x in nonzero})
-    return out
+    return [{j: a for j, a in enumerate(_integer_vector(row)) if a} for row in rows]
 
 
 def _subtract(work: dict[int, int], factor: int, row: dict[int, int], skip: int) -> None:
@@ -145,7 +184,7 @@ def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[Vect
     independent vectors of the rational kernel, and rank_Q >= rank_p, so
     they span it.  Each one writes column fc through earlier columns, so
     the mod-p pivots are exactly the greedy pivots over Q and each vector
-    is the one the Fraction RREF gives for fc.
+    is the one the RREF over Q gives for fc.
     """
     reduced = _rref_mod_p(int_rows)
     # column j of the RREF and of the integer matrix, as (row key, entry) pairs
@@ -182,27 +221,25 @@ def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[Vect
 
 
 def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[Vector]:
-    """Basis of {v : M v = 0} for sparse integer rows {column: entry}, as Fraction RREF gives it.
+    """Basis of {v : M v = 0} for sparse integer rows {column: entry}, as the RREF over Q gives it.
 
     One vector per free column, in column order, with first nonzero entry 1;
-    found mod p and certified, or else from the rows made Fraction.
+    found mod p and certified, or else from the integer core's RREF.
     """
     basis = _modular_kernel(rows, ncols)
     if basis is not None:
         return basis
-    reduced: dict[int, Sequence[Fraction]] = {}
+    reduced: dict[int, list[int]] = {}
     for row in rows:
-        _insert(reduced, [Fraction(row.get(j, 0)) for j in range(ncols)])
+        _insert(reduced, [row.get(j, 0) for j in range(ncols)])
     basis = []
     for fc in range(ncols):
         if fc in reduced:
             continue
-        v = [_ZERO] * ncols
-        v[fc] = Fraction(1)
-        for pc, row in reduced.items():
-            v[pc] = -row[fc]
-        lead = next(x for x in v if x)
-        basis.append(tuple(x / lead for x in v))
+        w = {pc: Fraction(-row[fc], row[pc]) for pc, row in reduced.items() if row[fc]}
+        w[fc] = _ONE
+        lead = w[min(w)]
+        basis.append(tuple(w[j] / lead if j in w else _ZERO for j in range(ncols)))
     return basis
 
 
@@ -267,15 +304,15 @@ class IncrementalSpan:
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: dict[int, Sequence[Fraction]] = {}  # pivot column -> RREF row
+        self._rows: dict[int, list[int]] = {}  # pivot column -> primitive row, as _insert keeps it
 
     def add(self, v: Sequence[Scalar]) -> Vector | None:
-        # converting every entry of long, mostly zero vectors dominated the search
-        work = [x if type(x) is Fraction else Fraction(x) if x else _ZERO for x in v]
-        if len(work) != self.dim:
+        if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        residue = _insert(self._rows, work)
-        return None if residue is None else tuple(residue)
+        residue = _insert(self._rows, _integer_vector(v))
+        if residue is None:
+            return None
+        return _rational(residue, next(a for a in residue if a))
 
 
 def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
@@ -306,10 +343,10 @@ def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
 
 def rref_rows(vectors: Iterable[Sequence[Scalar]]) -> tuple[Vector, ...]:
     """Canonical basis (RREF, zero rows dropped) of the span of the input."""
-    basis: dict[int, Sequence[Fraction]] = {}
+    basis: dict[int, list[int]] = {}
     for v in vectors:
-        _insert(basis, [Fraction(x) for x in v])
-    return tuple(tuple(basis[pc]) for pc in sorted(basis))
+        _insert(basis, _integer_vector(v))
+    return _rational_rows(basis)
 
 
 def intersect_spans(

@@ -1,8 +1,11 @@
-"""Randomized consistency checks shared by the test suite.
+"""Randomized consistency checks and oracles shared by the test suite.
 
-Each function draws its own cases from a caller-supplied random.Random,
+Each check draws its own cases from a caller-supplied random.Random,
 asserts the invariant on every case, and returns the number of cases it
 actually exercised so callers can enforce a minimum volume.
+fraction_rref and fraction_kernel are plain Fraction Gauss-Jordan
+elimination that uses no arrcsm code, the reference for linalg's
+integer core.
 """
 
 from fractions import Fraction
@@ -64,6 +67,40 @@ def random_rational_arrangement(rng: Random, nvars: int, max_forms: int) -> Arra
         if any(row):
             rows.append(row)
     return parse(arrangement_text(nvars, rows))
+
+
+def fraction_rref(vectors) -> tuple[tuple[Fraction, ...], ...]:
+    """RREF of the span of vectors, zero rows dropped, by Gauss-Jordan over Fraction."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        rows[rank] = [x / lead for x in rows[rank]]
+        for i, row in enumerate(rows):
+            if i != rank and row[col]:
+                c = row[col]
+                rows[i] = [a - c * b for a, b in zip(row, rows[rank])]
+        rank += 1
+    return tuple(tuple(row) for row in rows[:rank])
+
+
+def fraction_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Kernel basis read off fraction_rref: one vector per free column, leading entry 1."""
+    reduced = fraction_rref(rows)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[fc] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[fc]
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return basis
 
 
 def reduction_kernel(arr: Arrangement, d: int) -> list[tuple[Fraction, ...]]:

@@ -20,8 +20,7 @@ from arrcsm.lattice import (
     reduced_char_poly,
     render_poly_in_t,
 )
-from arrcsm.linalg import rref_rows
-from property_checks import arrangement_text
+from property_checks import arrangement_text, fraction_rref
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n")
@@ -258,8 +257,22 @@ def test_lattice_matches_brute_force_over_subsets():
         flats = build_lattice(arr).flats
         assert {(f.indices, f.codim, f.mu) for f in flats} == _brute_force_flats(arr), arr.forms
         for f in flats:
-            assert f.rows == rref_rows(arr.forms[i].coeffs for i in f.indices)
+            assert f.rows == fraction_rref(arr.forms[i].coeffs for i in f.indices)
         essential += arr.is_essential()
         nonessential += arr.size > 0 and not arr.is_essential()
         concurrent += any(f.codim == 2 and len(f.indices) >= 3 for f in flats)
     assert essential > 20 and nonessential > 20 and concurrent > 20
+
+
+@pytest.mark.parametrize(
+    "first,second",
+    [("1 1 -1", "1 -1 1"), ("1 1/2 1/3", "1 6 4")],
+)
+def test_proportional_residues_give_one_cover(first, second):
+    # against x0 = 0 the last two forms leave residues (0, 1, -1) and (0, -1, 1),
+    # or (0, 1/2, 1/3) and (0, 6, 4): proportional, so all three forms meet in one flat
+    arr = parse(f"vars 3\n1 0 0\n{first}\n{second}\n")
+    lat = build_lattice(arr)
+    assert [f.indices for f in lat.of_codim(2)] == [(0, 1, 2)]
+    assert lat.of_codim(2)[0].mu == 2
+    assert {(f.indices, f.codim, f.mu) for f in lat.flats} == _brute_force_flats(arr)

@@ -14,6 +14,7 @@ from arrcsm.linalg import (
     rref_rows,
 )
 from arrcsm.poly import MultiPoly
+from property_checks import fraction_kernel, fraction_rref
 
 
 def test_kernel_single_row():
@@ -104,6 +105,7 @@ def test_intersect_spans():
 
 def test_incremental_span():
     span = IncrementalSpan(3)
+    assert span.add([0, 0, 0]) is None
     assert span.add([1, 1, 0]) is not None
     assert span.add([2, 2, 0]) is None
     assert span.add([0, 0, 3]) == (0, 0, 1)
@@ -112,26 +114,56 @@ def test_incremental_span():
     assert span.add([1, 0, 0]) == (0, 1, 0)
     with pytest.raises(ValueError):
         span.add([1, 0])
+    # the length is checked before any entry is converted
+    with pytest.raises(ValueError):
+        span.add([object()])
+
+
+def test_incremental_span_residue_is_the_same_for_ints_and_fractions():
+    ints, fractions = IncrementalSpan(4), IncrementalSpan(4)
+    for v in ([2, -4, 0, 6], [0, 3, 9, -6], [4, 1, 1, 0]):
+        residue = ints.add(v)
+        assert residue == fractions.add([Fraction(x) for x in v])
+        assert all(type(x) is Fraction for x in residue) and next(x for x in residue if x) == 1
+
+
+def _oracle_residue(reduced, v):
+    """v minus its RREF combination of the rows of reduced, scaled to leading entry 1; None if 0."""
+    v = [Fraction(x) for x in v]
+    for row in reduced:
+        c = v[next(j for j, x in enumerate(row) if x)]
+        v = [a - c * b for a, b in zip(v, row)]
+    lead = next((x for x in v if x), None)
+    return None if lead is None else tuple(x / lead for x in v)
+
+
+def test_integer_core_matches_the_fraction_oracle():
+    rng = random.Random(1968)
+    denominators = [1, 2, 3, 5, 7, 11, 13, 17]  # pairwise coprime
+    for _ in range(300):
+        ncols = rng.randint(1, 6)
+        rows = []
+        for _ in range(rng.randint(0, 8)):
+            kind = rng.random()
+            if rows and kind < 0.2:
+                rows.append(list(rng.choice(rows)))
+            elif kind < 0.3:
+                rows.append([Fraction(0)] * ncols)
+            else:
+                rows.append([
+                    Fraction(rng.randint(-9, 9), rng.choice(denominators))
+                    if rng.random() < 0.7 else Fraction(0)
+                    for _ in range(ncols)
+                ])
+        assert rref_rows(rows) == fraction_rref(rows)
+        span = IncrementalSpan(ncols)
+        for k, v in enumerate(rows):
+            assert span.add(v) == _oracle_residue(fraction_rref(rows[:k]), v)
 
 
 def test_ragged_rows_rejected():
     with pytest.raises(ValueError):
         QMatrix([[1, 2], [1]])
-
-
-def _reference_kernel(m: QMatrix) -> list[tuple[Fraction, ...]]:
-    """Kernel basis read off the Fraction RREF: one vector per free column, leading 1."""
-    reduced = rref_rows(m.entries)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
-    basis = []
-    for fc in (c for c in range(m.ncols) if c not in pivots):
-        v = [Fraction(0)] * m.ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        lead = next(x for x in v if x)
-        basis.append(tuple(x / lead for x in v))
-    return basis
 
 
 def _random_matrix(rng: random.Random) -> QMatrix:
@@ -161,7 +193,7 @@ def test_kernel_matches_fraction_rref_on_random_matrices():
     certified = 0
     for _ in range(400):
         m = _random_matrix(rng)
-        expected = _reference_kernel(m)
+        expected = fraction_kernel(m.entries, m.ncols)
         assert m.kernel_basis() == expected
         fast = _modular_kernel(integer_rows(m.entries), m.ncols)
         assert fast is None or fast == expected
@@ -181,8 +213,9 @@ def test_fraction_fallback_matches_the_modular_kernel(monkeypatch):
 def test_kernel_degenerate_shapes():
     for m in (QMatrix([], ncols=0), QMatrix([[]]), QMatrix([[], []]), QMatrix([], ncols=3),
               QMatrix([[0, 0], [0, 0]]), QMatrix([[Fraction(1, 3), Fraction(2, 7)]] * 3)):
-        assert m.kernel_basis() == _reference_kernel(m)
-        assert _modular_kernel(integer_rows(m.entries), m.ncols) == _reference_kernel(m)
+        assert m.kernel_basis() == fraction_kernel(m.entries, m.ncols)
+        expected = fraction_kernel(m.entries, m.ncols)
+        assert _modular_kernel(integer_rows(m.entries), m.ncols) == expected
 
 
 @pytest.mark.parametrize(
@@ -197,4 +230,4 @@ def test_kernel_degenerate_shapes():
 def test_kernel_falls_back_to_fractions(rows, expected):
     m = QMatrix(rows)
     assert _modular_kernel(integer_rows(m.entries), m.ncols) is None
-    assert m.kernel_basis() == expected == _reference_kernel(m)
+    assert m.kernel_basis() == expected == fraction_kernel(m.entries, m.ncols)

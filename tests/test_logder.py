@@ -20,7 +20,13 @@ from arrcsm.logder import (
 )
 from arrcsm.linalg import poly_det
 from arrcsm.poly import MultiPoly, monomials_of_degree
-from property_checks import derivation_to_vector, euler_field, freeness_of, scaled_by_monomial
+from property_checks import (
+    derivation_to_vector,
+    euler_field,
+    fraction_kernel,
+    freeness_of,
+    scaled_by_monomial,
+)
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n")
@@ -191,6 +197,28 @@ def test_search_without_the_modular_kernel(monkeypatch):
         for d in range(4):
             kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
             assert all(type(x) is Fraction for v in kernel for x in v), (arr.name, d)
+
+
+def test_kernel_entries_past_the_lift_bound_take_the_fallback(monkeypatch):
+    # D(A)_3 of these planes has kernel entries of 38 bits, past the 30 bits
+    # that rational reconstruction mod 2^61 - 1 can lift
+    arr = parse("vars 4\n1 -2/3 4/9 0\n1 -6 6 0\n1 1/2 1/2 -3/2\n1 0 1 -1/2\n")
+    calls = []
+    modular_kernel = linalg._modular_kernel
+
+    def recorded(rows, ncols):
+        lifted = modular_kernel(rows, ncols)
+        calls.append((rows, ncols, lifted))
+        return lifted
+
+    monkeypatch.setattr(linalg, "_modular_kernel", recorded)
+    space = log_derivation_space(arr, 3)
+    ((rows, ncols, lifted),) = calls
+    assert lifted is None
+    monos = monomials_of_degree(arr.nvars, 3)
+    vectors = [derivation_to_vector(theta, monos) for theta in space]
+    assert vectors == fraction_kernel([[row.get(j, 0) for j in range(ncols)] for row in rows], ncols)
+    assert max(x.numerator.bit_length() for v in vectors for x in v) > 30
 
 
 def _spy_on_the_search(monkeypatch):
