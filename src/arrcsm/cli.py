@@ -26,6 +26,7 @@ import argparse
 import json
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -217,6 +218,7 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
     return payload, code
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arrcsm",

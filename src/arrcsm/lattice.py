@@ -197,10 +197,10 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
     vanishing identically mod p; refuses a largest chart p^n above
     ORACLE_MAX_POINTS before allocating anything.
     """
+    if p > 1000:  # before _is_prime, whose trial division is unbounded in p
+        raise ValueError("oracle is restricted to primes up to 1000")
     if not _is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if p > 1000:
-        raise ValueError("oracle is restricted to primes up to 1000")
     n1 = arr.nvars
     if p ** (n1 - 1) > ORACLE_MAX_POINTS:
         raise ValueError(

@@ -4,10 +4,9 @@ Every result is exact: QMatrix holds Fraction entries, spans hold
 integer rows standing for rational ones, and the modular kernel's sparse
 integer rows are certified over Q.  Pivots are chosen by exact nonzero
 test (magnitude is irrelevant without rounding).  Kernel bases come out
-echelon-shaped and rescaled to leading coefficient 1, one vector per
-free column in ascending column order, so results are deterministic and
-directly comparable.  Determinants come in two kinds: QMatrix.det for
-scalars and poly_det for polynomials.
+echelon-shaped, one vector per free column in ascending column order, so
+results are deterministic and directly comparable.  Determinants come in
+two kinds: QMatrix.det for scalars and poly_det for polynomials.
 
 Every RREF over Q runs through one integer core.  It keeps
 a span as {pivot column: row}, each row a primitive integer vector: gcd
@@ -15,10 +14,12 @@ a span as {pivot column: row}, each row a primitive integer vector: gcd
 its RREF row times its pivot entry.  _reduce clears a vector at those
 pivots and _insert joins it to the span, with every intermediate value
 an int.  rref_rows, IncrementalSpan.add, the integer_kernel fallback and
-lattice.build_lattice all call it.  Fractions are made only where a
-result leaves the core: _rational_rows divides each row by its pivot
-entry, the fallback kernel divides by pivot entries too, and
-IncrementalSpan.add scales its residue to leading coefficient 1.
+lattice.build_lattice all call it.  Kernel vectors and span residues are
+primitive integer vectors too (gcd 1, first nonzero entry positive).
+Fractions are made only where a result leaves the integers:
+_rational_rows divides each row by its pivot entry, and
+QMatrix.kernel_basis and logder.vector_to_derivation divide a vector by
+its leading entry.
 
 integer_kernel eliminates sparse integer rows modulo the prime
 p = 2^61 - 1 with plain ints, lifts the pivot entries back to Q by
@@ -175,7 +176,7 @@ def _lift(a: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[Vector] | None:
+def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[list[int]] | None:
     """The RREF kernel basis of sparse integer rows, found mod p and certified; None if unproven.
 
     For each mod-p free column fc the lifted vector has entry 1 at fc and
@@ -184,7 +185,7 @@ def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[Vect
     independent vectors of the rational kernel, and rank_Q >= rank_p, so
     they span it.  Each one writes column fc through earlier columns, so
     the mod-p pivots are exactly the greedy pivots over Q and each vector
-    is the one the RREF over Q gives for fc.
+    is the one the RREF over Q gives for fc, here made primitive.
     """
     reduced = _rref_mod_p(int_rows)
     # column j of the RREF and of the integer matrix, as (row key, entry) pairs
@@ -197,7 +198,7 @@ def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[Vect
     for i, row in enumerate(int_rows):
         for j, a in row.items():
             int_cols[j].append((i, a))
-    basis: list[Vector] = []
+    basis: list[list[int]] = []
     for fc in range(ncols):
         if fc in reduced:
             continue
@@ -215,16 +216,15 @@ def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[Vect
                 image[i] = image.get(i, 0) + a * wj
         if any(image.values()):
             return None
-        lead = w[min(w)]
-        basis.append(tuple(Fraction(w[j], lead) if j in w else _ZERO for j in range(ncols)))
+        basis.append(_reduce({}, [w.get(j, 0) for j in range(ncols)]))
     return basis
 
 
-def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[Vector]:
+def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[list[int]]:
     """Basis of {v : M v = 0} for sparse integer rows {column: entry}, as the RREF over Q gives it.
 
-    One vector per free column, in column order, with first nonzero entry 1;
-    found mod p and certified, or else from the integer core's RREF.
+    One vector per free column, in column order, the RREF's vector made
+    primitive; found mod p and certified, or else from the integer core.
     """
     basis = _modular_kernel(rows, ncols)
     if basis is not None:
@@ -236,10 +236,14 @@ def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[Vector]:
     for fc in range(ncols):
         if fc in reduced:
             continue
-        w = {pc: Fraction(-row[fc], row[pc]) for pc, row in reduced.items() if row[fc]}
-        w[fc] = _ONE
-        lead = w[min(w)]
-        basis.append(tuple(w[j] / lead if j in w else _ZERO for j in range(ncols)))
+        # e_fc - sum row[fc]/row[pc] e_pc, times the lcm of the row[pc] it divides by
+        used = [(pc, row) for pc, row in reduced.items() if row[fc]]
+        scale = lcm(*(row[pc] for pc, row in used))
+        w = [0] * ncols
+        w[fc] = scale
+        for pc, row in used:
+            w[pc] = -row[fc] * (scale // row[pc])
+        basis.append(_reduce({}, w))
     return basis
 
 
@@ -268,8 +272,9 @@ class QMatrix:
         return len(rref_rows(self.entries))
 
     def kernel_basis(self) -> list[Vector]:
-        """Basis of {v : M v = 0}, one vector per free column, as integer_kernel gives it."""
-        return integer_kernel(integer_rows(self.entries), self.ncols)
+        """Basis of {v : M v = 0}: integer_kernel's vectors scaled to leading entry 1."""
+        kernel = integer_kernel(integer_rows(self.entries), self.ncols)
+        return [_rational(v, next(a for a in v if a)) for v in kernel]
 
     def det(self) -> Fraction:
         if self.nrows != self.ncols:
@@ -295,24 +300,21 @@ class QMatrix:
 
 
 class IncrementalSpan:
-    """Growing subspace kept in reduced row echelon form.
+    """Growing subspace of Q^dim, kept as _insert keeps a span.
 
-    add() reduces the candidate against the current span; dependent
-    vectors return None, independent ones return their canonical
-    residue (leading coefficient 1) and join the span.
+    add() reduces an integer vector against the current span; dependent
+    vectors return None, independent ones return their primitive residue
+    and join the span.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self._rows: dict[int, list[int]] = {}  # pivot column -> primitive row, as _insert keeps it
 
-    def add(self, v: Sequence[Scalar]) -> Vector | None:
+    def add(self, v: Sequence[int]) -> list[int] | None:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
-        residue = _insert(self._rows, _integer_vector(v))
-        if residue is None:
-            return None
-        return _rational(residue, next(a for a in residue if a))
+        return _insert(self._rows, list(v))
 
 
 def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:

@@ -63,20 +63,18 @@ class Derivation:
 
 
 def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) -> Derivation:
-    coeffs = []
+    """The derivation of a (variable, monomial) vector, scaled to leading coefficient 1."""
+    lead = next((c for c in vec if c), 1)
     per = len(monos)
-    for j in range(nvars):
-        terms = {}
-        for k, m in enumerate(monos):
-            c = vec[j * per + k]
-            if c:
-                terms[m] = c
-        coeffs.append(MultiPoly(nvars, terms))
-    return Derivation(coeffs=tuple(coeffs), degree=degree)
+    coeffs = tuple(
+        MultiPoly(nvars, {m: Fraction(c, lead) for m, c in zip(monos, vec[j * per:]) if c})
+        for j in range(nvars)
+    )
+    return Derivation(coeffs=coeffs, degree=degree)
 
 
-def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[tuple[Fraction, ...]]:
-    """Kernel vectors spanning D(A)_d in the (variable, monomial) layout.
+def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list[int]]:
+    """Primitive integer kernel vectors spanning D(A)_d in the (variable, monomial) layout.
 
     A form scaled to integers a, with pivot p its first nonzero index, gets
     one row per monomial t of degree d free of x_p: a_j * m(P) at (j, m), for
@@ -103,10 +101,7 @@ def log_derivation_space(arr: Arrangement, d: int) -> list[Derivation]:
     if d < 0:
         return []
     monos = monomials_of_degree(arr.nvars, d)
-    return [
-        vector_to_derivation(v, arr.nvars, d, monos)
-        for v in _degree_kernel(arr, d, monos)
-    ]
+    return [vector_to_derivation(v, arr.nvars, d, monos) for v in _degree_kernel(arr, d, monos)]
 
 
 def degree_dimension(arr: Arrangement, d: int) -> int:
@@ -187,7 +182,7 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
     n1 = arr.nvars
     m = arr.size
     gens: list[Derivation] = []
-    # per generator: its degree and its integer-scaled (variable, monomial, coefficient) terms
+    # per generator: its degree and its primitive (variable, monomial, coefficient) terms
     scaled: list[tuple[int, list[tuple[int, Monomial, int]]]] = []
     dims: dict[int, int] = {}
     log: list[str] = []
@@ -212,8 +207,8 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
                 residue = span.add(v)
                 if residue is not None:
                     gens.append(vector_to_derivation(residue, n1, d, monos))
-                    (entries,) = integer_rows([residue])
-                    scaled.append((d, [(c // per, monos[c % per], a) for c, a in entries.items()]))
+                    terms = [(c // per, monos[c % per], a) for c, a in enumerate(residue) if a]
+                    scaled.append((d, terms))
                     fresh += 1
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
         if len(gens) > n1:

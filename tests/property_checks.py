@@ -5,10 +5,12 @@ asserts the invariant on every case, and returns the number of cases it
 actually exercised so callers can enforce a minimum volume.
 fraction_rref and fraction_kernel are plain Fraction Gauss-Jordan
 elimination that uses no arrcsm code, the reference for linalg's
-integer core.
+integer core; primitive scales their leading-1 vectors to the primitive
+integer vectors that the core returns.
 """
 
 from fractions import Fraction
+from math import lcm
 from random import Random
 
 from arrcsm.arrangement import Arrangement, parse
@@ -103,6 +105,19 @@ def fraction_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def primitive(v) -> list[int]:
+    """A Fraction vector with first nonzero entry 1, times the lcm of its denominators.
+
+    That is the primitive integer vector on its ray (gcd 1, first nonzero
+    entry positive): for each prime dividing the lcm, the entry with the
+    highest power of it in its denominator keeps a scaled numerator prime
+    to it.
+    """
+    assert next(x for x in v if x) == 1, v
+    scale = lcm(*(Fraction(x).denominator for x in v))
+    return [int(Fraction(x) * scale) for x in v]
+
+
 def reduction_kernel(arr: Arrangement, d: int) -> list[tuple[Fraction, ...]]:
     """D(A)_d from residues modulo each form, without point evaluation.
 
@@ -128,7 +143,8 @@ def assert_point_rows_match_reduction(arr: Arrangement) -> None:
     """_degree_kernel equals the residue oracle at every degree 0..|A|."""
     for d in range(arr.size + 1):
         monos = monomials_of_degree(arr.nvars, d)
-        assert _degree_kernel(arr, d, monos) == reduction_kernel(arr, d), (arr.forms, d)
+        expected = [primitive(v) for v in reduction_kernel(arr, d)]
+        assert _degree_kernel(arr, d, monos) == expected, (arr.forms, d)
 
 
 def point_rows_match_reduction(rng: Random, cases: int) -> int:

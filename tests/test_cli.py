@@ -3,6 +3,7 @@ import json
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -364,6 +365,17 @@ def test_oracle_point_bound_is_an_input_error(capsys):
     assert code == 2
     assert "error: oracle chart of 997^3 points exceeds the bound" in captured.err
     assert captured.out == ""
+
+
+def test_oracle_prime_bound_is_checked_before_trial_division(capsys):
+    started = time.perf_counter()
+    prime = "1000000000000000003"  # trial division would take about 10^9 steps
+    code = run(["lattice", "--input", str(CORPUS / "two_lines.arr"), "--primes", prime])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: oracle is restricted to primes up to 1000" in captured.err
+    assert elapsed < 0.5
 
 
 def test_main_entry(capsys):

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -18,13 +19,15 @@ from arrcsm.logder import (
     minimal_generators,
     vector_to_derivation,
 )
-from arrcsm.linalg import poly_det
+from arrcsm.linalg import IncrementalSpan, integer_kernel, integer_rows, poly_det
 from arrcsm.poly import MultiPoly, monomials_of_degree
 from property_checks import (
     derivation_to_vector,
     euler_field,
     fraction_kernel,
     freeness_of,
+    primitive,
+    reduction_kernel,
     scaled_by_monomial,
 )
 
@@ -196,7 +199,28 @@ def test_search_without_the_modular_kernel(monkeypatch):
     for arr in arrs:
         for d in range(4):
             kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
-            assert all(type(x) is Fraction for v in kernel for x in v), (arr.name, d)
+            assert kernel == [primitive(v) for v in reduction_kernel(arr, d)], (arr.name, d)
+
+
+@pytest.mark.parametrize("fallback", [False, True])
+def test_search_vectors_are_primitive_integer_vectors(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(linalg, "_modular_kernel", lambda rows, ncols: None)
+
+    def check(vectors):
+        assert vectors
+        for v in vectors:
+            assert type(v) is list and all(type(x) is int for x in v)
+            assert gcd(*v) == 1 and next(x for x in v if x) > 0
+
+    arr = parse_file(CORPUS / "near_pencil_5.arr")
+    for d in range(1, 4):
+        kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
+        check(kernel)
+        span = IncrementalSpan(len(kernel[0]))
+        check([residue for v in kernel if (residue := span.add(v)) is not None])
+    rows = integer_rows([[Fraction(1, 2), 3, 0, -1], [0, 2, 4, Fraction(2, 3)]])
+    check(integer_kernel(rows, 4))
 
 
 def test_kernel_entries_past_the_lift_bound_take_the_fallback(monkeypatch):
