@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .arrangement import Arrangement, LinearForm, ParseError, parse, parse_file
 from .chow import (
-    FormalClass,
     ProjectionCheck,
     SurfaceClass,
     VerificationReport,
@@ -46,7 +45,7 @@ from .logder import (
     log_derivation_space,
     minimal_generators,
 )
-from .poly import MultiPoly, monomials_of_degree, reduce_mod_linear
+from .poly import FormalClass, MultiPoly, monomials_of_degree, reduce_mod_linear
 
 __all__ = [
     "Arrangement",

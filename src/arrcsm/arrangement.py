@@ -86,9 +86,6 @@ class Arrangement:
     def rank(self) -> int:
         return len(rref_rows([f.coeffs for f in self.forms]))
 
-    def is_essential(self) -> bool:
-        return self.rank() == self.nvars
-
     def defining_polynomial(self) -> MultiPoly:
         """Product of the canonical forms; 1 for the empty arrangement."""
         q = MultiPoly.const(self.nvars, 1)

@@ -1,15 +1,13 @@
-"""Exact truncated class arithmetic and multi-route verification.
+"""Formal class identities and multi-route verification.
 
-Two small exact rings drive everything here.
+Classes on P^n live in poly.FormalClass, the one truncated class ring
+A*(P^n) = Q[h]/h^(n+1): the pencil and projection identities, the
+Tjurina route, and (in logder) the exponent product compute there.
 
-FormalClass: truncated power series in one divisor variable modulo
-X^(n+1), modeling classes on P^n (or formal identities in a divisor X).
-Inverses exist whenever the constant term is a unit.
-
-SurfaceClass: the Chow ring of P^2 blown up at k points, with basis
+SurfaceClass is the Chow ring of P^2 blown up at k points, with basis
 1, h, E_1..E_k, pt and intersection form h.h = pt, E_i.E_i = -pt,
-h.E_i = 0, E_i.E_j = 0; products of three divisors vanish.  k = 0 is
-the Chow ring of P^2 itself.
+h.E_i = 0, E_i.E_j = 0; products of three divisors vanish.  Only the
+blow-up route uses it, and pushforward_to_p2 brings its class down.
 
 On top of these sit the verification routes for the class of the
 logarithmic derivation bundle of a projective line arrangement:
@@ -34,86 +32,13 @@ from fractions import Fraction
 from .lattice import IntersectionLattice, csm_complement
 from .linalg import QMatrix
 from .logder import FreenessReport, chern_class_free
-from .poly import Scalar, render_terms
+from .poly import FormalClass, Scalar
 
 ROUTE_NAMES = ("lattice_csm", "exponent_product", "tjurina", "blowup_pushforward")
 
-
-@dataclass(frozen=True)
-class FormalClass:
-    """Truncated series sum coeffs[i] X^i modulo X^(order+1)."""
-
-    coeffs: tuple[Fraction, ...]
-
-    @classmethod
-    def make(cls, values, order: int) -> "FormalClass":
-        cs = [Fraction(v) for v in values][: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(tuple(cs))
-
-    @classmethod
-    def one(cls, order: int) -> "FormalClass":
-        return cls.make([1], order)
-
-    @classmethod
-    def x(cls, order: int, coef: Scalar = 1) -> "FormalClass":
-        return cls.make([0, coef], order)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
-
-    def __add__(self, other: "FormalClass") -> "FormalClass":
-        self._check(other)
-        return FormalClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "FormalClass") -> "FormalClass":
-        self._check(other)
-        return FormalClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "FormalClass | Scalar") -> "FormalClass":
-        if isinstance(other, FormalClass):
-            self._check(other)
-            n = self.order
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
-            return FormalClass(tuple(out))
-        c = Fraction(other)
-        return FormalClass(tuple(a * c for a in self.coeffs))
-
-    def __rmul__(self, other: Scalar) -> "FormalClass":
-        return self * other
-
-    def inverse(self) -> "FormalClass":
-        if not self.coeffs[0]:
-            raise ValueError("inverse needs a unit constant term")
-        n = self.order
-        inv0 = Fraction(1) / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc * inv0
-        return FormalClass(tuple(out))
-
-    def to_int_vector(self) -> tuple[int, ...]:
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise RuntimeError("internal consistency failure: non-integral class vector")
-        return tuple(int(c) for c in self.coeffs)
-
-    def render(self, var: str = "X") -> str:
-        return render_terms((c, [(var, i)]) for i, c in enumerate(self.coeffs))
-
-    def _check(self, other: "FormalClass") -> None:
-        if self.order != other.order:
-            raise ValueError("truncation order mismatch")
+# Largest truncation order n the formal identities accept: products take
+# n^2 steps on entries exponential in n, so an unbounded n is an unbounded run.
+MAX_ORDER = 100
 
 
 def verify_pencil_identity(m: int, n: int) -> tuple[bool, FormalClass, FormalClass]:
@@ -124,8 +49,8 @@ def verify_pencil_identity(m: int, n: int) -> tuple[bool, FormalClass, FormalCla
     derivation side is (1 - (m-2)X)/(1+X)^2.  Both omit the common
     c(TV) factor, which cancels.  Returns (equal, csm side, chern side).
     """
-    if m < 2 or n < 0:
-        raise ValueError("need m >= 2 and n >= 0")
+    if m < 2 or not 0 <= n <= MAX_ORDER:
+        raise ValueError(f"need m >= 2 and 0 <= n <= {MAX_ORDER}")
     one = FormalClass.one(n)
     x = FormalClass.x(n)
     inv1 = (one + x).inverse()
@@ -142,8 +67,8 @@ def verify_pencil_koszul(m: int, n: int) -> tuple[bool, FormalClass]:
     divisor gives c = (1+mX)(1-(m-2)X)/(1+X)^2.  Dividing out c(O(D))
     must reproduce the derivation-side class above.
     """
-    if m < 2 or n < 0:
-        raise ValueError("need m >= 2 and n >= 0")
+    if m < 2 or not 0 <= n <= MAX_ORDER:
+        raise ValueError(f"need m >= 2 and 0 <= n <= {MAX_ORDER}")
     one = FormalClass.one(n)
     x = FormalClass.x(n)
     inv1 = (one + x).inverse()
@@ -176,8 +101,8 @@ class ProjectionCheck:
 
 
 def projection_check(d: int, e: int, n: int) -> ProjectionCheck:
-    if d < 1 or e < 1 or n < 2:
-        raise ValueError("need d >= 1, e >= 1, n >= 2")
+    if d < 1 or e < 1 or not 2 <= n <= MAX_ORDER:
+        raise ValueError(f"need d >= 1, e >= 1, 2 <= n <= {MAX_ORDER}")
     one = FormalClass.one(n)
     h = FormalClass.x(n)
     x_cycle = d * h  # i_*[X]
@@ -188,11 +113,9 @@ def projection_check(d: int, e: int, n: int) -> ProjectionCheck:
     structure_capped = (one - d * h).inverse() * x_cycle
 
     # O_Y pulls back to the structure sheaf of the transverse slice;
-    # computed on X and pushed forward term by term it matches the cap.
-    transverse_pushed = FormalClass.make([0], n)
-    for k in range(n):  # h^k cap [X] survives for k <= dim X = n - 1
-        term = FormalClass.make([0] * (k + 1) + [Fraction(e) ** k * d], n)
-        transverse_pushed = transverse_pushed + term
+    # computed on X and pushed forward term by term it matches the cap:
+    # e^k h^k cap [X] = d e^k h^(k+1) survives for k <= dim X = n - 1.
+    transverse_pushed = FormalClass.make([0] + [d * e**k for k in range(n)], n)
     transverse_capped = (one - e * h).inverse() * x_cycle
 
     return ProjectionCheck(
@@ -322,26 +245,13 @@ def blowup_chern_snc(lat: IntersectionLattice) -> BlowupRoute:
     pts = singular_points(lat)
     centers = tuple(p for p in pts if p.multiplicity >= 3)
     k = len(centers)
-    chern_tangent = SurfaceClass(
-        Fraction(1),
-        Fraction(3),
-        (Fraction(-1),) * k,
-        Fraction(3 + k),
-    )
-    total = chern_tangent
-    for i in range(arr.size):
-        proper = SurfaceClass(
-            Fraction(0),
-            Fraction(1),
-            tuple(Fraction(-1) if i in c.lines else Fraction(0) for c in centers),
-            Fraction(0),
-        )
-        one_plus = SurfaceClass(Fraction(1), proper.h, proper.exc, proper.pt)
-        total = total * one_plus.inverse()
+    total = SurfaceClass.make(1, 3, (-1,) * k, 3 + k)  # c(T V-hat)
+    for i in range(arr.size):  # proper transform: h minus the E_j it passes through
+        exc = [-1 if i in c.lines else 0 for c in centers]
+        total = total * SurfaceClass.make(1, 1, exc).inverse()
     for j in range(k):
-        e_j = tuple(Fraction(1) if idx == j else Fraction(0) for idx in range(k))
-        one_plus = SurfaceClass(Fraction(1), Fraction(0), e_j, Fraction(0))
-        total = total * one_plus.inverse()
+        exc = [1 if idx == j else 0 for idx in range(k)]
+        total = total * SurfaceClass.make(1, 0, exc).inverse()
     return BlowupRoute(cls=total, centers=centers)
 
 
@@ -361,10 +271,10 @@ def tjurina_route(lat: IntersectionLattice) -> tuple[int, ...]:
         raise ValueError("Tjurina route needs at least one line")
     m = arr.size
     tau = sum((len(f.indices) - 1) ** 2 for f in lat.of_codim(2))
-    tangent = SurfaceClass.make(1, 3, (), 3)
-    divisor = SurfaceClass.make(1, m, (), 0)
-    correction = SurfaceClass.make(1, 0, (), -tau)
-    return pushforward_to_p2(tangent * divisor.inverse() * correction)
+    tangent = FormalClass.make([1, 3, 3], 2)
+    divisor = FormalClass.make([1, m], 2)
+    correction = FormalClass.make([1, 0, -tau], 2)
+    return (tangent * divisor.inverse() * correction).to_int_vector()
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from . import __version__
 from .arrangement import Arrangement, parse_file
 from .chow import (
     BlowupRoute,
-    FormalClass,
     ROUTE_NAMES,
     VerificationReport,
     projection_check,
@@ -58,16 +57,18 @@ from .logder import (
     degree_dimension,
     minimal_generators,
 )
+from .poly import FormalClass
 
 
 def _arrangement_payload(arr: Arrangement) -> dict:
+    rank = arr.rank()
     return {
         "name": arr.name,
         "variables": arr.nvars,
         "projective_dim": arr.projective_dim,
         "num_forms": arr.size,
-        "rank": arr.rank(),
-        "essential": arr.is_essential(),
+        "rank": rank,
+        "essential": rank == arr.nvars,
         "forms": [[str(c) for c in f.coeffs] for f in arr.forms],
         "warnings": list(arr.warnings),
     }

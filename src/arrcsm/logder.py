@@ -25,8 +25,8 @@ from math import prod
 from .arrangement import Arrangement, LinearForm
 from .linalg import IncrementalSpan, QMatrix, integer_kernel, integer_rows, intersect_spans
 from .linalg import _rref_mod_p, rref_rows
-from .poly import Monomial, MultiPoly, monomial_mul, monomials_of_degree, poly_divmod
-from .poly import reduce_mod_linear
+from .poly import FormalClass, Monomial, MultiPoly, monomial_mul, monomials_of_degree
+from .poly import poly_divmod, reduce_mod_linear
 
 
 @dataclass(frozen=True)
@@ -292,7 +292,7 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
     # so one of t = 0, ..., m*n leaves Q(x0), the product of the forms, nonzero
     for t in range(m * (n1 - 1) + 1):
         x0 = [t**j for j in range(n1)]
-        q_x0 = prod(_evaluate(f.poly(), x0) for f in arr.forms)
+        q_x0 = prod(sum(c * x for c, x in zip(f.coeffs, x0)) for f in arr.forms)
         if q_x0:
             break
     scalar = QMatrix([[_evaluate(c, x0) for c in g.coeffs] for g in gens]).det() / q_x0
@@ -325,14 +325,5 @@ def chern_class_free(freeness: FreenessReport) -> tuple[int, ...]:
             "internal consistency failure: free exponents contain no Euler slot"
         )
     exps.remove(1)
-    out = [Fraction(0)] * (n + 1)
-    out[0] = Fraction(1)
-    for e in exps:
-        shift = 1 - e
-        nxt = list(out)
-        for i in range(1, n + 1):
-            nxt[i] = out[i] + shift * out[i - 1]
-        out = nxt
-    if any(c.denominator != 1 for c in out):
-        raise RuntimeError("internal consistency failure: non-integral Chern class")
-    return tuple(int(c) for c in out)
+    factors = (FormalClass.make([1, 1 - e], n) for e in exps)
+    return prod(factors, start=FormalClass.one(n)).to_int_vector()

@@ -93,11 +93,12 @@ def test_defining_polynomial():
 
 
 def test_rank_and_essential():
-    assert parse(THREE_CONCURRENT).rank() == 2
-    assert not parse(THREE_CONCURRENT).is_essential()
+    concurrent = parse(THREE_CONCURRENT)
+    assert concurrent.rank() == 2
+    assert concurrent.rank() != concurrent.nvars
     boolean = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
     assert boolean.rank() == 3
-    assert boolean.is_essential()
+    assert boolean.rank() == boolean.nvars
     assert parse("vars 3\n").rank() == 0
 
 

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from arrcsm.arrangement import parse
+from arrcsm import chow
+from arrcsm.arrangement import parse, parse_file
 from arrcsm.chow import (
     ROUTE_NAMES,
     FormalClass,
@@ -29,6 +31,7 @@ BRAID = parse(
     "vars 3\n1 0 0\n0 1 0\n0 0 1\n1 -1 0\n1 0 -1\n0 1 -1\n", name="braid"
 )
 TETRAHEDRON = parse("vars 4\n1 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n", name="tetra")
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
 def test_formal_class_construction():
@@ -227,6 +230,29 @@ def test_tjurina_route_frozen():
         tjurina_route(build_lattice(EMPTY))
     with pytest.raises(ValueError):
         tjurina_route(build_lattice(TETRAHEDRON))
+
+
+class _NoBlowupRing:
+    """Stands in for SurfaceClass: any use of the blow-up ring fails."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"SurfaceClass.{name} used outside the blow-up route")
+
+    def __call__(self, *args, **kwargs):
+        raise AssertionError("SurfaceClass used outside the blow-up route")
+
+
+def test_tjurina_route_computes_in_the_formal_ring(monkeypatch):
+    # Tjurina and blow-up are compared with each other, so they share no class ring
+    monkeypatch.setattr(chow, "SurfaceClass", _NoBlowupRing())
+    checked = 0
+    for path in sorted(CORPUS.glob("*.arr")):
+        arr = parse_file(path)
+        if arr.nvars == 3 and arr.size:
+            lat = build_lattice(arr)
+            assert tjurina_route(lat) == csm_complement(lat), path.name
+            checked += 1
+    assert checked >= 9
 
 
 def test_route_names_constant():

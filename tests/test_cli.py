@@ -160,6 +160,18 @@ def test_projection(capsys):
     assert "expected True" in out
 
 
+@pytest.mark.parametrize("argv", [["example41", "--m", "3"], ["projection"]])
+def test_formal_order_is_bounded(capsys, argv):
+    started = time.perf_counter()
+    code = run([*argv, "--n", "101"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "n <= 100" in captured.err
+    assert captured.out == ""
+    assert elapsed < 1
+
+
 def test_projection_text_prints_the_json_strings(capsys):
     assert run(["projection", "--d", "2", "--e", "3", "--n", "3", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)["result"]
@@ -350,6 +362,23 @@ def test_only_the_cli_starts_the_shared_stages():
                 assert not any(
                     isinstance(d, ast.Constant) and d.value is None for d in defaults
                 ), f"{name}.{node.name} has an optional input"
+
+
+def test_json_run_computes_the_rank_once(monkeypatch, capsys):
+    from arrcsm.arrangement import Arrangement
+
+    calls = []
+    rank = Arrangement.rank
+
+    def counting(self):
+        calls.append(self.name)
+        return rank(self)
+
+    monkeypatch.setattr(Arrangement, "rank", counting)
+    assert run(["verify", "--input", str(THREE_CONC), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["arrangement"]
+    assert (doc["rank"], doc["essential"]) == (2, False)
+    assert len(calls) == 1
 
 
 def test_importing_the_cli_does_not_load_numpy():
