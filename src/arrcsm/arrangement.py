@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import MultiPoly
-from .linalg import rref_rows
+from .linalg import _insert, _integer_vector
 
 
 class ParseError(ValueError):
@@ -84,7 +84,8 @@ class Arrangement:
         return self.nvars - 1
 
     def rank(self) -> int:
-        return len(rref_rows([f.coeffs for f in self.forms]))
+        span: dict[int, list[int]] = {}
+        return sum(_insert(span, _integer_vector(f.coeffs)) is not None for f in self.forms)
 
     def defining_polynomial(self) -> MultiPoly:
         """Product of the canonical forms; 1 for the empty arrangement."""

@@ -39,6 +39,8 @@ ROUTE_NAMES = ("lattice_csm", "exponent_product", "tjurina", "blowup_pushforward
 # Largest truncation order n the formal identities accept: products take
 # n^2 steps on entries exponential in n, so an unbounded n is an unbounded run.
 MAX_ORDER = 100
+# Most digits of max(d, e)^(n+1), which bounds every projection entry, so all print as str.
+MAX_DIGITS = 4000
 
 
 def verify_pencil_identity(m: int, n: int) -> tuple[bool, FormalClass, FormalClass]:
@@ -103,6 +105,9 @@ class ProjectionCheck:
 def projection_check(d: int, e: int, n: int) -> ProjectionCheck:
     if d < 1 or e < 1 or not 2 <= n <= MAX_ORDER:
         raise ValueError(f"need d >= 1, e >= 1, 2 <= n <= {MAX_ORDER}")
+    bound = 10**MAX_DIGITS
+    if max(d, e) >= bound or max(d, e) ** (n + 1) >= bound:
+        raise ValueError(f"--d/--e too large: max(d, e)^(n+1) has over {MAX_DIGITS} digits")
     one = FormalClass.one(n)
     h = FormalClass.x(n)
     x_cycle = d * h  # i_*[X]

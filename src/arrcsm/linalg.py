@@ -6,7 +6,8 @@ integer rows are certified over Q.  Pivots are chosen by exact nonzero
 test (magnitude is irrelevant without rounding).  Kernel bases come out
 echelon-shaped, one vector per free column in ascending column order, so
 results are deterministic and directly comparable.  Determinants come in
-two kinds: QMatrix.det for scalars and poly_det for polynomials.
+two kinds: integer_det for integer matrices (Saito's check) and poly_det
+for polynomials, the reference the tests compare against.
 
 Every RREF over Q runs through one integer core.  It keeps
 a span as {pivot column: row}, each row a primitive integer vector: gcd
@@ -18,8 +19,7 @@ lattice.build_lattice all call it.  Kernel vectors and span residues are
 primitive integer vectors too (gcd 1, first nonzero entry positive).
 Fractions are made only where a result leaves the integers:
 _rational_rows divides each row by its pivot entry, and
-QMatrix.kernel_basis and logder.vector_to_derivation divide a vector by
-its leading entry.
+QMatrix.kernel_basis divides a vector by its leading entry.
 
 integer_kernel eliminates sparse integer rows modulo the prime
 p = 2^61 - 1 with plain ints, lifts the pivot entries back to Q by
@@ -57,6 +57,26 @@ def _eliminate(v: list[int], row: Sequence[int], col: int) -> list[int]:
     w = [p * a - c * b for a, b in zip(v, row)]
     g = gcd(*w)
     return [a // g for a in w] if g > 1 else w
+
+
+def integer_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by fraction-free elimination (Bareiss).
+
+    After step k each a[i][j] with i, j > k is a minor of the input
+    (Sylvester's identity), so every division by the previous pivot is exact.
+    """
+    a = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for k in range(len(a) - 1):
+        swap = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if swap is None:
+            return 0
+        if swap != k:
+            a[k], a[swap], sign = a[swap], a[k], -sign
+        for i in range(k + 1, len(a)):
+            a[i] = [(x * a[k][k] - a[i][k] * y) // prev for x, y in zip(a[i], a[k])]
+        prev = a[k][k]
+    return sign * a[-1][-1] if a else 1
 
 
 def _reduce(basis: dict[int, list[int]], v: list[int]) -> list[int]:
@@ -275,28 +295,6 @@ class QMatrix:
         """Basis of {v : M v = 0}: integer_kernel's vectors scaled to leading entry 1."""
         kernel = integer_kernel(integer_rows(self.entries), self.ncols)
         return [_rational(v, next(a for a in v if a)) for v in kernel]
-
-    def det(self) -> Fraction:
-        if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        work = [list(r) for r in self.entries]
-        sign = 1
-        result = Fraction(1)
-        for col in range(n):
-            pivot_row = next((i for i in range(col, n) if work[i][col]), None)
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != col:
-                work[col], work[pivot_row] = work[pivot_row], work[col]
-                sign = -sign
-            pivot = work[col][col]
-            result *= pivot
-            for i in range(col + 1, n):
-                if work[i][col]:
-                    factor = work[i][col] / pivot
-                    work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-        return result * sign
 
 
 class IncrementalSpan:

@@ -14,63 +14,64 @@ where the defining polynomial Q does not vanish: free if and only if
 c != 0 (a scalar determinant, no polynomial products or division).
 The search never needs degrees beyond the number of hyperplanes: a free
 module's exponents are nonnegative and sum to that number.
+
+A Derivation keeps the search's integer vector; multiples, rendering and
+Saito's integer determinant read it, and Fractions appear only in render,
+polys() (for the is_logarithmic* oracles) and the final Saito division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from math import prod
+from operator import itemgetter
 
-from .arrangement import Arrangement, LinearForm
-from .linalg import IncrementalSpan, QMatrix, integer_kernel, integer_rows, intersect_spans
+from .arrangement import Arrangement
+from .linalg import IncrementalSpan, integer_det, integer_kernel, integer_rows, intersect_spans
 from .linalg import _rref_mod_p, rref_rows
 from .poly import FormalClass, Monomial, MultiPoly, monomial_mul, monomials_of_degree
-from .poly import poly_divmod, reduce_mod_linear
+from .poly import poly_divmod, reduce_mod_linear, render_terms
 
 
 @dataclass(frozen=True)
 class Derivation:
-    """Homogeneous vector field; coeffs[j] multiplies d/dx_j."""
+    """Homogeneous vector field of one degree, as the search finds it.
 
-    coeffs: tuple[MultiPoly, ...]
+    terms are the (variable j, monomial, c) triples of the nonzero entries
+    of an integer vector in the search's (variable, monomial) layout, in
+    that order: j ascending, monomials descending deg-lex.  The field is
+    that vector divided by its first entry.
+    """
+
+    nvars: int
     degree: int
+    terms: tuple[tuple[int, Monomial, int], ...]
 
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
-
-    def apply_to_form(self, form: LinearForm) -> MultiPoly:
-        """theta(alpha) for a linear form: sum of lambda_j * theta_j."""
-        out = MultiPoly.zero(self.nvars)
-        for lam, c in zip(form.coeffs, self.coeffs):
-            if lam:
-                out = out + c.scale(lam)
-        return out
-
-    def apply_to_poly(self, f: MultiPoly) -> MultiPoly:
-        out = MultiPoly.zero(self.nvars)
-        for j, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                out = out + c * f.derivative(j)
-        return out
+    def polys(self) -> tuple[MultiPoly, ...]:
+        """theta_j, the coefficient of d/dx_j, for each j."""
+        lead = self.terms[0][2] if self.terms else 1
+        return tuple(
+            MultiPoly(self.nvars, {mono: Fraction(c, lead) for k, mono, c in self.terms if k == j})
+            for j in range(self.nvars)
+        )
 
     def render(self) -> str:
+        lead = self.terms[0][2] if self.terms else 1
+        names = [f"x{i}" for i in range(self.nvars)]
         pieces = [
-            f"({c.render()})*d/dx{j}" for j, c in enumerate(self.coeffs) if not c.is_zero()
+            f"({render_terms((Fraction(c, lead), zip(names, m)) for _, m, c in group)})*d/dx{j}"
+            for j, group in groupby(self.terms, key=itemgetter(0))
         ]
         return " + ".join(pieces) if pieces else "0"
 
 
 def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) -> Derivation:
-    """The derivation of a (variable, monomial) vector, scaled to leading coefficient 1."""
-    lead = next((c for c in vec if c), 1)
+    """The derivation of a (variable, monomial) integer vector, keeping its integers."""
     per = len(monos)
-    coeffs = tuple(
-        MultiPoly(nvars, {m: Fraction(c, lead) for m, c in zip(monos, vec[j * per:]) if c})
-        for j in range(nvars)
-    )
-    return Derivation(coeffs=coeffs, degree=degree)
+    terms = tuple((k // per, monos[k % per], c) for k, c in enumerate(vec) if c)
+    return Derivation(nvars, degree, terms)
 
 
 def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list[int]]:
@@ -113,10 +114,10 @@ def degree_dimension(arr: Arrangement, d: int) -> int:
 
 def is_logarithmic(der: Derivation, arr: Arrangement) -> bool:
     """Per-form membership test: theta(alpha) reduces to 0 mod alpha."""
+    coeffs = der.polys()
+    zero = MultiPoly.zero(der.nvars)
     for form in arr.forms:
-        value = der.apply_to_form(form)
-        if value.is_zero():
-            continue
+        value = sum((c.scale(lam) for lam, c in zip(form.coeffs, coeffs)), zero)
         if not reduce_mod_linear(value, form.poly()).is_zero():
             return False
     return True
@@ -126,9 +127,7 @@ def is_logarithmic_for_polynomial(der: Derivation, f: MultiPoly) -> bool:
     """Divisibility test theta(f) in (f) for an arbitrary polynomial f."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    value = der.apply_to_poly(f)
-    if value.is_zero():
-        return True
+    value = sum((c * f.derivative(j) for j, c in enumerate(der.polys())), MultiPoly.zero(f.nvars))
     return poly_divmod(value, f)[1].is_zero()
 
 
@@ -182,8 +181,6 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
     n1 = arr.nvars
     m = arr.size
     gens: list[Derivation] = []
-    # per generator: its degree and its primitive (variable, monomial, coefficient) terms
-    scaled: list[tuple[int, list[tuple[int, Monomial, int]]]] = []
     dims: dict[int, int] = {}
     log: list[str] = []
     exit_reason = "exhausted"
@@ -194,9 +191,9 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
         dims[d] = len(kernel)
         column = {mono: k for k, mono in enumerate(monos)}
         multiples = [
-            {j * per + column[monomial_mul(mono, shift)]: c for j, mono, c in terms}
-            for e, terms in scaled
-            for shift in monomials_of_degree(n1, d - e)
+            {j * per + column[monomial_mul(mono, shift)]: c for j, mono, c in g.terms}
+            for g in gens
+            for shift in monomials_of_degree(n1, d - g.degree)
         ]
         fresh = 0
         if len(multiples) < dims[d] or len(_rref_mod_p(multiples)) < dims[d]:
@@ -207,8 +204,6 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
                 residue = span.add(v)
                 if residue is not None:
                     gens.append(vector_to_derivation(residue, n1, d, monos))
-                    terms = [(c // per, monos[c % per], a) for c, a in enumerate(residue) if a]
-                    scaled.append((d, terms))
                     fresh += 1
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
         if len(gens) > n1:
@@ -241,11 +236,6 @@ class FreenessReport:
     generators: tuple[Derivation, ...]
     reason: str | None
     search_log: tuple[str, ...]
-
-
-def _evaluate(poly: MultiPoly, point: list[int]) -> Fraction:
-    """poly at an integer point."""
-    return sum((c * prod(map(pow, point, mono)) for mono, c in poly.terms()), Fraction(0))
 
 
 def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
@@ -295,7 +285,12 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
         q_x0 = prod(sum(c * x for c, x in zip(f.coeffs, x0)) for f in arr.forms)
         if q_x0:
             break
-    scalar = QMatrix([[_evaluate(c, x0) for c in g.coeffs] for g in gens]).det() / q_x0
+    # row i is the integer vector of theta_i at x0; theta_i is it over its first entry
+    rows = [[0] * n1 for _ in gens]
+    for row, g in zip(rows, gens):
+        for j, mono, c in g.terms:
+            row[j] += c * prod(map(pow, x0, mono))
+    scalar = Fraction(integer_det(rows), q_x0 * prod(g.terms[0][2] for g in gens))
     if not scalar:
         return failed("Saito determinant vanishes")
     log.append(f"free: Saito determinant = {scalar} * defining polynomial")

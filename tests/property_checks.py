@@ -5,7 +5,7 @@ asserts the invariant on every case, and returns the number of cases it
 actually exercised so callers can enforce a minimum volume.
 fraction_rref and fraction_kernel are plain Fraction Gauss-Jordan
 elimination that uses no arrcsm code, the reference for linalg's
-integer core; primitive scales their leading-1 vectors to the primitive
+integer core, and fraction_det is the same for integer_det; primitive scales their leading-1 vectors to the primitive
 integer vectors that the core returns.
 """
 
@@ -16,7 +16,7 @@ from random import Random
 from arrcsm.arrangement import Arrangement, parse
 from arrcsm.chow import VerificationReport, verify_arrangement
 from arrcsm.lattice import build_lattice
-from arrcsm.linalg import QMatrix
+from arrcsm.linalg import QMatrix, integer_det
 from arrcsm.logder import (
     Derivation,
     FreenessReport,
@@ -28,7 +28,7 @@ from arrcsm.logder import (
     log_derivation_space,
     minimal_generators,
 )
-from arrcsm.poly import MultiPoly, monomials_of_degree, reduce_mod_linear
+from arrcsm.poly import MultiPoly, monomial_mul, monomials_of_degree, reduce_mod_linear
 
 
 def arrangement_text(nvars: int, rows) -> str:
@@ -105,6 +105,24 @@ def fraction_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     return basis
 
 
+def fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction, the reference for integer_det."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(work)):
+        pivot = next((i for i in range(col, len(work)) if work[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        det *= work[col][col]
+        for i in range(col + 1, len(work)):
+            factor = work[i][col] / work[col][col]
+            work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
+    return det
+
+
 def primitive(v) -> list[int]:
     """A Fraction vector with first nonzero entry 1, times the lcm of its denominators.
 
@@ -170,40 +188,26 @@ def verify(arr: Arrangement) -> VerificationReport:
 def euler_field(nvars: int) -> Derivation:
     """The Euler derivation sum x_j d/dx_j, of degree 1."""
     return Derivation(
-        coeffs=tuple(
-            MultiPoly.linear_form([int(k == j) for k in range(nvars)]) for j in range(nvars)
-        ),
-        degree=1,
+        nvars, 1, tuple((j, tuple(int(k == j) for k in range(nvars)), 1) for j in range(nvars))
     )
 
 
 def scaled_by_monomial(theta: Derivation, mono: tuple[int, ...]) -> Derivation:
-    """theta times the monomial with exponents mono."""
-    m = MultiPoly(theta.nvars, {mono: 1})
-    return Derivation(
-        coeffs=tuple(c * m for c in theta.coeffs), degree=theta.degree + sum(mono)
-    )
+    """theta times the monomial with exponents mono (deg-lex order is multiplicative)."""
+    terms = tuple((j, monomial_mul(m, mono), c) for j, m, c in theta.terms)
+    return Derivation(theta.nvars, theta.degree + sum(mono), terms)
 
 
 def derivation_to_vector(theta: Derivation, monos) -> tuple[Fraction, ...]:
     """theta's coefficients in the (variable, monomial) layout of the kernels."""
-    return tuple(theta.coeffs[j].coefficient(m) for j in range(theta.nvars) for m in monos)
-
-
-def random_poly(rng: Random, nvars: int, degree: int) -> MultiPoly:
-    terms = {}
-    for mono in monomials_of_degree(nvars, degree):
-        c = rng.randint(-2, 2)
-        if c:
-            terms[mono] = Fraction(c)
-    return MultiPoly(nvars, terms)
+    return tuple(c.coefficient(m) for c in theta.polys() for m in monos)
 
 
 def random_derivation(rng: Random, nvars: int, degree: int) -> Derivation:
-    return Derivation(
-        coeffs=tuple(random_poly(rng, nvars, degree) for _ in range(nvars)),
-        degree=degree,
-    )
+    """Integer entries in -2..2 in the search's (variable, monomial) order; some blocks empty."""
+    monos = monomials_of_degree(nvars, degree)
+    entries = [(j, m, rng.randint(-2, 2)) for j in range(nvars) for m in monos]
+    return Derivation(nvars, degree, tuple(t for t in entries if t[2]))
 
 
 def mobius_alternation(rng: Random, cases: int) -> int:
@@ -298,3 +302,39 @@ def kernel_rank_exactness(rng: Random, cases: int) -> int:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.entries)
         done += 1
     return done
+
+
+def integer_det_matches_fraction_det(rng: Random, cases: int) -> int:
+    """Bareiss's integer determinant equals Gaussian elimination over Fraction.
+
+    Entries are zero half the time, so pivots are often zero and need a
+    row swap, and some matrices repeat a row, so they are singular.
+    """
+    done = 0
+    for _ in range(cases):
+        n = rng.randint(0, 5)
+        rows = [[rng.choice([0, rng.randint(-9, 9)]) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:
+            rows[rng.randrange(n)] = list(rng.choice(rows))
+        assert integer_det(rows) == fraction_det(rows), rows
+        done += 1
+    return done
+
+
+def derivation_render_matches_polys(rng: Random, cases: int) -> int:
+    """Derivation.render() is the rendering of its polys(), block by block.
+
+    random_derivation gives a negative first entry (every coefficient
+    then flips sign) and empty d/dx_j blocks; both must turn up.
+    """
+    negative = empty = 0
+    for _ in range(cases):
+        nvars = rng.choice([1, 2, 3])
+        theta = random_derivation(rng, nvars, rng.choice([0, 1, 2]))
+        polys = theta.polys()
+        pieces = [f"({c.render()})*d/dx{j}" for j, c in enumerate(polys) if not c.is_zero()]
+        assert theta.render() == (" + ".join(pieces) if pieces else "0"), theta
+        negative += bool(theta.terms) and theta.terms[0][2] < 0
+        empty += any(c.is_zero() for c in polys)
+    assert negative and empty
+    return cases

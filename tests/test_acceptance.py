@@ -152,7 +152,7 @@ def test_criterion_05_freeness_decisions():
         if want is not None:
             if rep.exponents != want:
                 failures.append(f"{name}: exponents {rep.exponents} != {want}")
-            mat = [list(g.coeffs) for g in rep.generators]
+            mat = [list(g.polys()) for g in rep.generators]
             det = poly_det(mat)
             if det != arr.defining_polynomial().scale(rep.saito_scalar):
                 failures.append(f"{name}: Saito determinant mismatch")

@@ -172,6 +172,31 @@ def test_formal_order_is_bounded(capsys, argv):
     assert elapsed < 1
 
 
+def test_projection_rejects_huge_degrees_before_any_arithmetic(capsys):
+    # 10^100 with n = 100: entries of 10,000 digits, past Python's int-to-str limit
+    big = str(10**100)
+    started = time.perf_counter()
+    code = run(["projection", "--d", big, "--e", big, "--n", "100", "--json"])
+    elapsed = time.perf_counter() - started
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: --d/--e too large" in captured.err
+    assert "int_max_str_digits" not in captured.err
+    assert captured.out == ""
+    assert elapsed < 1
+
+
+def test_projection_at_the_digit_bound(capsys):
+    # (10^1000 - 1)^4 has 4000 digits, 10^4000 has 4001
+    edge = 10**1000 - 1
+    assert run(["projection", "--d", str(edge), "--e", "2", "--n", "3", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["result"]
+    assert doc["structure_sheaf"]["capped"] == ["0", str(edge), str(edge**2), str(edge**3)]
+    assert doc["as_expected"] is True
+    assert run(["projection", "--d", "2", "--e", str(edge + 1), "--n", "3", "--json"]) == 2
+    assert "error: --d/--e too large" in capsys.readouterr().err
+
+
 def test_projection_text_prints_the_json_strings(capsys):
     assert run(["projection", "--d", "2", "--e", "3", "--n", "3", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)["result"]

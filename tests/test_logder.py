@@ -45,10 +45,12 @@ RANK2 = parse("vars 2\n1 0\n0 1\n1 1\n")
 def test_euler_derivation():
     e = euler_field(3)
     assert e.degree == 1
-    assert e.coeffs[0] == MultiPoly.linear_form([1, 0, 0])
+    coeffs = e.polys()
+    assert coeffs[0] == MultiPoly.linear_form([1, 0, 0])
     q = BOOLEAN.defining_polynomial()
     # Euler applied to a degree-3 homogeneous polynomial gives 3 * it
-    assert e.apply_to_poly(q) == q.scale(3)
+    applied = sum((c * q.derivative(j) for j, c in enumerate(coeffs)), MultiPoly.zero(3))
+    assert applied == q.scale(3)
 
 
 def test_degree_dimensions_boolean():
@@ -77,7 +79,7 @@ def test_basis_members_are_logarithmic():
 def test_vector_round_trip():
     monos = monomials_of_degree(3, 2)
     for theta in log_derivation_space(THREE_CONC, 2):
-        vec = derivation_to_vector(theta, monos)
+        vec = primitive(derivation_to_vector(theta, monos))
         again = vector_to_derivation(vec, 3, 2, monos)
         assert again == theta
 
@@ -131,11 +133,12 @@ def test_free_reports_include_euler_slot():
 
 def test_saito_determinant_rank2():
     # (1, t) lies on a line of the second arrangement for t = 0, 1 and 2, so
-    # its scalar is read at t = 3
-    for arr in (RANK2, parse("vars 2\n0 1\n1 -1\n2 -1\n")):
+    # its scalar is read at t = 3; the third one's second generator is its
+    # integer vector over a first entry of 2, so c needs that division
+    for arr in (RANK2, parse("vars 2\n0 1\n1 -1\n2 -1\n"), parse("vars 2\n1 -2\n0 1\n1 1\n")):
         report = decide_freeness(arr, minimal_generators(arr))
         assert report.free
-        mat = [list(theta.coeffs) for theta in report.generators]
+        mat = [list(theta.polys()) for theta in report.generators]
         det = poly_det(mat)
         q = arr.defining_polynomial()
         assert det == q.scale(report.saito_scalar)
@@ -159,7 +162,7 @@ def test_saito_rejects_degenerate_generators():
     _, g1, g2 = report.generators
     fake = scaled_by_monomial(g1, (1, 0, 0))
     assert is_logarithmic(fake, BOOLEAN)
-    mat = [list(fake.coeffs), list(g1.coeffs), list(g2.coeffs)]
+    mat = [list(fake.polys()), list(g1.polys()), list(g2.polys())]
     assert poly_det(mat) == MultiPoly.zero(3)
 
 

@@ -8,7 +8,9 @@ from arrcsm.arrangement import parse
 from property_checks import (
     arrangement_text,
     assert_point_rows_match_reduction,
+    derivation_render_matches_polys,
     euler_membership,
+    integer_det_matches_fraction_det,
     intersection_der,
     kernel_rank_exactness,
     mobius_alternation,
@@ -39,6 +41,14 @@ def test_kernel_rank_exactness():
 
 def test_point_rows_match_reduction():
     assert point_rows_match_reduction(Random(606), 30) == 30
+
+
+def test_integer_det_matches_fraction_det():
+    assert integer_det_matches_fraction_det(Random(707), 200) == 200
+
+
+def test_derivation_render_matches_polys():
+    assert derivation_render_matches_polys(Random(808), 200) == 200
 
 
 coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
