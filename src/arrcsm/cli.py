@@ -10,11 +10,18 @@ Each subcommand is one entry of HANDLERS: a handler that computes only
 the stages its command reads, each of them once (report builds one
 lattice and runs one derivation search), and returns the JSON result
 with the exit code; and a text renderer that prints the report from
-that result alone.  Only the handlers and corpus_runner call
-build_lattice, minimal_generators and decide_freeness; every stage in
-lattice, logder and chow takes the results it reads.  run() does the
-shared work once: parse the input, print warnings, emit JSON, turn
-errors into exit codes.
+that result alone.  Only the handlers, corpus_runner and
+_guided_freeness call build_lattice, minimal_generators and
+decide_freeness; every stage in lattice, logder and chow takes the
+results it reads.  run() does the shared work once: parse the input,
+print warnings, emit JSON, turn errors into exit codes.
+
+verify and corpus print only the freeness verdict and the exponents, so
+their search walks only the roots of chi(A, t) when it splits over the
+nonnegative integers, and runs the full walk after it only when that
+walk does not certify freeness (_guided_freeness); freeness,
+derivations and report print the per-degree search, so they keep the
+full walk.
 
 Exit codes: 0 success / verified, 1 a verification failed, 2 input error,
 3 internal error (a consistency check inside arrcsm failed).
@@ -45,6 +52,7 @@ from .lattice import (
     build_lattice,
     char_poly,
     csm_complement,
+    integer_roots,
     point_count_oracle,
     poly_eval_int,
     reduced_char_poly,
@@ -179,6 +187,30 @@ def _verify_payload(vr: VerificationReport) -> dict:
     }
 
 
+def _full_search(arr: Arrangement) -> GradedBasis:
+    return minimal_generators(arr, range(arr.size + 1))
+
+
+def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessReport:
+    """Saito's decision from a search over the roots of chi only, when that certifies freeness.
+
+    If A is free, its exponents are the roots of chi(A, t) (Terao's
+    factorization, Orlik & Terao Thm 4.137), so the walk over the distinct
+    roots finds the generators, the exponents and the scalar of the full
+    walk.  A free verdict on that walk is certified by Saito's criterion
+    alone (Orlik & Terao, Prop. 4.12), since exponents are unique; any
+    other outcome, or a chi that does not split over the nonnegative
+    integers, falls back to the full walk.  The verdict is never read off
+    chi.
+    """
+    roots = integer_roots(char_poly(lat))
+    if roots is not None:
+        guided = decide_freeness(arr, minimal_generators(arr, sorted(set(roots))))
+        if guided.free:
+            return guided
+    return decide_freeness(arr, _full_search(arr))
+
+
 def _is_internal(exc: RuntimeError) -> bool:
     return str(exc).startswith("internal consistency failure")
 
@@ -193,8 +225,8 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
     for path in sorted(directory.glob("*.arr")):
         try:
             arr = parse_file(path)
-            freeness = decide_freeness(arr, minimal_generators(arr))
-            vr = verify_arrangement(build_lattice(arr), freeness)
+            lat = build_lattice(arr)
+            vr = verify_arrangement(lat, _guided_freeness(arr, lat))
         except (OSError, ValueError) as exc:  # ParseError is a ValueError
             entries.append({"file": path.name, "status": "error", "message": str(exc)})
             continue
@@ -315,17 +347,17 @@ def _csm(args, arr):
 
 
 def _derivations(args, arr):
-    return _derivations_payload(arr, minimal_generators(arr), args.max_degree), 0
+    return _derivations_payload(arr, _full_search(arr), args.max_degree), 0
 
 
 def _freeness(args, arr):
-    return _freeness_payload(decide_freeness(arr, minimal_generators(arr))), 0
+    return _freeness_payload(decide_freeness(arr, _full_search(arr))), 0
 
 
 def _verify(args, arr):
     lat = build_lattice(arr)
     # the routes get a second lattice: perfbench/test_bench.py pins 2 builds per verify
-    vr = verify_arrangement(build_lattice(arr), decide_freeness(arr, minimal_generators(arr)))
+    vr = verify_arrangement(build_lattice(arr), _guided_freeness(arr, lat))
     result = _verify_payload(vr)
     oracle_ok = _add_oracle(result, lat, args.primes)
     return result, 0 if (vr.passed and oracle_ok) else 1
@@ -333,7 +365,7 @@ def _verify(args, arr):
 
 def _report(args, arr):
     lat = build_lattice(arr)
-    graded = minimal_generators(arr)
+    graded = _full_search(arr)
     freeness = decide_freeness(arr, graded)
     vr = verify_arrangement(lat, freeness)
     result = {

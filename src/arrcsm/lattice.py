@@ -132,23 +132,40 @@ def poly_from_roots(roots) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-def divide_by_t_minus_1(coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """Exact quotient by (t - 1); raises if (t - 1) is not a factor."""
-    if poly_eval_int(coeffs, 1) != 0:
-        raise ValueError("polynomial is not divisible by (t - 1)")
+def divide_by_t_minus(coeffs: tuple[int, ...], r: int) -> tuple[int, ...]:
+    """Exact quotient by (t - r), by synthetic division; raises if (t - r) is not a factor."""
+    if poly_eval_int(coeffs, r) != 0:
+        raise ValueError(f"polynomial is not divisible by (t - {r})")
     out = [0] * (len(coeffs) - 1)
     carry = 0
     for i in range(len(coeffs) - 1, 0, -1):
-        carry += coeffs[i]
+        carry = carry * r + coeffs[i]
         out[i - 1] = carry
     return tuple(out)
+
+
+def integer_roots(chi: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Nonnegative integer roots of chi, ascending with multiplicity; None unless chi splits so.
+
+    chi has ascending coefficients.  If chi = prod (t - r_i), the r_i sum
+    to minus its coefficient of t^(deg - 1), so nonnegative roots lie in
+    0 .. -chi[-2].  Dividing out every root found there leaves 1 exactly
+    when chi is monic and splits into them.
+    """
+    roots: list[int] = []
+    rest = chi
+    for r in range(-chi[-2] + 1 if len(chi) > 1 else 0):
+        while len(rest) > 1 and poly_eval_int(rest, r) == 0:
+            rest = divide_by_t_minus(rest, r)
+            roots.append(r)
+    return tuple(roots) if rest == (1,) else None
 
 
 def reduced_char_poly(lat: IntersectionLattice) -> tuple[int, ...]:
     """chi(A, t) / (t - 1); defined for nonempty arrangements."""
     if lat.arrangement.size == 0:
         raise ValueError("reduced characteristic polynomial needs at least one hyperplane")
-    return divide_by_t_minus_1(char_poly(lat))
+    return divide_by_t_minus(char_poly(lat), 1)
 
 
 def render_poly_in_t(coeffs: tuple[int, ...], var: str = "t") -> str:

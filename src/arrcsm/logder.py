@@ -12,8 +12,12 @@ rows that evaluate at lattice points of each hyperplane (_degree_kernel),
 then read the scalar c in det M(theta) = c * Q off one integer point
 where the defining polynomial Q does not vanish: free if and only if
 c != 0 (a scalar determinant, no polynomial products or division).
-The search never needs degrees beyond the number of hyperplanes: a free
-module's exponents are nonnegative and sum to that number.
+The search walks the degrees it is given.  The full walk is 0..|A|: a
+free module's exponents are nonnegative and sum to |A|.  By Terao's
+factorization (Orlik & Terao, Thm 4.137) the exponents of a free A are
+the roots of chi(A, t), so a walk over those roots alone finds the same
+generators; whatever a shorter walk finds, Saito's criterion certifies
+or rejects on its own.
 
 A Derivation keeps the search's integer vector; multiples, rendering and
 Saito's integer determinant read it, and Fractions appear only in render,
@@ -22,6 +26,7 @@ polys() (for the is_logarithmic* oracles) and the final Saito division.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -155,7 +160,7 @@ def intersection_property_check(arr: Arrangement, d: int) -> bool:
 
 @dataclass
 class GradedBasis:
-    """Degree-by-degree picture of D(A) up to the search bound."""
+    """Degree-by-degree picture of D(A) at the degrees the search walked."""
 
     dimensions: dict[int, int]
     generators: tuple[Derivation, ...]
@@ -167,8 +172,12 @@ class GradedBasis:
         return tuple(g.degree for g in self.generators)
 
 
-def minimal_generators(arr: Arrangement) -> GradedBasis:
-    """Minimal homogeneous generators of D(A), searched through degree |A|.
+def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
+    """Minimal homogeneous generators of D(A), searched in the given ascending degrees.
+
+    range(arr.size + 1) is the full walk, through degree |A|.  A walk
+    that skips a degree holding a generator misses it, and its later
+    degrees then count that generator's multiples as new generators.
 
     At each degree the span of monomial multiples of earlier generators
     is built first; new generators are an echelon-canonical complement
@@ -184,7 +193,8 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
     dims: dict[int, int] = {}
     log: list[str] = []
     exit_reason = "exhausted"
-    for d in range(m + 1):
+    walked = list(degrees)
+    for d in walked:
         monos = monomials_of_degree(n1, d)
         per = len(monos)
         kernel = _degree_kernel(arr, d, monos)
@@ -219,7 +229,9 @@ def minimal_generators(arr: Arrangement) -> GradedBasis:
             )
             break
     else:
-        log.append(f"search exhausted degrees 0..{m}")
+        contiguous = walked and walked == list(range(walked[0], walked[-1] + 1))
+        shown = f"{walked[0]}..{walked[-1]}" if contiguous else ", ".join(map(str, walked))
+        log.append(f"search exhausted degrees {shown}")
     return GradedBasis(
         dimensions=dims,
         generators=tuple(gens),
@@ -239,7 +251,7 @@ class FreenessReport:
 
 
 def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
-    """Saito's criterion on the generators that minimal_generators(arr) found.
+    """Saito's criterion on the generators that minimal_generators(arr, degrees) found.
 
     Saito's lemma (Orlik & Terao, Arrangements of Hyperplanes, Prop. 4.12):
     for theta_0, ..., theta_n in D(A), the defining polynomial Q divides

@@ -177,7 +177,7 @@ def point_rows_match_reduction(rng: Random, cases: int) -> int:
 
 def freeness_of(arr: Arrangement) -> FreenessReport:
     """Saito's criterion on a fresh generator search of arr."""
-    return decide_freeness(arr, minimal_generators(arr))
+    return decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
 
 
 def verify(arr: Arrangement) -> VerificationReport:

@@ -7,8 +7,15 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrcsm import cli
+from arrcsm.arrangement import parse, parse_file
 from arrcsm.cli import corpus_runner, main, run
+from arrcsm.lattice import build_lattice
+from arrcsm.logder import decide_freeness, minimal_generators
+from property_checks import arrangement_text
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "corpus"
@@ -373,6 +380,96 @@ def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searc
     assert run([argv[0], "--input", str(target), "--json", *argv[1:]]) == 0
     capsys.readouterr()
     assert stage_calls == {"build_lattice": builds, "minimal_generators": searches}
+
+
+# Non-free, although chi = (t - 1)(t - 3)^2 splits: the walk over its roots
+# overflows at degree 3, and the full walk finds 4 generators by degree 5.
+SPLIT_NOT_FREE = "vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n"
+
+
+def _assert_guided_equals_full(arr):
+    guided = cli._guided_freeness(arr, build_lattice(arr))
+    full = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
+    assert (guided.free, guided.exponents, guided.saito_scalar, guided.reason) == (
+        full.free, full.exponents, full.saito_scalar, full.reason), arr.forms
+    assert [g.render() for g in guided.generators] == [g.render() for g in full.generators]
+    if not full.free:  # the fallback is the full walk itself
+        assert guided == full
+
+
+@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.arr")), ids=lambda p: p.stem)
+def test_guided_freeness_equals_the_full_walk_on_the_corpus(path):
+    _assert_guided_equals_full(parse_file(path))
+
+
+def _near_pencil(m):
+    """m - 2 lines x1 + s*x2 and x2 = 0 through (1 : 0 : 0), and x0 = 0."""
+    rows = [(0, 1, s) for s in range(m - 2)] + [(0, 0, 1), (1, 0, 0)]
+    return parse(arrangement_text(3, rows))
+
+
+def _braid(k):
+    """x_i - x_j for 0 <= i < j <= k, in k + 1 coordinates."""
+    rows = [
+        tuple(1 if c == i else -1 if c == j else 0 for c in range(k + 1))
+        for i in range(k + 1) for j in range(i + 1, k + 1)
+    ]
+    return parse(arrangement_text(k + 1, rows))
+
+
+@pytest.mark.parametrize(
+    "arr,exponents",
+    [(_near_pencil(m), (1, 1, m - 2)) for m in range(4, 13)]
+    + [(_braid(3), (0, 1, 2, 3)), (_braid(4), (0, 1, 2, 3, 4))],
+    ids=[f"near_pencil_{m}" for m in range(4, 13)] + ["braid_A3", "braid_A4"],
+)
+def test_guided_freeness_equals_the_full_walk_on_free_families(arr, exponents):
+    assert cli._guided_freeness(arr, build_lattice(arr)).exponents == exponents
+    _assert_guided_equals_full(arr)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3).filter(any), min_size=3, max_size=8))
+def test_guided_freeness_equals_the_full_walk_on_random_lines(rows):
+    _assert_guided_equals_full(parse(arrangement_text(3, rows)))
+
+
+def test_split_chi_of_a_non_free_arrangement_falls_back(stage_calls, tmp_path, capsys):
+    path = tmp_path / "split_not_free.arr"
+    path.write_text(SPLIT_NOT_FREE, encoding="utf-8")
+    assert run(["verify", "--input", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)["result"]
+    # the guided search, then the full walk; the second build is the routes'
+    assert stage_calls == {"build_lattice": 2, "minimal_generators": 2}
+    assert doc["free"] is False
+    assert doc["exponents"] is None
+    assert run(["freeness", "--input", str(path), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["result"]["free"] is False
+    _assert_guided_equals_full(parse(SPLIT_NOT_FREE))
+
+
+@pytest.mark.parametrize(
+    "name,wrong_roots",
+    [
+        ("near_pencil_5", (1, 2, 2)),  # misses the exponent 3: the walk exhausts
+        ("near_pencil_5", (1, 2, 3)),  # a superset of the exponents
+        ("near_pencil_5", (0, 0, 5)),  # degree 5 alone: the walk overflows
+        ("near_pencil_5", (2, 3)),  # misses the exponent 1: the walk overflows
+        ("split_not_free", (1, 2, 4)),
+        ("split_not_free", (2, 5)),
+        ("split_not_free", (0, 1, 6)),
+    ],
+)
+def test_a_wrong_root_hint_never_changes_verify(monkeypatch, tmp_path, capsys, name, wrong_roots):
+    path = CORPUS / f"{name}.arr"
+    if name == "split_not_free":
+        path = tmp_path / f"{name}.arr"
+        path.write_text(SPLIT_NOT_FREE, encoding="utf-8")
+    assert run(["verify", "--input", str(path), "--json"]) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(cli, "integer_roots", lambda chi: wrong_roots)
+    assert run(["verify", "--input", str(path), "--json"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_only_the_cli_starts_the_shared_stages():

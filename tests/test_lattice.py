@@ -2,10 +2,12 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arrcsm.arrangement import parse, parse_file
 from arrcsm.lattice import (
@@ -13,7 +15,8 @@ from arrcsm.lattice import (
     build_lattice,
     char_poly,
     csm_complement,
-    divide_by_t_minus_1,
+    divide_by_t_minus,
+    integer_roots,
     point_count_oracle,
     poly_eval_int,
     poly_from_roots,
@@ -89,10 +92,51 @@ def test_poly_helpers():
     assert poly_from_roots([]) == (1,)
     assert poly_from_roots([2, 3]) == (6, -5, 1)
     with pytest.raises(ValueError):
-        divide_by_t_minus_1((1, 1))  # t + 1 is not divisible by t - 1
-    assert divide_by_t_minus_1((-1, 0, 1)) == (1, 1)
+        divide_by_t_minus((1, 1), 1)  # t + 1 is not divisible by t - 1
+    assert divide_by_t_minus((-1, 0, 1), 1) == (1, 1)
     assert render_poly_in_t((0, -2, 1)) == "t^2 - 2*t"
     assert render_poly_in_t((1,)) == "1"
+
+
+def test_division_by_t_minus_r():
+    assert divide_by_t_minus(poly_from_roots([3, 2, 2]), 2) == poly_from_roots([3, 2])
+    assert divide_by_t_minus(poly_from_roots([0, 5]), 0) == poly_from_roots([5])
+    with pytest.raises(ValueError):
+        divide_by_t_minus(poly_from_roots([3, 2]), 1)
+
+
+def test_reduced_char_poly_times_t_minus_1_is_chi():
+    for path in sorted(CORPUS.glob("*.arr")):
+        lat = build_lattice(parse_file(path))
+        reduced = reduced_char_poly(lat)
+        times_t = (0, *reduced)
+        assert tuple(a - b for a, b in zip(times_t, reduced + (0,))) == char_poly(lat), path.stem
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(st.integers(0, 9), max_size=6))
+def test_integer_roots_round_trip(roots):
+    assert integer_roots(poly_from_roots(roots)) == tuple(sorted(roots))
+
+
+def test_integer_roots_of_arrangements():
+    assert integer_roots(char_poly(build_lattice(BOOLEAN))) == (1, 1, 1)
+    assert integer_roots(char_poly(build_lattice(THREE_CONC))) == (0, 1, 2)
+    assert integer_roots(char_poly(build_lattice(EMPTY))) == (0, 0, 0)
+    assert integer_roots(char_poly(build_lattice(parse("vars 5\n")))) == (0,) * 5
+    # four generic lines: (t - 1)(t^2 - 3t + 3) has no real root but 1
+    four_generic = char_poly(build_lattice(parse_file(CORPUS / "four_generic.arr")))
+    assert four_generic == (-3, 6, -4, 1)
+    assert integer_roots(four_generic) is None
+    assert integer_roots(char_poly(build_lattice(parse_file(CORPUS / "generic5_p3.arr")))) is None
+    for m in range(4, 12):  # m generic lines: chi(1) = 0 fixes the constant term
+        generic = (m - 1 - comb(m, 2), comb(m, 2), -m, 1)
+        assert poly_eval_int(generic, 1) == 0
+        assert integer_roots(generic) is None, m
+    # not monic, negative roots, and a sum of roots below zero
+    assert integer_roots((-2, 2)) is None
+    assert integer_roots(poly_from_roots([-1, 2])) is None
+    assert integer_roots(poly_from_roots([-3, 1])) is None
 
 
 def test_csm_frozen_vectors():

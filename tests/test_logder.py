@@ -85,14 +85,14 @@ def test_vector_round_trip():
 
 
 def test_minimal_generators_boolean():
-    graded = minimal_generators(BOOLEAN)
+    graded = minimal_generators(BOOLEAN, range(BOOLEAN.size + 1))
     assert graded.generator_degrees == (1, 1, 1)
     assert graded.exit_reason == "complete"
     assert any("degree 1" in line for line in graded.search_log)
 
 
 def test_minimal_generators_four_generic_overflow():
-    graded = minimal_generators(FOUR_GENERIC)
+    graded = minimal_generators(FOUR_GENERIC, range(FOUR_GENERIC.size + 1))
     assert graded.exit_reason in ("overflow", "exhausted")
     assert len(graded.generators) != 3 or sum(graded.generator_degrees) != 4
 
@@ -111,7 +111,7 @@ FREENESS_CASES = [
 
 def test_decide_freeness_frozen():
     for arr, want_free, want_exps in FREENESS_CASES:
-        report = decide_freeness(arr, minimal_generators(arr))
+        report = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
         assert report.free is want_free, arr.forms
         if want_free:
             assert report.exponents == want_exps
@@ -127,7 +127,7 @@ def test_free_reports_include_euler_slot():
     for arr, want_free, want_exps in FREENESS_CASES:
         if not want_free or arr.size == 0:
             continue
-        report = decide_freeness(arr, minimal_generators(arr))
+        report = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
         assert 1 in report.exponents
 
 
@@ -136,7 +136,7 @@ def test_saito_determinant_rank2():
     # its scalar is read at t = 3; the third one's second generator is its
     # integer vector over a first entry of 2, so c needs that division
     for arr in (RANK2, parse("vars 2\n0 1\n1 -1\n2 -1\n"), parse("vars 2\n1 -2\n0 1\n1 1\n")):
-        report = decide_freeness(arr, minimal_generators(arr))
+        report = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
         assert report.free
         mat = [list(theta.polys()) for theta in report.generators]
         det = poly_det(mat)
@@ -147,7 +147,7 @@ def test_saito_determinant_rank2():
 def test_saito_scalar_vanishes_on_dependent_generators():
     # three logarithmic fields of degrees summing to |A| that span a rank-2
     # module: det M(theta) is 0, so c is 0 and they certify nothing
-    graded = minimal_generators(BOOLEAN)
+    graded = minimal_generators(BOOLEAN, range(BOOLEAN.size + 1))
     g0, g1, _ = graded.generators
     report = decide_freeness(BOOLEAN, replace(graded, generators=(g0, g1, g1)))
     assert not report.free
@@ -158,7 +158,7 @@ def test_saito_rejects_degenerate_generators():
     # Replace one generator by a monomial multiple of another: the resulting
     # tuple is still made of logarithmic derivations, but the determinant
     # collapses to zero, so it no longer certifies freeness.
-    report = decide_freeness(BOOLEAN, minimal_generators(BOOLEAN))
+    report = decide_freeness(BOOLEAN, minimal_generators(BOOLEAN, range(BOOLEAN.size + 1)))
     _, g1, g2 = report.generators
     fake = scaled_by_monomial(g1, (1, 0, 0))
     assert is_logarithmic(fake, BOOLEAN)
@@ -196,9 +196,9 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 def test_search_without_the_modular_kernel(monkeypatch):
     arrs = [parse_file(path) for path in sorted(CORPUS.glob("*.arr"))]
-    modular = [minimal_generators(arr) for arr in arrs]
+    modular = [minimal_generators(arr, range(arr.size + 1)) for arr in arrs]
     monkeypatch.setattr(linalg, "_modular_kernel", lambda rows, ncols: None)
-    assert [minimal_generators(arr) for arr in arrs] == modular
+    assert [minimal_generators(arr, range(arr.size + 1)) for arr in arrs] == modular
     for arr in arrs:
         for d in range(4):
             kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
@@ -271,7 +271,7 @@ def _spy_on_the_search(monkeypatch):
 def test_degrees_without_new_generators_skip_the_exact_span(monkeypatch):
     ranks, spans = _spy_on_the_search(monkeypatch)
     near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
-    graded = minimal_generators(near_pencil_5)
+    graded = minimal_generators(near_pencil_5, range(near_pencil_5.size + 1))
     assert graded.generator_degrees == (1, 1, 3)
     # degree 2: the 6 multiples of the two linear generators have rank 6 mod p = dim D(A)_2
     assert (6, 6) in ranks and graded.dimensions[2] == 6
@@ -284,9 +284,22 @@ def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
     c = 2**61 - 1
     arr = parse(f"vars 3\n0 0 1\n1 {-c} 0\n1 {-c} 1\n1 {-c} -1\n1 0 0\n")
     ranks, spans = _spy_on_the_search(monkeypatch)
-    graded = minimal_generators(arr)
+    graded = minimal_generators(arr, range(arr.size + 1))
     assert graded.search_log[2] == "degree 2: dim 6, 0 new generator(s), total 2"
     assert ranks == [(0, 0), (6, 3)]
     assert 3 * 6 in spans  # degree 2 ran the exact span, and it found no generator
     monkeypatch.setattr(logder, "_rref_mod_p", lambda rows: {})  # rank 0: no skip
-    assert minimal_generators(arr) == graded
+    assert minimal_generators(arr, range(arr.size + 1)) == graded
+
+
+
+def test_exhausted_walk_names_only_the_degrees_it_searched():
+    near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
+    graded = minimal_generators(near_pencil_5, [0, 1, 2])
+    assert graded.search_log[-1] == "search exhausted degrees 0..2"
+    # chi = (t - 1)(t - 3)^2, not free: degrees 1, 2, 4 hold only two generators
+    split = parse("vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n")
+    graded = minimal_generators(split, [1, 2, 4])
+    assert graded.search_log[-1] == "search exhausted degrees 1, 2, 4"
+    assert sorted(graded.dimensions) == [1, 2, 4]
+    assert graded.generator_degrees == (1, 2)
