@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .poly import MultiPoly
-from .linalg import _insert, _integer_vector
+from .linalg import _insert, _integer_vector, integer_det
 
 
 class ParseError(ValueError):
@@ -83,9 +83,45 @@ class Arrangement:
     def projective_dim(self) -> int:
         return self.nvars - 1
 
-    def rank(self) -> int:
+    def _independent(self) -> tuple[list[int], list[int]]:
+        """Indices of the first rank A independent forms in input order, and their pivot columns.
+
+        The chosen forms restricted to the pivot columns of their span make
+        an invertible matrix.
+        """
         span: dict[int, list[int]] = {}
-        return sum(_insert(span, _integer_vector(f.coeffs)) is not None for f in self.forms)
+        chosen = [
+            i for i, f in enumerate(self.forms)
+            if _insert(span, _integer_vector(f.coeffs)) is not None
+        ]
+        return chosen, sorted(span)
+
+    def rank(self) -> int:
+        return len(self._independent()[0])
+
+    def adapted(self) -> tuple["Arrangement", int]:
+        """A in coordinates x'_k = alpha_(i_k) of its first r = rank A independent forms, and n+1-r.
+
+        Every form is a combination sum_k c_k alpha_(i_k), so it becomes the
+        form c in r variables, and alpha_(i_k) becomes the coordinate
+        hyperplane x'_k.  On the pivot columns S the chosen forms make an
+        invertible integer matrix B, and c = alpha_S B^(-1); by Cramer's rule
+        c is proportional to the determinants of B with row k replaced by
+        alpha_S, all integers.  The result is essential, and
+        D(A) = D(A') (x) S + S^(n+1-r): the exponents of A are those of A'
+        and n+1-r zeros (Orlik & Terao, Prop. 4.28).  The empty arrangement
+        has r = 0 and is returned as it is.
+        """
+        chosen, pivots = self._independent()
+        if not chosen:
+            return self, 0
+        ints = [[v[c] for c in pivots] for v in (_integer_vector(f.coeffs) for f in self.forms)]
+        basis = [ints[i] for i in chosen]
+        forms = tuple(
+            LinearForm.make(integer_det(basis[:k] + [w] + basis[k + 1:]) for k in range(len(basis)))
+            for w in ints
+        )
+        return Arrangement(nvars=len(chosen), forms=forms, name=self.name), self.nvars - len(chosen)
 
     def defining_polynomial(self) -> MultiPoly:
         """Product of the canonical forms; 1 for the empty arrangement."""

@@ -17,11 +17,12 @@ results it reads.  run() does the shared work once: parse the input,
 print warnings, emit JSON, turn errors into exit codes.
 
 verify and corpus print only the freeness verdict and the exponents, so
-their search walks only the roots of chi(A, t) when it splits over the
-nonnegative integers, and runs the full walk after it only when that
-walk does not certify freeness (_guided_freeness); freeness,
-derivations and report print the per-degree search, so they keep the
-full walk.
+their search runs on A in coordinates adapted to it (Arrangement.adapted)
+and walks only the roots of chi when it splits over the nonnegative
+integers, running the full walk after it only when that walk does not
+certify freeness (_guided_freeness); freeness, derivations and report
+print generators, Saito's scalar and the per-degree search, so they keep
+the full walk in input coordinates.
 
 Exit codes: 0 success / verified, 1 a verification failed, 2 input error,
 3 internal error (a consistency check inside arrcsm failed).
@@ -33,6 +34,7 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -192,23 +194,32 @@ def _full_search(arr: Arrangement) -> GradedBasis:
 
 
 def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessReport:
-    """Saito's decision from a search over the roots of chi only, when that certifies freeness.
+    """Saito's decision on A', A in coordinates adapted to it, with the exponents of A.
 
-    If A is free, its exponents are the roots of chi(A, t) (Terao's
-    factorization, Orlik & Terao Thm 4.137), so the walk over the distinct
-    roots finds the generators, the exponents and the scalar of the full
-    walk.  A free verdict on that walk is certified by Saito's criterion
-    alone (Orlik & Terao, Prop. 4.12), since exponents are unique; any
-    other outcome, or a chi that does not split over the nonnegative
-    integers, falls back to the full walk.  The verdict is never read off
-    chi.
+    The search runs on A' = arr.adapted(): its first rank A independent
+    forms are coordinate hyperplanes there, which cost the kernels no
+    rows, and the exponents of A are those of A' and n+1-r zeros for the
+    lineality space.  The report's generators, scalar and log are those
+    of A'.  If A' is free, its exponents are the roots of
+    chi(A', t) = chi(A, t) / t^(n+1-r) (Terao's factorization, Orlik &
+    Terao Thm 4.137), so the walk over those distinct roots finds the
+    generators, the exponents and the scalar of the full walk.  A free
+    verdict on that walk is certified by Saito's criterion alone (Orlik &
+    Terao, Prop. 4.12), since exponents are unique; any other outcome, or
+    a chi that does not split over the nonnegative integers, falls back to
+    the full walk on A'.  The verdict is never read off chi.
     """
+    adapted, lineality = arr.adapted()
     roots = integer_roots(char_poly(lat))
+    report = None
     if roots is not None:
-        guided = decide_freeness(arr, minimal_generators(arr, sorted(set(roots))))
-        if guided.free:
-            return guided
-    return decide_freeness(arr, _full_search(arr))
+        guided = minimal_generators(adapted, sorted(set(roots[lineality:])))
+        report = decide_freeness(adapted, guided)
+    if report is None or not report.free:
+        report = decide_freeness(adapted, _full_search(adapted))
+    if report.free:
+        report = replace(report, exponents=(0,) * lineality + report.exponents)
+    return report
 
 
 def _is_internal(exc: RuntimeError) -> bool:

@@ -8,8 +8,10 @@ has degree 1 and constant fields have degree 0.
 
 Freeness is decided by Saito's criterion: hunt for n+1 minimal
 generators degree by degree, D(A)_d being the exact kernel of integer
-rows that evaluate at lattice points of each hyperplane (_degree_kernel),
-then read the scalar c in det M(theta) = c * Q off one integer point
+rows that evaluate at lattice points of each hyperplane (_degree_kernel;
+a coordinate hyperplane x_j adds no rows: it only asks theta_j to lie in
+x_j * S_(d-1), so the columns it zeroes leave the system), then read
+the scalar c in det M(theta) = c * Q off one integer point
 where the defining polynomial Q does not vanish: free if and only if
 c != 0 (a scalar determinant, no polynomial products or division).
 The search walks the degrees it is given.  The full walk is 0..|A|: a
@@ -17,7 +19,10 @@ free module's exponents are nonnegative and sum to |A|.  By Terao's
 factorization (Orlik & Terao, Thm 4.137) the exponents of a free A are
 the roots of chi(A, t), so a walk over those roots alone finds the same
 generators; whatever a shorter walk finds, Saito's criterion certifies
-or rejects on its own.
+or rejects on its own.  The search runs on the arrangement it is given;
+verify searches Arrangement.adapted(), where the first rank A
+independent forms are coordinate hyperplanes, and adds a zero exponent
+per dimension of the lineality space.
 
 A Derivation keeps the search's integer vector; multiples, rendering and
 Saito's integer determinant read it, and Fractions appear only in render,
@@ -79,6 +84,20 @@ def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) ->
     return Derivation(nvars, degree, terms)
 
 
+def _monomial_values(point: list[int], d: int) -> list[int]:
+    """m(point) for each monomial m of degree d, in monomials_of_degree order.
+
+    The degree-e monomials in x_k, x_(k+1), ... are x_k times those of
+    degree e - 1 in the same variables, then those of degree e in
+    x_(k+1), ... alone; so each value is one product of a value before it.
+    """
+    values = [[1]] + [[] for _ in range(d)]  # no variables yet: only the constant 1
+    for x in reversed(point):
+        for e in range(1, d + 1):
+            values[e] = [x * v for v in values[e - 1]] + values[e]
+    return values[d]
+
+
 def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list[int]]:
     """Primitive integer kernel vectors spanning D(A)_d in the (variable, monomial) layout.
 
@@ -87,19 +106,42 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list
     P = sum_k t_k (a_p e_k - a_k e_p) = a_p t - (a . t) e_p on alpha = 0.  This
     principal lattice is unisolvent for forms of degree d (Chung & Yao, SIAM J.
     Numer. Anal. 14, 1977), so the rows cut out D(A)_d.
+
+    A coordinate hyperplane x_j adds no rows.  Its rows are unisolvent for
+    the degree-d forms free of x_j, so they span the unit vectors of the
+    columns (j, m) with x_j not dividing m: those columns are pivots that no
+    other kernel vector touches.  The kernel is solved on the other columns
+    and put back with zeros on them, the same RREF basis.
     """
-    per = len(monos)
+    n1, per = arr.nvars, len(monos)
+    forms = integer_rows(form.coeffs for form in arr.forms)
+    coordinate = {min(a) for a in forms if len(a) == 1}
+    kept: list[int] = []  # the columns left in the system
+    slots: list[list[tuple[int, int]]] = [[] for _ in range(n1)]  # (monomial, kept index) per x_j
+    for j in range(n1):
+        for k, mono in enumerate(monos):
+            if j not in coordinate or mono[j]:
+                slots[j].append((k, len(kept)))
+                kept.append(j * per + k)
     rows: list[dict[int, int]] = []
-    for a in integer_rows(form.coeffs for form in arr.forms):
+    for a in forms:
+        if len(a) == 1:
+            continue
         pivot = min(a)
         for t in monos:
             if t[pivot]:
                 continue
             point = [a[pivot] * e for e in t]
             point[pivot] = -sum(c * t[j] for j, c in a.items())
-            values = [(k, prod(map(pow, point, mono))) for k, mono in enumerate(monos)]
-            rows.append({j * per + k: c * v for j, c in a.items() for k, v in values if v})
-    return integer_kernel(rows, arr.nvars * per)
+            values = _monomial_values(point, d)
+            rows.append({i: c * values[k] for j, c in a.items() for k, i in slots[j] if values[k]})
+    kernel = []
+    for v in integer_kernel(rows, len(kept)):
+        full = [0] * (n1 * per)
+        for c, x in zip(kept, v):
+            full[c] = x
+        kernel.append(full)
+    return kernel
 
 
 def log_derivation_space(arr: Arrangement, d: int) -> list[Derivation]:
@@ -282,9 +324,10 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
             f"needs {len(gens)} minimal generators, more than the rank bound {n1}"
         )
     if len(gens) != n1:
-        return failed(
-            f"found {len(gens)} minimal generators through degree {m}, expected {n1}"
-        )
+        walked = "without walking a degree"
+        if graded.dimensions:
+            walked = f"through degree {max(graded.dimensions)}"
+        return failed(f"found {len(gens)} minimal generators {walked}, expected {n1}")
     degrees = sorted(g.degree for g in gens)
     if sum(degrees) != m:
         return failed(

@@ -85,7 +85,7 @@ def fraction_rref(vectors) -> tuple[tuple[Fraction, ...], ...]:
         for i, row in enumerate(rows):
             if i != rank and row[col]:
                 c = row[col]
-                rows[i] = [a - c * b for a, b in zip(row, rows[rank])]
+                rows[i] = [a - c * b if b else a for a, b in zip(row, rows[rank])]
         rank += 1
     return tuple(tuple(row) for row in rows[:rank])
 

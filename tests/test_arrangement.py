@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -100,6 +101,42 @@ def test_rank_and_essential():
     assert boolean.rank() == 3
     assert boolean.rank() == boolean.nvars
     assert parse("vars 3\n").rank() == 0
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        THREE_CONCURRENT,
+        "vars 3\n1 0 0\n0 1 0\n0 0 1\n",
+        "vars 4\n1 -1 0 0\n1 0 -1 0\n1 0 0 -1\n0 1 -1 0\n0 1 0 -1\n0 0 1 -1\n",
+        "vars 4\n0 1/2 -3 0\n0 2 0 0\n0 1 1 0\n0 -3 5/3 0\n",
+        "vars 3\n1 2 3\n2 3 1\n3 1 2\n1 1 1\n1/2 -1 2/3\n",
+    ],
+    ids=["concurrent", "boolean", "braid_A3", "rank2_rational", "generic"],
+)
+def test_adapted_coordinates(text):
+    arr = parse(text, name="a")
+    adapted, lineality = arr.adapted()
+    r, n1 = arr.rank(), arr.nvars
+    assert (adapted.nvars, adapted.size, lineality, adapted.name) == (r, arr.size, n1 - r, "a")
+    assert adapted.rank() == r
+    # x'_k is the k-th independent form in input order
+    chosen = []
+    for i, f in enumerate(arr.forms):
+        if Arrangement(arr.nvars, tuple(arr.forms[j] for j in chosen + [i])).rank() > len(chosen):
+            chosen.append(i)
+    for k, i in enumerate(chosen):
+        assert adapted.forms[i].coeffs == tuple(int(j == k) for j in range(r))
+    # every form is its new coefficients applied to the chosen forms scaled to integers
+    scaled = [[c * lcm(*(x.denominator for x in f.coeffs)) for c in f.coeffs] for f in arr.forms]
+    for form, new in zip(arr.forms, adapted.forms):
+        combined = [sum(c * scaled[i][j] for c, i in zip(new.coeffs, chosen)) for j in range(n1)]
+        assert LinearForm.make(combined) == form
+
+
+def test_adapted_empty_arrangement_is_itself():
+    empty = parse("vars 3\n")
+    assert empty.adapted() == (empty, 0)
 
 
 def test_single():

@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -388,13 +389,20 @@ SPLIT_NOT_FREE = "vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n
 
 
 def _assert_guided_equals_full(arr):
+    """verify decides as the full walk on A' with the lineality zeros, and as A's full walk."""
     guided = cli._guided_freeness(arr, build_lattice(arr))
-    full = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
+    adapted, lineality = arr.adapted()
+    assert adapted.size == arr.size and lineality == arr.nvars - arr.rank()
+    full = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size + 1)))
+    if full.free:
+        full = replace(full, exponents=(0,) * lineality + full.exponents)
     assert (guided.free, guided.exponents, guided.saito_scalar, guided.reason) == (
         full.free, full.exponents, full.saito_scalar, full.reason), arr.forms
     assert [g.render() for g in guided.generators] == [g.render() for g in full.generators]
-    if not full.free:  # the fallback is the full walk itself
+    if not full.free:  # the fallback is the full walk on A' itself
         assert guided == full
+    original = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
+    assert (guided.free, guided.exponents) == (original.free, original.exponents), arr.forms
 
 
 @pytest.mark.parametrize("path", sorted(CORPUS.glob("*.arr")), ids=lambda p: p.stem)
@@ -432,6 +440,40 @@ def test_guided_freeness_equals_the_full_walk_on_free_families(arr, exponents):
 @given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3).filter(any), min_size=3, max_size=8))
 def test_guided_freeness_equals_the_full_walk_on_random_lines(rows):
     _assert_guided_equals_full(parse(arrangement_text(3, rows)))
+
+
+@st.composite
+def _arrangements_in_p2_and_p3(draw):
+    """Up to 6 forms in P^2 or P^3, some of them non-essential: coordinates no form uses."""
+    nvars = draw(st.sampled_from([3, 4]))
+    unused = draw(st.sets(st.integers(0, nvars - 1), max_size=nvars - 1))
+    entries = [st.just(0) if j in unused else st.integers(-2, 2) for j in range(nvars)]
+    rows = draw(st.lists(st.tuples(*entries).filter(any), min_size=1, max_size=6))
+    return parse(arrangement_text(nvars, rows))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(_arrangements_in_p2_and_p3())
+def test_the_adapted_decision_equals_the_full_walk(arr):
+    _assert_guided_equals_full(arr)
+
+
+@pytest.mark.parametrize(
+    "text,free,exponents",
+    [
+        ("vars 3\n", True, [0, 0, 0]),
+        ("vars 3\n1 0 0\n", True, [0, 0, 1]),
+        ("vars 4\n0 1 1 0\n0 1 -1 0\n0 1 2 0\n", True, [0, 0, 1, 2]),
+    ],
+    ids=["empty", "one_hyperplane", "rank2_in_P3"],
+)
+def test_verify_on_edges_of_the_adapted_coordinates(tmp_path, capsys, text, free, exponents):
+    path = tmp_path / "edge.arr"
+    path.write_text(text, encoding="utf-8")
+    assert run(["verify", "--input", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["result"]["free"], doc["result"]["exponents"]) == (free, exponents)
+    assert doc["arrangement"]["variables"] - doc["arrangement"]["rank"] == exponents.count(0)
 
 
 def test_split_chi_of_a_non_free_arrangement_falls_back(stage_calls, tmp_path, capsys):

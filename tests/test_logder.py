@@ -1,7 +1,8 @@
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm, prod
 from pathlib import Path
+from random import Random
 
 import pytest
 
@@ -22,11 +23,13 @@ from arrcsm.logder import (
 from arrcsm.linalg import IncrementalSpan, integer_kernel, integer_rows, poly_det
 from arrcsm.poly import MultiPoly, monomials_of_degree
 from property_checks import (
+    arrangement_text,
     derivation_to_vector,
     euler_field,
     fraction_kernel,
     freeness_of,
     primitive,
+    random_rational_arrangement,
     reduction_kernel,
     scaled_by_monomial,
 )
@@ -303,3 +306,79 @@ def test_exhausted_walk_names_only_the_degrees_it_searched():
     assert graded.search_log[-1] == "search exhausted degrees 1, 2, 4"
     assert sorted(graded.dimensions) == [1, 2, 4]
     assert graded.generator_degrees == (1, 2)
+    # the reason names the last degree walked, not |A|
+    assert decide_freeness(split, graded).reason == (
+        "found 2 minimal generators through degree 4, expected 3")
+    assert decide_freeness(split, minimal_generators(split, [])).reason == (
+        "found 0 minimal generators without walking a degree, expected 3")
+
+
+def test_monomial_values_take_one_product_each():
+    rng = Random(7)
+    for _ in range(40):
+        point = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
+        d = rng.randint(0, 5)
+        monos = monomials_of_degree(len(point), d)
+        expected = [prod(x**e for x, e in zip(point, m)) for m in monos]
+        assert logder._monomial_values(point, d) == expected
+
+
+def _evaluation_rows(arr, d, monos):
+    """The point-evaluation rows of every form, coordinate hyperplanes included.
+
+    The form scaled to integers a, with pivot p, gives the points
+    P = a_p t - (a . t) e_p on alpha = 0 for each monomial t free of x_p;
+    the row holds a_j * m(P) at column (j, m).
+    """
+    rows = []
+    for form in arr.forms:
+        scale = lcm(*(c.denominator for c in form.coeffs))
+        a = [int(c * scale) for c in form.coeffs]
+        pivot = next(j for j, c in enumerate(a) if c)
+        for t in monos:
+            if t[pivot]:
+                continue
+            point = [a[pivot] * e for e in t]
+            point[pivot] = -sum(c * e for c, e in zip(a, t))
+            values = [prod(x**e for x, e in zip(point, m)) for m in monos]
+            rows.append([c * v for c in a for v in values])
+    return rows
+
+
+def _with_coordinate_hyperplanes(rng):
+    nvars = rng.choice([2, 3, 4])
+    base = random_rational_arrangement(rng, nvars, 6 - nvars)
+    picked = rng.sample(range(nvars), rng.randint(1, nvars))
+    coordinates = [[int(j == i) for j in range(nvars)] for i in picked]
+    rows = coordinates + [[str(c) for c in f.coeffs] for f in base.forms]
+    rng.shuffle(rows)
+    return parse(arrangement_text(nvars, rows))
+
+
+def test_coordinate_hyperplanes_add_no_rows_and_keep_the_kernel(monkeypatch):
+    # the kernel of all the evaluation rows, by a plain Fraction Gauss
+    rng = Random(5)
+    arrs = [parse_file(path) for path in sorted(CORPUS.glob("*.arr"))]
+    arrs += [_with_coordinate_hyperplanes(rng) for _ in range(12)]
+    seen = []
+    integer_kernel = logder.integer_kernel
+
+    def recorded(rows, ncols):
+        seen.append((len(rows), ncols))
+        return integer_kernel(rows, ncols)
+
+    monkeypatch.setattr(logder, "integer_kernel", recorded)
+    for arr in arrs:
+        coordinates = [f for f in arr.forms if sum(map(bool, f.coeffs)) == 1]
+        for d in range(5):
+            monos = monomials_of_degree(arr.nvars, d)
+            ncols = arr.nvars * len(monos)
+            expected = fraction_kernel(_evaluation_rows(arr, d, monos), ncols)
+            assert _degree_kernel(arr, d, monos) == [primitive(v) for v in expected], (arr.forms, d)
+            # no rows from x_j, and none of its columns (j, m) with x_j not dividing m
+            free_of_pivot = len(monomials_of_degree(arr.nvars - 1, d))
+            assert seen.pop() == (
+                (arr.size - len(coordinates)) * free_of_pivot,
+                ncols - len(coordinates) * free_of_pivot,
+            )
+
