@@ -13,8 +13,10 @@ File format (.arr), UTF-8 with LF or CRLF line endings:
     0 0 1
     0 1/2 1/2
 
-The header names the number of coordinates k = n+1; every following
-data line carries exactly k rationals (integers or p/q).
+The header names the number of coordinates k = n+1, at most MAX_VARS;
+every following data line carries exactly k rationals (integers, p/q or
+decimals), each at most MAX_TOKEN characters long with a decimal
+exponent of at most MAX_TOKEN.
 """
 
 from __future__ import annotations
@@ -24,6 +26,14 @@ from fractions import Fraction
 
 from .poly import MultiPoly
 from .linalg import _insert, _integer_vector, integer_det
+
+
+# The degree-d monomial walk recurses once per coordinate, so a bound far
+# below the interpreter's recursion limit; 100 is P^99.
+MAX_VARS = 100
+# A coefficient then has at most 2 * MAX_TOKEN digits, and Fraction never
+# expands a power of ten beyond 10^MAX_TOKEN.
+MAX_TOKEN = 100
 
 
 class ParseError(ValueError):
@@ -83,18 +93,18 @@ class Arrangement:
     def projective_dim(self) -> int:
         return self.nvars - 1
 
-    def _independent(self) -> tuple[list[int], list[int]]:
-        """Indices of the first rank A independent forms in input order, and their pivot columns.
+    def _independent(self) -> tuple[list[int], dict[int, list[int]]]:
+        """Indices of the first rank A independent forms in input order, and the span of all forms.
 
-        The chosen forms restricted to the pivot columns of their span make
-        an invertible matrix.
+        The span is linalg's {pivot column: primitive integer row}; on its
+        pivot columns the chosen forms make an invertible matrix.
         """
         span: dict[int, list[int]] = {}
         chosen = [
             i for i, f in enumerate(self.forms)
             if _insert(span, _integer_vector(f.coeffs)) is not None
         ]
-        return chosen, sorted(span)
+        return chosen, span
 
     def rank(self) -> int:
         return len(self._independent()[0])
@@ -112,9 +122,10 @@ class Arrangement:
         and n+1-r zeros (Orlik & Terao, Prop. 4.28).  The empty arrangement
         has r = 0 and is returned as it is.
         """
-        chosen, pivots = self._independent()
+        chosen, span = self._independent()
         if not chosen:
             return self, 0
+        pivots = sorted(span)
         ints = [[v[c] for c in pivots] for v in (_integer_vector(f.coeffs) for f in self.forms)]
         basis = [ints[i] for i in chosen]
         forms = tuple(
@@ -136,6 +147,10 @@ class Arrangement:
 
 
 def _parse_rational(token: str, line_no: int) -> Fraction:
+    exponent = token.lower().partition("e")[2].lstrip("+-").replace("_", "")
+    if len(token) > MAX_TOKEN or exponent.isdecimal() and int(exponent) > MAX_TOKEN:
+        raise ParseError(f"rational {token[:MAX_TOKEN]!r} is over {MAX_TOKEN} characters"
+                         f" or has an exponent over {MAX_TOKEN}", line_no)
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
@@ -161,9 +176,9 @@ def parse(text: str, name: str = "") -> Arrangement:
             try:
                 nvars = int(parts[1])
             except ValueError:
-                raise ParseError(f"bad variable count {parts[1]!r}", line_no) from None
-            if nvars < 1:
-                raise ParseError("variable count must be positive", line_no)
+                raise ParseError(f"bad variable count {parts[1][:MAX_TOKEN]!r}", line_no) from None
+            if not 1 <= nvars <= MAX_VARS:
+                raise ParseError(f"variable count must be between 1 and {MAX_VARS}", line_no)
             continue
         tokens = line.split()
         if len(tokens) != nvars:

@@ -68,11 +68,20 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     of F, so one elimination step at the cover's new pivot turns it into
     the residue against the cover.  Fractions are made only for the
     flats' RREF rows.
+
+    With r = rank A, a flat of codim r - 1 has one cover, the top: the
+    span of all forms, closed under every hyperplane.  So the walk stops
+    at codim r - 1 without reducing any residue against those flats, and
+    the top enters once with the span Arrangement._independent builds
+    (the RREF of a span is unique, whichever forms built it).
     """
-    found: dict[tuple[int, ...], dict] = {(): {}}  # closed index set -> span
+    top = arr._independent()[1]
+    r = len(top)
+    # closed index set -> span; the top is the bottom, () -> {}, when A is empty
+    found: dict[tuple[int, ...], dict] = {(): {}, tuple(range(arr.size)): top}
     # (closed index set, span, {form index: residue} of the forms outside it)
     residues = {i: _reduce({}, _integer_vector(f.coeffs)) for i, f in enumerate(arr.forms)}
-    frontier = [((), {}, residues)]
+    frontier = [((), {}, residues)] if r > 1 else []
     while frontier:
         nxt = []
         for indices, span, residues in frontier:
@@ -84,23 +93,26 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
                 if cover not in found:
                     # _insert rebinds rows and never mutates a row list, so a
                     # shallow copy leaves the flat's own span intact
-                    found[cover] = dict(span)
-                    _insert(found[cover], list(residue))
-                    nxt.append((cover, found[cover], {
-                        j: _reduce(found[cover], r) for j, r in residues.items() if j not in through
-                    }))
+                    found[cover] = joined = dict(span)
+                    _insert(joined, list(residue))
+                    if len(joined) < r - 1:
+                        nxt.append((cover, joined, {
+                            j: _reduce(joined, v) for j, v in residues.items() if j not in through
+                        }))
         frontier = nxt
 
     # mu by top-down recursion: flats strictly below x are those whose
-    # index set is a proper subset of x's (equivalent to span inclusion).
+    # index set is a proper subset of x's (equivalent to span inclusion),
+    # held as bitmasks; flats come in codim order, so every earlier subset
+    # is a proper one.
     flats: list[Flat] = []
-    sets: list[frozenset[int]] = []
+    masks: list[int] = []
     bases = [(_rational_rows(span), ix) for ix, span in found.items()]
     for basis, indices in sorted(bases, key=lambda b: (len(b[0]), b[0])):
-        s = frozenset(indices)
-        mu = -sum(f.mu for f, t in zip(flats, sets) if t < s) if indices else 1
+        s = sum(1 << i for i in indices)
+        mu = -sum(f.mu for f, t in zip(flats, masks) if t & s == t) if indices else 1
         flats.append(Flat(rows=basis, codim=len(basis), indices=indices, mu=mu))
-        sets.append(s)
+        masks.append(s)
     return IntersectionLattice(arrangement=arr, flats=tuple(flats))
 
 

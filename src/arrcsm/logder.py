@@ -273,7 +273,7 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
     else:
         contiguous = walked and walked == list(range(walked[0], walked[-1] + 1))
         shown = f"{walked[0]}..{walked[-1]}" if contiguous else ", ".join(map(str, walked))
-        log.append(f"search exhausted degrees {shown}")
+        log.append(f"search exhausted degrees {shown}" if walked else "search walked no degree")
     return GradedBasis(
         dimensions=dims,
         generators=tuple(gens),

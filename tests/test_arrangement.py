@@ -1,9 +1,18 @@
+import time
 from fractions import Fraction
 from math import lcm
 
 import pytest
 
-from arrcsm.arrangement import Arrangement, LinearForm, ParseError, parse, parse_file
+from arrcsm.arrangement import (
+    MAX_TOKEN,
+    MAX_VARS,
+    Arrangement,
+    LinearForm,
+    ParseError,
+    parse,
+    parse_file,
+)
 from arrcsm.poly import MultiPoly
 
 THREE_CONCURRENT = "vars 3\n0 1 0\n0 0 1\n0 1 1\n"
@@ -55,6 +64,32 @@ def test_malformed_rational():
     assert exc.value.line == 2
     with pytest.raises(ParseError):
         parse("vars 2\n1 1/0\n")
+
+
+def test_variable_count_is_bounded():
+    assert MAX_VARS >= 7  # the largest corpus, benchmark and CI input
+    assert parse(f"vars {MAX_VARS}\n").nvars == MAX_VARS
+    for count in (MAX_VARS + 1, 1000, 10**20):
+        with pytest.raises(ParseError, match=f"between 1 and {MAX_VARS}"):
+            parse(f"vars {count}\n")
+
+
+@pytest.mark.parametrize("token", ["1e5000", "1e30000000", "-2.5E-1_000_000", "7" * (MAX_TOKEN + 1)])
+def test_coefficient_tokens_are_bounded_before_fraction_builds_them(token):
+    started = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse(f"vars 2\n1 {token}\n")
+    assert time.perf_counter() - started < 1
+    assert exc.value.line == 2
+    assert repr(token[:MAX_TOKEN]) in str(exc.value)
+    assert "digits" not in str(exc.value)
+
+
+def test_coefficient_tokens_at_the_bound_parse():
+    arr = parse(f"vars 3\n1 0 1e{MAX_TOKEN}\n0 1 -3.5e-{MAX_TOKEN}\n")
+    assert arr.forms[0].coeffs[2] == 10**MAX_TOKEN
+    assert arr.forms[1].coeffs[2] == Fraction(-35, 10 ** (MAX_TOKEN + 1))
+    assert parse("vars 2\n1 " + "9" * MAX_TOKEN + "\n").forms[0].coeffs[1] == 10**MAX_TOKEN - 1
 
 
 def test_wrong_coefficient_count():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrcsm import cli
-from arrcsm.arrangement import parse, parse_file
+from arrcsm.arrangement import MAX_VARS, parse, parse_file
 from arrcsm.cli import corpus_runner, main, run
 from arrcsm.lattice import build_lattice
 from arrcsm.logder import decide_freeness, minimal_generators
@@ -280,6 +280,20 @@ def test_malformed_file(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "zero form" in err
+
+
+@pytest.mark.parametrize("command,count", [
+    ("csm", 10**20), ("charpoly", 10**20), ("verify", 10**20),  # OverflowError before the bound
+    ("freeness", 1000), ("verify", 1000),  # RecursionError in the monomial walk before the bound
+])
+def test_variable_count_past_the_bound_is_an_input_error(tmp_path, capsys, command, count):
+    path = tmp_path / "wide.arr"
+    path.write_text(f"vars {count}\n", encoding="utf-8")
+    code = run([command, "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: line 1: variable count must be between 1 and {MAX_VARS}\n"
+    assert captured.out == ""
 
 
 def test_bad_primes(capsys):

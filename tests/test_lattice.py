@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arrcsm import lattice
 from arrcsm.arrangement import parse, parse_file
 from arrcsm.lattice import (
     BadReductionError,
@@ -306,6 +307,44 @@ def test_lattice_matches_brute_force_over_subsets():
         nonessential += arr.size > 0 and arr.rank() != nvars
         concurrent += any(f.codim == 2 and len(f.indices) >= 3 for f in flats)
     assert essential > 20 and nonessential > 20 and concurrent > 20
+
+
+def _moment_curve(nvars: int, m: int):
+    """m forms (1, t, ..., t^(nvars-1)), t = 1..m: every nvars of them are independent."""
+    return parse(arrangement_text(nvars, [[t**k for k in range(nvars)] for t in range(1, m + 1)]))
+
+
+def _braid(k: int):
+    """x_i - x_j for 0 <= i < j <= k, in k + 1 coordinates: rank k, not essential."""
+    rows = [[(c == i) - (c == j) for c in range(k + 1)] for i, j in combinations(range(k + 1), 2)]
+    return parse(arrangement_text(k + 1, rows))
+
+
+def test_walk_reduces_no_residue_against_flats_one_below_the_top(monkeypatch):
+    # 12 generic lines, rank 3: the bottom reduces 12 forms, each line the
+    # other 11, and the 66 points, whose one cover is the top, none; a walk
+    # into the points would add 66 * 10 more
+    calls = []
+    reduce = lattice._reduce
+    monkeypatch.setattr(lattice, "_reduce", lambda *a: calls.append(1) or reduce(*a))
+    build_lattice(_moment_curve(3, 12))
+    assert len(calls) == 12 + 12 * 11
+
+
+def test_lattices_in_closed_form():
+    # braid A5: flats are the set partitions of 6 points, Bell(6) = 203, and
+    # chi = t(t - 1)...(t - 5), whose coefficients are Stirling numbers s(6, k)
+    braid = build_lattice(_braid(5))
+    assert braid.size() == 203
+    assert char_poly(braid) == (0, -120, 274, -225, 85, -15, 1)
+    # m generic hyperplanes of rank r: every set of fewer than r is a flat
+    # with mu (-1)^k, and the top closes the sum over the lattice to chi(1) = 0
+    assert build_lattice(_moment_curve(3, 20)).size() == 1 + 20 + comb(20, 2) + 1 == 212
+    planes = build_lattice(_moment_curve(4, 12))
+    assert planes.size() == 1 + 12 + comb(12, 2) + comb(12, 3) + 1 == 300
+    mus = {c: {f.mu for f in planes.of_codim(c)} for c in range(5)}
+    assert mus == {0: {1}, 1: {-1}, 2: {1}, 3: {-1}, 4: {comb(11, 3)}}
+    assert [len(planes.of_codim(c)) for c in range(5)] == [1, 12, 66, 220, 1]
 
 
 @pytest.mark.parametrize(

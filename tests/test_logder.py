@@ -309,7 +309,9 @@ def test_exhausted_walk_names_only_the_degrees_it_searched():
     # the reason names the last degree walked, not |A|
     assert decide_freeness(split, graded).reason == (
         "found 2 minimal generators through degree 4, expected 3")
-    assert decide_freeness(split, minimal_generators(split, [])).reason == (
+    graded = minimal_generators(split, [])
+    assert graded.search_log == ("search walked no degree",)
+    assert decide_freeness(split, graded).reason == (
         "found 0 minimal generators without walking a degree, expected 3")
 
 
