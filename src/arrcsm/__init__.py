@@ -6,6 +6,12 @@ complements, logarithmic derivation modules with freeness detection by
 Saito's criterion, and Chern classes of the log-derivation bundle by
 several independent routes (exponent products, surface singular-point
 corrections, blow-up pushforwards), checking that all routes agree.
+
+The package holds only what those routes run.  A derivation is an
+integer vector, not a polynomial; the polynomial references that the
+test suite checks it against (membership theta(alpha) in (alpha), the
+determinant det M(theta) = c * Q) live in the repository's
+tests/oracles.py and are not installed.
 """
 
 __version__ = "0.1.0"
@@ -33,19 +39,16 @@ from .lattice import (
     point_count_oracle,
     reduced_char_poly,
 )
-from .linalg import QMatrix, poly_det
+from .linalg import QMatrix
 from .logder import (
     Derivation,
     FreenessReport,
     GradedBasis,
     chern_class_free,
     decide_freeness,
-    intersection_property_check,
-    is_logarithmic,
-    log_derivation_space,
     minimal_generators,
 )
-from .poly import FormalClass, MultiPoly, monomials_of_degree, reduce_mod_linear
+from .poly import FormalClass, monomials_of_degree
 
 __all__ = [
     "Arrangement",
@@ -57,7 +60,6 @@ __all__ = [
     "GradedBasis",
     "IntersectionLattice",
     "LinearForm",
-    "MultiPoly",
     "ParseError",
     "ProjectionCheck",
     "QMatrix",
@@ -69,18 +71,13 @@ __all__ = [
     "chern_class_free",
     "csm_complement",
     "decide_freeness",
-    "intersection_property_check",
-    "is_logarithmic",
-    "log_derivation_space",
     "minimal_generators",
     "monomials_of_degree",
     "parse",
     "parse_file",
     "point_count_oracle",
-    "poly_det",
     "projection_check",
     "pushforward_to_p2",
-    "reduce_mod_linear",
     "reduced_char_poly",
     "tjurina_route",
     "verify_arrangement",

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .poly import MultiPoly
 from .linalg import _insert, _integer_vector, integer_det
 
 
@@ -61,9 +60,6 @@ class LinearForm:
     @property
     def nvars(self) -> int:
         return len(self.coeffs)
-
-    def poly(self) -> MultiPoly:
-        return MultiPoly.linear_form(self.coeffs)
 
 
 @dataclass(frozen=True)
@@ -133,17 +129,6 @@ class Arrangement:
             for w in ints
         )
         return Arrangement(nvars=len(chosen), forms=forms, name=self.name), self.nvars - len(chosen)
-
-    def defining_polynomial(self) -> MultiPoly:
-        """Product of the canonical forms; 1 for the empty arrangement."""
-        q = MultiPoly.const(self.nvars, 1)
-        for f in self.forms:
-            q = q * f.poly()
-        return q
-
-    def single(self, i: int) -> "Arrangement":
-        """Sub-arrangement holding only the i-th hyperplane."""
-        return Arrangement(nvars=self.nvars, forms=(self.forms[i],), name=self.name)
 
 
 def _parse_rational(token: str, line_no: int) -> Fraction:

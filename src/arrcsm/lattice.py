@@ -132,18 +132,6 @@ def poly_eval_int(coeffs: tuple[int, ...], t: int) -> int:
     return total
 
 
-def poly_from_roots(roots) -> tuple[int, ...]:
-    """Monic integer polynomial with the given roots, ascending coefficients."""
-    coeffs = [1]
-    for r in roots:
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] += c
-            nxt[i] -= c * r
-        coeffs = nxt
-    return tuple(coeffs)
-
-
 def divide_by_t_minus(coeffs: tuple[int, ...], r: int) -> tuple[int, ...]:
     """Exact quotient by (t - r), by synthetic division; raises if (t - r) is not a factor."""
     if poly_eval_int(coeffs, r) != 0:

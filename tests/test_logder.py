@@ -13,24 +13,30 @@ from arrcsm.logder import (
     chern_class_free,
     decide_freeness,
     degree_dimension,
+    minimal_generators,
+    vector_to_derivation,
+)
+from arrcsm.linalg import IncrementalSpan, integer_kernel, integer_rows
+from arrcsm.poly import monomials_of_degree
+from oracles import (
+    MultiPoly,
+    defining_polynomial,
+    fraction_kernel,
     intersection_property_check,
     is_logarithmic,
     is_logarithmic_for_polynomial,
     log_derivation_space,
-    minimal_generators,
-    vector_to_derivation,
+    poly_det,
+    polys,
+    primitive,
+    reduction_kernel,
 )
-from arrcsm.linalg import IncrementalSpan, integer_kernel, integer_rows, poly_det
-from arrcsm.poly import MultiPoly, monomials_of_degree
 from property_checks import (
     arrangement_text,
     derivation_to_vector,
     euler_field,
-    fraction_kernel,
     freeness_of,
-    primitive,
     random_rational_arrangement,
-    reduction_kernel,
     scaled_by_monomial,
 )
 
@@ -48,9 +54,9 @@ RANK2 = parse("vars 2\n1 0\n0 1\n1 1\n")
 def test_euler_derivation():
     e = euler_field(3)
     assert e.degree == 1
-    coeffs = e.polys()
+    coeffs = polys(e)
     assert coeffs[0] == MultiPoly.linear_form([1, 0, 0])
-    q = BOOLEAN.defining_polynomial()
+    q = defining_polynomial(BOOLEAN)
     # Euler applied to a degree-3 homogeneous polynomial gives 3 * it
     applied = sum((c * q.derivative(j) for j, c in enumerate(coeffs)), MultiPoly.zero(3))
     assert applied == q.scale(3)
@@ -71,7 +77,7 @@ def test_degree_dimensions_three_concurrent():
 
 def test_basis_members_are_logarithmic():
     for arr in (BOOLEAN, THREE_CONC, FOUR_GENERIC):
-        q = arr.defining_polynomial()
+        q = defining_polynomial(arr)
         for d in range(3):
             for theta in log_derivation_space(arr, d):
                 assert theta.degree == d
@@ -141,9 +147,9 @@ def test_saito_determinant_rank2():
     for arr in (RANK2, parse("vars 2\n0 1\n1 -1\n2 -1\n"), parse("vars 2\n1 -2\n0 1\n1 1\n")):
         report = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
         assert report.free
-        mat = [list(theta.polys()) for theta in report.generators]
+        mat = [list(polys(theta)) for theta in report.generators]
         det = poly_det(mat)
-        q = arr.defining_polynomial()
+        q = defining_polynomial(arr)
         assert det == q.scale(report.saito_scalar)
 
 
@@ -165,7 +171,7 @@ def test_saito_rejects_degenerate_generators():
     _, g1, g2 = report.generators
     fake = scaled_by_monomial(g1, (1, 0, 0))
     assert is_logarithmic(fake, BOOLEAN)
-    mat = [list(fake.polys()), list(g1.polys()), list(g2.polys())]
+    mat = [list(polys(fake)), list(polys(g1)), list(polys(g2))]
     assert poly_det(mat) == MultiPoly.zero(3)
 
 

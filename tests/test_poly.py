@@ -3,12 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from arrcsm.poly import (
-    MultiPoly,
-    monomials_of_degree,
-    poly_divmod,
-    reduce_mod_linear,
-)
+from arrcsm.poly import monomials_of_degree
+from oracles import MultiPoly, poly_divmod, reduce_mod_linear
 
 
 def x(i, n=3):

@@ -4,7 +4,7 @@ from random import Random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcsm.arrangement import parse
+from arrcsm.arrangement import Arrangement, ParseError, parse
 from property_checks import (
     arrangement_text,
     assert_point_rows_match_reduction,
@@ -68,3 +68,46 @@ def arrangements(draw):
 @given(arrangements())
 def test_point_rows_match_reduction_property(arr):
     assert_point_rows_match_reduction(arr)
+
+
+# Every character the .arr grammar gives a meaning to, and then some.
+ARR_ALPHABET = "vars0123456789 +-/._eE#\t\r\n"
+
+
+def _mostly(common, rare, share: int):
+    """common in share of 10 draws, else rare."""
+    return st.integers(1, 10).flatmap(lambda k: common if k <= share else rare)
+
+
+# digits joined by a mark a rational may carry: 3/0, 1e999, 1_0, -.5, ...
+numerals = st.builds(
+    "{}{}{}{}".format,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", max_size=4),
+    st.sampled_from(["/", "e", "e-", "_", ".", "/-", "", "+"]),
+    st.integers(0, 9999).map(str),
+)
+odd_tokens = _mostly(numerals, st.text(ARR_ALPHABET, min_size=1, max_size=3), 7)
+tokens = _mostly(st.fractions(-9, 9, max_denominator=9).map(str), odd_tokens, 8)
+
+
+@st.composite
+def arr_texts(draw):
+    """Noise over the .arr alphabet, or a header and rows of tokens that are mostly rationals."""
+    if draw(_mostly(st.just(False), st.just(True), 7)):
+        return draw(st.text(ARR_ALPHABET, max_size=60))
+    nvars = draw(st.integers(0, 4))
+    header = draw(_mostly(st.just(str(nvars)), tokens, 8))
+    width = _mostly(st.just(nvars), st.integers(0, 5), 8)
+    rows = draw(st.lists(width.flatmap(lambda k: st.lists(tokens, min_size=k, max_size=k)), max_size=4))
+    return f"vars {header}\n" + "".join(" ".join(r) + "\n" for r in rows)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(arr_texts())
+def test_any_text_parses_or_raises_parse_error(text):
+    try:
+        arr = parse(text)
+    except ParseError:
+        return
+    assert isinstance(arr, Arrangement)
