@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .arrangement import Arrangement
 from .linalg import _insert, _integer_vector, _rational_rows, _reduce
@@ -101,17 +101,26 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
                         }))
         frontier = nxt
 
+    # Flats in order of codim, then RREF rows.  Each span row is row[pc]
+    # times its RREF row, so with scale the lcm of every pivot entry,
+    # a * (scale // row[pc]) is scale times an RREF entry: ints that order
+    # like the RREF rows, so the sort makes and compares no Fraction.
+    scale = lcm(*(row[pc] for span in found.values() for pc, row in span.items()))
+
+    def key(item):
+        span = item[1]
+        return len(span), [a * (scale // row[pc]) for pc, row in sorted(span.items()) for a in row]
+
     # mu by top-down recursion: flats strictly below x are those whose
     # index set is a proper subset of x's (equivalent to span inclusion),
     # held as bitmasks; flats come in codim order, so every earlier subset
     # is a proper one.
     flats: list[Flat] = []
     masks: list[int] = []
-    bases = [(_rational_rows(span), ix) for ix, span in found.items()]
-    for basis, indices in sorted(bases, key=lambda b: (len(b[0]), b[0])):
+    for indices, span in sorted(found.items(), key=key):
         s = sum(1 << i for i in indices)
         mu = -sum(f.mu for f, t in zip(flats, masks) if t & s == t) if indices else 1
-        flats.append(Flat(rows=basis, codim=len(basis), indices=indices, mu=mu))
+        flats.append(Flat(rows=_rational_rows(span), codim=len(span), indices=indices, mu=mu))
         masks.append(s)
     return IntersectionLattice(arrangement=arr, flats=tuple(flats))
 
@@ -198,21 +207,26 @@ def _is_prime(p: int) -> bool:
 
 
 # Largest chart, p^n points of P^n(F_p), that the oracle sweeps.  The
-# coordinates are open grids, so the sweep holds at most two int64 arrays
-# of the chart's size (a form's values and their residues mod p), 16 MB
-# each at this bound, and two boolean masks.
+# sweep holds one boolean mask of the chart, p^n bytes (2 MB at this
+# bound), and a few int64 arrays of p^(n-1) entries, whatever |A|.
 ORACLE_MAX_POINTS = 2_000_000
 
 
 def point_count_oracle(arr: Arrangement, p: int) -> int:
-    """Count points of P^n(F_p) lying on no hyperplane, by enumeration.
+    """Count points of P^n(F_p) lying on no hyperplane, fibre by fibre.
 
     Independent of the lattice machinery: reduces the forms mod p and
     sweeps every projective point chart by chart (vectorized, int64
-    modular arithmetic, no rounding anywhere).  Refuses primes of bad
-    reduction: a coefficient denominator divisible by p, or a form
+    modular arithmetic, no rounding anywhere).  In the chart
+    (0, ..., 0, 1, y_(lead+1), ..., y_n) a prefix (y_(lead+1), ...,
+    y_(n-1)) fixes an affine line in y_n, on which a form is a + c*y_n:
+    for c != 0 it vanishes at y_n = -a/c alone, for c = 0 on the whole
+    line when a = 0 and nowhere otherwise.  So each form marks its
+    points in one boolean mask of the chart with one scatter per fibre,
+    and the chart contributes its unmarked points.  Refuses primes of
+    bad reduction: a coefficient denominator divisible by p, or a form
     vanishing identically mod p; refuses a largest chart p^n above
-    ORACLE_MAX_POINTS before allocating anything.
+    ORACLE_MAX_POINTS, the size of that mask, before allocating anything.
     """
     if p > 1000:  # before _is_prime, whose trial division is unbounded in p
         raise ValueError("oracle is restricted to primes up to 1000")
@@ -238,15 +252,23 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
 
     total = 0
     for lead in range(n1):
-        # chart: coordinates (0, ..., 0, 1, y_{lead+1}, ..., y_n), y free;
-        # each y_k is an open grid, p long on its own axis and 1 on the others
-        grids = np.ix_(*[np.arange(p, dtype=np.int64)] * (n1 - lead - 1))
-        ok = np.ones((p,) * len(grids), dtype=bool)
+        free = n1 - lead - 1
+        if not free:
+            # the chart is the point (0, ..., 0, 1)
+            total += all(row[lead] for row in reduced_forms)
+            continue
+        # the prefix y_(lead+1), ..., y_(n-1) as open grids, p long on
+        # their own axis and 1 on the others; y_n is the mask's last axis
+        prefix = np.ix_(*[np.arange(p, dtype=np.int64)] * (free - 1))
+        hit = np.zeros((p,) * free, dtype=bool)
         for row in reduced_forms:
-            val = row[lead]
-            for c, y in zip(row[lead + 1:], grids):
+            a = row[lead]
+            for c, y in zip(row[lead + 1:-1], prefix):
                 if c:
-                    val = val + c * y
-            ok &= (val % p) != 0
-        total += int(ok.sum())
+                    a = a + c * y
+            if row[-1]:
+                hit[(*prefix, a * -pow(row[-1], -1, p) % p)] = True
+            else:
+                hit[np.broadcast_to(a % p == 0, hit.shape[:-1])] = True
+        total += hit.size - int(np.count_nonzero(hit))
     return total

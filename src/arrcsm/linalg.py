@@ -125,8 +125,8 @@ def _integer_vector(v: Sequence[Scalar]) -> list[int]:
 def _rational(row: list[int], p: int) -> Vector:
     """row / p as Fractions.
 
-    Zeros and ones are shared objects, so comparing two such vectors (the
-    lattice sorts its flats by their rows) rarely calls Fraction.__eq__.
+    Zeros and ones are shared objects, so comparing two such vectors
+    rarely calls Fraction.__eq__.
     """
     return tuple(_ZERO if a == 0 else _ONE if a == p else Fraction(a, p) for a in row)
 

@@ -192,7 +192,10 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
         if len(multiples) < dims[d] or len(_rref_mod_p(multiples)) < dims[d]:
             span = IncrementalSpan(n1 * per)
             for row in multiples:
-                span.add([row.get(c, 0) for c in range(span.dim)])
+                dense = [0] * span.dim
+                for c, a in row.items():
+                    dense[c] = a
+                span.add(dense)
             for v in kernel:
                 residue = span.add(v)
                 if residue is not None:

@@ -25,11 +25,15 @@ references reach the same objects by other means:
   the generator search.
 - poly_from_roots: the monic polynomial with given roots, for Terao's
   factorization of the characteristic polynomial.
+- reference_point_count: the points of P^n(F_p) off every hyperplane,
+  one point at a time in plain Python, the reference for the numpy
+  point-count oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 from math import lcm
 from typing import Iterable, Iterator, Mapping
 
@@ -448,3 +452,27 @@ def poly_from_roots(roots) -> tuple[int, ...]:
             nxt[i] -= c * r
         coeffs = nxt
     return tuple(coeffs)
+
+
+def reference_point_count(arr: Arrangement, p: int) -> int | None:
+    """#(P^n(F_p) minus A), point by point; None when p is a prime of bad reduction.
+
+    Bad reduction: p divides a coefficient's denominator, or a form
+    vanishes identically mod p.  Each point of P^n(F_p) is taken once, as
+    the vector whose first nonzero coordinate is 1.
+    """
+    forms = []
+    for f in arr.forms:
+        if any(c.denominator % p == 0 for c in f.coeffs):
+            return None
+        row = [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
+        if not any(row):
+            return None
+        forms.append(row)
+    n1 = arr.nvars
+    count = 0
+    for lead in range(n1):
+        for tail in product(range(p), repeat=n1 - lead - 1):
+            x = (0,) * lead + (1,) + tail
+            count += all(sum(c * v for c, v in zip(row, x)) % p for row in forms)
+    return count

@@ -209,18 +209,35 @@ def test_oracle_refuses_a_chart_over_its_point_bound():
     assert peak < 1_000_000
 
 
-def test_oracle_sweeps_a_p3_chart_in_open_grids():
-    # The largest chart holds 101^3 points, 8.2 MB per int64 array: room for
-    # a form's values and their residues, not for one full grid per coordinate.
-    arr = parse_file(CORPUS / "generic5_p3.arr")
+def _oracle_peak(arr, p: int) -> tuple[int, int]:
+    """(count, traced peak bytes) of one point_count_oracle call."""
     tracemalloc.start()
     try:
-        count = point_count_oracle(arr, 101)
+        count = point_count_oracle(arr, p)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return count, peak
+
+
+def test_oracle_sweeps_a_p3_chart_fibre_by_fibre():
+    # The largest chart holds 101^3 points: one boolean mask of 1.03 MB,
+    # and int64 arrays of the 101^2 fibres (82 kB each), where one full
+    # int64 grid of the chart would take 8.2 MB.
+    arr = parse_file(CORPUS / "generic5_p3.arr")
+    count, peak = _oracle_peak(arr, 101)
     assert count == poly_eval_int(reduced_char_poly(build_lattice(arr)), 101)
-    assert peak < 32_000_000
+    assert peak < 4_000_000
+
+
+def test_oracle_memory_does_not_grow_with_the_number_of_forms():
+    # 60 planes in P^3 hold the peak to the bound of 5 planes: each form
+    # scatters into the one mask, and no array per form is kept
+    rng = random.Random(60)
+    arr = parse(arrangement_text(4, [[rng.randint(1, 100) for _ in range(4)] for _ in range(60)]))
+    count, peak = _oracle_peak(arr, 101)
+    assert 0 < count < 101**3
+    assert peak < 4_000_000
 
 
 def test_lattice_flat_rows_are_canonical():

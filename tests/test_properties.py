@@ -1,10 +1,13 @@
 from fractions import Fraction
 from random import Random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arrcsm.arrangement import Arrangement, ParseError, parse
+from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
+from oracles import fraction_rref, reference_point_count
 from property_checks import (
     arrangement_text,
     assert_point_rows_match_reduction,
@@ -55,12 +58,12 @@ coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
 @st.composite
-def arrangements(draw):
-    """1 to 4 forms in 2 to 4 coordinates, some of them never used."""
+def arrangements(draw, max_forms=4):
+    """1 to max_forms forms in 2 to 4 coordinates, some of them never used."""
     nvars = draw(st.integers(2, 4))
     used = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars).filter(any))
     form = st.tuples(*(coefficients if u else st.just(Fraction(0)) for u in used))
-    rows = draw(st.lists(form.filter(any), min_size=1, max_size=4))
+    rows = draw(st.lists(form.filter(any), min_size=1, max_size=max_forms))
     return parse(arrangement_text(nvars, rows))
 
 
@@ -68,6 +71,44 @@ def arrangements(draw):
 @given(arrangements())
 def test_point_rows_match_reduction_property(arr):
     assert_point_rows_match_reduction(arr)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(arrangements(max_forms=7))
+def test_flats_come_in_order_of_codim_then_rref_rows(arr):
+    flats = build_lattice(arr).flats
+    rows = [fraction_rref(arr.forms[i].coeffs for i in f.indices) for f in flats]
+    assert [f.rows for f in flats] == rows == sorted(rows, key=lambda r: (len(r), r))
+
+
+@st.composite
+def arrangements_mod_p(draw):
+    """A prime p <= 7 and 0 to 5 forms in P^1 to P^3, many of them with last coefficient 0 mod p.
+
+    On the oracle's fibres, lines in the last coordinate, such a form is
+    constant: it vanishes on whole fibres or on none.  A denominator of 2
+    or 3, or a form that is 0 mod p, makes p a prime of bad reduction.
+    """
+    p = draw(st.sampled_from((2, 3, 5, 7)))
+    nvars = draw(st.integers(2, 4))
+    rare = st.one_of(st.integers(-2, 2).map(lambda k: Fraction(k * p)), st.fractions(-3, 3, max_denominator=3))
+    coefficient = _mostly(st.integers(-3, 3).map(Fraction), rare, 8)
+    head = st.lists(coefficient, min_size=nvars - 1, max_size=nvars - 1)
+    last = st.one_of(coefficient, st.sampled_from((Fraction(0), Fraction(p))))
+    form = st.builds(lambda h, c: h + [c], head, last).filter(any)
+    return parse(arrangement_text(nvars, draw(st.lists(form, max_size=5)))), p
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(arrangements_mod_p())
+def test_point_count_oracle_matches_the_point_by_point_count(case):
+    arr, p = case
+    expected = reference_point_count(arr, p)
+    if expected is None:
+        with pytest.raises(BadReductionError):
+            point_count_oracle(arr, p)
+    else:
+        assert point_count_oracle(arr, p) == expected
 
 
 # Every character the .arr grammar gives a meaning to, and then some.
