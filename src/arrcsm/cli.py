@@ -36,6 +36,7 @@ import sys
 import time
 from dataclasses import replace
 from functools import cache
+from math import comb
 from pathlib import Path
 
 from . import __version__
@@ -124,12 +125,23 @@ def _csm_payload(lat: IntersectionLattice) -> dict:
     }
 
 
-def _derivations_payload(arr: Arrangement, gb: GradedBasis, max_degree: int) -> dict:
-    # the search stops early; only degrees past its stop need their own kernel
-    dims = [
-        [d, gb.dimensions[d] if d in gb.dimensions else degree_dimension(arr, d)]
-        for d in range(max_degree + 1)
-    ]
+def _derivations_payload(
+    arr: Arrangement, gb: GradedBasis, freeness: FreenessReport, max_degree: int
+) -> dict:
+    """The search's dimensions, and past its stop those of D(A) = sum_i S(-e_i) when A is free.
+
+    A non-free A solves one kernel for each degree past the stop.
+    """
+
+    def dimension(d: int) -> int:
+        if d in gb.dimensions:
+            return gb.dimensions[d]
+        if freeness.free:
+            n = arr.projective_dim
+            return sum(comb(d - e + n, n) for e in freeness.exponents if e <= d)
+        return degree_dimension(arr, d)
+
+    dims = [[d, dimension(d)] for d in range(max_degree + 1)]
     return {
         "dims": dims,
         "generator_degrees": list(gb.generator_degrees),
@@ -358,7 +370,8 @@ def _csm(args, arr):
 
 
 def _derivations(args, arr):
-    return _derivations_payload(arr, _full_search(arr), args.max_degree), 0
+    graded = _full_search(arr)
+    return _derivations_payload(arr, graded, decide_freeness(arr, graded), args.max_degree), 0
 
 
 def _freeness(args, arr):
@@ -383,7 +396,7 @@ def _report(args, arr):
         "lattice": _lattice_payload(lat),
         "charpoly": _charpoly_payload(lat),
         "csm": _csm_payload(lat),
-        "derivations": _derivations_payload(arr, graded, args.max_degree),
+        "derivations": _derivations_payload(arr, graded, freeness, args.max_degree),
         "freeness": _freeness_payload(freeness),
         "verification": _verify_payload(vr),
     }

@@ -74,11 +74,20 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     at codim r - 1 without reducing any residue against those flats, and
     the top enters once with the span Arrangement._independent builds
     (the RREF of a span is unique, whichever forms built it).
+
+    mu by Weisner's theorem (Stanley, Enumerative Combinatorics I, Cor.
+    3.9.3) for the atom of X's smallest hyperplane i: the Y <= X whose
+    join with it is X are X and the Y covered by X that miss i, so
+    mu(X) = -sum mu(Y) over those Y.  The walk meets each pair of a flat
+    and a cover once, level by level, so a flat's sum is complete before
+    its own covers are met; the top sums the flats of codim r - 1 that
+    miss hyperplane 0.
     """
     top = arr._independent()[1]
     r = len(top)
     # closed index set -> span; the top is the bottom, () -> {}, when A is empty
     found: dict[tuple[int, ...], dict] = {(): {}, tuple(range(arr.size)): top}
+    mus = {(): 1}
     # (closed index set, span, {form index: residue} of the forms outside it)
     residues = {i: _reduce({}, _integer_vector(f.coeffs)) for i, f in enumerate(arr.forms)}
     frontier = [((), {}, residues)] if r > 1 else []
@@ -90,6 +99,9 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
                 covers.setdefault(tuple(residue), []).append(i)
             for residue, through in covers.items():
                 cover = tuple(sorted(indices + tuple(through)))
+                # Weisner: does this flat miss the cover's first hyperplane?
+                if not indices or cover[0] < indices[0]:
+                    mus[cover] = mus.get(cover, 0) - mus[indices]
                 if cover not in found:
                     # _insert rebinds rows and never mutates a row list, so a
                     # shallow copy leaves the flat's own span intact
@@ -111,18 +123,14 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
         span = item[1]
         return len(span), [a * (scale // row[pc]) for pc, row in sorted(span.items()) for a in row]
 
-    # mu by top-down recursion: flats strictly below x are those whose
-    # index set is a proper subset of x's (equivalent to span inclusion),
-    # held as bitmasks; flats come in codim order, so every earlier subset
-    # is a proper one.
-    flats: list[Flat] = []
-    masks: list[int] = []
-    for indices, span in sorted(found.items(), key=key):
-        s = sum(1 << i for i in indices)
-        mu = -sum(f.mu for f, t in zip(flats, masks) if t & s == t) if indices else 1
-        flats.append(Flat(rows=_rational_rows(span), codim=len(span), indices=indices, mu=mu))
-        masks.append(s)
-    return IntersectionLattice(arrangement=arr, flats=tuple(flats))
+    if r:
+        below = (x for x, span in found.items() if len(span) == r - 1 and 0 not in x)
+        mus[tuple(range(arr.size))] = -sum(mus[x] for x in below)
+    flats = tuple(
+        Flat(rows=_rational_rows(span), codim=len(span), indices=indices, mu=mus[indices])
+        for indices, span in sorted(found.items(), key=key)
+    )
+    return IntersectionLattice(arrangement=arr, flats=flats)
 
 
 def char_poly(lat: IntersectionLattice) -> tuple[int, ...]:

@@ -306,6 +306,10 @@ class IncrementalSpan:
         self.dim = dim
         self._rows: dict[int, list[int]] = {}  # pivot column -> primitive row, as _insert keeps it
 
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
     def add(self, v: Sequence[int]) -> list[int] | None:
         if len(v) != self.dim:
             raise ValueError("dimension mismatch")

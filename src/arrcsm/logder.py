@@ -7,13 +7,13 @@ degree of its coefficient polynomials, so the Euler field sum x_j d/dx_j
 has degree 1 and constant fields have degree 0.
 
 Freeness is decided by Saito's criterion: hunt for n+1 minimal
-generators degree by degree, D(A)_d being the exact kernel of integer
-rows that evaluate at lattice points of each hyperplane (_degree_kernel;
-a coordinate hyperplane x_j adds no rows: it only asks theta_j to lie in
-x_j * S_(d-1), so the columns it zeroes leave the system), then read
-the scalar c in det M(theta) = c * Q off one integer point
-where the defining polynomial Q does not vanish: free if and only if
-c != 0 (a scalar determinant, no polynomial products or division).
+generators degree by degree, D(A)_d being the exact kernel of sparse
+integer rows, the coefficients of alpha(theta) reduced modulo each form
+alpha (_degree_kernel; a coordinate hyperplane x_j adds no rows: it only
+asks theta_j to lie in x_j * S_(d-1), so the columns it zeroes leave the
+system), then read the scalar c in det M(theta) = c * Q off one integer
+point where the defining polynomial Q does not vanish: free if and only
+if c != 0 (a scalar determinant, no polynomial products or division).
 The search walks the degrees it is given.  The full walk is 0..|A|: a
 free module's exponents are nonnegative and sum to |A|.  By Terao's
 factorization (Orlik & Terao, Thm 4.137) the exponents of a free A are
@@ -74,34 +74,24 @@ def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) ->
     return Derivation(nvars, degree, terms)
 
 
-def _monomial_values(point: list[int], d: int) -> list[int]:
-    """m(point) for each monomial m of degree d, in monomials_of_degree order.
-
-    The degree-e monomials in x_k, x_(k+1), ... are x_k times those of
-    degree e - 1 in the same variables, then those of degree e in
-    x_(k+1), ... alone; so each value is one product of a value before it.
-    """
-    values = [[1]] + [[] for _ in range(d)]  # no variables yet: only the constant 1
-    for x in reversed(point):
-        for e in range(1, d + 1):
-            values[e] = [x * v for v in values[e - 1]] + values[e]
-    return values[d]
-
-
 def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list[int]]:
     """Primitive integer kernel vectors spanning D(A)_d in the (variable, monomial) layout.
 
     A form scaled to integers a, with pivot p its first nonzero index, gets
-    one row per monomial t of degree d free of x_p: a_j * m(P) at (j, m), for
-    P = sum_k t_k (a_p e_k - a_k e_p) = a_p t - (a . t) e_p on alpha = 0.  This
-    principal lattice is unisolvent for forms of degree d (Chung & Yao, SIAM J.
-    Numer. Anal. 14, 1977), so the rows cut out D(A)_d.
+    the coefficients of a_p^d * alpha(theta) reduced modulo alpha as rows:
+    on alpha = 0, a_p x_p is L = -sum_(k != p) a_k x_k, so column (j, m)
+    puts a_j * a_p^(d - m_p) * c_beta into the row of the monomial
+    m - m_p e_p + beta, for each term c_beta x^beta of L^(m_p).  There is
+    one row per monomial of degree d free of x_p, empty ones included.  A
+    form with two terms, such as x_i - x_j, has a one-term L, so each
+    column puts one entry into its rows.  Monomials are coded as ints in
+    base d + 1, where a product of monomials is the sum of their codes.
 
-    A coordinate hyperplane x_j adds no rows.  Its rows are unisolvent for
-    the degree-d forms free of x_j, so they span the unit vectors of the
-    columns (j, m) with x_j not dividing m: those columns are pivots that no
-    other kernel vector touches.  The kernel is solved on the other columns
-    and put back with zeros on them, the same RREF basis.
+    A coordinate hyperplane x_j adds no rows.  Its rows would be the
+    coefficients of theta_j at the monomials free of x_j: unit vectors of
+    the columns (j, m) with x_j not dividing m, pivots that no other
+    kernel vector touches.  The kernel is solved on the other columns and
+    put back with zeros on them, the same RREF basis.
     """
     n1, per = arr.nvars, len(monos)
     forms = integer_rows(form.coeffs for form in arr.forms)
@@ -113,18 +103,33 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list
             if j not in coordinate or mono[j]:
                 slots[j].append((k, len(kept)))
                 kept.append(j * per + k)
+    weight = [(d + 1) ** (n1 - 1 - k) for k in range(n1)]
+    codes = [sum(e * w for e, w in zip(mono, weight)) for mono in monos]
     rows: list[dict[int, int]] = []
     for a in forms:
         if len(a) == 1:
             continue
         pivot = min(a)
-        for t in monos:
-            if t[pivot]:
-                continue
-            point = [a[pivot] * e for e in t]
-            point[pivot] = -sum(c * t[j] for j, c in a.items())
-            values = _monomial_values(point, d)
-            rows.append({i: c * values[k] for j, c in a.items() for k, i in slots[j] if values[k]})
+        line = [(weight[k], -c) for k, c in a.items() if k != pivot]
+        powers = [{0: 1}]  # L^e as {code: coefficient}; no term cancels
+        for _ in range(d):
+            power: dict[int, int] = {}
+            for u, c in powers[-1].items():
+                for w, b in line:
+                    power[u + w] = power.get(u + w, 0) + c * b
+            powers.append(power)
+        row_of = {}
+        for mono, code in zip(monos, codes):
+            if not mono[pivot]:
+                row_of[code] = len(rows)
+                rows.append({})
+        scales = [a[pivot] ** (d - e) for e in range(d + 1)]
+        for j, c in a.items():
+            for k, i in slots[j]:
+                e = monos[k][pivot]
+                base, scale = codes[k] - e * weight[pivot], c * scales[e]
+                for u, b in powers[e].items():
+                    rows[row_of[base + u]][i] = scale * b
     kernel = []
     for v in integer_kernel(rows, len(kept)):
         full = [0] * (n1 * per)
@@ -167,6 +172,8 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
     basis inside the degree-d kernel.  The multiples lie in D(A)_d and
     rank_p <= rank_Q for their integer rows, so when rank_p reaches dim
     D(A)_d the degree adds no generator and the exact span is skipped.
+    The span lies in D(A)_d, so once its rank is dim D(A)_d every kernel
+    vector left is dependent and none is reduced.
     Early exits: more than n+1 generators (never free), or exactly n+1
     with degree sum |A| (Saito candidate found).
     """
@@ -197,6 +204,8 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
                     dense[c] = a
                 span.add(dense)
             for v in kernel:
+                if span.rank == dims[d]:
+                    break  # the span is D(A)_d: every vector left is dependent
                 residue = span.add(v)
                 if residue is not None:
                     gens.append(vector_to_derivation(residue, n1, d, monos))

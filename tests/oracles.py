@@ -19,10 +19,13 @@ references reach the same objects by other means:
   hyperplane at a time on top of them.
 - rref_rows: the RREF of a span through linalg's integer core, the path
   build_lattice takes, for comparing the core with fraction_rref.
-- reduction_kernel: D(A)_d from residues modulo each form, solved by
-  fraction_kernel, the oracle for the search's point-evaluation rows and
-  its kernel; log_derivation_space is one degree's kernel alone, without
-  the generator search.
+- reduction_kernel: D(A)_d from residues modulo each form, with
+  MultiPoly's reduce_mod_linear, solved by fraction_kernel; and
+  evaluation_rows: dense rows that evaluate alpha(theta) at lattice
+  points of each hyperplane, reducing nothing modulo a form.  Both are
+  oracles for the search's sparse integer residue rows and their kernel;
+  log_derivation_space is one degree's kernel alone, without the
+  generator search.
 - poly_from_roots: the monic polynomial with given roots, for Terao's
   factorization of the characteristic polynomial.
 - reference_point_count: the points of P^n(F_p) off every hyperplane,
@@ -34,7 +37,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Iterator, Mapping
 
 from arrcsm.arrangement import Arrangement
@@ -432,6 +435,31 @@ def reduction_kernel(arr: Arrangement, d: int) -> list[tuple[Fraction, ...]]:
         for t in (m for m in monos if m[pivot] == 0):
             rows.append([form.coeffs[j] * residues[m].coefficient(t) for j, m in cols])
     return fraction_kernel(rows, len(cols))
+
+
+def evaluation_rows(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list[int]]:
+    """Dense integer rows evaluating alpha(theta) at lattice points of every hyperplane.
+
+    The form scaled to integers a, with pivot p, gives the points
+    P = a_p t - (a . t) e_p on alpha = 0 for each monomial t free of x_p,
+    coordinate hyperplanes included; the row holds a_j * m(P) at column
+    (j, m).  This principal lattice is unisolvent for forms of degree d
+    (Chung & Yao, SIAM J. Numer. Anal. 14, 1977), so the rows cut out
+    D(A)_d without reducing anything modulo a form.
+    """
+    rows = []
+    for form in arr.forms:
+        scale = lcm(*(c.denominator for c in form.coeffs))
+        a = [int(c * scale) for c in form.coeffs]
+        pivot = next(j for j, c in enumerate(a) if c)
+        for t in monos:
+            if t[pivot]:
+                continue
+            point = [a[pivot] * e for e in t]
+            point[pivot] = -sum(c * e for c, e in zip(a, t))
+            values = [prod(x**e for x, e in zip(point, m)) for m in monos]
+            rows.append([c * v for c in a for v in values])
+    return rows
 
 
 def log_derivation_space(arr: Arrangement, d: int) -> list[Derivation]:

@@ -78,7 +78,7 @@ def assert_point_rows_match_reduction(arr: Arrangement) -> None:
 
 
 def point_rows_match_reduction(rng: Random, cases: int) -> int:
-    """Point-evaluation rows and residue rows have the same kernel in P^1-P^3."""
+    """The search's integer residue rows and MultiPoly's residues share a kernel in P^1-P^3."""
     done = 0
     for _ in range(cases):
         nvars = rng.choice([2, 3, 4])

@@ -15,7 +15,7 @@ from arrcsm import cli
 from arrcsm.arrangement import MAX_VARS, parse, parse_file
 from arrcsm.cli import corpus_runner, main, run
 from arrcsm.lattice import build_lattice
-from arrcsm.logder import decide_freeness, minimal_generators
+from arrcsm.logder import decide_freeness, degree_dimension, minimal_generators
 from property_checks import arrangement_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -599,6 +599,36 @@ def test_module_execution():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["result"]["passed"] is True
+
+
+def test_derivations_of_no_forms_in_20_variables_ends_quickly(tmp_path):
+    # free with twenty exponents 0: dim D(A)_d is 20 times the C(d + 19, 19)
+    # monomials of degree d, so no kernel of 30,800 columns is solved
+    path = tmp_path / "empty.arr"
+    path.write_text("vars 20\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrcsm", "derivations", "--input", str(path), "--json"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["result"]["dims"] == [[0, 20], [1, 400], [2, 4200], [3, 30800]]
+
+
+def test_dimensions_of_a_free_arrangement_come_from_its_exponents():
+    free = 0
+    for path in sorted(CORPUS.glob("*.arr")):
+        arr = parse_file(path)
+        graded = minimal_generators(arr, range(arr.size + 1))
+        freeness = decide_freeness(arr, graded)
+        if freeness.free:
+            free += 1
+            # with no searched degree, every dimension is read off the exponents
+            unsearched = replace(graded, dimensions={})
+            dims = cli._derivations_payload(arr, unsearched, freeness, 5)["dims"]
+            assert dims == [[d, degree_dimension(arr, d)] for d in range(6)], path.name
+    assert free == 9  # all but four_generic and generic5_p3
 
 
 def _raise_internal(*args, **kwargs):

@@ -1,6 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd
 from pathlib import Path
 from random import Random
 
@@ -21,6 +21,7 @@ from arrcsm.poly import monomials_of_degree
 from oracles import (
     MultiPoly,
     defining_polynomial,
+    evaluation_rows,
     fraction_kernel,
     intersection_property_check,
     is_logarithmic,
@@ -302,6 +303,30 @@ def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
 
 
 
+def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
+    # nine lines through a point and a transversal, in coordinates adapted to
+    # them: exponents 1, 1, 8.  At degree 8 the 72 multiples of the linear
+    # generators are independent and dim D(A)_8 = 73, so one kernel vector
+    # fills the span; the 72 after it would be reduced to nothing
+    arr, _ = parse(arrangement_text(3, [[0, 1, t] for t in range(9)] + [[1, 0, 0]])).adapted()
+    adds = {}
+
+    class CountedSpan(logder.IncrementalSpan):
+        def add(self, v):
+            adds[self.dim] = adds.get(self.dim, 0) + 1
+            return super().add(v)
+
+    monkeypatch.setattr(logder, "IncrementalSpan", CountedSpan)
+    graded = minimal_generators(arr, range(arr.size + 1))
+    assert graded.generator_degrees == (1, 1, 8)
+    assert adds[3 * 45] == 73
+    # a span that never reports its rank takes every kernel vector, to the same end
+    monkeypatch.setattr(CountedSpan, "rank", -1)
+    adds.clear()
+    assert minimal_generators(arr, range(arr.size + 1)) == graded
+    assert adds[3 * 45] == 72 + 73
+
+
 def test_exhausted_walk_names_only_the_degrees_it_searched():
     near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
     graded = minimal_generators(near_pencil_5, [0, 1, 2])
@@ -321,36 +346,26 @@ def test_exhausted_walk_names_only_the_degrees_it_searched():
         "found 0 minimal generators without walking a degree, expected 3")
 
 
-def test_monomial_values_take_one_product_each():
-    rng = Random(7)
-    for _ in range(40):
-        point = [rng.randint(-3, 3) for _ in range(rng.randint(1, 5))]
-        d = rng.randint(0, 5)
-        monos = monomials_of_degree(len(point), d)
-        expected = [prod(x**e for x, e in zip(point, m)) for m in monos]
-        assert logder._monomial_values(point, d) == expected
-
-
-def _evaluation_rows(arr, d, monos):
-    """The point-evaluation rows of every form, coordinate hyperplanes included.
-
-    The form scaled to integers a, with pivot p, gives the points
-    P = a_p t - (a . t) e_p on alpha = 0 for each monomial t free of x_p;
-    the row holds a_j * m(P) at column (j, m).
-    """
-    rows = []
-    for form in arr.forms:
-        scale = lcm(*(c.denominator for c in form.coeffs))
-        a = [int(c * scale) for c in form.coeffs]
-        pivot = next(j for j, c in enumerate(a) if c)
-        for t in monos:
-            if t[pivot]:
-                continue
-            point = [a[pivot] * e for e in t]
-            point[pivot] = -sum(c * e for c, e in zip(a, t))
-            values = [prod(x**e for x, e in zip(point, m)) for m in monos]
-            rows.append([c * v for c in a for v in values])
-    return rows
+def test_a_two_term_form_puts_one_entry_per_column(monkeypatch):
+    # on x_i - x_j = 0, x_i is x_j: every power of the substitute has one
+    # term, so each kept column (k, m) with k in {i, j} has one entry in the
+    # rows of that form, whatever the degree
+    seen = []
+    integer_kernel = logder.integer_kernel
+    monkeypatch.setattr(
+        logder, "integer_kernel", lambda rows, ncols: seen.append(rows) or integer_kernel(rows, ncols)
+    )
+    for d in range(6):
+        monos = monomials_of_degree(BRAID.nvars, d)
+        _degree_kernel(BRAID, d, monos)
+        rows = seen.pop()
+        # the coordinate hyperplanes x0, x1, x2 keep only (k, m) with x_k | m
+        kept = [(k, m) for k in range(4) for m in monos if k == 3 or m[k]]
+        per_form = len(monomials_of_degree(3, d))
+        assert len(rows) == 3 * per_form
+        for f, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
+            entries = [c for row in rows[f * per_form:(f + 1) * per_form] for c in row]
+            assert sorted(entries) == [c for c, (k, _) in enumerate(kept) if k in (i, j)]
 
 
 def _with_coordinate_hyperplanes(rng):
@@ -381,7 +396,7 @@ def test_coordinate_hyperplanes_add_no_rows_and_keep_the_kernel(monkeypatch):
         for d in range(5):
             monos = monomials_of_degree(arr.nvars, d)
             ncols = arr.nvars * len(monos)
-            expected = fraction_kernel(_evaluation_rows(arr, d, monos), ncols)
+            expected = fraction_kernel(evaluation_rows(arr, d, monos), ncols)
             assert _degree_kernel(arr, d, monos) == [primitive(v) for v in expected], (arr.forms, d)
             # no rows from x_j, and none of its columns (j, m) with x_j not dividing m
             free_of_pivot = len(monomials_of_degree(arr.nvars - 1, d))

@@ -7,7 +7,15 @@ from hypothesis import strategies as st
 
 from arrcsm.arrangement import Arrangement, ParseError, parse
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
-from oracles import fraction_rref, reference_point_count
+from arrcsm.logder import _degree_kernel
+from arrcsm.poly import monomials_of_degree
+from oracles import (
+    evaluation_rows,
+    fraction_kernel,
+    fraction_rref,
+    primitive,
+    reference_point_count,
+)
 from property_checks import (
     arrangement_text,
     assert_point_rows_match_reduction,
@@ -79,6 +87,34 @@ def test_flats_come_in_order_of_codim_then_rref_rows(arr):
     flats = build_lattice(arr).flats
     rows = [fraction_rref(arr.forms[i].coeffs for i in f.indices) for f in flats]
     assert [f.rows for f in flats] == rows == sorted(rows, key=lambda r: (len(r), r))
+
+
+@st.composite
+def two_term_and_dense_forms(draw):
+    """1 to 4 forms in P^2 or P^3 and a degree d <= 4.
+
+    Each form has two terms, as braid and pencil forms do, or none zero.
+    """
+    nvars = draw(st.integers(3, 4))
+    nonzero = coefficients.filter(bool)
+
+    def two_terms(order, a, b):
+        return [a if k == order[0] else b if k == order[1] else 0 for k in range(nvars)]
+
+    two_term = st.builds(two_terms, st.permutations(range(nvars)), nonzero, nonzero)
+    dense = st.lists(nonzero, min_size=nvars, max_size=nvars)
+    rows = draw(st.lists(two_term, max_size=2)) + draw(st.lists(dense, max_size=2))
+    rows = rows or draw(st.lists(two_term, min_size=1, max_size=1))
+    return parse(arrangement_text(nvars, rows)), draw(st.sampled_from((4, 3, 2, 1, 0)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(two_term_and_dense_forms())
+def test_residue_rows_cut_out_the_kernel_of_the_evaluation_rows(case):
+    arr, d = case
+    monos = monomials_of_degree(arr.nvars, d)
+    expected = fraction_kernel(evaluation_rows(arr, d, monos), arr.nvars * len(monos))
+    assert _degree_kernel(arr, d, monos) == [primitive(v) for v in expected]
 
 
 @st.composite
