@@ -209,12 +209,14 @@ class SingularPoint:
         return f"[{inner}]"
 
 
-def singular_points(lat: IntersectionLattice) -> tuple[SingularPoint, ...]:
-    """Codimension-2 flats of a line arrangement as projective points."""
+def blowup_centers(lat: IntersectionLattice) -> tuple[SingularPoint, ...]:
+    """The points where three or more lines meet, the blow-up centres, as projective points."""
     if lat.arrangement.nvars != 3:
-        raise ValueError("singular point analysis is for line arrangements in P^2")
+        raise ValueError("blow-up centres are for line arrangements in P^2")
     points = []
     for flat in lat.of_codim(2):
+        if len(flat.indices) < 3:
+            continue
         kern = QMatrix(flat.rows, ncols=3).kernel_basis()
         if len(kern) != 1:
             raise RuntimeError("internal consistency failure: codim-2 flat is not a point")
@@ -245,10 +247,7 @@ def blowup_chern_snc(lat: IntersectionLattice) -> BlowupRoute:
     (1 + C) over each component C.
     """
     arr = lat.arrangement
-    if arr.nvars != 3:
-        raise ValueError("blow-up route is for line arrangements in P^2")
-    pts = singular_points(lat)
-    centers = tuple(p for p in pts if p.multiplicity >= 3)
+    centers = blowup_centers(lat)
     k = len(centers)
     total = SurfaceClass.make(1, 3, (-1,) * k, 3 + k)  # c(T V-hat)
     for i in range(arr.size):  # proper transform: h minus the E_j it passes through

@@ -9,14 +9,16 @@ results are deterministic and directly comparable.  integer_det is the
 determinant of an integer matrix, which Saito's check reads.
 
 Every RREF over Q runs through one integer core.  It keeps
-a span as {pivot column: row}, each row a primitive integer vector: gcd
-1, positive at its own pivot and 0 at every other pivot, so each row is
-its RREF row times its pivot entry.  _reduce clears a vector at those
-pivots and _insert joins it to the span, with every intermediate value
-an int.  IncrementalSpan.add, the integer_kernel fallback,
-Arrangement.rank and lattice.build_lattice all call it.  Kernel vectors
-and span residues are primitive integer vectors too (gcd 1, first
-nonzero entry positive).
+a span as {pivot column: row}, each row a dense primitive integer
+vector: gcd 1, positive at its own pivot and 0 at every other pivot, so
+each row is its RREF row times its pivot entry.  _reduce clears a vector
+at those pivots and _insert joins it to the span, with every
+intermediate value an int.  IncrementalSpan.add, the integer_kernel
+fallback, Arrangement.rank and lattice.build_lattice all call it.
+Dense rows stay inside this module.  Kernel vectors and span residues
+leave it sparse, as {column: entry} with keys ascending, primitive (gcd
+1, first entry positive); IncrementalSpan.add takes such vectors, and
+it and QMatrix.kernel_basis are the only places one is made dense.
 Fractions are made only where a result leaves the integers:
 _rational_rows divides each row by its pivot entry, and
 QMatrix.kernel_basis divides a vector by its leading entry.
@@ -115,6 +117,12 @@ def _insert(basis: dict[int, list[int]], v: list[int]) -> list[int] | None:
     return v
 
 
+def _primitive(v: dict[int, int]) -> dict[int, int]:
+    """Nonzero sparse v over the gcd of its entries, keys ascending, first entry positive."""
+    g = gcd(*v.values()) if v[min(v)] > 0 else -gcd(*v.values())
+    return {j: v[j] // g for j in sorted(v)}
+
+
 def _integer_vector(v: Sequence[Scalar]) -> list[int]:
     """v times the lcm of its denominators."""
     ratios = [x.as_integer_ratio() for x in v]
@@ -196,7 +204,7 @@ def _lift(a: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[list[int]] | None:
+def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]] | None:
     """The RREF kernel basis of sparse integer rows, found mod p and certified; None if unproven.
 
     For each mod-p free column fc the lifted vector has entry 1 at fc and
@@ -236,15 +244,17 @@ def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[list
                 image[i] = image.get(i, 0) + a * wj
         if any(image.values()):
             return None
-        basis.append(_reduce({}, [w.get(j, 0) for j in range(ncols)]))
+        basis.append(_primitive(w))
     return basis
 
 
-def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[list[int]]:
+def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     """Basis of {v : M v = 0} for sparse integer rows {column: entry}, as the RREF over Q gives it.
 
-    One vector per free column, in column order, the RREF's vector made
-    primitive; found mod p and certified, or else from the integer core.
+    One vector per free column fc, in column order, the RREF's vector
+    made primitive, as {column: entry} with keys ascending: it holds fc
+    and the pivots before it.  Found mod p and certified, or else from
+    the integer core.
     """
     basis = _modular_kernel(rows, ncols)
     if basis is not None:
@@ -259,11 +269,10 @@ def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[list[int]
         # e_fc - sum row[fc]/row[pc] e_pc, times the lcm of the row[pc] it divides by
         used = [(pc, row) for pc, row in reduced.items() if row[fc]]
         scale = lcm(*(row[pc] for pc, row in used))
-        w = [0] * ncols
-        w[fc] = scale
+        w = {fc: scale}
         for pc, row in used:
             w[pc] = -row[fc] * (scale // row[pc])
-        basis.append(_reduce({}, w))
+        basis.append(_primitive(w))
     return basis
 
 
@@ -291,15 +300,17 @@ class QMatrix:
     def kernel_basis(self) -> list[Vector]:
         """Basis of {v : M v = 0}: integer_kernel's vectors scaled to leading entry 1."""
         kernel = integer_kernel(integer_rows(self.entries), self.ncols)
-        return [_rational(v, next(a for a in v if a)) for v in kernel]
+        return [_rational([v.get(j, 0) for j in range(self.ncols)], v[min(v)]) for v in kernel]
 
 
 class IncrementalSpan:
     """Growing subspace of Q^dim, kept as _insert keeps a span.
 
-    add() reduces an integer vector against the current span; dependent
-    vectors return None, independent ones return their primitive residue
-    and join the span.
+    add() takes a sparse integer vector {column: entry} and reduces it
+    against the current span, the one place where the search's vectors
+    are made dense: dependent vectors return None, independent ones
+    return their primitive residue, sparse with keys ascending, and join
+    the span.
     """
 
     def __init__(self, dim: int):
@@ -310,7 +321,11 @@ class IncrementalSpan:
     def rank(self) -> int:
         return len(self._rows)
 
-    def add(self, v: Sequence[int]) -> list[int] | None:
-        if len(v) != self.dim:
-            raise ValueError("dimension mismatch")
-        return _insert(self._rows, list(v))
+    def add(self, v: dict[int, int]) -> dict[int, int] | None:
+        if v and not 0 <= min(v) <= max(v) < self.dim:
+            raise ValueError(f"columns {min(v)}..{max(v)} outside 0..{self.dim - 1}")
+        dense = [0] * self.dim
+        for j, a in v.items():
+            dense[j] = a
+        residue = _insert(self._rows, dense)
+        return None if residue is None else {j: a for j, a in enumerate(residue) if a}

@@ -68,14 +68,14 @@ class Derivation:
 
 
 def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) -> Derivation:
-    """The derivation of a (variable, monomial) integer vector, keeping its integers."""
+    """The derivation of a sparse {(variable, monomial) column: int} vector, keys ascending."""
     per = len(monos)
-    terms = tuple((k // per, monos[k % per], c) for k, c in enumerate(vec) if c)
+    terms = tuple((k // per, monos[k % per], c) for k, c in vec.items())
     return Derivation(nvars, degree, terms)
 
 
-def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list[int]]:
-    """Primitive integer kernel vectors spanning D(A)_d in the (variable, monomial) layout.
+def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[dict[int, int]]:
+    """Primitive integer kernel vectors spanning D(A)_d, sparse in the (variable, monomial) layout.
 
     A form scaled to integers a, with pivot p its first nonzero index, gets
     the coefficients of a_p^d * alpha(theta) reduced modulo alpha as rows:
@@ -90,8 +90,8 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list
     A coordinate hyperplane x_j adds no rows.  Its rows would be the
     coefficients of theta_j at the monomials free of x_j: unit vectors of
     the columns (j, m) with x_j not dividing m, pivots that no other
-    kernel vector touches.  The kernel is solved on the other columns and
-    put back with zeros on them, the same RREF basis.
+    kernel vector touches.  The kernel is solved on the other columns,
+    and its keys are mapped back to the full layout: the same RREF basis.
     """
     n1, per = arr.nvars, len(monos)
     forms = integer_rows(form.coeffs for form in arr.forms)
@@ -130,13 +130,7 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list
                 base, scale = codes[k] - e * weight[pivot], c * scales[e]
                 for u, b in powers[e].items():
                     rows[row_of[base + u]][i] = scale * b
-    kernel = []
-    for v in integer_kernel(rows, len(kept)):
-        full = [0] * (n1 * per)
-        for c, x in zip(kept, v):
-            full[c] = x
-        kernel.append(full)
-    return kernel
+    return [{kept[c]: x for c, x in v.items()} for v in integer_kernel(rows, len(kept))]
 
 
 def degree_dimension(arr: Arrangement, d: int) -> int:
@@ -199,10 +193,7 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
         if len(multiples) < dims[d] or len(_rref_mod_p(multiples)) < dims[d]:
             span = IncrementalSpan(n1 * per)
             for row in multiples:
-                dense = [0] * span.dim
-                for c, a in row.items():
-                    dense[c] = a
-                span.add(dense)
+                span.add(row)
             for v in kernel:
                 if span.rank == dims[d]:
                     break  # the span is D(A)_d: every vector left is dependent

@@ -14,7 +14,9 @@ references reach the same objects by other means:
 - fraction_rref, fraction_kernel and fraction_det: plain Gauss-Jordan
   elimination over Fraction that uses no arrcsm code, the reference for
   linalg's integer core and for integer_det.  primitive scales their
-  leading-1 vectors to the primitive integer vectors the core returns.
+  leading-1 vectors to the primitive integer vectors the core returns,
+  and dense(v, n) lists a sparse {column: entry} vector of the search
+  with its n entries, for comparing the two.
   intersect_spans and intersection_property_check rebuild D(A)_d one
   hyperplane at a time on top of them.
 - rref_rows: the RREF of a span through linalg's integer core, the path
@@ -376,6 +378,11 @@ def primitive(v) -> list[int]:
     return [int(Fraction(x) * scale) for x in v]
 
 
+def dense(v, n: int) -> list[int]:
+    """The sparse {column: entry} vector v as a list of n entries."""
+    return [v.get(j, 0) for j in range(n)]
+
+
 def rref_rows(vectors) -> tuple[tuple[Fraction, ...], ...]:
     """Canonical basis (RREF, zero rows dropped) of the span, by linalg's integer core."""
     basis: dict[int, list[int]] = {}
@@ -411,9 +418,9 @@ def intersection_property_check(arr: Arrangement, d: int) -> bool:
     dim = arr.nvars * len(monos)
     current = None
     for i in range(arr.size):
-        kernel = _degree_kernel(single(arr, i), d, monos)
+        kernel = [dense(v, dim) for v in _degree_kernel(single(arr, i), d, monos)]
         current = fraction_rref(kernel) if current is None else intersect_spans(current, kernel, dim)
-    return fraction_rref(_degree_kernel(arr, d, monos)) == current
+    return fraction_rref(dense(v, dim) for v in _degree_kernel(arr, d, monos)) == current
 
 
 def reduction_kernel(arr: Arrangement, d: int) -> list[tuple[Fraction, ...]]:

@@ -17,6 +17,7 @@ from arrcsm.logder import Derivation, FreenessReport, _degree_kernel, decide_fre
 from arrcsm.poly import monomial_mul, monomials_of_degree
 from oracles import (
     defining_polynomial,
+    dense,
     fraction_det,
     fraction_rref,
     intersection_property_check,
@@ -74,7 +75,8 @@ def assert_point_rows_match_reduction(arr: Arrangement) -> None:
     for d in range(arr.size + 1):
         monos = monomials_of_degree(arr.nvars, d)
         expected = [primitive(v) for v in reduction_kernel(arr, d)]
-        assert _degree_kernel(arr, d, monos) == expected, (arr.forms, d)
+        kernel = [dense(v, arr.nvars * len(monos)) for v in _degree_kernel(arr, d, monos)]
+        assert kernel == expected, (arr.forms, d)
 
 
 def point_rows_match_reduction(rng: Random, cases: int) -> int:

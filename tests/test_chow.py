@@ -9,10 +9,10 @@ from arrcsm.chow import (
     ROUTE_NAMES,
     FormalClass,
     SurfaceClass,
+    blowup_centers,
     blowup_chern_snc,
     projection_check,
     pushforward_to_p2,
-    singular_points,
     tjurina_route,
     verify_arrangement,
     verify_pencil_identity,
@@ -180,7 +180,7 @@ def test_pushforward_and_pullback():
 
 
 def test_singular_points_three_concurrent():
-    pts = singular_points(build_lattice(THREE_CONC))
+    pts = blowup_centers(build_lattice(THREE_CONC))
     assert len(pts) == 1
     (p,) = pts
     assert p.multiplicity == 3
@@ -190,14 +190,12 @@ def test_singular_points_three_concurrent():
 
 
 def test_singular_points_counts():
-    boolean_pts = singular_points(build_lattice(BOOLEAN))
-    assert len(boolean_pts) == 3
-    assert all(p.multiplicity == 2 for p in boolean_pts)
-    braid_pts = singular_points(build_lattice(BRAID))
-    mults = sorted(p.multiplicity for p in braid_pts)
-    assert mults == [2, 2, 2, 3, 3, 3, 3]
+    # only points where three or more lines meet are blow-up centres
+    assert blowup_centers(build_lattice(BOOLEAN)) == ()
+    braid_pts = blowup_centers(build_lattice(BRAID))
+    assert [p.multiplicity for p in braid_pts] == [3, 3, 3, 3]
     with pytest.raises(ValueError):
-        singular_points(build_lattice(TETRAHEDRON))
+        blowup_centers(build_lattice(TETRAHEDRON))
 
 
 def test_blowup_three_concurrent_frozen():

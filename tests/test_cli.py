@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -614,6 +615,31 @@ def test_derivations_of_no_forms_in_20_variables_ends_quickly(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["result"]["dims"] == [[0, 20], [1, 400], [2, 4200], [3, 30800]]
+
+
+def test_derivations_of_four_lines_in_20_variables_end_in_time(tmp_path):
+    # not free, so each degree past the search's stop solves a kernel of up
+    # to 30,800 columns, almost all of them free; D(A) = D(A') (x) S + S^17
+    # (Orlik & Terao, Prop. 4.28) for A' the same lines in x0..x2
+    lines = [[1, 1, 1], [1, 2, 4], [1, 3, 9], [1, -1, 1]]
+    path = tmp_path / "lines.arr"
+    path.write_text(arrangement_text(20, [line + [0] * 17 for line in lines]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "arrcsm", "derivations", "--input", str(path), "--json"],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)["result"]
+    assert result["exit_reason"] == "overflow"
+    plane = parse(arrangement_text(3, lines))
+    assert [degree_dimension(plane, k) for k in range(4)] == [0, 1, 6, 14]
+    expected = [
+        [d, 17 * comb(d + 19, 19) + sum(degree_dimension(plane, k) * comb(d - k + 16, 16) for k in range(d + 1))]
+        for d in range(4)
+    ]
+    assert result["dims"] == expected == [[0, 17], [1, 341], [2, 3593], [3, 26449]]
 
 
 def test_dimensions_of_a_free_arrangement_come_from_its_exponents():

@@ -8,12 +8,22 @@ from arrcsm import linalg
 from arrcsm.linalg import (
     IncrementalSpan,
     QMatrix,
-    _integer_vector,
     _modular_kernel,
+    _rref_mod_p,
     integer_det,
+    integer_kernel,
     integer_rows,
 )
-from oracles import MultiPoly, fraction_kernel, fraction_rref, intersect_spans, poly_det, primitive, rref_rows
+from oracles import (
+    MultiPoly,
+    dense,
+    fraction_kernel,
+    fraction_rref,
+    intersect_spans,
+    poly_det,
+    primitive,
+    rref_rows,
+)
 
 
 def test_kernel_single_row():
@@ -106,25 +116,28 @@ def test_intersect_spans():
 
 def test_incremental_span():
     span = IncrementalSpan(3)
-    assert span.add([0, 0, 0]) is None
-    assert span.add([1, 1, 0]) is not None
-    assert span.add([2, 2, 0]) is None
-    assert span.add([0, 0, 3]) == primitive((0, 0, 1))
-    assert span.add([5, 5, 7]) is None
+    assert span.add({}) is None
+    assert span.add({0: 1, 1: 1}) is not None
+    assert span.add({0: 2, 1: 2}) is None
+    assert dense(span.add({2: 3}), 3) == primitive((0, 0, 1))
+    assert span.add({0: 5, 1: 5, 2: 7}) is None
     # the residue of (1, 0, 0) against (1, 1, 0) and (0, 0, 1)
-    assert span.add([1, 0, 0]) == primitive((0, 1, 0))
+    assert dense(span.add({0: 1}), 3) == primitive((0, 1, 0))
     with pytest.raises(ValueError):
-        span.add([1, 0])
+        span.add({3: 1})
+    with pytest.raises(ValueError):
+        span.add({-1: 1})
 
 
 def test_incremental_span_residue_is_the_same_for_v_and_k_times_v():
     for k in (1, -1, 3, -10):
         plain, scaled = IncrementalSpan(4), IncrementalSpan(4)
-        for v in ([2, -4, 0, 6], [0, 3, 9, -6], [4, 1, 1, 0]):
+        for v in ({0: 2, 1: -4, 3: 6}, {1: 3, 2: 9, 3: -6}, {0: 4, 1: 1, 2: 1}):
             residue = plain.add(v)
-            assert residue == scaled.add([k * x for x in v])
-            assert all(type(x) is int for x in residue)
-            assert gcd(*residue) == 1 and next(x for x in residue if x) > 0
+            assert residue == scaled.add({j: k * x for j, x in v.items()})
+            assert all(type(x) is int and x for x in residue.values())
+            assert list(residue) == sorted(residue)
+            assert gcd(*residue.values()) == 1 and next(iter(residue.values())) > 0
 
 
 def _oracle_residue(reduced, v):
@@ -159,7 +172,8 @@ def test_integer_core_matches_the_fraction_oracle():
         span = IncrementalSpan(ncols)
         for k, v in enumerate(rows):
             expected = _oracle_residue(fraction_rref(rows[:k]), v)
-            assert span.add(_integer_vector(v)) == (expected and primitive(expected))
+            residue = span.add(integer_rows([v])[0])
+            assert (residue and dense(residue, ncols)) == (expected and primitive(expected))
 
 
 def test_ragged_rows_rejected():
@@ -197,7 +211,7 @@ def test_kernel_matches_fraction_rref_on_random_matrices():
         expected = fraction_kernel(m.entries, m.ncols)
         assert m.kernel_basis() == expected
         fast = _modular_kernel(integer_rows(m.entries), m.ncols)
-        assert fast is None or fast == [primitive(v) for v in expected]
+        assert fast is None or [dense(v, m.ncols) for v in fast] == [primitive(v) for v in expected]
         certified += fast is not None
     # most small matrices take the certified modular path
     assert certified > 300
@@ -211,12 +225,37 @@ def test_fraction_fallback_matches_the_modular_kernel(monkeypatch):
     assert [m.kernel_basis() for m in matrices] == modular
 
 
+@pytest.mark.parametrize("fallback", [False, True])
+def test_kernel_vectors_hold_their_free_column_and_the_pivots_before_it(monkeypatch, fallback):
+    if fallback:
+        monkeypatch.setattr(linalg, "_modular_kernel", lambda rows, ncols: None)
+    rng = random.Random(1729)
+    vectors = with_pivots = 0
+    for _ in range(200):
+        m = _random_matrix(rng)
+        rows = integer_rows(m.entries)
+        pivots = set(_rref_mod_p(rows))
+        free = [c for c in range(m.ncols) if c not in pivots]
+        kernel = integer_kernel(rows, m.ncols)
+        assert len(kernel) == len(free)
+        for fc, v in zip(free, kernel):
+            assert list(v) == sorted(v) and list(v)[-1] == fc
+            assert set(v) <= {fc} | {pc for pc in pivots if pc < fc}
+            assert all(type(a) is int and a for a in v.values())
+            assert gcd(*v.values()) == 1 and next(iter(v.values())) > 0
+            with_pivots += len(v) > 1
+            vectors += 1
+    # many vectors hold pivots; the others have no pivot before their free column
+    assert 3 * with_pivots > vectors
+
+
 def test_kernel_degenerate_shapes():
     for m in (QMatrix([], ncols=0), QMatrix([[]]), QMatrix([[], []]), QMatrix([], ncols=3),
               QMatrix([[0, 0], [0, 0]]), QMatrix([[Fraction(1, 3), Fraction(2, 7)]] * 3)):
         assert m.kernel_basis() == fraction_kernel(m.entries, m.ncols)
         expected = [primitive(v) for v in fraction_kernel(m.entries, m.ncols)]
-        assert _modular_kernel(integer_rows(m.entries), m.ncols) == expected
+        fast = _modular_kernel(integer_rows(m.entries), m.ncols)
+        assert [dense(v, m.ncols) for v in fast] == expected
 
 
 @pytest.mark.parametrize(

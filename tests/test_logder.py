@@ -21,6 +21,7 @@ from arrcsm.poly import monomials_of_degree
 from oracles import (
     MultiPoly,
     defining_polynomial,
+    dense,
     evaluation_rows,
     fraction_kernel,
     intersection_property_check,
@@ -90,7 +91,7 @@ def test_vector_round_trip():
     monos = monomials_of_degree(3, 2)
     for theta in log_derivation_space(THREE_CONC, 2):
         vec = primitive(derivation_to_vector(theta, monos))
-        again = vector_to_derivation(vec, 3, 2, monos)
+        again = vector_to_derivation({k: c for k, c in enumerate(vec) if c}, 3, 2, monos)
         assert again == theta
 
 
@@ -211,7 +212,8 @@ def test_search_without_the_modular_kernel(monkeypatch):
     assert [minimal_generators(arr, range(arr.size + 1)) for arr in arrs] == modular
     for arr in arrs:
         for d in range(4):
-            kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
+            monos = monomials_of_degree(arr.nvars, d)
+            kernel = [dense(v, arr.nvars * len(monos)) for v in _degree_kernel(arr, d, monos)]
             assert kernel == [primitive(v) for v in reduction_kernel(arr, d)], (arr.name, d)
 
 
@@ -223,14 +225,16 @@ def test_search_vectors_are_primitive_integer_vectors(monkeypatch, fallback):
     def check(vectors):
         assert vectors
         for v in vectors:
-            assert type(v) is list and all(type(x) is int for x in v)
-            assert gcd(*v) == 1 and next(x for x in v if x) > 0
+            assert type(v) is dict and all(type(x) is int and x for x in v.values())
+            assert list(v) == sorted(v)
+            assert gcd(*v.values()) == 1 and next(iter(v.values())) > 0
 
     arr = parse_file(CORPUS / "near_pencil_5.arr")
     for d in range(1, 4):
-        kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
+        monos = monomials_of_degree(arr.nvars, d)
+        kernel = _degree_kernel(arr, d, monos)
         check(kernel)
-        span = IncrementalSpan(len(kernel[0]))
+        span = IncrementalSpan(arr.nvars * len(monos))
         check([residue for v in kernel if (residue := span.add(v)) is not None])
     rows = integer_rows([[Fraction(1, 2), 3, 0, -1], [0, 2, 4, Fraction(2, 3)]])
     check(integer_kernel(rows, 4))
@@ -254,7 +258,7 @@ def test_kernel_entries_past_the_lift_bound_take_the_fallback(monkeypatch):
     assert lifted is None
     monos = monomials_of_degree(arr.nvars, 3)
     vectors = [derivation_to_vector(theta, monos) for theta in space]
-    assert vectors == fraction_kernel([[row.get(j, 0) for j in range(ncols)] for row in rows], ncols)
+    assert vectors == fraction_kernel([dense(row, ncols) for row in rows], ncols)
     assert max(x.numerator.bit_length() for v in vectors for x in v) > 30
 
 
@@ -397,7 +401,8 @@ def test_coordinate_hyperplanes_add_no_rows_and_keep_the_kernel(monkeypatch):
             monos = monomials_of_degree(arr.nvars, d)
             ncols = arr.nvars * len(monos)
             expected = fraction_kernel(evaluation_rows(arr, d, monos), ncols)
-            assert _degree_kernel(arr, d, monos) == [primitive(v) for v in expected], (arr.forms, d)
+            kernel = [dense(v, ncols) for v in _degree_kernel(arr, d, monos)]
+            assert kernel == [primitive(v) for v in expected], (arr.forms, d)
             # no rows from x_j, and none of its columns (j, m) with x_j not dividing m
             free_of_pivot = len(monomials_of_degree(arr.nvars - 1, d))
             assert seen.pop() == (
