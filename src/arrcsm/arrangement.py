@@ -22,6 +22,7 @@ exponent of at most MAX_TOKEN.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 
 from .linalg import _insert, _integer_vector, integer_det
@@ -89,21 +90,23 @@ class Arrangement:
     def projective_dim(self) -> int:
         return self.nvars - 1
 
-    def _independent(self) -> tuple[list[int], dict[int, list[int]]]:
+    @cached_property
+    def _independent(self) -> tuple[tuple[int, ...], dict[int, list[int]]]:
         """Indices of the first rank A independent forms in input order, and the span of all forms.
 
         The span is linalg's {pivot column: primitive integer row}; on its
-        pivot columns the chosen forms make an invertible matrix.
+        pivot columns the chosen forms make an invertible matrix.  Computed
+        once per arrangement and shared, so no caller mutates the span.
         """
         span: dict[int, list[int]] = {}
-        chosen = [
+        chosen = tuple(
             i for i, f in enumerate(self.forms)
             if _insert(span, _integer_vector(f.coeffs)) is not None
-        ]
+        )
         return chosen, span
 
     def rank(self) -> int:
-        return len(self._independent()[0])
+        return len(self._independent[0])
 
     def adapted(self) -> tuple["Arrangement", int]:
         """A in coordinates x'_k = alpha_(i_k) of its first r = rank A independent forms, and n+1-r.
@@ -118,7 +121,7 @@ class Arrangement:
         and n+1-r zeros (Orlik & Terao, Prop. 4.28).  The empty arrangement
         has r = 0 and is returned as it is.
         """
-        chosen, span = self._independent()
+        chosen, span = self._independent
         if not chosen:
             return self, 0
         pivots = sorted(span)

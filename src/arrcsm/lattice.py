@@ -1,11 +1,13 @@
 """Intersection lattice, characteristic polynomial, and CSM classes.
 
 Conventions.  Flats are subspaces of k^(n+1) obtained by intersecting
-hyperplanes of the central arrangement, stored canonically as the RREF
-basis of the span of their defining forms; the ambient space (empty
-intersection) is the lattice bottom.  The order is reverse inclusion of
-subspaces, equivalently inclusion of form spans.  The Mobius function
-is normalized by mu(ambient) = 1 and sum over each lower interval = 0.
+hyperplanes of the central arrangement, stored canonically as the
+primitive integer rows of the span of their defining forms, each its
+RREF row times its pivot entry; the RREF basis is made from them when it
+is read.  The ambient space (empty intersection) is the lattice bottom.
+The order is reverse inclusion of subspaces, equivalently inclusion of
+form spans.  The Mobius function is normalized by mu(ambient) = 1 and
+sum over each lower interval = 0.
 
 The characteristic polynomial chi(A, t) = sum_x mu(x) t^dim(x) uses
 dimensions in k^(n+1) and runs over every flat, the origin included
@@ -25,7 +27,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .arrangement import Arrangement
-from .linalg import _insert, _integer_vector, _rational_rows, _reduce
+from .linalg import _eliminate, _integer_vector, _rational_rows, _reduce
 from .poly import render_terms
 
 
@@ -35,12 +37,22 @@ class BadReductionError(ValueError):
 
 @dataclass(frozen=True)
 class Flat:
-    """One lattice element: canonical RREF rows of the span of its forms."""
+    """One lattice element: the span of its forms as primitive integer rows.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    span holds one row per pivot, in pivot order: gcd 1, positive at its
+    own pivot, its first nonzero entry, and 0 at every other pivot, so
+    each row is its RREF row times its pivot entry.
+    """
+
+    span: tuple[tuple[int, ...], ...]
     codim: int
     indices: tuple[int, ...]
     mu: int
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The canonical RREF rows of the span, made anew on each read."""
+        return _rational_rows(self.span)
 
 
 @dataclass(frozen=True)
@@ -55,19 +67,35 @@ class IntersectionLattice:
         return len(self.flats)
 
 
+def _step(v: tuple[int, ...], residue: tuple[int, ...], lead: int) -> tuple[int, ...]:
+    """v's residue against a cover, from its residue v against the flat below.
+
+    residue joins the flat's span at its first nonzero column lead, and v
+    is 0 at the flat's pivots, so clearing v at lead clears it at every
+    pivot of the cover.  The result is primitive; its sign is fixed so
+    that its first nonzero entry is positive.
+    """
+    w = _eliminate(v, residue, lead)
+    return tuple(w) if next(filter(None, w)) > 0 else tuple([-a for a in w])
+
+
 def build_lattice(arr: Arrangement) -> IntersectionLattice:
     """All intersections of subsets of hyperplanes, with Mobius values.
 
     A flat is found as the closed set of hyperplanes through it, its span
     kept in linalg's integer form: {pivot column: primitive integer row}.
     Each hyperplane outside a flat F carries its residue against that
-    span, made primitive with a positive leading entry.  form_j lies in
-    span(F, form_i) exactly when the residues of form_i and form_j are
-    proportional, that is equal, so the hyperplanes grouped by residue
-    are the covers of F, one group each.  A residue is 0 at the pivots
-    of F, so one elimination step at the cover's new pivot turns it into
-    the residue against the cover.  Fractions are made only for the
-    flats' RREF rows.
+    span, a tuple made primitive with a positive leading entry.  form_j
+    lies in span(F, form_i) exactly when the residues of form_i and
+    form_j are proportional, that is equal, so the hyperplanes grouped by
+    residue are the covers of F, one group each.  A residue is 0 at the
+    pivots of F, and its first nonzero column, lead, is the cover's new
+    pivot.  So one elimination step at lead, on each row of F's span
+    that is nonzero there, joins it to the span; and one step at lead
+    (_step) turns each other group's residue into its residue against
+    the cover, which the forms of a group share.  A residue that is
+    already 0 at lead is kept as it is.  The walk makes no Fraction: a
+    Flat makes its RREF rows when they are read.
 
     With r = rank A, a flat of codim r - 1 has one cover, the top: the
     span of all forms, closed under every hyperplane.  So the walk stops
@@ -83,34 +111,41 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     its own covers are met; the top sums the flats of codim r - 1 that
     miss hyperplane 0.
     """
-    top = arr._independent()[1]
+    top = arr._independent[1]
     r = len(top)
     # closed index set -> span; the top is the bottom, () -> {}, when A is empty
-    found: dict[tuple[int, ...], dict] = {(): {}, tuple(range(arr.size)): top}
+    found: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {
+        (): {}, tuple(range(arr.size)): {pc: tuple(row) for pc, row in top.items()},
+    }
     mus = {(): 1}
-    # (closed index set, span, {form index: residue} of the forms outside it)
-    residues = {i: _reduce({}, _integer_vector(f.coeffs)) for i, f in enumerate(arr.forms)}
-    frontier = [((), {}, residues)] if r > 1 else []
+    covers: dict[tuple[int, ...], list[int]] = {}
+    for i, f in enumerate(arr.forms):
+        covers.setdefault(tuple(_reduce({}, _integer_vector(f.coeffs))), []).append(i)
+    # (closed index set, span, {residue: the forms outside it with that residue})
+    frontier = [((), {}, covers)] if r > 1 else []
     while frontier:
         nxt = []
-        for indices, span, residues in frontier:
-            covers: dict[tuple[int, ...], list[int]] = {}
-            for i, residue in residues.items():
-                covers.setdefault(tuple(residue), []).append(i)
+        for indices, span, covers in frontier:
             for residue, through in covers.items():
                 cover = tuple(sorted(indices + tuple(through)))
                 # Weisner: does this flat miss the cover's first hyperplane?
                 if not indices or cover[0] < indices[0]:
                     mus[cover] = mus.get(cover, 0) - mus[indices]
-                if cover not in found:
-                    # _insert rebinds rows and never mutates a row list, so a
-                    # shallow copy leaves the flat's own span intact
-                    found[cover] = joined = dict(span)
-                    _insert(joined, list(residue))
-                    if len(joined) < r - 1:
-                        nxt.append((cover, joined, {
-                            j: _reduce(joined, v) for j, v in residues.items() if j not in through
-                        }))
+                if cover in found:
+                    continue
+                lead = residue.index(next(filter(None, residue)))
+                found[cover] = joined = {
+                    pc: tuple(_eliminate(row, residue, lead)) if row[lead] else row
+                    for pc, row in span.items()
+                }
+                joined[lead] = residue
+                if len(joined) < r - 1:
+                    above: dict[tuple[int, ...], list[int]] = {}
+                    for v, js in covers.items():
+                        if v is not residue:
+                            w = _step(v, residue, lead) if v[lead] else v
+                            above.setdefault(w, []).extend(js)
+                    nxt.append((cover, joined, above))
         frontier = nxt
 
     # Flats in order of codim, then RREF rows.  Each span row is row[pc]
@@ -127,7 +162,8 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
         below = (x for x, span in found.items() if len(span) == r - 1 and 0 not in x)
         mus[tuple(range(arr.size))] = -sum(mus[x] for x in below)
     flats = tuple(
-        Flat(rows=_rational_rows(span), codim=len(span), indices=indices, mu=mus[indices])
+        Flat(span=tuple(row for _, row in sorted(span.items())), codim=len(span),
+             indices=indices, mu=mus[indices])
         for indices, span in sorted(found.items(), key=key)
     )
     return IntersectionLattice(arrangement=arr, flats=flats)

@@ -11,17 +11,22 @@ determinant of an integer matrix, which Saito's check reads.
 Every RREF over Q runs through one integer core.  It keeps
 a span as {pivot column: row}, each row a dense primitive integer
 vector: gcd 1, positive at its own pivot and 0 at every other pivot, so
-each row is its RREF row times its pivot entry.  _reduce clears a vector
-at those pivots and _insert joins it to the span, with every
-intermediate value an int.  IncrementalSpan.add, the integer_kernel
-fallback, Arrangement.rank and lattice.build_lattice all call it.
-Dense rows stay inside this module.  Kernel vectors and span residues
-leave it sparse, as {column: entry} with keys ascending, primitive (gcd
-1, first entry positive); IncrementalSpan.add takes such vectors, and
-it and QMatrix.kernel_basis are the only places one is made dense.
-Fractions are made only where a result leaves the integers:
-_rational_rows divides each row by its pivot entry, and
-QMatrix.kernel_basis divides a vector by its leading entry.
+each row is its RREF row times its pivot entry, and its pivot is its
+first nonzero entry.  _reduce clears a vector at those pivots and
+_insert joins it to the span, each through _eliminate, one Bareiss step,
+with every intermediate value an int.  IncrementalSpan.add, the
+integer_kernel fallback and Arrangement._independent call _insert.
+lattice.build_lattice calls _reduce only to make each form primitive and
+then takes single _eliminate steps: its residues are already 0 at their
+flat's pivots, so one step at a cover's new pivot reduces them.  The
+derivation search's vectors are dense only inside this module.  Kernel
+vectors and span residues leave it sparse, as {column: entry} with keys
+ascending, primitive (gcd 1, first entry positive); IncrementalSpan.add
+takes such vectors, and it and QMatrix.kernel_basis are the only places
+one is made dense.  Fractions are made only where a result leaves the
+integers: _rational_rows takes a span's rows in pivot order and divides
+each by its pivot entry, and QMatrix.kernel_basis divides a vector by
+its leading entry.
 
 integer_kernel eliminates sparse integer rows modulo the prime
 p = 2^61 - 1 with plain ints, lifts the pivot entries back to Q by
@@ -48,7 +53,7 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _eliminate(v: list[int], row: Sequence[int], col: int) -> list[int]:
+def _eliminate(v: Sequence[int], row: Sequence[int], col: int) -> list[int]:
     """row[col] * v - v[col] * row, which is 0 at col, divided by the gcd of its entries.
 
     Fraction-free elimination in the manner of Bareiss (Math. Comp. 22,
@@ -130,7 +135,7 @@ def _integer_vector(v: Sequence[Scalar]) -> list[int]:
     return [n * (scale // d) for n, d in ratios]
 
 
-def _rational(row: list[int], p: int) -> Vector:
+def _rational(row: Sequence[int], p: int) -> Vector:
     """row / p as Fractions.
 
     Zeros and ones are shared objects, so comparing two such vectors
@@ -139,9 +144,12 @@ def _rational(row: list[int], p: int) -> Vector:
     return tuple(_ZERO if a == 0 else _ONE if a == p else Fraction(a, p) for a in row)
 
 
-def _rational_rows(basis: dict[int, list[int]]) -> tuple[Vector, ...]:
-    """The RREF rows of a span that _insert keeps, in pivot order."""
-    return tuple(_rational(row, row[pc]) for pc, row in sorted(basis.items()))
+def _rational_rows(rows: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
+    """The RREF rows of a span's rows as _insert keeps them, given in pivot order.
+
+    A row's pivot is its first nonzero entry, which it is divided by.
+    """
+    return tuple(_rational(row, next(filter(None, row))) for row in rows)
 
 
 def integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[dict[int, int]]:

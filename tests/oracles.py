@@ -388,7 +388,7 @@ def rref_rows(vectors) -> tuple[tuple[Fraction, ...], ...]:
     basis: dict[int, list[int]] = {}
     for v in vectors:
         _insert(basis, _integer_vector(v))
-    return _rational_rows(basis)
+    return _rational_rows(basis[pc] for pc in sorted(basis))
 
 
 def intersect_spans(a, b, dim: int) -> tuple[tuple[Fraction, ...], ...]:

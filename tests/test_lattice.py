@@ -338,14 +338,29 @@ def _braid(k: int):
 
 
 def test_walk_reduces_no_residue_against_flats_one_below_the_top(monkeypatch):
-    # 12 generic lines, rank 3: the bottom reduces 12 forms, each line the
-    # other 11, and the 66 points, whose one cover is the top, none; a walk
-    # into the points would add 66 * 10 more
+    # 12 generic lines, rank 3: the bottom normalizes 12 forms, each line
+    # steps the residues of the other 11, and the 66 points, whose one cover
+    # is the top, none; a walk into the points would add 66 * 10 more
     calls = []
-    reduce = lattice._reduce
-    monkeypatch.setattr(lattice, "_reduce", lambda *a: calls.append(1) or reduce(*a))
+    for name in ("_reduce", "_step"):
+        fn = getattr(lattice, name)
+        monkeypatch.setattr(lattice, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
     build_lattice(_moment_curve(3, 12))
     assert len(calls) == 12 + 12 * 11
+
+
+def test_build_lattice_makes_no_fraction(monkeypatch):
+    # the walk, the sort and the top's span are integers; a flat makes its
+    # Fraction rows only when they are read
+    arrs = [_braid(5), _moment_curve(4, 12)]
+    made = []
+    new = Fraction.__new__
+    counted = staticmethod(lambda *a, **k: made.append(1) or new(*a, **k))
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    lats = [build_lattice(arr) for arr in arrs]
+    assert not made
+    assert [lat.size() for lat in lats] == [203, 1 + 12 + comb(12, 2) + comb(12, 3) + 1]
+    assert lats[1].of_codim(1)[-1].rows and made
 
 
 def test_lattices_in_closed_form():

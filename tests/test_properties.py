@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from random import Random
 
@@ -88,6 +89,18 @@ def test_flats_come_in_order_of_codim_then_rref_rows(arr):
     flats = build_lattice(arr).flats
     rows = [fraction_rref(arr.forms[i].coeffs for i in f.indices) for f in flats]
     assert [f.rows for f in flats] == rows == sorted(rows, key=lambda r: (len(r), r))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(arrangements(max_forms=7))
+def test_flat_spans_are_primitive_integer_rows(arr):
+    # that Flat.rows is the RREF of the flat's forms is the property above
+    for f in build_lattice(arr).flats:
+        pivots = [next(j for j, a in enumerate(row) if a) for row in f.span]
+        assert pivots == sorted(set(pivots)) and len(pivots) == f.codim
+        for row, pc in zip(f.span, pivots):
+            assert all(type(a) is int for a in row) and math.gcd(*row) == 1 and row[pc] > 0
+            assert all(row[other] == 0 for other in pivots if other != pc)
 
 
 @st.composite
