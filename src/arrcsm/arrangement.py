@@ -134,12 +134,20 @@ class Arrangement:
         return Arrangement(nvars=len(chosen), forms=forms, name=self.name), self.nvars - len(chosen)
 
 
-def _parse_rational(token: str, line_no: int) -> Fraction:
+def _parse_rational(token: str, line_no: int) -> int | Fraction:
+    """The token's value: an int for ASCII digits after signs, else Fraction's reading.
+
+    int reads such a token without Fraction's regex, and it fails exactly
+    where Fraction does (two signs).  Underscores and non-ASCII digits,
+    which int and Fraction do not treat alike, go to Fraction.
+    """
     exponent = token.lower().partition("e")[2].lstrip("+-").replace("_", "")
     if len(token) > MAX_TOKEN or exponent.isdecimal() and int(exponent) > MAX_TOKEN:
         raise ParseError(f"rational {token[:MAX_TOKEN]!r} is over {MAX_TOKEN} characters"
                          f" or has an exponent over {MAX_TOKEN}", line_no)
     try:
+        if token.isascii() and token.lstrip("+-").isdecimal():
+            return int(token)
         return Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse rational {token!r}", line_no) from None
@@ -152,7 +160,7 @@ def parse(text: str, name: str = "") -> Arrangement:
     (proportional) forms are collapsed and reported in warnings.
     """
     nvars: int | None = None
-    rows: list[tuple[int, list[Fraction]]] = []
+    rows: list[tuple[int, list[int | Fraction]]] = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -217,7 +217,7 @@ def blowup_centers(lat: IntersectionLattice) -> tuple[SingularPoint, ...]:
     for flat in lat.of_codim(2):
         if len(flat.indices) < 3:
             continue
-        kern = QMatrix(flat.rows, ncols=3).kernel_basis()
+        kern = QMatrix(flat.span, ncols=3).kernel_basis()
         if len(kern) != 1:
             raise RuntimeError("internal consistency failure: codim-2 flat is not a point")
         points.append(

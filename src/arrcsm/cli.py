@@ -4,7 +4,10 @@ Subcommands operate on .arr files (or pure parameters) and print either
 a human-readable text report or, with --json, a schema-stable JSON
 document.  JSON output is key-sorted and contains nothing run-dependent,
 so two runs on the same input are byte-identical; wall-clock timing only
-ever appears in text output.
+ever appears in text output.  _json writes it, byte-identical to
+json.dumps(sort_keys=True, indent=2) on the payloads' str, int, bool,
+None, dict and list values, and _lattice_payload renders each flat's
+basis from its integer span: the output stage makes no Fraction.
 
 Each subcommand is one entry of HANDLERS: a handler that computes only
 the stages its command reads, each of them once (report builds one
@@ -31,12 +34,12 @@ Exit codes: 0 success / verified, 1 a verification failed, 2 input error,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from dataclasses import replace
 from functools import cache
-from math import comb
+from json.encoder import encode_basestring_ascii
+from math import comb, gcd
 from pathlib import Path
 
 from . import __version__
@@ -85,7 +88,18 @@ def _arrangement_payload(arr: Arrangement) -> dict:
     }
 
 
+def _rref_row(row: tuple[int, ...]) -> list[str]:
+    """str(Fraction(a, p)) for each entry a of a span row, p its first nonzero entry.
+
+    p > 0, so a/p in lowest terms is a // g over p // g with g = gcd(a, p),
+    an integer when g = p (which a = 0 falls under).
+    """
+    p = next(filter(None, row))
+    return [str(a // p) if (g := gcd(a, p)) == p else f"{a // g}/{p // g}" for a in row]
+
+
 def _lattice_payload(lat: IntersectionLattice) -> dict:
+    """The flats, each basis the RREF rows of its span, rendered from its integer rows."""
     return {
         "num_flats": lat.size(),
         "flats": [
@@ -93,7 +107,7 @@ def _lattice_payload(lat: IntersectionLattice) -> dict:
                 "codim": f.codim,
                 "mu": f.mu,
                 "hyperplanes": list(f.indices),
-                "basis": [[str(c) for c in row] for row in f.rows],
+                "basis": [_rref_row(row) for row in f.span],
             }
             for f in lat.flats
         ],
@@ -562,6 +576,52 @@ def _corpus_text(result: dict, arr, elapsed_ms: float) -> None:
     print(f"elapsed: {elapsed_ms:.1f} ms")
 
 
+# JSON scalar type -> its text, as json.dumps writes it with ensure_ascii
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: lambda b: "true" if b else "false",
+    type(None): lambda _: "null",
+}
+
+
+def _json(obj, pad: str = "") -> str:
+    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, with obj's first line at pad.
+
+    A dict writes its items sorted by key, a list or tuple its elements,
+    each on its own line one indent deeper; scalars are written inline,
+    so a leaf costs no call of _json.  Anything but a str, int, bool,
+    None, dict, list or tuple, and a dict key that is not a str, raise
+    TypeError.
+    """
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
+    inner = pad + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in sorted(obj.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            write = _SCALARS.get(type(value))
+            items.append(f"{encode_basestring_ascii(key)}: "
+                         + (write(value) if write else _json(value, inner)))
+        opening, closing = "{", "}"
+    elif type(obj) in (list, tuple):
+        if not obj:
+            return "[]"
+        items = []
+        for value in obj:
+            write = _SCALARS.get(type(value))
+            items.append(write(value) if write else _json(value, inner))
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+
+
 # subcommand -> (handler, text renderer, whether it reads the .arr file --input)
 HANDLERS = {
     "lattice": (_lattice, _lattice_text, True),
@@ -600,7 +660,7 @@ def run(argv: list[str]) -> int:
         }
         if arr is not None:
             payload["arrangement"] = _arrangement_payload(arr)
-        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+        sys.stdout.write(_json(payload) + "\n")
     else:
         for w in arr.warnings if arr is not None else ():
             print(f"warning: {w}")

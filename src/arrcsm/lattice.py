@@ -3,11 +3,11 @@
 Conventions.  Flats are subspaces of k^(n+1) obtained by intersecting
 hyperplanes of the central arrangement, stored canonically as the
 primitive integer rows of the span of their defining forms, each its
-RREF row times its pivot entry; the RREF basis is made from them when it
-is read.  The ambient space (empty intersection) is the lattice bottom.
-The order is reverse inclusion of subspaces, equivalently inclusion of
-form spans.  The Mobius function is normalized by mu(ambient) = 1 and
-sum over each lower interval = 0.
+RREF row times its pivot entry; cli renders the RREF basis from them.
+The ambient space (empty intersection) is the lattice bottom.  The order
+is reverse inclusion of subspaces, equivalently inclusion of form spans.
+The Mobius function is normalized by mu(ambient) = 1 and sum over each
+lower interval = 0.
 
 The characteristic polynomial chi(A, t) = sum_x mu(x) t^dim(x) uses
 dimensions in k^(n+1) and runs over every flat, the origin included
@@ -23,11 +23,10 @@ so the last entry is the Euler characteristic of the complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, lcm
 
 from .arrangement import Arrangement
-from .linalg import _eliminate, _integer_vector, _rational_rows, _reduce
+from .linalg import _eliminate, _integer_vector, _reduce
 from .poly import render_terms
 
 
@@ -48,11 +47,6 @@ class Flat:
     codim: int
     indices: tuple[int, ...]
     mu: int
-
-    @property
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The canonical RREF rows of the span, made anew on each read."""
-        return _rational_rows(self.span)
 
 
 @dataclass(frozen=True)
@@ -94,8 +88,7 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     that is nonzero there, joins it to the span; and one step at lead
     (_step) turns each other group's residue into its residue against
     the cover, which the forms of a group share.  A residue that is
-    already 0 at lead is kept as it is.  The walk makes no Fraction: a
-    Flat makes its RREF rows when they are read.
+    already 0 at lead is kept as it is.  The walk makes no Fraction.
 
     With r = rank A, a flat of codim r - 1 has one cover, the top: the
     span of all forms, closed under every hyperplane.  So the walk stops

@@ -23,10 +23,9 @@ derivation search's vectors are dense only inside this module.  Kernel
 vectors and span residues leave it sparse, as {column: entry} with keys
 ascending, primitive (gcd 1, first entry positive); IncrementalSpan.add
 takes such vectors, and it and QMatrix.kernel_basis are the only places
-one is made dense.  Fractions are made only where a result leaves the
-integers: _rational_rows takes a span's rows in pivot order and divides
-each by its pivot entry, and QMatrix.kernel_basis divides a vector by
-its leading entry.
+one is made dense.  A Fraction is made here only where a result leaves
+the integers: QMatrix.kernel_basis divides a vector by its leading
+entry.  A lattice flat's span leaves as integer rows, which cli renders.
 
 integer_kernel eliminates sparse integer rows modulo the prime
 p = 2^61 - 1 with plain ints, lifts the pivot entries back to Q by
@@ -142,14 +141,6 @@ def _rational(row: Sequence[int], p: int) -> Vector:
     rarely calls Fraction.__eq__.
     """
     return tuple(_ZERO if a == 0 else _ONE if a == p else Fraction(a, p) for a in row)
-
-
-def _rational_rows(rows: Iterable[Sequence[int]]) -> tuple[Vector, ...]:
-    """The RREF rows of a span's rows as _insert keeps them, given in pivot order.
-
-    A row's pivot is its first nonzero entry, which it is divided by.
-    """
-    return tuple(_rational(row, next(filter(None, row))) for row in rows)
 
 
 def integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[dict[int, int]]:

@@ -20,7 +20,9 @@ references reach the same objects by other means:
   intersect_spans and intersection_property_check rebuild D(A)_d one
   hyperplane at a time on top of them.
 - rref_rows: the RREF of a span through linalg's integer core, the path
-  build_lattice takes, for comparing the core with fraction_rref.
+  build_lattice takes, for comparing the core with fraction_rref;
+  rational_rows reads the RREF rows off a span's primitive integer rows,
+  as Flat.span holds them.
 - reduction_kernel: D(A)_d from residues modulo each form, with
   MultiPoly's reduce_mod_linear, solved by fraction_kernel; and
   evaluation_rows: dense rows that evaluate alpha(theta) at lattice
@@ -43,7 +45,7 @@ from math import lcm, prod
 from typing import Iterable, Iterator, Mapping
 
 from arrcsm.arrangement import Arrangement
-from arrcsm.linalg import _insert, _integer_vector, _rational_rows
+from arrcsm.linalg import _insert, _integer_vector, _rational
 from arrcsm.logder import Derivation, _degree_kernel, vector_to_derivation
 from arrcsm.poly import Monomial, Scalar, monomial_mul, monomials_of_degree, render_terms
 
@@ -383,12 +385,20 @@ def dense(v, n: int) -> list[int]:
     return [v.get(j, 0) for j in range(n)]
 
 
+def rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
+    """The RREF rows of a span's rows as _insert keeps them, given in pivot order.
+
+    A row's pivot is its first nonzero entry, which it is divided by.
+    """
+    return tuple(_rational(row, next(filter(None, row))) for row in rows)
+
+
 def rref_rows(vectors) -> tuple[tuple[Fraction, ...], ...]:
     """Canonical basis (RREF, zero rows dropped) of the span, by linalg's integer core."""
     basis: dict[int, list[int]] = {}
     for v in vectors:
         _insert(basis, _integer_vector(v))
-    return _rational_rows(basis[pc] for pc in sorted(basis))
+    return rational_rows(basis[pc] for pc in sorted(basis))
 
 
 def intersect_spans(a, b, dim: int) -> tuple[tuple[Fraction, ...], ...]:

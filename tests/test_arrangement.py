@@ -3,13 +3,17 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from arrcsm import arrangement
 from arrcsm.arrangement import (
     MAX_TOKEN,
     MAX_VARS,
     Arrangement,
     LinearForm,
     ParseError,
+    _parse_rational,
     parse,
     parse_file,
 )
@@ -192,3 +196,42 @@ def test_parse_file(tmp_path):
     arr = parse_file(p)
     assert arr.name == "demo"
     assert arr.size == 3
+
+
+class _NotAscii(str):
+    """A token that _parse_rational reads as Fraction does, past its integer path."""
+
+    def isascii(self):
+        return False
+
+
+def _parse_or_error(text: str):
+    try:
+        arr = parse(text)
+    except ParseError as exc:
+        return str(exc)
+    assert all(type(c) is Fraction for f in arr.forms for c in f.coeffs)
+    return arr, arr.warnings
+
+
+@pytest.mark.parametrize(
+    "token",
+    ["0", "-0", "+5", "007", "-12", "1/2", "0.5", "3e1", "+-1", "-+1", "1_0", "\u0663", "-", "+",
+     "9" * MAX_TOKEN],
+)
+def test_integer_tokens_parse_as_fraction_reads_them(monkeypatch, token):
+    # the form repeats, so a warning is compared too
+    text = f"vars 3\n{token} 1 0\n{token} 1 0\n{token} {token} 1\n"
+    fast = _parse_or_error(text)
+    original = arrangement._parse_rational
+    monkeypatch.setattr(
+        arrangement, "_parse_rational", lambda t, line_no: original(_NotAscii(t), line_no)
+    )
+    assert fast == _parse_or_error(text)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.from_regex(r"[+-]?[0-9]{1,30}", fullmatch=True))
+def test_integer_token_is_its_fraction(token):
+    value = _parse_rational(token, 1)
+    assert type(value) is int and value == Fraction(token)

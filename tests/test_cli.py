@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from dataclasses import replace
+from fractions import Fraction
 from math import comb
 from pathlib import Path
 
@@ -693,3 +694,50 @@ def test_corpus_marks_internal_error_and_continues(monkeypatch, tmp_path, capsys
     assert payload["num_pass"] == 1 and payload["num_error"] == 2
     assert run(["corpus", "--input", str(tmp_path)]) == 3
     assert "a_plane.arr" in capsys.readouterr().out
+
+
+# str values as json.dumps escapes them: quotes, backslashes, control
+# characters, non-ASCII characters and lone surrogates among the rest
+_json_text = st.text(
+    st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "é", " ", "\ud800", "\udfff"]),
+        st.characters(exclude_categories=()),
+    ),
+    max_size=8,
+)
+_json_scalars = st.one_of(
+    _json_text,
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**200),
+    st.integers(min_value=-(2**200), max_value=-(2**64)),
+    st.booleans(),
+    st.none(),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_json_text, inner, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(_json_values)
+def test_json_writer_matches_json_dumps(value):
+    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1: "a"}, {"a": [0.0]}, [{"b": {2: 3}}]])
+def test_json_writer_refuses_what_is_not_in_a_payload(value):
+    # json.dumps writes floats and int keys; no payload holds one
+    with pytest.raises(TypeError):
+        cli._json(value)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "tests" / "golden").glob("*.json")))
+def test_every_golden_reencodes_to_its_own_bytes(name):
+    text = (REPO / "tests" / "golden" / name).read_text(encoding="utf-8")
+    assert cli._json(json.loads(text)) + "\n" == text

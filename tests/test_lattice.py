@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcsm import lattice
+from arrcsm import cli, lattice
 from arrcsm.arrangement import parse, parse_file
 from arrcsm.lattice import (
     BadReductionError,
@@ -23,7 +23,7 @@ from arrcsm.lattice import (
     reduced_char_poly,
     render_poly_in_t,
 )
-from oracles import fraction_rref, poly_from_roots
+from oracles import fraction_rref, poly_from_roots, rational_rows
 from property_checks import arrangement_text
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
@@ -243,7 +243,7 @@ def test_oracle_memory_does_not_grow_with_the_number_of_forms():
 def test_lattice_flat_rows_are_canonical():
     lat = build_lattice(THREE_CONC)
     for flat in lat.of_codim(1):
-        for row in flat.rows:
+        for row in rational_rows(flat.span):
             assert all(isinstance(v, Fraction) for v in row)
             lead = next(v for v in row if v)
             assert lead == 1
@@ -319,7 +319,7 @@ def test_lattice_matches_brute_force_over_subsets():
         flats = build_lattice(arr).flats
         assert {(f.indices, f.codim, f.mu) for f in flats} == _brute_force_flats(arr), arr.forms
         for f in flats:
-            assert f.rows == fraction_rref(arr.forms[i].coeffs for i in f.indices)
+            assert rational_rows(f.span) == fraction_rref(arr.forms[i].coeffs for i in f.indices)
         essential += arr.rank() == nvars
         nonessential += arr.size > 0 and arr.rank() != nvars
         concurrent += any(f.codim == 2 and len(f.indices) >= 3 for f in flats)
@@ -349,18 +349,36 @@ def test_walk_reduces_no_residue_against_flats_one_below_the_top(monkeypatch):
     assert len(calls) == 12 + 12 * 11
 
 
-def test_build_lattice_makes_no_fraction(monkeypatch):
-    # the walk, the sort and the top's span are integers; a flat makes its
-    # Fraction rows only when they are read
-    arrs = [_braid(5), _moment_curve(4, 12)]
+def _count_fractions(monkeypatch) -> list:
+    """A list that gets one entry for each Fraction made from now on."""
     made = []
     new = Fraction.__new__
     counted = staticmethod(lambda *a, **k: made.append(1) or new(*a, **k))
     monkeypatch.setattr(Fraction, "__new__", counted)
+    return made
+
+
+def test_build_lattice_makes_no_fraction(monkeypatch):
+    # the walk, the sort and the top's span are integers; reading a span's
+    # rational rows shows that the count works
+    arrs = [_braid(5), _moment_curve(4, 12)]
+    made = _count_fractions(monkeypatch)
     lats = [build_lattice(arr) for arr in arrs]
     assert not made
     assert [lat.size() for lat in lats] == [203, 1 + 12 + comb(12, 2) + comb(12, 3) + 1]
-    assert lats[1].of_codim(1)[-1].rows and made
+    assert rational_rows(lats[1].of_codim(1)[-1].span) and made
+
+
+def test_lattice_output_makes_no_fraction(monkeypatch):
+    # the basis is rendered from the integer span and written by _json; the
+    # RREF rows of braid A5 and of the moment curve are integers, and those
+    # of 2x + 3y = 0 hold 3/2
+    arrs = [_braid(5), _moment_curve(4, 12), parse(arrangement_text(3, [[2, 3, 0], [0, 1, 1]]))]
+    lats = [build_lattice(arr) for arr in arrs]
+    made = _count_fractions(monkeypatch)
+    texts = [cli._json(cli._lattice_payload(lat)) for lat in lats]
+    assert not made
+    assert ["/" in text for text in texts] == [False, False, True] and '"3/2"' in texts[2]
 
 
 def test_lattices_in_closed_form():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcsm.arrangement import Arrangement, ParseError, parse
+from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
+from arrcsm.cli import _lattice_payload
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
 from arrcsm.logder import _degree_kernel
 from arrcsm.poly import monomials_of_degree
@@ -16,6 +17,7 @@ from oracles import (
     fraction_kernel,
     fraction_rref,
     primitive,
+    rational_rows,
     reference_point_count,
 )
 from property_checks import (
@@ -88,13 +90,25 @@ def test_point_rows_match_reduction_property(arr):
 def test_flats_come_in_order_of_codim_then_rref_rows(arr):
     flats = build_lattice(arr).flats
     rows = [fraction_rref(arr.forms[i].coeffs for i in f.indices) for f in flats]
-    assert [f.rows for f in flats] == rows == sorted(rows, key=lambda r: (len(r), r))
+    spans = [rational_rows(f.span) for f in flats]
+    assert spans == rows == sorted(rows, key=lambda r: (len(r), r))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(arrangements(max_forms=7))
+def test_lattice_basis_strings_are_the_rref_rows(arr):
+    lat = build_lattice(arr)
+    flats = _lattice_payload(lat)["flats"]
+    for flat, payload in zip(lat.flats, flats, strict=True):
+        rows = fraction_rref(arr.forms[i].coeffs for i in flat.indices)
+        assert payload["basis"] == [[str(c) for c in row] for row in rows]
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(arrangements(max_forms=7))
 def test_flat_spans_are_primitive_integer_rows(arr):
-    # that Flat.rows is the RREF of the flat's forms is the property above
+    # that the span's rational rows are the RREF of the flat's forms is the
+    # property above
     for f in build_lattice(arr).flats:
         pivots = [next(j for j, a in enumerate(row) if a) for row in f.span]
         assert pivots == sorted(set(pivots)) and len(pivots) == f.codim
