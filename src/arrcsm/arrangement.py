@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 
-from .linalg import _insert, _integer_vector, integer_det
+from .linalg import _insert, _integer_vector, integer_det, integer_rows
 
 
 # The degree-d monomial walk recurses once per coordinate, so a bound far
@@ -107,6 +107,15 @@ class Arrangement:
 
     def rank(self) -> int:
         return len(self._independent[0])
+
+    @cached_property
+    def integer_forms(self) -> list[dict[int, int]]:
+        """Each form times the lcm of its denominators, as {column: nonzero entry}.
+
+        Computed once per arrangement, so a search reads it at every degree
+        without rebuilding it; no caller mutates it.
+        """
+        return integer_rows(f.coeffs for f in self.forms)
 
     def adapted(self) -> tuple["Arrangement", int]:
         """A in coordinates x'_k = alpha_(i_k) of its first r = rank A independent forms, and n+1-r.

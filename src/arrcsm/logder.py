@@ -22,7 +22,12 @@ generators; whatever a shorter walk finds, Saito's criterion certifies
 or rejects on its own.  The search runs on the arrangement it is given;
 verify searches Arrangement.adapted(), where the first rank A
 independent forms are coordinate hyperplanes, and adds a zero exponent
-per dimension of the lineality space.
+per dimension of the lineality space.  There the first form is x_0, so
+D(A) = S*theta_E (+) D_0(A) with D_0(A) = {theta in D(A) : theta_0 = 0}
+(Orlik & Terao, Prop. 4.27): verify searches D_0(A) (minimal_generators
+with d0), whose kernels leave out the C(d+n-1, n) multiples of the Euler
+field theta_E at each degree d, and puts theta_E in front of what it
+finds, the one exponent 1 that D_0(A) lacks.
 
 A Derivation keeps the search's integer vector; multiples, rendering and
 Saito's integer determinant read it, and Fractions appear only in render
@@ -39,7 +44,7 @@ from math import prod
 from operator import itemgetter
 
 from .arrangement import Arrangement
-from .linalg import IncrementalSpan, _rref_mod_p, integer_det, integer_kernel, integer_rows
+from .linalg import IncrementalSpan, _rref_mod_p, integer_det, integer_kernel
 from .poly import FormalClass, Monomial, monomial_mul, monomials_of_degree, render_terms
 
 
@@ -74,7 +79,9 @@ def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) ->
     return Derivation(nvars, degree, terms)
 
 
-def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[dict[int, int]]:
+def _degree_kernel(
+    arr: Arrangement, d: int, monos: list[Monomial], d0: bool = False
+) -> list[dict[int, int]]:
     """Primitive integer kernel vectors spanning D(A)_d, sparse in the (variable, monomial) layout.
 
     A form scaled to integers a, with pivot p its first nonzero index, gets
@@ -92,13 +99,15 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial]) -> list[dict
     the columns (j, m) with x_j not dividing m, pivots that no other
     kernel vector touches.  The kernel is solved on the other columns,
     and its keys are mapped back to the full layout: the same RREF basis.
+    With d0 the system leaves out every column of theta_0 as well: its
+    kernel is D_0(A)_d = {theta in D(A)_d : theta_0 = 0}.
     """
     n1, per = arr.nvars, len(monos)
-    forms = integer_rows(form.coeffs for form in arr.forms)
+    forms = arr.integer_forms
     coordinate = {min(a) for a in forms if len(a) == 1}
     kept: list[int] = []  # the columns left in the system
     slots: list[list[tuple[int, int]]] = [[] for _ in range(n1)]  # (monomial, kept index) per x_j
-    for j in range(n1):
+    for j in range(1 if d0 else 0, n1):
         for k, mono in enumerate(monos):
             if j not in coordinate or mono[j]:
                 slots[j].append((k, len(kept)))
@@ -154,7 +163,7 @@ class GradedBasis:
         return tuple(g.degree for g in self.generators)
 
 
-def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
+def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = False) -> GradedBasis:
     """Minimal homogeneous generators of D(A), searched in the given ascending degrees.
 
     range(arr.size + 1) is the full walk, through degree |A|.  A walk
@@ -170,9 +179,16 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
     vector left is dependent and none is reduced.
     Early exits: more than n+1 generators (never free), or exactly n+1
     with degree sum |A| (Saito candidate found).
+
+    With d0 the search runs on D_0(A) = {theta in D(A) : theta_0 = 0}
+    instead, for an A whose first form is x_0.  Then
+    D(A) = S*theta_E (+) D_0(A) (Orlik & Terao, Prop. 4.27): the Euler
+    field takes one exponent 1, and the exits are at more than n
+    generators, or exactly n with degree sum |A| - 1.  Every dimension is
+    that of D_0(A)_d, C(d+n-1, n) below dim D(A)_d.
     """
     n1 = arr.nvars
-    m = arr.size
+    rank, total = (n1 - 1, arr.size - 1) if d0 else (n1, arr.size)
     gens: list[Derivation] = []
     dims: dict[int, int] = {}
     log: list[str] = []
@@ -181,7 +197,7 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
     for d in walked:
         monos = monomials_of_degree(n1, d)
         per = len(monos)
-        kernel = _degree_kernel(arr, d, monos)
+        kernel = _degree_kernel(arr, d, monos, d0)
         dims[d] = len(kernel)
         column = {mono: k for k, mono in enumerate(monos)}
         multiples = [
@@ -202,16 +218,16 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int]) -> GradedBasis:
                     gens.append(vector_to_derivation(residue, n1, d, monos))
                     fresh += 1
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
-        if len(gens) > n1:
+        if len(gens) > rank:
             exit_reason = "overflow"
             log.append(
-                f"stopped at degree {d}: {len(gens)} generators exceed the rank bound {n1}"
+                f"stopped at degree {d}: {len(gens)} generators exceed the rank bound {rank}"
             )
             break
-        if len(gens) == n1 and sum(g.degree for g in gens) == m:
+        if len(gens) == rank and sum(g.degree for g in gens) == total:
             exit_reason = "complete"
             log.append(
-                f"stopped at degree {d}: {n1} generators with degree sum {m}"
+                f"stopped at degree {d}: {rank} generators with degree sum {total}"
             )
             break
     else:

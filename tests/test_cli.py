@@ -17,7 +17,7 @@ from arrcsm import cli
 from arrcsm.arrangement import MAX_VARS, parse, parse_file
 from arrcsm.cli import corpus_runner, main, run
 from arrcsm.lattice import build_lattice
-from arrcsm.logder import decide_freeness, degree_dimension, minimal_generators
+from arrcsm.logder import Derivation, decide_freeness, degree_dimension, minimal_generators
 from property_checks import arrangement_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -404,19 +404,38 @@ def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searc
 SPLIT_NOT_FREE = "vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n"
 
 
+def _with_lineality(report, lineality):
+    if not report.free:
+        return report
+    return replace(report, exponents=(0,) * lineality + report.exponents)
+
+
 def _assert_guided_equals_full(arr):
-    """verify decides as the full walk on A' with the lineality zeros, and as A's full walk."""
+    """verify decides as the full D_0 walk on A' after theta_E, with the lineality zeros.
+
+    Its verdict and exponents are also those of the full D(A) walks on A'
+    and on A.
+    """
     guided = cli._guided_freeness(arr, build_lattice(arr))
     adapted, lineality = arr.adapted()
     assert adapted.size == arr.size and lineality == arr.nvars - arr.rank()
-    full = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size + 1)))
-    if full.free:
-        full = replace(full, exponents=(0,) * lineality + full.exponents)
+    n1 = adapted.nvars
+    if adapted.size:  # D(A') = S*theta_E (+) D_0(A'), D_0 = {theta_0 = 0} on A''s first form x_0
+        assert adapted.forms[0].coeffs == (1,) + (0,) * (n1 - 1)
+        graded = minimal_generators(adapted, range(adapted.size), d0=True)
+        euler = Derivation(n1, 1, tuple((j, tuple(int(k == j) for k in range(n1)), 1) for j in range(n1)))
+        full = decide_freeness(adapted, replace(graded, generators=(euler,) + graded.generators))
+    else:  # no x_0 to split off: the full D(A') walk
+        full = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size + 1)))
+    full = _with_lineality(full, lineality)
     assert (guided.free, guided.exponents, guided.saito_scalar, guided.reason) == (
         full.free, full.exponents, full.saito_scalar, full.reason), arr.forms
     assert [g.render() for g in guided.generators] == [g.render() for g in full.generators]
-    if not full.free:  # the fallback is the full walk on A' itself
+    if not full.free:  # the fallback is the full D_0 walk on A' itself
         assert guided == full
+    whole = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size + 1)))
+    whole = _with_lineality(whole, lineality)
+    assert (guided.free, guided.exponents) == (whole.free, whole.exponents), arr.forms
     original = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
     assert (guided.free, guided.exponents) == (original.free, original.exponents), arr.forms
 

@@ -3,13 +3,13 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
 from arrcsm.cli import _lattice_payload
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
-from arrcsm.logder import _degree_kernel
+from arrcsm.logder import _degree_kernel, minimal_generators
 from arrcsm.poly import monomials_of_degree
 from oracles import (
     dense,
@@ -30,6 +30,7 @@ from property_checks import (
     kernel_rank_exactness,
     mobius_alternation,
     point_rows_match_reduction,
+    random_arrangement,
     reduction_invariance,
 )
 
@@ -144,6 +145,31 @@ def test_residue_rows_cut_out_the_kernel_of_the_evaluation_rows(case):
     expected = fraction_kernel(evaluation_rows(arr, d, monos), arr.nvars * len(monos))
     kernel = [dense(v, arr.nvars * len(monos)) for v in _degree_kernel(arr, d, monos)]
     assert kernel == [primitive(v) for v in expected]
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32).map(Random), st.sampled_from([(3, 9), (4, 7)]))
+def test_the_euler_field_splits_off_one_exponent_1(rng, shape):
+    """D(A') = S*theta_E (+) D_0(A') on A' = A.adapted(), whose first form is x_0.
+
+    Walked through degree |A|, the two searches stop at the same degree,
+    each dimension of D(A') is that of D_0(A') = {theta_0 = 0} plus the
+    C(d+n-1, n) multiples of theta_E, and theta_E adds one generator of
+    degree 1 (Orlik & Terao, Prop. 4.27).
+    """
+    nvars, max_forms = shape
+    adapted, _ = random_arrangement(rng, nvars, max_forms).adapted()
+    n = adapted.projective_dim
+    assert adapted.forms[0].coeffs == (1,) + (0,) * n
+    assume(n >= 1)  # a rank-1 A: D_0(A') = 0 in P^0, whose search stops at degree 0
+    degrees = range(adapted.size + 1)
+    whole = minimal_generators(adapted, degrees)
+    d0 = minimal_generators(adapted, degrees, d0=True)
+    assert whole.dimensions.keys() == d0.dimensions.keys()
+    for d, dim in whole.dimensions.items():
+        assert dim == d0.dimensions[d] + (math.comb(d + n - 1, n) if d else 0), (adapted.forms, d)
+    assert sorted((1,) + d0.generator_degrees) == sorted(whole.generator_degrees), adapted.forms
+    assert whole.exit_reason == d0.exit_reason
 
 
 @st.composite
