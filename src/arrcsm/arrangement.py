@@ -2,8 +2,8 @@
 
 An arrangement is a finite list of nonzero rational linear forms on
 k^(n+1), i.e. a central arrangement, read projectively as hyperplanes
-in P^n.  Forms are canonicalized so the first nonzero coefficient is 1;
-proportional duplicates collapse to one hyperplane with a warning.
+in P^n.  Forms are kept as primitive integer vectors, first nonzero
+entry positive; proportional duplicates collapse with a warning.
 
 File format (.arr), UTF-8 with LF or CRLF line endings:
 
@@ -24,8 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
+from math import gcd
 
-from .linalg import _insert, _integer_vector, integer_det, integer_rows
+from .linalg import _insert, _integer_vector, _reduce, integer_det
 
 
 # The degree-d monomial walk recurses once per coordinate, so a bound far
@@ -46,21 +47,22 @@ class ParseError(ValueError):
 
 @dataclass(frozen=True)
 class LinearForm:
-    """Canonicalized nonzero linear form: first nonzero coefficient is 1."""
+    """Nonzero form as primitive ints, its lead (first nonzero entry) positive.
 
-    coeffs: tuple[Fraction, ...]
+    It stands for the form coeffs / lead; proportional forms have equal coeffs.
+    """
+
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        cs = self.coeffs
+        if not (all(type(c) is int for c in cs) and gcd(*cs) == 1 and next(filter(None, cs)) > 0):
+            raise ValueError(f"{cs} is not a primitive integer form with a positive lead")
 
     @classmethod
     def make(cls, coeffs) -> "LinearForm":
-        cs = tuple(Fraction(c) for c in coeffs)
-        lead = next((c for c in cs if c), None)
-        if lead is None:
-            raise ValueError("zero linear form")
-        return cls(tuple(c / lead for c in cs))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.coeffs)
+        """The form on the ray of rational coeffs; ValueError when they are all 0."""
+        return cls(tuple(_reduce({}, _integer_vector(coeffs))))
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,7 @@ class Arrangement:
         if self.nvars < 1:
             raise ValueError("need at least one coordinate")
         for f in self.forms:
-            if f.nvars != self.nvars:
+            if len(f.coeffs) != self.nvars:
                 raise ValueError("form arity does not match the arrangement")
         canon = {f.coeffs for f in self.forms}
         if len(canon) != len(self.forms):
@@ -101,7 +103,7 @@ class Arrangement:
         span: dict[int, list[int]] = {}
         chosen = tuple(
             i for i, f in enumerate(self.forms)
-            if _insert(span, _integer_vector(f.coeffs)) is not None
+            if _insert(span, list(f.coeffs)) is not None
         )
         return chosen, span
 
@@ -110,12 +112,12 @@ class Arrangement:
 
     @cached_property
     def integer_forms(self) -> list[dict[int, int]]:
-        """Each form times the lcm of its denominators, as {column: nonzero entry}.
+        """Each form's coeffs as {column: nonzero entry}.
 
         Computed once per arrangement, so a search reads it at every degree
         without rebuilding it; no caller mutates it.
         """
-        return integer_rows(f.coeffs for f in self.forms)
+        return [{j: a for j, a in enumerate(f.coeffs) if a} for f in self.forms]
 
     def adapted(self) -> tuple["Arrangement", int]:
         """A in coordinates x'_k = alpha_(i_k) of its first r = rank A independent forms, and n+1-r.
@@ -134,7 +136,7 @@ class Arrangement:
         if not chosen:
             return self, 0
         pivots = sorted(span)
-        ints = [[v[c] for c in pivots] for v in (_integer_vector(f.coeffs) for f in self.forms)]
+        ints = [[f.coeffs[c] for c in pivots] for f in self.forms]
         basis = [ints[i] for i in chosen]
         forms = tuple(
             LinearForm.make(integer_det(basis[:k] + [w] + basis[k + 1:]) for k in range(len(basis)))
@@ -199,7 +201,7 @@ def parse(text: str, name: str = "") -> Arrangement:
 
     forms: list[LinearForm] = []
     warnings: list[str] = []
-    seen: dict[tuple[Fraction, ...], int] = {}
+    seen: dict[tuple[int, ...], int] = {}
     for line_no, coeffs in rows:
         f = LinearForm.make(coeffs)
         if f.coeffs in seen:

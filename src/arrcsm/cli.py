@@ -89,13 +89,13 @@ def _arrangement_payload(arr: Arrangement) -> dict:
         "num_forms": arr.size,
         "rank": rank,
         "essential": rank == arr.nvars,
-        "forms": [[str(c) for c in f.coeffs] for f in arr.forms],
+        "forms": [_rref_row(f.coeffs) for f in arr.forms],
         "warnings": list(arr.warnings),
     }
 
 
 def _rref_row(row: tuple[int, ...]) -> list[str]:
-    """str(Fraction(a, p)) for each entry a of a span row, p its first nonzero entry.
+    """str(Fraction(a, p)) for each entry a of a span row or form, p its first nonzero entry.
 
     p > 0, so a/p in lowest terms is a // g over p // g with g = gcd(a, p),
     an integer when g = p (which a = 0 falls under).

@@ -23,10 +23,10 @@ so the last entry is the Euler characteristic of the complement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, lcm
+from math import comb, gcd, lcm
 
 from .arrangement import Arrangement
-from .linalg import _eliminate, _integer_vector, _reduce
+from .linalg import _eliminate
 from .poly import render_terms
 
 
@@ -111,9 +111,7 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
         (): {}, tuple(range(arr.size)): {pc: tuple(row) for pc, row in top.items()},
     }
     mus = {(): 1}
-    covers: dict[tuple[int, ...], list[int]] = {}
-    for i, f in enumerate(arr.forms):
-        covers.setdefault(tuple(_reduce({}, _integer_vector(f.coeffs))), []).append(i)
+    covers = {f.coeffs: [i] for i, f in enumerate(arr.forms)}
     # (closed index set, span, {residue: the forms outside it with that residue})
     frontier = [((), {}, covers)] if r > 1 else []
     while frontier:
@@ -261,8 +259,8 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
     line when a = 0 and nowhere otherwise.  So each form marks its
     points in one boolean mask of the chart with one scatter per fibre,
     and the chart contributes its unmarked points.  Refuses primes of
-    bad reduction: a coefficient denominator divisible by p, or a form
-    vanishing identically mod p; refuses a largest chart p^n above
+    bad reduction, those dividing a form's lead and so a denominator of
+    the form over it; refuses a largest chart p^n above
     ORACLE_MAX_POINTS, the size of that mask, before allocating anything.
     """
     if p > 1000:  # before _is_prime, whose trial division is unbounded in p
@@ -276,16 +274,13 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
         )
     import numpy as np  # only this oracle uses numpy; the CLI starts without it
 
-    reduced_forms: list[list[int]] = []
     for f in arr.forms:
-        row = []
-        for c in f.coeffs:
-            if c.denominator % p == 0:
-                raise BadReductionError(f"denominator of {c} vanishes mod {p}")
-            row.append((c.numerator * pow(c.denominator, -1, p)) % p)
-        if not any(row):
-            raise BadReductionError(f"a form vanishes identically mod {p}")
-        reduced_forms.append(row)
+        lead = next(filter(None, f.coeffs))
+        for a in f.coeffs:
+            # a / lead in lowest terms is (a // g) / (lead // g)
+            if lead // (g := gcd(a, lead)) % p == 0:
+                raise BadReductionError(f"denominator of {a // g}/{lead // g} vanishes mod {p}")
+    reduced_forms = [[a % p for a in f.coeffs] for f in arr.forms]
 
     total = 0
     for lead in range(n1):

@@ -15,11 +15,11 @@ each row is its RREF row times its pivot entry, and its pivot is its
 first nonzero entry.  _reduce clears a vector at those pivots and
 _insert joins it to the span, each through _eliminate, one Bareiss step,
 with every intermediate value an int.  IncrementalSpan.add, the
-integer_kernel fallback and Arrangement._independent call _insert.
-lattice.build_lattice calls _reduce only to make each form primitive and
-then takes single _eliminate steps: its residues are already 0 at their
-flat's pivots, so one step at a cover's new pivot reduces them.  The
-derivation search's vectors are dense only inside this module.  Kernel
+integer_kernel fallback and Arrangement._independent call _insert, and
+LinearForm.make calls _reduce.  lattice.build_lattice takes single
+_eliminate steps: its residues are already 0 at their flat's pivots,
+so one step at a cover's new pivot reduces them.  The derivation
+search's vectors are dense only inside this module.  Kernel
 vectors and span residues leave it sparse, as {column: entry} with keys
 ascending, primitive (gcd 1, first entry positive); IncrementalSpan.add
 takes such vectors, and it and QMatrix.kernel_basis are the only places

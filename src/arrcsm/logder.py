@@ -305,7 +305,9 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
     for row, g in zip(rows, gens):
         for j, mono, c in g.terms:
             row[j] += c * prod(map(pow, x0, mono))
-    scalar = Fraction(integer_det(rows), q_x0 * prod(g.terms[0][2] for g in gens))
+    # Q is the product of the forms over their leads, so Q(x0) is q_x0 over the leads
+    leads = prod(next(filter(None, f.coeffs)) for f in arr.forms)
+    scalar = Fraction(integer_det(rows) * leads, q_x0 * prod(g.terms[0][2] for g in gens))
     if not scalar:
         return failed("Saito determinant vanishes")
     log.append(f"free: Saito determinant = {scalar} * defining polynomial")

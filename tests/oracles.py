@@ -283,11 +283,17 @@ def polys(der: Derivation) -> tuple[MultiPoly, ...]:
     )
 
 
+def lead_one(form) -> tuple[Fraction, ...]:
+    """The rational form a LinearForm stands for: its coefficients over the first nonzero one."""
+    lead = next(filter(None, form.coeffs))
+    return tuple(Fraction(c, lead) for c in form.coeffs)
+
+
 def defining_polynomial(arr: Arrangement) -> MultiPoly:
-    """Product of the canonical forms; 1 for the empty arrangement."""
+    """Product of the forms with first nonzero coefficient 1; 1 for the empty arrangement."""
     q = MultiPoly.const(arr.nvars, 1)
     for f in arr.forms:
-        q = q * MultiPoly.linear_form(f.coeffs)
+        q = q * MultiPoly.linear_form(lead_one(f))
     return q
 
 
@@ -300,9 +306,9 @@ def is_logarithmic(der: Derivation, arr: Arrangement) -> bool:
     """Per-form membership test: theta(alpha) reduces to 0 mod alpha."""
     coeffs = polys(der)
     zero = MultiPoly.zero(der.nvars)
-    for form in arr.forms:
-        value = sum((c.scale(lam) for lam, c in zip(form.coeffs, coeffs)), zero)
-        if not reduce_mod_linear(value, MultiPoly.linear_form(form.coeffs)).is_zero():
+    for form in map(lead_one, arr.forms):
+        value = sum((c.scale(lam) for lam, c in zip(form, coeffs)), zero)
+        if not reduce_mod_linear(value, MultiPoly.linear_form(form)).is_zero():
             return False
     return True
 
@@ -445,12 +451,12 @@ def reduction_kernel(arr: Arrangement, d: int) -> list[tuple[Fraction, ...]]:
     monos = monomials_of_degree(n1, d)
     cols = [(j, m) for j in range(n1) for m in monos]
     rows = []
-    for form in arr.forms:
-        fp = MultiPoly.linear_form(form.coeffs)
-        pivot = next(i for i, c in enumerate(form.coeffs) if c)
+    for form in map(lead_one, arr.forms):
+        fp = MultiPoly.linear_form(form)
+        pivot = next(i for i, c in enumerate(form) if c)
         residues = {m: reduce_mod_linear(MultiPoly(n1, {m: Fraction(1)}), fp) for m in monos}
         for t in (m for m in monos if m[pivot] == 0):
-            rows.append([form.coeffs[j] * residues[m].coefficient(t) for j, m in cols])
+            rows.append([form[j] * residues[m].coefficient(t) for j, m in cols])
     return fraction_kernel(rows, len(cols))
 
 
@@ -466,8 +472,7 @@ def evaluation_rows(arr: Arrangement, d: int, monos: list[Monomial]) -> list[lis
     """
     rows = []
     for form in arr.forms:
-        scale = lcm(*(c.denominator for c in form.coeffs))
-        a = [int(c * scale) for c in form.coeffs]
+        a = primitive(lead_one(form))
         pivot = next(j for j, c in enumerate(a) if c)
         for t in monos:
             if t[pivot]:
@@ -507,10 +512,10 @@ def reference_point_count(arr: Arrangement, p: int) -> int | None:
     the vector whose first nonzero coordinate is 1.
     """
     forms = []
-    for f in arr.forms:
-        if any(c.denominator % p == 0 for c in f.coeffs):
+    for f in map(lead_one, arr.forms):
+        if any(c.denominator % p == 0 for c in f):
             return None
-        row = [c.numerator * pow(c.denominator, -1, p) % p for c in f.coeffs]
+        row = [c.numerator * pow(c.denominator, -1, p) % p for c in f]
         if not any(row):
             return None
         forms.append(row)

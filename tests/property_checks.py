@@ -23,6 +23,7 @@ from oracles import (
     intersection_property_check,
     is_logarithmic,
     is_logarithmic_for_polynomial,
+    lead_one,
     log_derivation_space,
     polys,
     primitive,
@@ -137,7 +138,7 @@ def mobius_alternation(rng: Random, cases: int) -> int:
             assert sign * flat.mu > 0, (arr.forms, flat)
         if arr.size > 1:
             drop = rng.randrange(arr.size)
-            rest = [f.coeffs for i, f in enumerate(arr.forms) if i != drop]
+            rest = [lead_one(f) for i, f in enumerate(arr.forms) if i != drop]
             smaller = parse(arrangement_text(arr.nvars, rest))
             assert smaller.size == arr.size - 1
             assert build_lattice(smaller).size() <= lat.size()

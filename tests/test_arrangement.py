@@ -1,6 +1,5 @@
 import time
 from fractions import Fraction
-from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +39,8 @@ def test_canonicalization_leading_one():
     assert arr.forms[0].coeffs == (0, 1, 1)
     assert arr.forms[1].coeffs == (1, 0, 0)
     assert LinearForm.make([0, Fraction(-1, 2), 1]).coeffs == (0, 1, -2)
+    # primitive integers with a positive lead, not the lead-1 form (0, 1, 3/2)
+    assert LinearForm.make([0, -4, -6]).coeffs == (0, 2, 3)
 
 
 def test_duplicate_collapse_with_warning():
@@ -92,7 +93,7 @@ def test_coefficient_tokens_are_bounded_before_fraction_builds_them(token):
 def test_coefficient_tokens_at_the_bound_parse():
     arr = parse(f"vars 3\n1 0 1e{MAX_TOKEN}\n0 1 -3.5e-{MAX_TOKEN}\n")
     assert arr.forms[0].coeffs[2] == 10**MAX_TOKEN
-    assert arr.forms[1].coeffs[2] == Fraction(-35, 10 ** (MAX_TOKEN + 1))
+    assert arr.forms[1].coeffs == (0, 2 * 10**MAX_TOKEN, -7)
     assert parse("vars 2\n1 " + "9" * MAX_TOKEN + "\n").forms[0].coeffs[1] == 10**MAX_TOKEN - 1
 
 
@@ -166,10 +167,10 @@ def test_adapted_coordinates(text):
             chosen.append(i)
     for k, i in enumerate(chosen):
         assert adapted.forms[i].coeffs == tuple(int(j == k) for j in range(r))
-    # every form is its new coefficients applied to the chosen forms scaled to integers
-    scaled = [[c * lcm(*(x.denominator for x in f.coeffs)) for c in f.coeffs] for f in arr.forms]
+    # every form is its new coefficients applied to the chosen forms
+    basis = [arr.forms[i].coeffs for i in chosen]
     for form, new in zip(arr.forms, adapted.forms):
-        combined = [sum(c * scaled[i][j] for c, i in zip(new.coeffs, chosen)) for j in range(n1)]
+        combined = [sum(c * b[j] for c, b in zip(new.coeffs, basis)) for j in range(n1)]
         assert LinearForm.make(combined) == form
 
 
@@ -188,6 +189,13 @@ def test_duplicate_construction_rejected():
     f = LinearForm.make([1, 0, 0])
     with pytest.raises(ValueError):
         Arrangement(nvars=3, forms=(f, f))
+
+
+@pytest.mark.parametrize("coeffs", [(2, 4), (-1, 0), (Fraction(1, 2), 1), (0, 0), (True, 0)])
+def test_non_canonical_form_rejected(coeffs):
+    # not primitive, a negative lead, not ints, zero; bool is not an int here
+    with pytest.raises(ValueError):
+        LinearForm(coeffs)
 
 
 def test_parse_file(tmp_path):
@@ -210,7 +218,7 @@ def _parse_or_error(text: str):
         arr = parse(text)
     except ParseError as exc:
         return str(exc)
-    assert all(type(c) is Fraction for f in arr.forms for c in f.coeffs)
+    assert all(type(c) is int for f in arr.forms for c in f.coeffs)
     return arr, arr.warnings
 
 

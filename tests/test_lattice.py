@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -23,7 +23,7 @@ from arrcsm.lattice import (
     reduced_char_poly,
     render_poly_in_t,
 )
-from oracles import fraction_rref, poly_from_roots, rational_rows
+from oracles import fraction_rref, lead_one, poly_from_roots, primitive, rational_rows
 from property_checks import arrangement_text
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
@@ -278,10 +278,7 @@ def _brute_force_flats(arr):
     raise the rank of S; mu of a flat is the sum of (-1)^|S| over the
     subsets S whose closure it is.
     """
-    rows = []
-    for f in arr.forms:
-        scale = lcm(*(c.denominator for c in f.coeffs))
-        rows.append([int(c * scale) for c in f.coeffs])
+    rows = [primitive(lead_one(f)) for f in arr.forms]
     mu: dict[tuple[int, ...], int] = {}
     codim: dict[tuple[int, ...], int] = {}
     for k in range(len(rows) + 1):
@@ -319,7 +316,7 @@ def test_lattice_matches_brute_force_over_subsets():
         flats = build_lattice(arr).flats
         assert {(f.indices, f.codim, f.mu) for f in flats} == _brute_force_flats(arr), arr.forms
         for f in flats:
-            assert rational_rows(f.span) == fraction_rref(arr.forms[i].coeffs for i in f.indices)
+            assert rational_rows(f.span) == fraction_rref(lead_one(arr.forms[i]) for i in f.indices)
         essential += arr.rank() == nvars
         nonessential += arr.size > 0 and arr.rank() != nvars
         concurrent += any(f.codim == 2 and len(f.indices) >= 3 for f in flats)
@@ -338,15 +335,14 @@ def _braid(k: int):
 
 
 def test_walk_reduces_no_residue_against_flats_one_below_the_top(monkeypatch):
-    # 12 generic lines, rank 3: the bottom normalizes 12 forms, each line
-    # steps the residues of the other 11, and the 66 points, whose one cover
-    # is the top, none; a walk into the points would add 66 * 10 more
+    # 12 generic lines, rank 3: the bottom's residues are the forms as they
+    # are, each line steps the residues of the other 11, and the 66 points,
+    # whose one cover is the top, none; a walk into the points would add
+    # 66 * 10 more
     calls = []
-    for name in ("_reduce", "_step"):
-        fn = getattr(lattice, name)
-        monkeypatch.setattr(lattice, name, lambda *a, fn=fn: calls.append(1) or fn(*a))
+    monkeypatch.setattr(lattice, "_step", lambda *a, fn=lattice._step: calls.append(1) or fn(*a))
     build_lattice(_moment_curve(3, 12))
-    assert len(calls) == 12 + 12 * 11
+    assert len(calls) == 12 * 11
 
 
 def _count_fractions(monkeypatch) -> list:
@@ -379,6 +375,26 @@ def test_lattice_output_makes_no_fraction(monkeypatch):
     texts = [cli._json(cli._lattice_payload(lat)) for lat in lats]
     assert not made
     assert ["/" in text for text in texts] == [False, False, True] and '"3/2"' in texts[2]
+
+
+@pytest.mark.parametrize("command", ["lattice", "charpoly", "csm"])
+def test_json_on_integer_tokens_makes_no_fraction(monkeypatch, capsys, tmp_path, command):
+    # parse keeps integer tokens as ints, and the forms render as the flats
+    # do; the first form over its lead is (1, 3/2, 0, 1/2)
+    path = tmp_path / "ints.arr"
+    path.write_text(arrangement_text(4, [[2, 3, 0, 1], [0, 1, 1, 0], [1, 0, 0, 5], [4, 4, 1, 1]]))
+    made = _count_fractions(monkeypatch)
+    assert cli.run([command, "--input", str(path), "--json"]) == 0
+    assert not made
+    assert '"3/2"' in capsys.readouterr().out
+
+
+def test_oracle_refuses_a_prime_dividing_a_lead(capsys, tmp_path):
+    # 2x + y over its lead is x + y/2
+    path = tmp_path / "lead2.arr"
+    path.write_text("vars 2\n2 1\n")
+    assert cli.run(["lattice", "--input", str(path), "--primes", "2"]) == 2
+    assert capsys.readouterr().err == "error: denominator of 1/2 vanishes mod 2\n"
 
 
 def test_lattices_in_closed_form():

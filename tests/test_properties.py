@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
-from arrcsm.cli import _lattice_payload
+from arrcsm.cli import _arrangement_payload, _lattice_payload
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
 from arrcsm.logder import _degree_kernel, minimal_generators
 from arrcsm.poly import monomials_of_degree
@@ -16,6 +16,7 @@ from oracles import (
     evaluation_rows,
     fraction_kernel,
     fraction_rref,
+    lead_one,
     primitive,
     rational_rows,
     reference_point_count,
@@ -90,7 +91,7 @@ def test_point_rows_match_reduction_property(arr):
 @given(arrangements(max_forms=7))
 def test_flats_come_in_order_of_codim_then_rref_rows(arr):
     flats = build_lattice(arr).flats
-    rows = [fraction_rref(arr.forms[i].coeffs for i in f.indices) for f in flats]
+    rows = [fraction_rref(lead_one(arr.forms[i]) for i in f.indices) for f in flats]
     spans = [rational_rows(f.span) for f in flats]
     assert spans == rows == sorted(rows, key=lambda r: (len(r), r))
 
@@ -101,7 +102,7 @@ def test_lattice_basis_strings_are_the_rref_rows(arr):
     lat = build_lattice(arr)
     flats = _lattice_payload(lat)["flats"]
     for flat, payload in zip(lat.flats, flats, strict=True):
-        rows = fraction_rref(arr.forms[i].coeffs for i in flat.indices)
+        rows = fraction_rref(lead_one(arr.forms[i]) for i in flat.indices)
         assert payload["basis"] == [[str(c) for c in row] for row in rows]
 
 
@@ -233,6 +234,35 @@ def arr_texts(draw):
     width = _mostly(st.just(nvars), st.integers(0, 5), 8)
     rows = draw(st.lists(width.flatmap(lambda k: st.lists(tokens, min_size=k, max_size=k)), max_size=4))
     return f"vars {header}\n" + "".join(" ".join(r) + "\n" for r in rows)
+
+
+# 1/2, -0.25, 3e1: what Fraction reads, none of it an integer token alone
+rational_tokens = st.one_of(
+    st.fractions(-9, 9, max_denominator=9).map(str),
+    st.decimals(-9, 9, places=2).map(str),
+    st.integers(-9, 9).map("{}e1".format),
+)
+
+
+@st.composite
+def rational_token_rows(draw):
+    """Rows of 2 to 4 rational tokens, forms in P^1 to P^3, none of them zero."""
+    nvars = draw(st.integers(2, 4))
+    row = st.lists(rational_tokens, min_size=nvars, max_size=nvars)
+    return nvars, draw(st.lists(row.filter(lambda r: any(map(Fraction, r))), max_size=6))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(rational_token_rows())
+def test_forms_render_as_their_tokens_over_the_lead(case):
+    nvars, rows = case
+    expected = {}
+    for row in rows:
+        values = [Fraction(t) for t in row]
+        lead = next(filter(None, values))
+        expected.setdefault(tuple(str(v / lead) for v in values), None)
+    arr = parse(arrangement_text(nvars, rows))
+    assert _arrangement_payload(arr)["forms"] == [list(f) for f in expected]
 
 
 @settings(max_examples=200, deadline=None, database=None, derandomize=True)
