@@ -1,13 +1,14 @@
 """Formal class identities and multi-route verification.
 
 Classes on P^n live in poly.FormalClass, the one truncated class ring
-A*(P^n) = Q[h]/h^(n+1): the pencil and projection identities, the
+A*(P^n) = Z[h]/h^(n+1): the pencil and projection identities, the
 Tjurina route, and (in logder) the exponent product compute there.
 
-SurfaceClass is the Chow ring of P^2 blown up at k points, with basis
-1, h, E_1..E_k, pt and intersection form h.h = pt, E_i.E_i = -pt,
+SurfaceClass is the integer Chow ring of P^2 blown up at k points, with
+basis 1, h, E_1..E_k, pt and intersection form h.h = pt, E_i.E_i = -pt,
 h.E_i = 0, E_i.E_j = 0; products of three divisors vanish.  Only the
 blow-up route uses it, and pushforward_to_p2 brings its class down.
+Both rings hold ints: inverse takes only a constant term of 1.
 
 On top of these sit the verification routes for the class of the
 logarithmic derivation bundle of a projective line arrangement:
@@ -32,7 +33,7 @@ from fractions import Fraction
 from .lattice import IntersectionLattice, csm_complement
 from .linalg import QMatrix
 from .logder import FreenessReport, chern_class_free
-from .poly import FormalClass, Scalar
+from .poly import FormalClass
 
 ROUTE_NAMES = ("lattice_csm", "exponent_product", "tjurina", "blowup_pushforward")
 
@@ -90,11 +91,11 @@ class ProjectionCheck:
     the hyperplane class h.
     """
 
-    structure_pushed: tuple[Fraction, ...]
-    structure_capped: tuple[Fraction, ...]
+    structure_pushed: tuple[int, ...]
+    structure_capped: tuple[int, ...]
     structure_equal: bool
-    transverse_pushed: tuple[Fraction, ...]
-    transverse_capped: tuple[Fraction, ...]
+    transverse_pushed: tuple[int, ...]
+    transverse_capped: tuple[int, ...]
     transverse_equal: bool
 
     @property
@@ -135,65 +136,54 @@ def projection_check(d: int, e: int, n: int) -> ProjectionCheck:
 
 @dataclass(frozen=True)
 class SurfaceClass:
-    """Element of the Chow ring of P^2 blown up at len(exc) points."""
+    """Element of the integer Chow ring of P^2 blown up at len(exc) points."""
 
-    unit: Fraction
-    h: Fraction
-    exc: tuple[Fraction, ...]
-    pt: Fraction
+    unit: int
+    h: int
+    exc: tuple[int, ...]
+    pt: int
+
+    def __post_init__(self):
+        if not all(type(c) is int for c in (self.unit, self.h, self.pt, *self.exc)):
+            raise ValueError(f"{self} is not an integer class")
 
     @classmethod
-    def make(cls, unit: Scalar = 0, h: Scalar = 0, exc=(), pt: Scalar = 0) -> "SurfaceClass":
-        return cls(Fraction(unit), Fraction(h), tuple(Fraction(x) for x in exc), Fraction(pt))
+    def make(cls, unit: int = 0, h: int = 0, exc=(), pt: int = 0) -> "SurfaceClass":
+        return cls(unit, h, tuple(exc), pt)
 
     def _check(self, other: "SurfaceClass") -> None:
         if len(self.exc) != len(other.exc):
             raise ValueError("classes live on different blow-ups")
 
-    def __mul__(self, other: "SurfaceClass | Scalar") -> "SurfaceClass":
-        if isinstance(other, SurfaceClass):
-            self._check(other)
-            # h.h = pt, E_i.E_i = -pt, mixed divisor products vanish,
-            # anything of total degree > 2 is zero.
-            return SurfaceClass(
-                self.unit * other.unit,
-                self.unit * other.h + self.h * other.unit,
-                tuple(
-                    self.unit * b + a * other.unit
-                    for a, b in zip(self.exc, other.exc)
-                ),
-                self.unit * other.pt
-                + self.pt * other.unit
-                + self.h * other.h
-                - sum((a * b for a, b in zip(self.exc, other.exc)), Fraction(0)),
-            )
-        c = Fraction(other)
+    def __mul__(self, other: "SurfaceClass") -> "SurfaceClass":
+        self._check(other)
+        # h.h = pt, E_i.E_i = -pt, mixed divisor products vanish,
+        # anything of total degree > 2 is zero.
         return SurfaceClass(
-            self.unit * c,
-            self.h * c,
-            tuple(a * c for a in self.exc),
-            self.pt * c,
+            self.unit * other.unit,
+            self.unit * other.h + self.h * other.unit,
+            tuple(self.unit * b + a * other.unit for a, b in zip(self.exc, other.exc)),
+            self.unit * other.pt
+            + self.pt * other.unit
+            + self.h * other.h
+            - sum(a * b for a, b in zip(self.exc, other.exc)),
         )
 
     def inverse(self) -> "SurfaceClass":
-        if not self.unit:
-            raise ValueError("inverse needs a unit constant term")
-        u = self.unit
-        h = -self.h / (u * u)
-        exc = tuple(-a / (u * u) for a in self.exc)
-        pt = (
-            -self.pt / (u * u)
-            + (self.h * self.h - sum((a * a for a in self.exc), Fraction(0))) / (u ** 3)
+        """(1 + D)^-1 = 1 - D + D.D, as D.D.D = 0; ValueError unless the unit part is 1."""
+        if self.unit != 1:
+            raise ValueError("inverse needs unit part 1")
+        return SurfaceClass(
+            1,
+            -self.h,
+            tuple(-a for a in self.exc),
+            self.h * self.h - sum(a * a for a in self.exc) - self.pt,
         )
-        return SurfaceClass(Fraction(1) / u, h, exc, pt)
 
 
 def pushforward_to_p2(cls: SurfaceClass) -> tuple[int, ...]:
     """Proper pushforward along the blow-down: exceptional parts die."""
-    for c in (cls.unit, cls.h, cls.pt):
-        if c.denominator != 1:
-            raise RuntimeError("internal consistency failure: non-integral class vector")
-    return (int(cls.unit), int(cls.h), int(cls.pt))
+    return (cls.unit, cls.h, cls.pt)
 
 
 @dataclass(frozen=True)
@@ -278,7 +268,7 @@ def tjurina_route(lat: IntersectionLattice) -> tuple[int, ...]:
     tangent = FormalClass.make([1, 3, 3], 2)
     divisor = FormalClass.make([1, m], 2)
     correction = FormalClass.make([1, 0, -tau], 2)
-    return (tangent * divisor.inverse() * correction).to_int_vector()
+    return (tangent * divisor.inverse() * correction).coeffs
 
 
 @dataclass(frozen=True)

@@ -79,6 +79,9 @@ from .logder import (
 )
 from .poly import FormalClass
 
+# Largest --max-degree: the table has one entry, and a non-free A one kernel, per degree.
+MAX_DEGREE = 100
+
 
 def _arrangement_payload(arr: Arrangement) -> dict:
     rank = arr.rank()
@@ -187,13 +190,12 @@ def _blowup_payload(blowup: BlowupRoute | None) -> dict | None:
         return None
     cls = blowup.cls
     return {
-        "unit": int(cls.unit),
-        "h": int(cls.h),
+        "unit": cls.unit,
+        "h": cls.h,
         "exceptional": [
-            [center.render(), int(coef)]
-            for center, coef in zip(blowup.centers, cls.exc)
+            [center.render(), coef] for center, coef in zip(blowup.centers, cls.exc)
         ],
-        "pt": int(cls.pt),
+        "pt": cls.pt,
         "centers": [
             {
                 "point": center.render(),
@@ -407,9 +409,16 @@ def _csm(args, arr):
     return _csm_payload(build_lattice(arr)), 0
 
 
+def _max_degree(args) -> int:
+    if not 0 <= args.max_degree <= MAX_DEGREE:
+        raise ValueError(f"--max-degree must be in 0..{MAX_DEGREE}, got {args.max_degree}")
+    return args.max_degree
+
+
 def _derivations(args, arr):
+    max_degree = _max_degree(args)
     graded = _full_search(arr)
-    return _derivations_payload(arr, graded, decide_freeness(arr, graded), args.max_degree), 0
+    return _derivations_payload(arr, graded, decide_freeness(arr, graded), max_degree), 0
 
 
 def _freeness(args, arr):
@@ -426,6 +435,7 @@ def _verify(args, arr):
 
 
 def _report(args, arr):
+    max_degree = _max_degree(args)
     lat = build_lattice(arr)
     graded = _full_search(arr)
     freeness = decide_freeness(arr, graded)
@@ -434,7 +444,7 @@ def _report(args, arr):
         "lattice": _lattice_payload(lat),
         "charpoly": _charpoly_payload(lat),
         "csm": _csm_payload(lat),
-        "derivations": _derivations_payload(arr, graded, freeness, args.max_degree),
+        "derivations": _derivations_payload(arr, graded, freeness, max_degree),
         "freeness": _freeness_payload(freeness),
         "verification": _verify_payload(vr),
     }
@@ -449,11 +459,11 @@ def _example41(args, _arr):
         "m": args.m,
         "n": args.n,
         "identity": {
-            "csm_side": list(csm_side.to_int_vector()),
-            "chern_side": list(chern_side.to_int_vector()),
+            "csm_side": list(csm_side.coeffs),
+            "chern_side": list(chern_side.coeffs),
             "equal": ok,
         },
-        "koszul": {"twisted_class": list(twisted.to_int_vector()), "equal": k_ok},
+        "koszul": {"twisted_class": list(twisted.coeffs), "equal": k_ok},
     }
     return result, 0 if (ok and k_ok) else 1
 

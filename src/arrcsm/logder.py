@@ -338,4 +338,4 @@ def chern_class_free(freeness: FreenessReport) -> tuple[int, ...]:
         )
     exps.remove(1)
     factors = (FormalClass.make([1, 1 - e], n) for e in exps)
-    return prod(factors, start=FormalClass.one(n)).to_int_vector()
+    return prod(factors, start=FormalClass.one(n)).coeffs

@@ -1,4 +1,4 @@
-"""Monomials, the polynomial renderer and the truncated class ring over the rationals.
+"""Monomials, the polynomial renderer and the truncated integer class ring.
 
 Monomials are exponent tuples of a fixed length (one slot per variable
 x0, x1, ...).  The canonical term order is degree-lexicographic: compare
@@ -9,9 +9,10 @@ it, so all downstream output is byte-stable.  render_terms is the one
 polynomial renderer: every rendered generator and class goes through it.
 
 FormalClass is the one truncated class ring: power series in one
-divisor variable modulo X^(n+1), i.e. A*(P^n) = Q[h]/h^(n+1) with X = h.
+divisor variable modulo X^(n+1), i.e. A*(P^n) = Z[h]/h^(n+1) with X = h.
 Every route that lands a class on P^n (logder's exponent product,
-chow's Tjurina route and formal identities) computes in it.
+chow's Tjurina route and formal identities) computes in it.  It holds
+ints: inverse takes only a constant term of 1, as every route's has.
 """
 
 from __future__ import annotations
@@ -72,23 +73,26 @@ def render_terms(terms: Iterable[tuple[Scalar, Iterable[tuple[str, int]]]]) -> s
 
 @dataclass(frozen=True)
 class FormalClass:
-    """Truncated series sum coeffs[i] X^i modulo X^(order+1)."""
+    """Truncated series sum coeffs[i] X^i modulo X^(order+1), with int coefficients."""
 
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int, ...]
+
+    def __post_init__(self):
+        if not all(type(c) is int for c in self.coeffs):
+            raise ValueError(f"{self.coeffs} is not an integer class")
 
     @classmethod
     def make(cls, values, order: int) -> "FormalClass":
-        cs = [Fraction(v) for v in values][: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        return cls(tuple(cs))
+        cs = tuple(values)[: order + 1]
+        return cls(cs + (0,) * (order + 1 - len(cs)))
 
     @classmethod
     def one(cls, order: int) -> "FormalClass":
         return cls.make([1], order)
 
     @classmethod
-    def x(cls, order: int, coef: Scalar = 1) -> "FormalClass":
-        return cls.make([0, coef], order)
+    def x(cls, order: int) -> "FormalClass":
+        return cls.make([0, 1], order)
 
     @property
     def order(self) -> int:
@@ -102,11 +106,11 @@ class FormalClass:
         self._check(other)
         return FormalClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __mul__(self, other: "FormalClass | Scalar") -> "FormalClass":
+    def __mul__(self, other: "FormalClass | int") -> "FormalClass":
         if isinstance(other, FormalClass):
             self._check(other)
             n = self.order
-            out = [Fraction(0)] * (n + 1)
+            out = [0] * (n + 1)
             for i, a in enumerate(self.coeffs):
                 if not a:
                     continue
@@ -115,29 +119,19 @@ class FormalClass:
                     if b:
                         out[i + j] += a * b
             return FormalClass(tuple(out))
-        c = Fraction(other)
-        return FormalClass(tuple(a * c for a in self.coeffs))
+        return FormalClass(tuple(a * other for a in self.coeffs))
 
-    def __rmul__(self, other: Scalar) -> "FormalClass":
+    def __rmul__(self, other: int) -> "FormalClass":
         return self * other
 
     def inverse(self) -> "FormalClass":
-        if not self.coeffs[0]:
-            raise ValueError("inverse needs a unit constant term")
-        n = self.order
-        inv0 = Fraction(1) / self.coeffs[0]
-        out = [inv0] + [Fraction(0)] * n
-        for k in range(1, n + 1):
-            acc = Fraction(0)
-            for i in range(1, k + 1):
-                acc += self.coeffs[i] * out[k - i]
-            out[k] = -acc * inv0
+        """The integer inverse of a class with constant term 1; ValueError for any other."""
+        if self.coeffs[0] != 1:
+            raise ValueError("inverse needs constant term 1")
+        out = [1]
+        for k in range(1, self.order + 1):
+            out.append(-sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1)))
         return FormalClass(tuple(out))
-
-    def to_int_vector(self) -> tuple[int, ...]:
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise RuntimeError("internal consistency failure: non-integral class vector")
-        return tuple(int(c) for c in self.coeffs)
 
     def render(self, var: str = "X") -> str:
         return render_terms((c, [(var, i)]) for i, c in enumerate(self.coeffs))

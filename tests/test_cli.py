@@ -182,6 +182,24 @@ def test_formal_order_is_bounded(capsys, argv):
     assert elapsed < 1
 
 
+@pytest.mark.parametrize("command", ["derivations", "report"])
+@pytest.mark.parametrize("value", ["-1", "101"])
+def test_max_degree_is_bounded(capsys, command, value):
+    code = run([command, "--input", str(THREE_CONC), "--json", "--max-degree", value])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "error: --max-degree must be in 0..100" in captured.err
+
+
+@pytest.mark.parametrize("command", ["derivations", "report"])
+def test_max_degree_at_the_bound(capsys, command):
+    assert run([command, "--input", str(THREE_CONC), "--json", "--max-degree", "100"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    dims = (result["derivations"] if command == "report" else result)["dims"]
+    assert [d for d, _ in dims] == list(range(101))
+
+
 def test_projection_rejects_huge_degrees_before_any_arithmetic(capsys):
     # 10^100 with n = 100: entries of 10,000 digits, past Python's int-to-str limit
     big = str(10**100)

@@ -7,10 +7,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
+from arrcsm.chow import SurfaceClass
 from arrcsm.cli import _arrangement_payload, _lattice_payload
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
 from arrcsm.logder import _degree_kernel, minimal_generators
-from arrcsm.poly import monomials_of_degree
+from arrcsm.poly import FormalClass, monomials_of_degree
 from oracles import (
     dense,
     evaluation_rows,
@@ -273,3 +274,53 @@ def test_any_text_parses_or_raises_parse_error(text):
     except ParseError:
         return
     assert isinstance(arr, Arrangement)
+
+
+def _formal_class(coeffs):
+    return FormalClass(tuple(coeffs))
+
+
+def _surface_class(coeffs):
+    """coeffs are unit, h, pt, then one entry per exceptional curve."""
+    unit, h, pt, *exc = coeffs
+    return SurfaceClass(unit, h, tuple(exc), pt)
+
+
+@st.composite
+def class_coeffs(draw, constant):
+    """A class ring's constructor and its coefficients, the constant term first.
+
+    FormalClass of order 0..6, or SurfaceClass on 0..4 exceptional curves.
+    """
+    build, size = draw(
+        st.sampled_from([(_formal_class, st.integers(1, 7)), (_surface_class, st.integers(3, 7))])
+    )
+    n = draw(size) - 1
+    rest = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    return build, [draw(constant), *rest]
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(class_coeffs(st.just(1)))
+def test_a_class_with_constant_term_1_times_its_inverse_is_one(case):
+    build, coeffs = case
+    cls = build(coeffs)
+    assert cls * cls.inverse() == build([1] + [0] * (len(coeffs) - 1))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(class_coeffs(st.integers(-50, 50).filter(lambda c: c != 1)))
+def test_inverse_takes_only_a_constant_term_of_1(case):
+    build, coeffs = case
+    with pytest.raises(ValueError):
+        build(coeffs).inverse()
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(class_coeffs(st.integers(-50, 50)), st.data())
+def test_a_fraction_or_float_coefficient_is_refused_at_construction(case, data):
+    build, coeffs = case
+    i = data.draw(st.integers(0, len(coeffs) - 1))
+    coeffs[i] = data.draw(st.one_of(st.fractions(), st.floats(allow_nan=False)))
+    with pytest.raises(ValueError):
+        build(coeffs)
