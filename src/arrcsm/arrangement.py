@@ -125,9 +125,11 @@ class Arrangement:
         Every form is a combination sum_k c_k alpha_(i_k), so it becomes the
         form c in r variables, and alpha_(i_k) becomes the coordinate
         hyperplane x'_k.  On the pivot columns S the chosen forms make an
-        invertible integer matrix B, and c = alpha_S B^(-1); by Cramer's rule
-        c is proportional to the determinants of B with row k replaced by
-        alpha_S, all integers.  The result is essential, and
+        invertible integer matrix B, and c = alpha_S B^(-1), proportional to
+        alpha_S adj(B): by Cramer's rule its entry k is the determinant of B
+        with row k replaced by alpha_S.  adj(B) takes r^2 determinants of
+        minors, once for all forms, and each form is then made primitive.
+        The result is essential, and
         D(A) = D(A') (x) S + S^(n+1-r): the exponents of A are those of A'
         and n+1-r zeros (Orlik & Terao, Prop. 4.28).  The empty arrangement
         has r = 0 and is returned as it is.
@@ -136,13 +138,21 @@ class Arrangement:
         if not chosen:
             return self, 0
         pivots = sorted(span)
-        ints = [[f.coeffs[c] for c in pivots] for f in self.forms]
-        basis = [ints[i] for i in chosen]
-        forms = tuple(
-            LinearForm.make(integer_det(basis[:k] + [w] + basis[k + 1:]) for k in range(len(basis)))
-            for w in ints
-        )
-        return Arrangement(nvars=len(chosen), forms=forms, name=self.name), self.nvars - len(chosen)
+        r = len(chosen)
+        basis = [[self.forms[i].coeffs[c] for c in pivots] for i in chosen]
+        # adj(B)[j][k] is the cofactor of B at (k, j)
+        adj = [
+            [(-1) ** (j + k) * integer_det([row[:j] + row[j + 1:] for row in basis[:k] + basis[k + 1:]])
+             for k in range(r)]
+            for j in range(r)
+        ]
+        forms = []
+        for f in self.forms:
+            w = [f.coeffs[c] for c in pivots]
+            c = [sum(a * row[k] for a, row in zip(w, adj)) for k in range(r)]
+            g = gcd(*c) if next(filter(None, c)) > 0 else -gcd(*c)
+            forms.append(LinearForm(tuple(a // g for a in c)))
+        return Arrangement(nvars=r, forms=tuple(forms), name=self.name), self.nvars - r
 
 
 def _parse_rational(token: str, line_no: int) -> int | Fraction:

@@ -14,32 +14,34 @@ vector: gcd 1, positive at its own pivot and 0 at every other pivot, so
 each row is its RREF row times its pivot entry, and its pivot is its
 first nonzero entry.  _reduce clears a vector at those pivots and
 _insert joins it to the span, each through _eliminate, one Bareiss step,
-with every intermediate value an int.  IncrementalSpan.add, the
-integer_kernel fallback and Arrangement._independent call _insert, and
-LinearForm.make calls _reduce.  lattice.build_lattice takes single
-_eliminate steps: its residues are already 0 at their flat's pivots,
-so one step at a cover's new pivot reduces them.  The derivation
-search's vectors are dense only inside this module.  Kernel
-vectors and span residues leave it sparse, as {column: entry} with keys
-ascending, primitive (gcd 1, first entry positive); IncrementalSpan.add
-takes such vectors, and it and QMatrix.kernel_basis are the only places
-one is made dense.  A Fraction is made here only where a result leaves
-the integers: QMatrix.kernel_basis divides a vector by its leading
-entry.  A lattice flat's span leaves as integer rows, which cli renders.
+with every intermediate value an int.  The integer_kernel fallback and
+Arrangement._independent call _insert, and LinearForm.make calls
+_reduce.  lattice.build_lattice takes single _eliminate steps: its
+residues are already 0 at their flat's pivots, so one step at a cover's
+new pivot reduces them.  IncrementalSpan keeps the same rows sparse and
+takes the same steps on their nonzero entries (_sparse_step).  The
+derivation search's vectors are sparse throughout, as {column: entry}
+with keys ascending, primitive (gcd 1, first entry positive); only the
+fallback and QMatrix.kernel_basis make one dense.  A Fraction is made
+here only where a result leaves the integers: QMatrix.kernel_basis
+divides a vector by its leading entry.  A lattice flat's span leaves as
+integer rows, which cli renders.
 
-integer_kernel eliminates sparse integer rows modulo the prime
-p = 2^61 - 1 with plain ints, lifts the pivot entries back to Q by
-rational reconstruction, and keeps the lift only when every lifted
-vector is annihilated exactly by the rows.  That check certifies the
-lift as the RREF kernel basis over Q (see _modular_kernel); when it
-fails, the integer core computes the basis instead.
+ModularKernel eliminates sparse integer rows modulo the prime
+p = 2^61 - 1 with plain ints, once, which bounds the kernel's dimension
+from above.  It lifts a kernel vector's pivot entries back to Q by
+rational reconstruction only when the caller asks for that vector, and
+keeps the lift only when the rows annihilate it exactly; checked in
+free-column order, each lift is the vector the RREF over Q gives.  The
+first lift that fails hands the rest to the integer core.
+integer_kernel takes the whole of it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .poly import Scalar
 
@@ -63,6 +65,20 @@ def _eliminate(v: Sequence[int], row: Sequence[int], col: int) -> list[int]:
     w = [p * a - c * b for a, b in zip(v, row)]
     g = gcd(*w)
     return [a // g for a in w] if g > 1 else w
+
+
+def _sparse_step(v: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
+    """_eliminate on {column: entry} vectors: the same entries, zeros left out."""
+    p, c = row[col], v[col]
+    w = {j: p * a for j, a in v.items()}
+    for j, b in row.items():
+        a = w.get(j, 0) - c * b
+        if a:
+            w[j] = a
+        else:
+            del w[j]
+    g = gcd(*w.values())
+    return {j: a // g for j, a in w.items()} if g > 1 else w
 
 
 def integer_det(rows: Sequence[Sequence[int]]) -> int:
@@ -203,61 +219,8 @@ def _lift(a: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _modular_kernel(int_rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]] | None:
-    """The RREF kernel basis of sparse integer rows, found mod p and certified; None if unproven.
-
-    For each mod-p free column fc the lifted vector has entry 1 at fc and
-    is supported on fc and the mod-p pivots before it.  If every such
-    vector is exactly annihilated by the rows, they are ncols - rank_p
-    independent vectors of the rational kernel, and rank_Q >= rank_p, so
-    they span it.  Each one writes column fc through earlier columns, so
-    the mod-p pivots are exactly the greedy pivots over Q and each vector
-    is the one the RREF over Q gives for fc, here made primitive.
-    """
-    reduced = _rref_mod_p(int_rows)
-    # column j of the RREF and of the integer matrix, as (row key, entry) pairs
-    rref_cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
-    for pc, row in reduced.items():
-        for j, a in row.items():
-            if j != pc:
-                rref_cols[j].append((pc, a))
-    int_cols: list[list[tuple[int, int]]] = [[] for _ in range(ncols)]
-    for i, row in enumerate(int_rows):
-        for j, a in row.items():
-            int_cols[j].append((i, a))
-    basis: list[list[int]] = []
-    for fc in range(ncols):
-        if fc in reduced:
-            continue
-        lifted = [(fc, 1, 1)]
-        for pc, a in rref_cols[fc]:
-            nd = _lift(_P - a)
-            if nd is None:
-                return None
-            lifted.append((pc, *nd))
-        den = lcm(*(d for _, _, d in lifted))
-        w = {j: n * (den // d) for j, n, d in lifted}
-        image: dict[int, int] = {}
-        for j, wj in w.items():
-            for i, a in int_cols[j]:
-                image[i] = image.get(i, 0) + a * wj
-        if any(image.values()):
-            return None
-        basis.append(_primitive(w))
-    return basis
-
-
-def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]]:
-    """Basis of {v : M v = 0} for sparse integer rows {column: entry}, as the RREF over Q gives it.
-
-    One vector per free column fc, in column order, the RREF's vector
-    made primitive, as {column: entry} with keys ascending: it holds fc
-    and the pivots before it.  Found mod p and certified, or else from
-    the integer core.
-    """
-    basis = _modular_kernel(rows, ncols)
-    if basis is not None:
-        return basis
+def _exact_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    """integer_kernel's basis from the integer core: the rows reduced exactly, no prime."""
     reduced: dict[int, list[int]] = {}
     for row in rows:
         _insert(reduced, [row.get(j, 0) for j in range(ncols)])
@@ -273,6 +236,97 @@ def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int,
             w[pc] = -row[fc] * (scale // row[pc])
         basis.append(_primitive(w))
     return basis
+
+
+class ModularKernel:
+    """The RREF kernel basis over Q of sparse integer rows, lifted from Z/p one vector at a time.
+
+    One _rref_mod_p of the rows gives upper = ncols - rank_p, an upper
+    bound on the kernel's dimension: a minor that is nonzero mod p is
+    nonzero over Z, so rank_p <= rank_Q.  Iterating yields the kernel
+    vectors in ascending free-column order, and each is lifted and
+    checked only when it is asked for.  The vector of the mod-p free
+    column f has entry 1 at f and the lifts of the RREF entries at the
+    mod-p pivots before f; when the rows annihilate it exactly, f is not
+    a pivot over Q.  When every free column before f is checked too, the
+    Q-pivots before f are exactly the mod-p pivots: none of those free
+    columns is a Q-pivot, and rank_Q >= rank_p on the columns before f
+    leaves no mod-p pivot out.  So the vector is the one the RREF over Q
+    gives for f, here made primitive, as {column: entry} with keys
+    ascending.  The first lift or check that fails sends the rest to the
+    integer core, which reduces the rows exactly, with no second RREF mod
+    p: the vectors already yielded are its first ones, it goes on from
+    there, and upper becomes the exact dimension.
+
+    columns names the columns in the vectors yielded (ascending, so keys
+    stay ascending); by default column j is j.
+    """
+
+    def __init__(self, rows: Sequence[dict[int, int]], ncols: int,
+                 columns: Sequence[int] | None = None):
+        self.rows, self.ncols = rows, ncols
+        self._columns = columns
+        self._reduced = _rref_mod_p(rows)
+        self._free = [fc for fc in range(ncols) if fc not in self._reduced]
+        self.upper = len(self._free)
+        self._exact: list[dict[int, int]] | None = None  # the integer core's basis, once a lift fails
+        self._cols: tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]] | None = None
+
+    def __iter__(self) -> Iterator[dict[int, int]]:
+        made = 0
+        while self._exact is None and made < len(self._free):
+            v = self._lifted(self._free[made])
+            if v is None:
+                self._exact = _exact_kernel(self.rows, self.ncols)
+                self.upper = len(self._exact)
+            else:
+                made += 1
+                yield self._named(v)
+        for v in (self._exact or ())[made:]:
+            yield self._named(v)
+
+    def _named(self, v: dict[int, int]) -> dict[int, int]:
+        columns = self._columns
+        return v if columns is None else {columns[j]: a for j, a in v.items()}
+
+    def _lifted(self, fc: int) -> dict[int, int] | None:
+        """The checked kernel vector of free column fc, or None when its lift or check fails."""
+        if self._cols is None:
+            # column j of the RREF and of the integer rows, as (row key, entry) pairs
+            rref_cols: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+            for pc, row in self._reduced.items():
+                for j, a in row.items():
+                    if j != pc:
+                        rref_cols[j].append((pc, a))
+            int_cols: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+            for i, row in enumerate(self.rows):
+                for j, a in row.items():
+                    int_cols[j].append((i, a))
+            self._cols = rref_cols, int_cols
+        rref_cols, int_cols = self._cols
+        lifted = [(fc, 1, 1)]
+        for pc, a in rref_cols[fc]:
+            nd = _lift(_P - a)
+            if nd is None:
+                return None
+            lifted.append((pc, *nd))
+        den = lcm(*(d for _, _, d in lifted))
+        w = {j: n * (den // d) for j, n, d in lifted}
+        image: dict[int, int] = {}
+        for j, wj in w.items():
+            for i, a in int_cols[j]:
+                image[i] = image.get(i, 0) + a * wj
+        return None if any(image.values()) else _primitive(w)
+
+
+def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Basis of {v : M v = 0} for sparse integer rows {column: entry}, as the RREF over Q gives it.
+
+    One vector per free column fc, in column order, the RREF's vector
+    made primitive, as {column: entry} with keys ascending: it holds fc
+    and the pivots before it.  The whole of ModularKernel(rows, ncols).
+    """
+    return list(ModularKernel(rows, ncols))
 
 
 class QMatrix:
@@ -303,18 +357,20 @@ class QMatrix:
 
 
 class IncrementalSpan:
-    """Growing subspace of Q^dim, kept as _insert keeps a span.
+    """Growing subspace of Q^dim, kept as _insert keeps a span, with sparse rows.
 
-    add() takes a sparse integer vector {column: entry} and reduces it
-    against the current span, the one place where the search's vectors
-    are made dense: dependent vectors return None, independent ones
-    return their primitive residue, sparse with keys ascending, and join
-    the span.
+    Each row is {column: entry}: primitive, positive at its pivot (its
+    first column) and 0 at every other pivot, as _insert keeps its dense
+    rows, and each step is _eliminate's Bareiss step on the nonzero
+    entries.  add() takes a sparse integer vector and reduces it against
+    the span: dependent vectors return None, independent ones return
+    their primitive residue, keys ascending, and join the span as a row.
+    The residue returned is that row; callers only read it.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self._rows: dict[int, list[int]] = {}  # pivot column -> primitive row, as _insert keeps it
+        self._rows: dict[int, dict[int, int]] = {}  # pivot column -> row
 
     @property
     def rank(self) -> int:
@@ -323,8 +379,18 @@ class IncrementalSpan:
     def add(self, v: dict[int, int]) -> dict[int, int] | None:
         if v and not 0 <= min(v) <= max(v) < self.dim:
             raise ValueError(f"columns {min(v)}..{max(v)} outside 0..{self.dim - 1}")
-        dense = [0] * self.dim
-        for j, a in v.items():
-            dense[j] = a
-        residue = _insert(self._rows, dense)
-        return None if residue is None else {j: a for j, a in enumerate(residue) if a}
+        v = {j: a for j, a in v.items() if a}
+        rows = self._rows
+        # a step at one pivot scales v's entries at the other pivots, so v
+        # touches the same pivots throughout
+        for pc in [c for c in v if c in rows]:
+            v = _sparse_step(v, rows[pc], pc)
+        if not v:
+            return None
+        v = _primitive(v)
+        lead = next(iter(v))
+        for pc, row in rows.items():
+            if lead in row:
+                rows[pc] = _sparse_step(row, v, lead)
+        rows[lead] = v
+        return v

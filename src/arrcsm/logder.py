@@ -44,7 +44,7 @@ from math import prod
 from operator import itemgetter
 
 from .arrangement import Arrangement
-from .linalg import IncrementalSpan, _rref_mod_p, integer_det, integer_kernel
+from .linalg import IncrementalSpan, ModularKernel, _rref_mod_p, integer_det
 from .poly import FormalClass, Monomial, monomial_mul, monomials_of_degree, render_terms
 
 
@@ -79,10 +79,8 @@ def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) ->
     return Derivation(nvars, degree, terms)
 
 
-def _degree_kernel(
-    arr: Arrangement, d: int, monos: list[Monomial], d0: bool = False
-) -> list[dict[int, int]]:
-    """Primitive integer kernel vectors spanning D(A)_d, sparse in the (variable, monomial) layout.
+def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial], d0: bool = False) -> ModularKernel:
+    """The kernel D(A)_d, its primitive vectors sparse in the (variable, monomial) layout.
 
     A form scaled to integers a, with pivot p its first nonzero index, gets
     the coefficients of a_p^d * alpha(theta) reduced modulo alpha as rows:
@@ -139,14 +137,23 @@ def _degree_kernel(
                 base, scale = codes[k] - e * weight[pivot], c * scales[e]
                 for u, b in powers[e].items():
                     rows[row_of[base + u]][i] = scale * b
-    return [{kept[c]: x for c, x in v.items()} for v in integer_kernel(rows, len(kept))]
+    return ModularKernel(rows, len(kept), kept)
 
 
 def degree_dimension(arr: Arrangement, d: int) -> int:
+    """dim D(A)_d, from two bounds when they meet, else from the exact kernel.
+
+    With N columns and residue rows R, dim D(A)_d = N - rank_Q(R) lies
+    between N - (the nonempty rows of R) and N - rank_p(R), since
+    rank_p(R) <= rank_Q(R).  When rank_p(R) is the number of nonempty
+    rows the two are equal and no kernel vector is lifted.
+    """
     if d < 0:
         return 0
-    monos = monomials_of_degree(arr.nvars, d)
-    return len(_degree_kernel(arr, d, monos))
+    kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
+    if kernel.upper == kernel.ncols - sum(1 for row in kernel.rows if row):
+        return kernel.upper
+    return len(list(kernel))
 
 
 @dataclass
@@ -172,11 +179,24 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
 
     At each degree the span of monomial multiples of earlier generators
     is built first; new generators are an echelon-canonical complement
-    basis inside the degree-d kernel.  The multiples lie in D(A)_d and
-    rank_p <= rank_Q for their integer rows, so when rank_p reaches dim
-    D(A)_d the degree adds no generator and the exact span is skipped.
-    The span lies in D(A)_d, so once its rank is dim D(A)_d every kernel
-    vector left is dependent and none is reduced.
+    basis inside the degree-d kernel.  dims[d] is the kernel's upper =
+    N - rank_p(R), for its N columns and residue rows R, certified in one
+    of three ways:
+    - upper = 0, full column rank mod p;
+    - rank_p(multiples) = upper: the degree adds no generator, and no
+      kernel vector is lifted or reduced;
+    - the exact span's rank reaches upper, and then no further kernel
+      vector is lifted.
+    They hold because rank_p <= rank_Q for an integer matrix (a minor
+    nonzero mod p is nonzero over Z), so upper bounds dim D(A)_d from
+    above, and the exact rank of vectors in D(A)_d (the multiples, and
+    the span) bounds it from below.  Where no bound closes, a lift failed
+    and upper is the integer core's exact dimension.  A vector is lifted
+    for the mod-p free columns in ascending order; its check proves its
+    column is not a pivot over Q, and with every earlier free column
+    checked the Q-pivots before it are the mod-p pivots.  So each vector
+    the span takes is the RREF vector over Q of the whole kernel, and the
+    residues, generators and log do not depend on how many are lifted.
     Early exits: more than n+1 generators (never free), or exactly n+1
     with degree sum |A| (Saito candidate found).
 
@@ -198,7 +218,6 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
         monos = monomials_of_degree(n1, d)
         per = len(monos)
         kernel = _degree_kernel(arr, d, monos, d0)
-        dims[d] = len(kernel)
         column = {mono: k for k, mono in enumerate(monos)}
         multiples = [
             {j * per + column[monomial_mul(mono, shift)]: c for j, mono, c in g.terms}
@@ -206,17 +225,19 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
             for shift in monomials_of_degree(n1, d - g.degree)
         ]
         fresh = 0
-        if len(multiples) < dims[d] or len(_rref_mod_p(multiples)) < dims[d]:
+        if len(multiples) < kernel.upper or len(_rref_mod_p(multiples)) < kernel.upper:
             span = IncrementalSpan(n1 * per)
             for row in multiples:
                 span.add(row)
-            for v in kernel:
-                if span.rank == dims[d]:
-                    break  # the span is D(A)_d: every vector left is dependent
+            vectors = iter(kernel)
+            # below upper the span may not be D(A)_d yet; at upper it is, and
+            # every vector left is dependent, so none is lifted
+            while span.rank < kernel.upper and (v := next(vectors, None)) is not None:
                 residue = span.add(v)
                 if residue is not None:
                     gens.append(vector_to_derivation(residue, n1, d, monos))
                     fresh += 1
+        dims[d] = kernel.upper
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
         if len(gens) > rank:
             exit_reason = "overflow"

@@ -30,6 +30,12 @@ references reach the same objects by other means:
   oracles for the search's sparse integer residue rows and their kernel;
   log_derivation_space is one degree's kernel alone, without the
   generator search.
+- whole_kernel_search: minimal_generators as it was before the search
+  took kernel vectors on demand: every degree solves its whole kernel,
+  and every multiple and kernel vector goes to linalg's dense integer
+  core, with no mod-p rank and no early stop.
+- cramer_adapted: Arrangement.adapted() by Cramer's rule, one set of r
+  determinants per form, for the one adjugate the package takes.
 - poly_from_roots: the monic polynomial with given roots, for Terao's
   factorization of the characteristic polynomial.
 - reference_point_count: the points of P^n(F_p) off every hyperplane,
@@ -44,9 +50,9 @@ from itertools import product
 from math import lcm, prod
 from typing import Iterable, Iterator, Mapping
 
-from arrcsm.arrangement import Arrangement
-from arrcsm.linalg import _insert, _integer_vector, _rational
-from arrcsm.logder import Derivation, _degree_kernel, vector_to_derivation
+from arrcsm.arrangement import Arrangement, LinearForm
+from arrcsm.linalg import _insert, _integer_vector, _rational, integer_det
+from arrcsm.logder import Derivation, GradedBasis, _degree_kernel, vector_to_derivation
 from arrcsm.poly import Monomial, Scalar, monomial_mul, monomials_of_degree, render_terms
 
 
@@ -490,6 +496,69 @@ def log_derivation_space(arr: Arrangement, d: int) -> list[Derivation]:
         return []
     monos = monomials_of_degree(arr.nvars, d)
     return [vector_to_derivation(v, arr.nvars, d, monos) for v in _degree_kernel(arr, d, monos)]
+
+
+def whole_kernel_search(arr: Arrangement, degrees, d0: bool = False) -> GradedBasis:
+    """minimal_generators(arr, degrees, d0=d0), from whole kernels and the dense integer core."""
+    n1 = arr.nvars
+    rank, total = (n1 - 1, arr.size - 1) if d0 else (n1, arr.size)
+    gens: list[Derivation] = []
+    dims: dict[int, int] = {}
+    log: list[str] = []
+    exit_reason = "exhausted"
+    walked = list(degrees)
+    for d in walked:
+        monos = monomials_of_degree(n1, d)
+        dim = n1 * len(monos)
+        kernel = list(_degree_kernel(arr, d, monos, d0))
+        dims[d] = len(kernel)
+        span: dict[int, list[int]] = {}
+        for g in gens:
+            for shift in monomials_of_degree(n1, d - g.degree):
+                row = [0] * dim
+                for j, mono, c in g.terms:
+                    row[j * len(monos) + monos.index(monomial_mul(mono, shift))] = c
+                _insert(span, row)
+        fresh = 0
+        for v in kernel:
+            residue = _insert(span, dense(v, dim))
+            if residue is not None:
+                vec = {j: a for j, a in enumerate(residue) if a}
+                gens.append(vector_to_derivation(vec, n1, d, monos))
+                fresh += 1
+        log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
+        if len(gens) > rank:
+            exit_reason = "overflow"
+            log.append(f"stopped at degree {d}: {len(gens)} generators exceed the rank bound {rank}")
+            break
+        if len(gens) == rank and sum(g.degree for g in gens) == total:
+            exit_reason = "complete"
+            log.append(f"stopped at degree {d}: {rank} generators with degree sum {total}")
+            break
+    else:
+        contiguous = walked and walked == list(range(walked[0], walked[-1] + 1))
+        shown = f"{walked[0]}..{walked[-1]}" if contiguous else ", ".join(map(str, walked))
+        log.append(f"search exhausted degrees {shown}" if walked else "search walked no degree")
+    return GradedBasis(dims, tuple(gens), exit_reason, tuple(log))
+
+
+def cramer_adapted(arr: Arrangement) -> tuple[Arrangement, int]:
+    """Arrangement.adapted(), each form's coordinates c by Cramer's rule.
+
+    c_k is the determinant of B, the chosen forms on the pivot columns,
+    with row k replaced by the form on those columns.
+    """
+    chosen, span = arr._independent
+    if not chosen:
+        return arr, 0
+    pivots = sorted(span)
+    ints = [[f.coeffs[c] for c in pivots] for f in arr.forms]
+    basis = [ints[i] for i in chosen]
+    forms = tuple(
+        LinearForm.make(integer_det(basis[:k] + [w] + basis[k + 1:]) for k in range(len(basis)))
+        for w in ints
+    )
+    return Arrangement(nvars=len(chosen), forms=forms, name=arr.name), arr.nvars - len(chosen)
 
 
 def poly_from_roots(roots) -> tuple[int, ...]:

@@ -7,8 +7,9 @@ import pytest
 from arrcsm import linalg
 from arrcsm.linalg import (
     IncrementalSpan,
+    ModularKernel,
     QMatrix,
-    _modular_kernel,
+    _insert,
     _rref_mod_p,
     integer_det,
     integer_kernel,
@@ -210,9 +211,9 @@ def test_kernel_matches_fraction_rref_on_random_matrices():
         m = _random_matrix(rng)
         expected = fraction_kernel(m.entries, m.ncols)
         assert m.kernel_basis() == expected
-        fast = _modular_kernel(integer_rows(m.entries), m.ncols)
-        assert fast is None or [dense(v, m.ncols) for v in fast] == [primitive(v) for v in expected]
-        certified += fast is not None
+        kernel = ModularKernel(integer_rows(m.entries), m.ncols)
+        assert [dense(v, m.ncols) for v in kernel] == [primitive(v) for v in expected]
+        certified += kernel._exact is None
     # most small matrices take the certified modular path
     assert certified > 300
 
@@ -221,14 +222,14 @@ def test_fraction_fallback_matches_the_modular_kernel(monkeypatch):
     rng = random.Random(4242)
     matrices = [_random_matrix(rng) for _ in range(400)]
     modular = [m.kernel_basis() for m in matrices]
-    monkeypatch.setattr(linalg, "_modular_kernel", lambda rows, ncols: None)
+    monkeypatch.setattr(linalg.ModularKernel, "_lifted", lambda self, fc: None)
     assert [m.kernel_basis() for m in matrices] == modular
 
 
 @pytest.mark.parametrize("fallback", [False, True])
 def test_kernel_vectors_hold_their_free_column_and_the_pivots_before_it(monkeypatch, fallback):
     if fallback:
-        monkeypatch.setattr(linalg, "_modular_kernel", lambda rows, ncols: None)
+        monkeypatch.setattr(linalg.ModularKernel, "_lifted", lambda self, fc: None)
     rng = random.Random(1729)
     vectors = with_pivots = 0
     for _ in range(200):
@@ -254,8 +255,9 @@ def test_kernel_degenerate_shapes():
               QMatrix([[0, 0], [0, 0]]), QMatrix([[Fraction(1, 3), Fraction(2, 7)]] * 3)):
         assert m.kernel_basis() == fraction_kernel(m.entries, m.ncols)
         expected = [primitive(v) for v in fraction_kernel(m.entries, m.ncols)]
-        fast = _modular_kernel(integer_rows(m.entries), m.ncols)
-        assert [dense(v, m.ncols) for v in fast] == expected
+        kernel = ModularKernel(integer_rows(m.entries), m.ncols)
+        assert [dense(v, m.ncols) for v in kernel] == expected
+        assert kernel._exact is None
 
 
 @pytest.mark.parametrize(
@@ -269,5 +271,80 @@ def test_kernel_degenerate_shapes():
 )
 def test_kernel_falls_back_to_fractions(rows, expected):
     m = QMatrix(rows)
-    assert _modular_kernel(integer_rows(m.entries), m.ncols) is None
+    kernel = ModularKernel(integer_rows(m.entries), m.ncols)
+    assert [dense(v, m.ncols) for v in kernel] == [primitive(v) for v in expected]
+    assert kernel._exact is not None
     assert m.kernel_basis() == expected == fraction_kernel(m.entries, m.ncols)
+
+
+def test_a_failed_lift_goes_on_in_the_integer_core_without_a_second_rref(monkeypatch):
+    # the k-th lift fails: the k vectors before it are the integer core's first k
+    rng = random.Random(61)
+    calls = []
+    rref_mod_p, lifted = linalg._rref_mod_p, linalg.ModularKernel._lifted
+    monkeypatch.setattr(linalg, "_rref_mod_p", lambda rows: calls.append(1) or rref_mod_p(rows))
+    for _ in range(60):
+        m = _random_matrix(rng)
+        rows = integer_rows(m.entries)
+        expected = [primitive(v) for v in fraction_kernel(m.entries, m.ncols)]
+        for k in range(len(expected) + 1):
+            tries = iter(range(len(expected) + 1))
+            monkeypatch.setattr(linalg.ModularKernel, "_lifted",
+                                lambda self, fc: None if next(tries) == k else lifted(self, fc))
+            calls.clear()
+            kernel = ModularKernel(rows, m.ncols)
+            assert kernel.upper == len(expected)
+            assert [dense(v, m.ncols) for v in kernel] == expected
+            assert calls == [1]
+            assert (kernel._exact is not None) == (k < len(expected))
+            assert kernel.upper == len(expected)
+
+
+def test_kernel_vectors_are_lifted_only_when_asked_for(monkeypatch):
+    lifts = []
+    lifted = linalg.ModularKernel._lifted
+    monkeypatch.setattr(linalg.ModularKernel, "_lifted",
+                        lambda self, fc: lifts.append(fc) or lifted(self, fc))
+    kernel = ModularKernel([{0: 1, 1: 1, 3: 2}, {2: 1, 3: -1}], 6)
+    assert kernel.upper == 4 and lifts == []
+    vectors = iter(kernel)
+    assert next(vectors) == {0: 1, 1: -1}
+    assert lifts == [1]
+    assert next(vectors) == {0: 2, 2: -1, 3: -1}
+    assert lifts == [1, 3]
+    # columns renames the keys, in order
+    assert list(ModularKernel([{0: 1, 1: 1}], 2, columns=[4, 7])) == [{4: 1, 7: -1}]
+
+
+def _random_sparse_vectors(rng: random.Random, ncols: int, count: int) -> list[dict[int, int]]:
+    """Sparse integer vectors, some of them combinations of earlier ones."""
+    vectors: list[dict[int, int]] = []
+    for _ in range(count):
+        if vectors and rng.random() < 0.3:
+            v: dict[int, int] = {}
+            for u in rng.sample(vectors, min(len(vectors), rng.randint(1, 3))):
+                c = rng.choice([-3, -1, 1, 2])
+                for j, a in u.items():
+                    v[j] = v.get(j, 0) + c * a
+        else:
+            support = rng.sample(range(ncols), rng.randint(0, min(4, ncols)))
+            v = {j: rng.choice([-9, -2, -1, 1, 3, 7, 2**40]) for j in support}
+        vectors.append({j: v[j] for j in sorted(v) if v[j]})
+    return vectors
+
+
+def test_sparse_span_matches_the_dense_integer_core():
+    rng = random.Random(2706)
+    independent = dependent = 0
+    for _ in range(300):
+        ncols = rng.randint(1, 12)
+        span, basis = IncrementalSpan(ncols), {}
+        for v in _random_sparse_vectors(rng, ncols, rng.randint(1, 16)):
+            residue = span.add(v)
+            expected = _insert(basis, [v.get(j, 0) for j in range(ncols)])
+            assert (residue and dense(residue, ncols)) == expected
+            assert residue is None or list(residue) == sorted(residue)
+            assert span.rank == len(basis)
+            independent += residue is not None
+            dependent += residue is None
+    assert independent > 1000 and dependent > 500

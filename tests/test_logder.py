@@ -208,7 +208,7 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 def test_search_without_the_modular_kernel(monkeypatch):
     arrs = [parse_file(path) for path in sorted(CORPUS.glob("*.arr"))]
     modular = [minimal_generators(arr, range(arr.size + 1)) for arr in arrs]
-    monkeypatch.setattr(linalg, "_modular_kernel", lambda rows, ncols: None)
+    monkeypatch.setattr(linalg.ModularKernel, "_lifted", lambda self, fc: None)
     assert [minimal_generators(arr, range(arr.size + 1)) for arr in arrs] == modular
     for arr in arrs:
         for d in range(4):
@@ -220,7 +220,7 @@ def test_search_without_the_modular_kernel(monkeypatch):
 @pytest.mark.parametrize("fallback", [False, True])
 def test_search_vectors_are_primitive_integer_vectors(monkeypatch, fallback):
     if fallback:
-        monkeypatch.setattr(linalg, "_modular_kernel", lambda rows, ncols: None)
+        monkeypatch.setattr(linalg.ModularKernel, "_lifted", lambda self, fc: None)
 
     def check(vectors):
         assert vectors
@@ -232,7 +232,7 @@ def test_search_vectors_are_primitive_integer_vectors(monkeypatch, fallback):
     arr = parse_file(CORPUS / "near_pencil_5.arr")
     for d in range(1, 4):
         monos = monomials_of_degree(arr.nvars, d)
-        kernel = _degree_kernel(arr, d, monos)
+        kernel = list(_degree_kernel(arr, d, monos))
         check(kernel)
         span = IncrementalSpan(arr.nvars * len(monos))
         check([residue for v in kernel if (residue := span.add(v)) is not None])
@@ -244,18 +244,18 @@ def test_kernel_entries_past_the_lift_bound_take_the_fallback(monkeypatch):
     # D(A)_3 of these planes has kernel entries of 38 bits, past the 30 bits
     # that rational reconstruction mod 2^61 - 1 can lift
     arr = parse("vars 4\n1 -2/3 4/9 0\n1 -6 6 0\n1 1/2 1/2 -3/2\n1 0 1 -1/2\n")
-    calls = []
-    modular_kernel = linalg._modular_kernel
+    kernels = []
 
-    def recorded(rows, ncols):
-        lifted = modular_kernel(rows, ncols)
-        calls.append((rows, ncols, lifted))
-        return lifted
+    class RecordedKernel(logder.ModularKernel):
+        def __init__(self, *args):
+            kernels.append(self)
+            super().__init__(*args)
 
-    monkeypatch.setattr(linalg, "_modular_kernel", recorded)
+    monkeypatch.setattr(logder, "ModularKernel", RecordedKernel)
     space = log_derivation_space(arr, 3)
-    ((rows, ncols, lifted),) = calls
-    assert lifted is None
+    (kernel,) = kernels
+    assert kernel._exact is not None
+    rows, ncols = kernel.rows, kernel.ncols
     monos = monomials_of_degree(arr.nvars, 3)
     vectors = [derivation_to_vector(theta, monos) for theta in space]
     assert vectors == fraction_kernel([dense(row, ncols) for row in rows], ncols)
@@ -294,16 +294,24 @@ def test_degrees_without_new_generators_skip_the_exact_span(monkeypatch):
 
 def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
     # Four lines through (c : 1 : 0), c = 2^61 - 1, and x0 = 0.  The linear
-    # generators carry 1/c, so their integer-scaled multiples lose rank mod c.
+    # generators carry 1/c, and so do the residue rows: they lose rank mod c,
+    # so N - rank_p(R) exceeds dim D(A)_d at every degree.  Fewer multiples
+    # than that bound take no mod-p rank, the exact span runs, the first lift
+    # fails, and the integer core gives each dimension.
     c = 2**61 - 1
     arr = parse(f"vars 3\n0 0 1\n1 {-c} 0\n1 {-c} 1\n1 {-c} -1\n1 0 0\n")
     ranks, spans = _spy_on_the_search(monkeypatch)
     graded = minimal_generators(arr, range(arr.size + 1))
     assert graded.search_log[2] == "degree 2: dim 6, 0 new generator(s), total 2"
-    assert ranks == [(0, 0), (6, 3)]
-    assert 3 * 6 in spans  # degree 2 ran the exact span, and it found no generator
+    assert [graded.dimensions[d] for d in range(4)] == [0, 2, 6, 13]
+    assert ranks == [] and spans == [3 * 1, 3 * 3, 3 * 6, 3 * 10]
+    # a multiples' rank that drops mod p only costs the exact span: on
+    # near_pencil_5 the multiples certify degree 2 unless their rank is 0
+    near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
+    expected = minimal_generators(near_pencil_5, range(near_pencil_5.size + 1))
     monkeypatch.setattr(logder, "_rref_mod_p", lambda rows: {})  # rank 0: no skip
     assert minimal_generators(arr, range(arr.size + 1)) == graded
+    assert minimal_generators(near_pencil_5, range(near_pencil_5.size + 1)) == expected
 
 
 
@@ -311,24 +319,35 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     # nine lines through a point and a transversal, in coordinates adapted to
     # them: exponents 1, 1, 8.  At degree 8 the 72 multiples of the linear
     # generators are independent and dim D(A)_8 = 73, so one kernel vector
-    # fills the span; the 72 after it would be reduced to nothing
+    # fills the span; the 72 after it are neither lifted nor reduced
     arr, _ = parse(arrangement_text(3, [[0, 1, t] for t in range(9)] + [[1, 0, 0]])).adapted()
-    adds = {}
+    ncols = _degree_kernel(arr, 8, monomials_of_degree(3, 8)).ncols
+    adds, lifts = {}, {}
 
     class CountedSpan(logder.IncrementalSpan):
         def add(self, v):
             adds[self.dim] = adds.get(self.dim, 0) + 1
             return super().add(v)
 
+    lifted = linalg.ModularKernel._lifted
+
+    def counted(self, fc):
+        lifts[self.ncols] = lifts.get(self.ncols, 0) + 1
+        return lifted(self, fc)
+
     monkeypatch.setattr(logder, "IncrementalSpan", CountedSpan)
+    monkeypatch.setattr(linalg.ModularKernel, "_lifted", counted)
     graded = minimal_generators(arr, range(arr.size + 1))
     assert graded.generator_degrees == (1, 1, 8)
-    assert adds[3 * 45] == 73
-    # a span that never reports its rank takes every kernel vector, to the same end
+    assert graded.dimensions[8] == 73
+    assert adds[3 * 45] == 73 and lifts[ncols] == 1
+    # a span that never reports its rank takes, and lifts, every kernel
+    # vector, to the same end
     monkeypatch.setattr(CountedSpan, "rank", -1)
     adds.clear()
+    lifts.clear()
     assert minimal_generators(arr, range(arr.size + 1)) == graded
-    assert adds[3 * 45] == 72 + 73
+    assert adds[3 * 45] == 72 + 73 and lifts[ncols] == 73
 
 
 def test_exhausted_walk_names_only_the_degrees_it_searched():
@@ -355,10 +374,13 @@ def test_a_two_term_form_puts_one_entry_per_column(monkeypatch):
     # term, so each kept column (k, m) with k in {i, j} has one entry in the
     # rows of that form, whatever the degree
     seen = []
-    integer_kernel = logder.integer_kernel
-    monkeypatch.setattr(
-        logder, "integer_kernel", lambda rows, ncols: seen.append(rows) or integer_kernel(rows, ncols)
-    )
+
+    class RecordedKernel(logder.ModularKernel):
+        def __init__(self, rows, ncols, columns):
+            seen.append(rows)
+            super().__init__(rows, ncols, columns)
+
+    monkeypatch.setattr(logder, "ModularKernel", RecordedKernel)
     for d in range(6):
         monos = monomials_of_degree(BRAID.nvars, d)
         _degree_kernel(BRAID, d, monos)
@@ -388,13 +410,13 @@ def test_coordinate_hyperplanes_add_no_rows_and_keep_the_kernel(monkeypatch):
     arrs = [parse_file(path) for path in sorted(CORPUS.glob("*.arr"))]
     arrs += [_with_coordinate_hyperplanes(rng) for _ in range(12)]
     seen = []
-    integer_kernel = logder.integer_kernel
 
-    def recorded(rows, ncols):
-        seen.append((len(rows), ncols))
-        return integer_kernel(rows, ncols)
+    class RecordedKernel(logder.ModularKernel):
+        def __init__(self, rows, ncols, columns):
+            seen.append((len(rows), ncols))
+            super().__init__(rows, ncols, columns)
 
-    monkeypatch.setattr(logder, "integer_kernel", recorded)
+    monkeypatch.setattr(logder, "ModularKernel", RecordedKernel)
     for arr in arrs:
         coordinates = [f for f in arr.forms if sum(map(bool, f.coeffs)) == 1]
         for d in range(5):

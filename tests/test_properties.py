@@ -10,9 +10,11 @@ from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
 from arrcsm.chow import SurfaceClass
 from arrcsm.cli import _arrangement_payload, _lattice_payload
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
-from arrcsm.logder import _degree_kernel, minimal_generators
+from arrcsm.linalg import integer_kernel
+from arrcsm.logder import _degree_kernel, degree_dimension, minimal_generators
 from arrcsm.poly import FormalClass, monomials_of_degree
 from oracles import (
+    cramer_adapted,
     dense,
     evaluation_rows,
     fraction_kernel,
@@ -21,6 +23,7 @@ from oracles import (
     primitive,
     rational_rows,
     reference_point_count,
+    whole_kernel_search,
 )
 from property_checks import (
     arrangement_text,
@@ -33,6 +36,7 @@ from property_checks import (
     mobius_alternation,
     point_rows_match_reduction,
     random_arrangement,
+    random_rational_arrangement,
     reduction_invariance,
 )
 
@@ -172,6 +176,50 @@ def test_the_euler_field_splits_off_one_exponent_1(rng, shape):
         assert dim == d0.dimensions[d] + (math.comb(d + n - 1, n) if d else 0), (adapted.forms, d)
     assert sorted((1,) + d0.generator_degrees) == sorted(whole.generator_degrees), adapted.forms
     assert whole.exit_reason == d0.exit_reason
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(arrangements(max_forms=6).filter(lambda arr: arr.nvars >= 3), st.integers(0, 3))
+def test_the_degree_dimension_lies_between_its_two_bounds(arr, d):
+    """N - (nonempty rows) <= dim D(A)_d <= N - rank_p(R), for the N columns and rows R solved.
+
+    rank_p(R) <= rank_Q(R), and R has no more rank than nonempty rows;
+    where the two bounds meet they are the dimension.
+    """
+    monos = monomials_of_degree(arr.nvars, d)
+    kernel = _degree_kernel(arr, d, monos)
+    lower = kernel.ncols - sum(1 for row in kernel.rows if row)
+    dim = len(integer_kernel(kernel.rows, kernel.ncols))
+    assert lower <= dim <= kernel.upper
+    if d <= 2:
+        assert dim == len(fraction_kernel(evaluation_rows(arr, d, monos), arr.nvars * len(monos)))
+    if lower == kernel.upper:
+        assert dim == kernel.upper
+    assert degree_dimension(arr, d) == dim
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32).map(Random), st.sampled_from([(3, 8), (4, 6)]))
+def test_the_search_equals_the_search_over_whole_kernels(rng, shape):
+    """Lifting kernel vectors on demand keeps every dimension, generator and log line.
+
+    Both the full walk and the D_0 walk on A' = A.adapted(), against a
+    search that solves each whole kernel and joins every vector in the
+    dense integer core.
+    """
+    arr = random_arrangement(rng, *shape)
+    degrees = range(arr.size + 1)
+    assert minimal_generators(arr, degrees) == whole_kernel_search(arr, degrees), arr.forms
+    adapted, _ = arr.adapted()
+    d0 = minimal_generators(adapted, degrees, d0=True)
+    assert d0 == whole_kernel_search(adapted, degrees, d0=True), adapted.forms
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32).map(Random), st.sampled_from([(2, 4), (3, 8), (4, 7), (5, 6)]))
+def test_adapted_coordinates_are_cramers_rule(rng, shape):
+    arr = random_rational_arrangement(rng, *shape)
+    assert arr.adapted() == cramer_adapted(arr)
 
 
 @st.composite
