@@ -149,11 +149,14 @@ def _csm_payload(lat: IntersectionLattice) -> dict:
 
 
 def _derivations_payload(
-    arr: Arrangement, gb: GradedBasis, freeness: FreenessReport, max_degree: int
+    arr: Arrangement, gb: GradedBasis, freeness: FreenessReport, max_degree: int,
+    generators: list[str],
 ) -> dict:
     """The search's dimensions, and past its stop those of D(A) = sum_i S(-e_i) when A is free.
 
     A non-free A solves one kernel for each degree past the stop.
+    generators are gb's generators rendered, which report shares with
+    _freeness_payload.
     """
 
     def dimension(d: int) -> int:
@@ -168,19 +171,20 @@ def _derivations_payload(
     return {
         "dims": dims,
         "generator_degrees": list(gb.generator_degrees),
-        "generators": [g.render() for g in gb.generators],
+        "generators": generators,
         "exit_reason": gb.exit_reason,
         "search_log": list(gb.search_log),
     }
 
 
-def _freeness_payload(rep: FreenessReport) -> dict:
+def _freeness_payload(rep: FreenessReport, generators: list[str]) -> dict:
+    """rep's verdict, with its generators rendered as generators."""
     return {
         "free": rep.free,
         "exponents": list(rep.exponents) if rep.exponents is not None else None,
         "saito_scalar": str(rep.saito_scalar) if rep.saito_scalar is not None else None,
         "reason": rep.reason,
-        "generators": [g.render() for g in rep.generators],
+        "generators": generators,
         "search_log": list(rep.search_log),
     }
 
@@ -418,11 +422,13 @@ def _max_degree(args) -> int:
 def _derivations(args, arr):
     max_degree = _max_degree(args)
     graded = _full_search(arr)
-    return _derivations_payload(arr, graded, decide_freeness(arr, graded), max_degree), 0
+    generators = [g.render() for g in graded.generators]
+    return _derivations_payload(arr, graded, decide_freeness(arr, graded), max_degree, generators), 0
 
 
 def _freeness(args, arr):
-    return _freeness_payload(decide_freeness(arr, _full_search(arr))), 0
+    rep = decide_freeness(arr, _full_search(arr))
+    return _freeness_payload(rep, [g.render() for g in rep.generators]), 0
 
 
 def _verify(args, arr):
@@ -440,12 +446,14 @@ def _report(args, arr):
     graded = _full_search(arr)
     freeness = decide_freeness(arr, graded)
     vr = verify_arrangement(lat, freeness)
+    # decide_freeness keeps the search's generators: render them once for both payloads
+    generators = [g.render() for g in graded.generators]
     result = {
         "lattice": _lattice_payload(lat),
         "charpoly": _charpoly_payload(lat),
         "csm": _csm_payload(lat),
-        "derivations": _derivations_payload(arr, graded, freeness, max_degree),
-        "freeness": _freeness_payload(freeness),
+        "derivations": _derivations_payload(arr, graded, freeness, max_degree, generators),
+        "freeness": _freeness_payload(freeness, generators),
         "verification": _verify_payload(vr),
     }
     oracle_ok = _add_oracle(result, lat, args.primes)

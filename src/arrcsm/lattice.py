@@ -22,11 +22,12 @@ so the last entry is the Euler characteristic of the complement.
 
 from __future__ import annotations
 
+from bisect import bisect
 from dataclasses import dataclass
 from math import comb, gcd, lcm
+from typing import NamedTuple
 
 from .arrangement import Arrangement
-from .linalg import _eliminate
 from .poly import render_terms
 
 
@@ -34,13 +35,14 @@ class BadReductionError(ValueError):
     """Prime unusable for the point-count oracle (form degenerates mod p)."""
 
 
-@dataclass(frozen=True)
-class Flat:
+class Flat(NamedTuple):
     """One lattice element: the span of its forms as primitive integer rows.
 
     span holds one row per pivot, in pivot order: gcd 1, positive at its
     own pivot, its first nonzero entry, and 0 at every other pivot, so
-    each row is its RREF row times its pivot entry.
+    each row is its RREF row times its pivot entry.  A NamedTuple: the
+    lattice builds one per flat, and it costs less to build than a frozen
+    dataclass.
     """
 
     span: tuple[tuple[int, ...], ...]
@@ -61,32 +63,21 @@ class IntersectionLattice:
         return len(self.flats)
 
 
-def _step(v: tuple[int, ...], residue: tuple[int, ...], lead: int) -> tuple[int, ...]:
-    """v's residue against a cover, from its residue v against the flat below.
-
-    residue joins the flat's span at its first nonzero column lead, and v
-    is 0 at the flat's pivots, so clearing v at lead clears it at every
-    pivot of the cover.  The result is primitive; its sign is fixed so
-    that its first nonzero entry is positive.
-    """
-    w = _eliminate(v, residue, lead)
-    return tuple(w) if next(filter(None, w)) > 0 else tuple([-a for a in w])
-
-
 def build_lattice(arr: Arrangement) -> IntersectionLattice:
     """All intersections of subsets of hyperplanes, with Mobius values.
 
     A flat is found as the closed set of hyperplanes through it, its span
-    kept in linalg's integer form: {pivot column: primitive integer row}.
+    kept as Flat.span keeps it: primitive integer rows in pivot order.
     Each hyperplane outside a flat F carries its residue against that
     span, a tuple made primitive with a positive leading entry.  form_j
     lies in span(F, form_i) exactly when the residues of form_i and
     form_j are proportional, that is equal, so the hyperplanes grouped by
     residue are the covers of F, one group each.  A residue is 0 at the
     pivots of F, and its first nonzero column, lead, is the cover's new
-    pivot.  So one elimination step at lead, on each row of F's span
-    that is nonzero there, joins it to the span; and one step at lead
-    (_step) turns each other group's residue into its residue against
+    pivot.  So one elimination step at lead (linalg._eliminate, written
+    out here), on each row of F's span that is nonzero there, joins it to
+    the span, and the residue goes in at its pivot's place; and one step
+    at lead turns each other group's residue into its residue against
     the cover, which the forms of a group share.  A residue that is
     already 0 at lead is kept as it is.  The walk makes no Fraction.
 
@@ -103,60 +94,75 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     and a cover once, level by level, so a flat's sum is complete before
     its own covers are met; the top sums the flats of codim r - 1 that
     miss hyperplane 0.
+
+    The flats come in order of codim, then RREF rows.  A span row is its
+    pivot entry times its RREF row, so with scale the lcm of every pivot
+    entry, the row times scale // (its pivot entry) is scale times its
+    RREF row: ints that order like the RREF rows, so the sort makes and
+    compares no Fraction.  When scale is 1 the span is its own key.
     """
     top = arr._independent[1]
     r = len(top)
-    # closed index set -> span; the top is the bottom, () -> {}, when A is empty
-    found: dict[tuple[int, ...], dict[int, tuple[int, ...]]] = {
-        (): {}, tuple(range(arr.size)): {pc: tuple(row) for pc, row in top.items()},
+    # closed index set -> span; the top is the bottom, () -> (), when A is empty
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
+        (): (), tuple(range(arr.size)): tuple(tuple(top[pc]) for pc in sorted(top)),
     }
     mus = {(): 1}
-    covers = {f.coeffs: [i] for i, f in enumerate(arr.forms)}
-    # (closed index set, span, {residue: the forms outside it with that residue})
-    frontier = [((), {}, covers)] if r > 1 else []
+    covers = {f.coeffs: (i,) for i, f in enumerate(arr.forms)}
+    # (closed index set, pivots, span, {residue: the forms outside it with that residue})
+    frontier = [((), (), (), covers)] if r > 1 else []
     while frontier:
         nxt = []
-        for indices, span, covers in frontier:
+        for indices, pivots, span, covers in frontier:
             for residue, through in covers.items():
-                cover = tuple(sorted(indices + tuple(through)))
+                cover = tuple(sorted(indices + through))
                 # Weisner: does this flat miss the cover's first hyperplane?
                 if not indices or cover[0] < indices[0]:
                     mus[cover] = mus.get(cover, 0) - mus[indices]
                 if cover in found:
                     continue
-                lead = residue.index(next(filter(None, residue)))
-                found[cover] = joined = {
-                    pc: tuple(_eliminate(row, residue, lead)) if row[lead] else row
-                    for pc, row in span.items()
-                }
-                joined[lead] = residue
+                p = next(filter(None, residue))
+                lead = residue.index(p)
+                joined = []
+                for row in span:
+                    c = row[lead]
+                    if c:
+                        w = [p * a - c * b for a, b in zip(row, residue)]
+                        g = gcd(*w)
+                        row = tuple([a // g for a in w]) if g > 1 else tuple(w)
+                    joined.append(row)
+                at = bisect(pivots, lead)
+                joined.insert(at, residue)
+                found[cover] = joined = tuple(joined)
                 if len(joined) < r - 1:
-                    above: dict[tuple[int, ...], list[int]] = {}
+                    above: dict[tuple[int, ...], tuple[int, ...]] = {}
                     for v, js in covers.items():
-                        if v is not residue:
-                            w = _step(v, residue, lead) if v[lead] else v
-                            above.setdefault(w, []).extend(js)
-                    nxt.append((cover, joined, above))
+                        if v is residue:
+                            continue
+                        c = v[lead]
+                        if c:
+                            w = [p * a - c * b for a, b in zip(v, residue)]
+                            # primitive, with a positive first nonzero entry
+                            g = gcd(*w) if next(filter(None, w)) > 0 else -gcd(*w)
+                            v = tuple([a // g for a in w]) if g != 1 else tuple(w)
+                        above[v] = above.get(v, ()) + js
+                    nxt.append((cover, pivots[:at] + (lead,) + pivots[at:], joined, above))
         frontier = nxt
-
-    # Flats in order of codim, then RREF rows.  Each span row is row[pc]
-    # times its RREF row, so with scale the lcm of every pivot entry,
-    # a * (scale // row[pc]) is scale times an RREF entry: ints that order
-    # like the RREF rows, so the sort makes and compares no Fraction.
-    scale = lcm(*(row[pc] for span in found.values() for pc, row in span.items()))
-
-    def key(item):
-        span = item[1]
-        return len(span), [a * (scale // row[pc]) for pc, row in sorted(span.items()) for a in row]
 
     if r:
         below = (x for x, span in found.items() if len(span) == r - 1 and 0 not in x)
         mus[tuple(range(arr.size))] = -sum(mus[x] for x in below)
-    flats = tuple(
-        Flat(span=tuple(row for _, row in sorted(span.items())), codim=len(span),
-             indices=indices, mu=mus[indices])
-        for indices, span in sorted(found.items(), key=key)
-    )
+    spans = list(found.values())
+    scale = lcm(*(next(filter(None, row)) for span in spans for row in span))
+
+    def scaled(row: tuple[int, ...]) -> tuple[int, ...]:
+        m = scale // next(filter(None, row))
+        return tuple([a * m for a in row])
+
+    keys = spans if scale == 1 else [tuple(map(scaled, span)) for span in spans]
+    # (codim, key) differs between any two flats, so spans and indices are never compared
+    order = sorted(zip(map(len, spans), keys, spans, found))
+    flats = tuple([Flat(span, codim, x, mus[x]) for codim, _, span, x in order])
     return IntersectionLattice(arrangement=arr, flats=flats)
 
 

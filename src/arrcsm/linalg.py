@@ -16,9 +16,9 @@ first nonzero entry.  _reduce clears a vector at those pivots and
 _insert joins it to the span, each through _eliminate, one Bareiss step,
 with every intermediate value an int.  The integer_kernel fallback and
 Arrangement._independent call _insert, and LinearForm.make calls
-_reduce.  lattice.build_lattice takes single _eliminate steps: its
-residues are already 0 at their flat's pivots, so one step at a cover's
-new pivot reduces them.  IncrementalSpan keeps the same rows sparse and
+_reduce.  lattice.build_lattice takes single _eliminate steps, written
+out in its loop: its residues are already 0 at their flat's pivots, so
+one step at a cover's new pivot reduces them.  IncrementalSpan keeps the same rows sparse and
 takes the same steps on their nonzero entries (_sparse_step).  The
 derivation search's vectors are sparse throughout, as {column: entry}
 with keys ascending, primitive (gcd 1, first entry positive); only the

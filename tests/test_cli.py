@@ -134,6 +134,21 @@ def test_report_json(capsys):
     assert result["oracle"]["all_match"] is True
 
 
+def test_report_renders_each_generator_once(capsys, monkeypatch, tmp_path):
+    # six generic lines are not free: the search stops at overflow with more
+    # generators than the rank, and the derivations and freeness payloads
+    # list the same ones
+    path = tmp_path / "generic6.arr"
+    path.write_text(arrangement_text(3, [[1, t, t * t] for t in range(1, 7)]))
+    rendered = []
+    monkeypatch.setattr(Derivation, "render", lambda g, fn=Derivation.render: rendered.append(g) or fn(g))
+    assert run(["report", "--input", str(path), "--json"]) == 0
+    result = json.loads(capsys.readouterr().out)["result"]
+    gens = result["derivations"]["generators"]
+    assert result["freeness"]["generators"] == gens and len(gens) > 3
+    assert len(rendered) == len(gens)
+
+
 def test_example41(capsys):
     code = run(["example41", "--m", "3", "--json"])
     doc = json.loads(capsys.readouterr().out)
@@ -690,7 +705,7 @@ def test_dimensions_of_a_free_arrangement_come_from_its_exponents():
             free += 1
             # with no searched degree, every dimension is read off the exponents
             unsearched = replace(graded, dimensions={})
-            dims = cli._derivations_payload(arr, unsearched, freeness, 5)["dims"]
+            dims = cli._derivations_payload(arr, unsearched, freeness, 5, [])["dims"]
             assert dims == [[d, degree_dimension(arr, d)] for d in range(6)], path.name
     assert free == 9  # all but four_generic and generic5_p3
 

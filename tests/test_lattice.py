@@ -1,8 +1,10 @@
 import random
+import sys
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm
 from pathlib import Path
 
 import pytest
@@ -323,6 +325,23 @@ def test_lattice_matches_brute_force_over_subsets():
     assert essential > 20 and nonessential > 20 and concurrent > 20
 
 
+def test_flats_come_in_codim_then_rref_order():
+    # the sort multiplies each row by scale // (its pivot entry) unless
+    # every pivot entry is 1, as in the goldens; here about half the
+    # arrangements have a pivot entry above 1, and the order must be that
+    # of the RREF rows over Q all the same
+    rng = random.Random(2525)
+    scaled = 0
+    for _ in range(200):
+        nvars = rng.randint(2, 4)
+        arr = parse(arrangement_text(nvars, _random_rows(rng, nvars)))
+        flats = build_lattice(arr).flats
+        keys = [(f.codim, fraction_rref(lead_one(arr.forms[i]) for i in f.indices)) for f in flats]
+        assert keys == sorted(keys) and len(set(keys)) == len(keys), arr.forms
+        scaled += lcm(*(next(filter(None, row)) for f in flats for row in f.span)) > 1
+    assert scaled > 20
+
+
 def _moment_curve(nvars: int, m: int):
     """m forms (1, t, ..., t^(nvars-1)), t = 1..m: every nvars of them are independent."""
     return parse(arrangement_text(nvars, [[t**k for k in range(nvars)] for t in range(1, m + 1)]))
@@ -338,11 +357,15 @@ def test_walk_reduces_no_residue_against_flats_one_below_the_top(monkeypatch):
     # 12 generic lines, rank 3: the bottom's residues are the forms as they
     # are, each line steps the residues of the other 11, and the 66 points,
     # whose one cover is the top, none; a walk into the points would add
-    # 66 * 10 more
-    calls = []
-    monkeypatch.setattr(lattice, "_step", lambda *a, fn=lattice._step: calls.append(1) or fn(*a))
+    # 66 * 10 more.  Each step and each row a join eliminates takes one gcd,
+    # counted by the line that calls it: the steps, and the 66 joins that
+    # clear a line's row at a point's new pivot
+    lines = Counter()
+    monkeypatch.setattr(
+        lattice, "gcd", lambda *a, fn=lattice.gcd: lines.update([sys._getframe(1).f_lineno]) or fn(*a)
+    )
     build_lattice(_moment_curve(3, 12))
-    assert len(calls) == 12 * 11
+    assert sorted(lines.values()) == [66, 12 * 11]
 
 
 def _count_fractions(monkeypatch) -> list:
