@@ -6,8 +6,10 @@ document.  JSON output is key-sorted and contains nothing run-dependent,
 so two runs on the same input are byte-identical; wall-clock timing only
 ever appears in text output.  _json writes it, byte-identical to
 json.dumps(sort_keys=True, indent=2) on the payloads' str, int, bool,
-None, dict and list values, and _lattice_payload renders each flat's
-basis from its integer span: the output stage makes no Fraction.
+None, dict and list values.  The lattice result holds the lattice's
+Flat records, which _json writes by one template and _lattice_text
+reads; each basis is rendered from its integer span, each distinct span
+row once per output, and the output stage makes no Fraction.
 
 Each subcommand is one entry of HANDLERS: a handler that computes only
 the stages its command reads, each of them once (report builds one
@@ -59,6 +61,7 @@ from .chow import (
     verify_pencil_koszul,
 )
 from .lattice import (
+    Flat,
     IntersectionLattice,
     build_lattice,
     char_poly,
@@ -101,26 +104,17 @@ def _rref_row(row: tuple[int, ...]) -> list[str]:
     """str(Fraction(a, p)) for each entry a of a span row or form, p its first nonzero entry.
 
     p > 0, so a/p in lowest terms is a // g over p // g with g = gcd(a, p),
-    an integer when g = p (which a = 0 falls under).
+    an integer when g = p (which a = 0 falls under, and every a when p = 1).
     """
     p = next(filter(None, row))
+    if p == 1:
+        return list(map(str, row))
     return [str(a // p) if (g := gcd(a, p)) == p else f"{a // g}/{p // g}" for a in row]
 
 
 def _lattice_payload(lat: IntersectionLattice) -> dict:
-    """The flats, each basis the RREF rows of its span, rendered from its integer rows."""
-    return {
-        "num_flats": lat.size(),
-        "flats": [
-            {
-                "codim": f.codim,
-                "mu": f.mu,
-                "hyperplanes": list(f.indices),
-                "basis": [_rref_row(row) for row in f.span],
-            }
-            for f in lat.flats
-        ],
-    }
+    """The flats as the lattice's Flat records, which _json writes and _lattice_text reads."""
+    return {"num_flats": lat.size(), "flats": lat.flats}
 
 
 def _charpoly_payload(lat: IntersectionLattice) -> dict:
@@ -511,8 +505,8 @@ def _corpus(args, _arr):
 def _lattice_text(result: dict, arr, elapsed_ms: float) -> None:
     print(f"{result['num_flats']} flats")
     for f in result["flats"]:
-        lines = ",".join(str(i) for i in f["hyperplanes"])
-        print(f"  codim {f['codim']}  mu {f['mu']:3d}  hyperplanes [{lines}]")
+        lines = ",".join(str(i) for i in f.indices)
+        print(f"  codim {f.codim}  mu {f.mu:3d}  hyperplanes [{lines}]")
     for c in result.get("oracle", {"checks": []})["checks"]:
         tail = ""
         if "match" in c:
@@ -627,19 +621,38 @@ _SCALARS = {
 }
 
 
-def _json(obj, pad: str = "") -> str:
+def _json(obj, pad: str = "", memo: dict | None = None) -> str:
     """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, with obj's first line at pad.
 
     A dict writes its items sorted by key, a list or tuple its elements,
     each on its own line one indent deeper; scalars are written inline,
-    so a leaf costs no call of _json.  Anything but a str, int, bool,
-    None, dict, list or tuple, and a dict key that is not a str, raise
+    so a leaf costs no call of _json.  A lattice Flat is written by one
+    template as the dict {"basis", "codim", "hyperplanes", "mu"}, its
+    basis the RREF rows of its span.  memo maps a pad to the text of the
+    span rows written at it, so each distinct row is rendered once per
+    output.  Anything else, and a dict key that is not a str, raise
     TypeError.
     """
     write = _SCALARS.get(type(obj))
     if write is not None:
         return write(obj)
+    if memo is None:
+        memo = {}
     inner = pad + "  "
+    if type(obj) is Flat:
+        rows = memo.setdefault(pad, {})
+        deep = inner + "  "
+        basis = []
+        for row in obj.span:
+            text = rows.get(row)
+            if text is None:  # the entries are ASCII digits, "-" and "/": quoted, not escaped
+                text = rows[row] = f'[\n{deep}  "' + f'",\n{deep}  "'.join(_rref_row(row)) + f'"\n{deep}]'
+            basis.append(text)
+        sep = f",\n{deep}"
+        basis = f"[\n{deep}{sep.join(basis)}\n{inner}]" if basis else "[]"
+        hyperplanes = f"[\n{deep}{sep.join(map(str, obj.indices))}\n{inner}]" if obj.indices else "[]"
+        return (f'{{\n{inner}"basis": {basis},\n{inner}"codim": {obj.codim},\n{inner}"hyperplanes": '
+                f'{hyperplanes},\n{inner}"mu": {obj.mu}\n{pad}}}')
     if type(obj) is dict:
         if not obj:
             return "{}"
@@ -649,7 +662,7 @@ def _json(obj, pad: str = "") -> str:
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             write = _SCALARS.get(type(value))
             items.append(f"{encode_basestring_ascii(key)}: "
-                         + (write(value) if write else _json(value, inner)))
+                         + (write(value) if write else _json(value, inner, memo)))
         opening, closing = "{", "}"
     elif type(obj) in (list, tuple):
         if not obj:
@@ -657,7 +670,7 @@ def _json(obj, pad: str = "") -> str:
         items = []
         for value in obj:
             write = _SCALARS.get(type(value))
-            items.append(write(value) if write else _json(value, inner))
+            items.append(write(value) if write else _json(value, inner, memo))
         opening, closing = "[", "]"
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -41,6 +41,9 @@ references reach the same objects by other means:
 - reference_point_count: the points of P^n(F_p) off every hyperplane,
   one point at a time in plain Python, the reference for the numpy
   point-count oracle.
+- lattice_payload: the lattice result as plain dicts and lists, each
+  basis fraction_rref of the flat's forms rendered by str(Fraction), the
+  reference for the JSON cli._json writes from the lattice's Flat records.
 """
 
 from __future__ import annotations
@@ -595,3 +598,22 @@ def reference_point_count(arr: Arrangement, p: int) -> int | None:
             x = (0,) * lead + (1,) + tail
             count += all(sum(c * v for c, v in zip(row, x)) % p for row in forms)
     return count
+
+
+def lattice_payload(lat) -> dict:
+    """The lattice subcommand's result as json.dumps reads it: one dict of plain values per flat."""
+    forms = lat.arrangement.forms
+    return {
+        "num_flats": len(lat.flats),
+        "flats": [
+            {
+                "codim": f.codim,
+                "mu": f.mu,
+                "hyperplanes": list(f.indices),
+                "basis": [
+                    [str(c) for c in row] for row in fraction_rref(lead_one(forms[i]) for i in f.indices)
+                ],
+            }
+            for f in lat.flats
+        ],
+    }

@@ -3,7 +3,9 @@
 Each file tests/golden/<stem>.<command>.json is the exact stdout of
 `arrcsm <command> --input corpus/<stem>.arr --json [extra args]`; the
 files tests/golden/<command>.json hold the commands that read no single
-.arr file.  Every case must also exit 0.  Regenerate them, only when an
+.arr file.  tests/golden/<stem>.lattice.txt is the text output of
+`arrcsm lattice --input corpus/<stem>.arr --primes 101,103` for two of
+them.  Every case must also exit 0.  Regenerate them, only when an
 output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -42,12 +44,17 @@ CASES.update(
     }
 )
 
+TEXT_CASES = {
+    f"{stem}.lattice.txt": ["lattice", "--input", str(CORPUS / f"{stem}.arr"), "--primes", "101,103"]
+    for stem in ("braid_essential", "four_generic")
+}
 
-def render(case: str) -> str:
+
+def render(argv: list[str]) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = run(CASES[case])
-    assert code == 0, f"{case} exited {code}"
+        code = run(argv)
+    assert code == 0, f"{argv} exited {code}"
     return out.getvalue()
 
 
@@ -60,9 +67,16 @@ def test_every_corpus_file_has_its_goldens():
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_json_output_matches_golden(case):
     golden = (GOLDEN / f"{case}.json").read_bytes()
-    assert render(case).encode("utf-8") == golden
+    assert render(CASES[case]).encode("utf-8") == golden
+
+
+@pytest.mark.parametrize("name", sorted(TEXT_CASES))
+def test_text_output_matches_golden(name):
+    assert render(TEXT_CASES[name]).encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
     for case in CASES:
-        (GOLDEN / f"{case}.json").write_bytes(render(case).encode("utf-8"))
+        (GOLDEN / f"{case}.json").write_bytes(render(CASES[case]).encode("utf-8"))
+    for name, argv in TEXT_CASES.items():
+        (GOLDEN / name).write_bytes(render(argv).encode("utf-8"))

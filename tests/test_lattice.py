@@ -400,6 +400,22 @@ def test_lattice_output_makes_no_fraction(monkeypatch):
     assert ["/" in text for text in texts] == [False, False, True] and '"3/2"' in texts[2]
 
 
+def test_lattice_output_renders_each_distinct_row_once(monkeypatch):
+    # braid A5's 544 span rows hold 15 distinct rows; the moment curve's
+    # 808 hold 463
+    counts = []
+    render = cli._rref_row
+    for arr in (_braid(5), _moment_curve(4, 12)):
+        lat = build_lattice(arr)
+        rendered = []
+        monkeypatch.setattr(cli, "_rref_row", lambda row: rendered.append(row) or render(row))
+        cli._json(cli._lattice_payload(lat))
+        rows = [row for f in lat.flats for row in f.span]
+        assert sorted(rendered) == sorted(set(rows))
+        counts.append((len(rows), len(rendered)))
+    assert counts == [(544, 15), (808, 463)]
+
+
 @pytest.mark.parametrize("command", ["lattice", "charpoly", "csm"])
 def test_json_on_integer_tokens_makes_no_fraction(monkeypatch, capsys, tmp_path, command):
     # parse keeps integer tokens as ints, and the forms render as the flats

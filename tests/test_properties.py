@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 from random import Random
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
 from arrcsm.chow import SurfaceClass
-from arrcsm.cli import _arrangement_payload, _lattice_payload
+from arrcsm.cli import _arrangement_payload, _json, _lattice_payload
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
 from arrcsm.linalg import integer_kernel
 from arrcsm.logder import _degree_kernel, degree_dimension, minimal_generators
@@ -19,6 +20,7 @@ from oracles import (
     evaluation_rows,
     fraction_kernel,
     fraction_rref,
+    lattice_payload,
     lead_one,
     primitive,
     rational_rows,
@@ -105,10 +107,39 @@ def test_flats_come_in_order_of_codim_then_rref_rows(arr):
 @given(arrangements(max_forms=7))
 def test_lattice_basis_strings_are_the_rref_rows(arr):
     lat = build_lattice(arr)
-    flats = _lattice_payload(lat)["flats"]
+    flats = json.loads(_json(_lattice_payload(lat)))["flats"]
     for flat, payload in zip(lat.flats, flats, strict=True):
         rows = fraction_rref(lead_one(arr.forms[i]) for i in flat.indices)
         assert payload["basis"] == [[str(c) for c in row] for row in rows]
+
+
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, indent=2)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_lattice_writer_matches_the_dict_oracle(nvars, seed):
+    # up to 8 forms in P^1..P^3 with rational coefficients, so that pivot
+    # entries exceed 1, about half of them leaving coordinates unused (A not
+    # essential); written as lattice writes its result, as report nests it
+    # one level deeper, and both in one output, the same rows at two indents
+    lat = build_lattice(random_rational_arrangement(Random(seed), nvars, 8))
+    result, oracle = _lattice_payload(lat), lattice_payload(lat)
+    assert _json(result) == _dumps(oracle)
+    assert _json({"result": {"lattice": result}}) == _dumps({"result": {"lattice": oracle}})
+    both = {"lattice": result, "report": {"lattice": result}}
+    assert _json(both) == _dumps({"lattice": oracle, "report": {"lattice": oracle}})
+
+
+def test_empty_arrangement_writes_an_empty_basis_and_no_hyperplanes():
+    lat = build_lattice(parse("vars 3\n"))
+    written = _json({"result": _lattice_payload(lat)})
+    assert written == _dumps({"result": lattice_payload(lat)})
+    assert json.loads(written)["result"]["flats"] == [
+        {"basis": [], "codim": 0, "hyperplanes": [], "mu": 1}
+    ]
+    assert '"basis": []' in written and '"hyperplanes": []' in written
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
