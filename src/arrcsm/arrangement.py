@@ -26,7 +26,7 @@ from functools import cached_property
 from fractions import Fraction
 from math import gcd
 
-from .linalg import _insert, _integer_vector, _reduce, integer_det
+from .linalg import _insert, _integer_vector, integer_det
 
 
 # The degree-d monomial walk recurses once per coordinate, so a bound far
@@ -62,7 +62,10 @@ class LinearForm:
     @classmethod
     def make(cls, coeffs) -> "LinearForm":
         """The form on the ray of rational coeffs; ValueError when they are all 0."""
-        return cls(tuple(_reduce({}, _integer_vector(coeffs))))
+        v = _integer_vector(coeffs)
+        g = gcd(*v) if next(filter(None, v), 0) >= 0 else -gcd(*v)
+        # g is 0 only for the zero form, which __post_init__ refuses
+        return cls(tuple(v) if g in (0, 1) else tuple([a // g for a in v]))
 
 
 @dataclass(frozen=True)
@@ -93,18 +96,16 @@ class Arrangement:
         return self.nvars - 1
 
     @cached_property
-    def _independent(self) -> tuple[tuple[int, ...], dict[int, list[int]]]:
+    def _independent(self) -> tuple[tuple[int, ...], dict[int, dict[int, int]]]:
         """Indices of the first rank A independent forms in input order, and the span of all forms.
 
-        The span is linalg's {pivot column: primitive integer row}; on its
-        pivot columns the chosen forms make an invertible matrix.  Computed
-        once per arrangement and shared, so no caller mutates the span.
+        The span is linalg's {pivot column: primitive sparse integer row},
+        joined from integer_forms; on its pivot columns the chosen forms make
+        an invertible matrix.  Computed once per arrangement and shared, so
+        no caller mutates the span.
         """
-        span: dict[int, list[int]] = {}
-        chosen = tuple(
-            i for i, f in enumerate(self.forms)
-            if _insert(span, list(f.coeffs)) is not None
-        )
+        span: dict[int, dict[int, int]] = {}
+        chosen = tuple(i for i, v in enumerate(self.integer_forms) if _insert(span, v) is not None)
         return chosen, span
 
     def rank(self) -> int:

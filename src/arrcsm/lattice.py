@@ -74,12 +74,13 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     form_j are proportional, that is equal, so the hyperplanes grouped by
     residue are the covers of F, one group each.  A residue is 0 at the
     pivots of F, and its first nonzero column, lead, is the cover's new
-    pivot.  So one elimination step at lead (linalg._eliminate, written
-    out here), on each row of F's span that is nonzero there, joins it to
-    the span, and the residue goes in at its pivot's place; and one step
-    at lead turns each other group's residue into its residue against
-    the cover, which the forms of a group share.  A residue that is
-    already 0 at lead is kept as it is.  The walk makes no Fraction.
+    pivot.  So one elimination step at lead (linalg._sparse_step, written
+    out here on dense rows), on each row of F's span that is nonzero
+    there, joins it to the span, and the residue goes in at its pivot's
+    place; and one step at lead turns each other group's residue into
+    its residue against the cover, which the forms of a group share.  A
+    residue that is already 0 at lead is kept as it is.  The walk makes
+    no Fraction.
 
     With r = rank A, a flat of codim r - 1 has one cover, the top: the
     span of all forms, closed under every hyperplane.  So the walk stops
@@ -105,7 +106,9 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     r = len(top)
     # closed index set -> span; the top is the bottom, () -> (), when A is empty
     found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
-        (): (), tuple(range(arr.size)): tuple(tuple(top[pc]) for pc in sorted(top)),
+        (): (), tuple(range(arr.size)): tuple(
+            tuple(top[pc].get(j, 0) for j in range(arr.nvars)) for pc in sorted(top)
+        ),
     }
     mus = {(): 1}
     covers = {f.coeffs: (i,) for i, f in enumerate(arr.forms)}

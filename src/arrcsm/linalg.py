@@ -8,24 +8,23 @@ echelon-shaped, one vector per free column in ascending column order, so
 results are deterministic and directly comparable.  integer_det is the
 determinant of an integer matrix, which Saito's check reads.
 
-Every RREF over Q runs through one integer core.  It keeps
-a span as {pivot column: row}, each row a dense primitive integer
-vector: gcd 1, positive at its own pivot and 0 at every other pivot, so
-each row is its RREF row times its pivot entry, and its pivot is its
-first nonzero entry.  _reduce clears a vector at those pivots and
-_insert joins it to the span, each through _eliminate, one Bareiss step,
-with every intermediate value an int.  The integer_kernel fallback and
-Arrangement._independent call _insert, and LinearForm.make calls
-_reduce.  lattice.build_lattice takes single _eliminate steps, written
-out in its loop: its residues are already 0 at their flat's pivots, so
-one step at a cover's new pivot reduces them.  IncrementalSpan keeps the same rows sparse and
-takes the same steps on their nonzero entries (_sparse_step).  The
-derivation search's vectors are sparse throughout, as {column: entry}
-with keys ascending, primitive (gcd 1, first entry positive); only the
-fallback and QMatrix.kernel_basis make one dense.  A Fraction is made
-here only where a result leaves the integers: QMatrix.kernel_basis
-divides a vector by its leading entry.  A lattice flat's span leaves as
-integer rows, which cli renders.
+Every RREF over Q runs through one integer core, _insert.  It keeps a
+span as {pivot column: row}, each row a sparse primitive integer vector
+{column: entry}, keys ascending: gcd 1, positive at its own pivot, its
+first column, and 0 at every other pivot, so each row is its RREF row
+times its pivot entry.  _insert clears a vector at the pivots it
+touches and joins the residue to the span, each through _sparse_step,
+one Bareiss step on the nonzero entries, with every intermediate value
+an int.  The derivation search's IncrementalSpan, the integer_kernel
+fallback and Arrangement._independent call it.  lattice.build_lattice
+takes the same single steps on dense rows, written out in its loop:
+its residues are already 0 at their flat's pivots, so one step at a
+cover's new pivot reduces them.  The search's vectors are sparse
+throughout, primitive with their first entry positive; only
+QMatrix.kernel_basis makes one dense.  A Fraction is made here only
+where a result leaves the integers: QMatrix.kernel_basis divides a
+vector by its leading entry.  A lattice flat's span leaves as integer
+rows, which cli renders.
 
 ModularKernel eliminates sparse integer rows modulo the prime
 p = 2^61 - 1 with plain ints, once, which bounds the kernel's dimension
@@ -54,21 +53,14 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _eliminate(v: Sequence[int], row: Sequence[int], col: int) -> list[int]:
+def _sparse_step(v: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
     """row[col] * v - v[col] * row, which is 0 at col, divided by the gcd of its entries.
 
+    v and row are {column: entry}, and so is the result, zeros left out.
     Fraction-free elimination in the manner of Bareiss (Math. Comp. 22,
     1968): every entry stays an int, and dividing by the gcd after each
     step keeps the entries from growing over many steps.
     """
-    p, c = row[col], v[col]
-    w = [p * a - c * b for a, b in zip(v, row)]
-    g = gcd(*w)
-    return [a // g for a in w] if g > 1 else w
-
-
-def _sparse_step(v: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
-    """_eliminate on {column: entry} vectors: the same entries, zeros left out."""
     p, c = row[col], v[col]
     w = {j: p * a for j, a in v.items()}
     for j, b in row.items():
@@ -101,46 +93,34 @@ def integer_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1] if a else 1
 
 
-def _reduce(basis: dict[int, list[int]], v: list[int]) -> list[int]:
-    """v cleared at every pivot of basis, made primitive.
-
-    Each basis row is positive at its pivot and 0 at every other pivot,
-    so one pass in any order clears them all.  The result is v's residue
-    against the span scaled to a primitive integer vector with its first
-    nonzero entry positive (all zeros when v lies in the span), so two
-    vectors reduce to the same list exactly when their residues are
-    proportional.
-    """
-    for pc, row in basis.items():
-        if v[pc]:
-            v = _eliminate(v, row, pc)
-    g = gcd(*v)
-    if next((a for a in v if a), 0) < 0:
-        g = -g
-    return v if g in (0, 1) else [a // g for a in v]
-
-
-def _insert(basis: dict[int, list[int]], v: list[int]) -> list[int] | None:
-    """Join v to the span kept in basis.
-
-    Returns the reduced v (the new basis row), or None when v already
-    lies in the span.  Rows of basis are rebound, never mutated.
-    """
-    v = _reduce(basis, v)
-    lead = next((j for j, a in enumerate(v) if a), None)
-    if lead is None:
-        return None
-    for pc, row in basis.items():
-        if row[lead]:
-            basis[pc] = _eliminate(row, v, lead)
-    basis[lead] = v
-    return v
-
-
 def _primitive(v: dict[int, int]) -> dict[int, int]:
     """Nonzero sparse v over the gcd of its entries, keys ascending, first entry positive."""
     g = gcd(*v.values()) if v[min(v)] > 0 else -gcd(*v.values())
     return {j: v[j] // g for j in sorted(v)}
+
+
+def _insert(rows: dict[int, dict[int, int]], v: dict[int, int]) -> dict[int, int] | None:
+    """Join the sparse integer vector v to the span kept in rows, {pivot column: row}.
+
+    Returns None when v already lies in the span, else v's primitive
+    residue, keys ascending, which joins rows as the row of its first
+    column.  v is not mutated, and the rows are rebound, never mutated;
+    callers only read the residue returned.
+    """
+    v = {j: a for j, a in v.items() if a}
+    # a step at one pivot scales v's entries at the other pivots, so v
+    # touches the same pivots throughout
+    for pc in [c for c in v if c in rows]:
+        v = _sparse_step(v, rows[pc], pc)
+    if not v:
+        return None
+    v = _primitive(v)
+    lead = next(iter(v))
+    for pc, row in rows.items():
+        if lead in row:
+            rows[pc] = _sparse_step(row, v, lead)
+    rows[lead] = v
+    return v
 
 
 def _integer_vector(v: Sequence[Scalar]) -> list[int]:
@@ -221,15 +201,15 @@ def _lift(a: int) -> tuple[int, int] | None:
 
 def _exact_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]]:
     """integer_kernel's basis from the integer core: the rows reduced exactly, no prime."""
-    reduced: dict[int, list[int]] = {}
+    reduced: dict[int, dict[int, int]] = {}
     for row in rows:
-        _insert(reduced, [row.get(j, 0) for j in range(ncols)])
+        _insert(reduced, row)
     basis = []
     for fc in range(ncols):
         if fc in reduced:
             continue
         # e_fc - sum row[fc]/row[pc] e_pc, times the lcm of the row[pc] it divides by
-        used = [(pc, row) for pc, row in reduced.items() if row[fc]]
+        used = [(pc, row) for pc, row in reduced.items() if fc in row]
         scale = lcm(*(row[pc] for pc, row in used))
         w = {fc: scale}
         for pc, row in used:
@@ -357,15 +337,12 @@ class QMatrix:
 
 
 class IncrementalSpan:
-    """Growing subspace of Q^dim, kept as _insert keeps a span, with sparse rows.
+    """Growing subspace of Q^dim, its span kept by _insert.
 
-    Each row is {column: entry}: primitive, positive at its pivot (its
-    first column) and 0 at every other pivot, as _insert keeps its dense
-    rows, and each step is _eliminate's Bareiss step on the nonzero
-    entries.  add() takes a sparse integer vector and reduces it against
-    the span: dependent vectors return None, independent ones return
-    their primitive residue, keys ascending, and join the span as a row.
-    The residue returned is that row; callers only read it.
+    add() takes a sparse integer vector with columns in 0..dim-1:
+    dependent vectors return None, independent ones return their
+    primitive residue, keys ascending, and join the span as a row.  The
+    residue returned is that row; callers only read it.
     """
 
     def __init__(self, dim: int):
@@ -379,18 +356,4 @@ class IncrementalSpan:
     def add(self, v: dict[int, int]) -> dict[int, int] | None:
         if v and not 0 <= min(v) <= max(v) < self.dim:
             raise ValueError(f"columns {min(v)}..{max(v)} outside 0..{self.dim - 1}")
-        v = {j: a for j, a in v.items() if a}
-        rows = self._rows
-        # a step at one pivot scales v's entries at the other pivots, so v
-        # touches the same pivots throughout
-        for pc in [c for c in v if c in rows]:
-            v = _sparse_step(v, rows[pc], pc)
-        if not v:
-            return None
-        v = _primitive(v)
-        lead = next(iter(v))
-        for pc, row in rows.items():
-            if lead in row:
-                rows[pc] = _sparse_step(row, v, lead)
-        rows[lead] = v
-        return v
+        return _insert(self._rows, v)

@@ -19,10 +19,13 @@ references reach the same objects by other means:
   with its n entries, for comparing the two.
   intersect_spans and intersection_property_check rebuild D(A)_d one
   hyperplane at a time on top of them.
-- rref_rows: the RREF of a span through linalg's integer core, the path
-  build_lattice takes, for comparing the core with fraction_rref;
-  rational_rows reads the RREF rows off a span's primitive integer rows,
-  as Flat.span holds them.
+- _eliminate, _reduce and _insert: the dense integer core, one Bareiss
+  step on dense rows, the reference for linalg's sparse _insert, which
+  keeps the same rows with the zeros left out.  rref_rows is the RREF
+  of a span through it, the dense rows build_lattice keeps, for
+  comparing the core with fraction_rref; rational_rows reads the RREF
+  rows off a span's dense primitive integer rows, as Flat.span holds
+  them.
 - reduction_kernel: D(A)_d from residues modulo each form, with
   MultiPoly's reduce_mod_linear, solved by fraction_kernel; and
   evaluation_rows: dense rows that evaluate alpha(theta) at lattice
@@ -32,8 +35,8 @@ references reach the same objects by other means:
   generator search.
 - whole_kernel_search: minimal_generators as it was before the search
   took kernel vectors on demand: every degree solves its whole kernel,
-  and every multiple and kernel vector goes to linalg's dense integer
-  core, with no mod-p rank and no early stop.
+  and every multiple and kernel vector goes to the dense integer core
+  above, with no mod-p rank and no early stop.
 - cramer_adapted: Arrangement.adapted() by Cramer's rule, one set of r
   determinants per form, for the one adjugate the package takes.
 - poly_from_roots: the monic polynomial with given roots, for Terao's
@@ -50,11 +53,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import lcm, prod
-from typing import Iterable, Iterator, Mapping
+from math import gcd, lcm, prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from arrcsm.arrangement import Arrangement, LinearForm
-from arrcsm.linalg import _insert, _integer_vector, _rational, integer_det
+from arrcsm.linalg import _integer_vector, _rational, integer_det
 from arrcsm.logder import Derivation, GradedBasis, _degree_kernel, vector_to_derivation
 from arrcsm.poly import Monomial, Scalar, monomial_mul, monomials_of_degree, render_terms
 
@@ -400,6 +403,55 @@ def dense(v, n: int) -> list[int]:
     return [v.get(j, 0) for j in range(n)]
 
 
+def _eliminate(v: Sequence[int], row: Sequence[int], col: int) -> list[int]:
+    """row[col] * v - v[col] * row, which is 0 at col, divided by the gcd of its entries.
+
+    Fraction-free elimination in the manner of Bareiss (Math. Comp. 22,
+    1968): every entry stays an int, and dividing by the gcd after each
+    step keeps the entries from growing over many steps.
+    """
+    p, c = row[col], v[col]
+    w = [p * a - c * b for a, b in zip(v, row)]
+    g = gcd(*w)
+    return [a // g for a in w] if g > 1 else w
+
+
+def _reduce(basis: dict[int, list[int]], v: list[int]) -> list[int]:
+    """v cleared at every pivot of basis, made primitive.
+
+    Each basis row is positive at its pivot and 0 at every other pivot,
+    so one pass in any order clears them all.  The result is v's residue
+    against the span scaled to a primitive integer vector with its first
+    nonzero entry positive (all zeros when v lies in the span), so two
+    vectors reduce to the same list exactly when their residues are
+    proportional.
+    """
+    for pc, row in basis.items():
+        if v[pc]:
+            v = _eliminate(v, row, pc)
+    g = gcd(*v)
+    if next((a for a in v if a), 0) < 0:
+        g = -g
+    return v if g in (0, 1) else [a // g for a in v]
+
+
+def _insert(basis: dict[int, list[int]], v: list[int]) -> list[int] | None:
+    """Join v to the span kept in basis.
+
+    Returns the reduced v (the new basis row), or None when v already
+    lies in the span.  Rows of basis are rebound, never mutated.
+    """
+    v = _reduce(basis, v)
+    lead = next((j for j, a in enumerate(v) if a), None)
+    if lead is None:
+        return None
+    for pc, row in basis.items():
+        if row[lead]:
+            basis[pc] = _eliminate(row, v, lead)
+    basis[lead] = v
+    return v
+
+
 def rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
     """The RREF rows of a span's rows as _insert keeps them, given in pivot order.
 
@@ -409,7 +461,7 @@ def rational_rows(rows) -> tuple[tuple[Fraction, ...], ...]:
 
 
 def rref_rows(vectors) -> tuple[tuple[Fraction, ...], ...]:
-    """Canonical basis (RREF, zero rows dropped) of the span, by linalg's integer core."""
+    """Canonical basis (RREF, zero rows dropped) of the span, by the dense integer core."""
     basis: dict[int, list[int]] = {}
     for v in vectors:
         _insert(basis, _integer_vector(v))

@@ -41,6 +41,8 @@ def test_canonicalization_leading_one():
     assert LinearForm.make([0, Fraction(-1, 2), 1]).coeffs == (0, 1, -2)
     # primitive integers with a positive lead, not the lead-1 form (0, 1, 3/2)
     assert LinearForm.make([0, -4, -6]).coeffs == (0, 2, 3)
+    with pytest.raises(ValueError):
+        LinearForm.make([0, Fraction(0), 0])
 
 
 def test_duplicate_collapse_with_warning():

@@ -9,7 +9,6 @@ from arrcsm.linalg import (
     IncrementalSpan,
     ModularKernel,
     QMatrix,
-    _insert,
     _rref_mod_p,
     integer_det,
     integer_kernel,
@@ -17,6 +16,7 @@ from arrcsm.linalg import (
 )
 from oracles import (
     MultiPoly,
+    _insert,
     dense,
     fraction_kernel,
     fraction_rref,

@@ -80,11 +80,21 @@ coefficients = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 @st.composite
 def arrangements(draw, max_forms=4):
-    """1 to max_forms forms in 2 to 4 coordinates, some of them never used."""
+    """1 to max_forms forms in 2 to 4 coordinates.
+
+    Half the draws take at least nvars distinct forms over every
+    coordinate, so that most of them are essential and the lattice's top
+    is the origin; the others may hold a single form or leave coordinates
+    out of every form.
+    """
     nvars = draw(st.integers(2, 4))
-    used = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars).filter(any))
-    form = st.tuples(*(coefficients if u else st.just(Fraction(0)) for u in used))
-    rows = draw(st.lists(form.filter(any), min_size=1, max_size=max_forms))
+    if draw(st.booleans()):
+        form = st.tuples(*[coefficients] * nvars).filter(any)
+        rows = draw(st.lists(form, min_size=nvars, max_size=max_forms, unique=True))
+    else:
+        used = draw(st.lists(st.booleans(), min_size=nvars, max_size=nvars).filter(any))
+        form = st.tuples(*(coefficients if u else st.just(Fraction(0)) for u in used))
+        rows = draw(st.lists(form.filter(any), min_size=1, max_size=max_forms))
     return parse(arrangement_text(nvars, rows))
 
 
@@ -251,6 +261,20 @@ def test_the_search_equals_the_search_over_whole_kernels(rng, shape):
 def test_adapted_coordinates_are_cramers_rule(rng, shape):
     arr = random_rational_arrangement(rng, *shape)
     assert arr.adapted() == cramer_adapted(arr)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_the_independent_forms_are_those_that_raise_the_rank(nvars, seed):
+    # the span _independent hands to adapted() and to the lattice's top,
+    # against Gauss-Jordan over Fraction; rational forms, so that pivot
+    # entries exceed 1
+    arr = random_rational_arrangement(Random(seed), nvars, 8)
+    forms = [lead_one(f) for f in arr.forms]
+    ranks = [len(fraction_rref(forms[:i])) for i in range(arr.size + 1)]
+    chosen, span = arr._independent
+    assert chosen == tuple(i for i in range(arr.size) if ranks[i + 1] > ranks[i])
+    assert rational_rows(dense(span[pc], nvars) for pc in sorted(span)) == fraction_rref(forms)
 
 
 @st.composite
