@@ -150,9 +150,7 @@ class Arrangement:
         forms = []
         for f in self.forms:
             w = [f.coeffs[c] for c in pivots]
-            c = [sum(a * row[k] for a, row in zip(w, adj)) for k in range(r)]
-            g = gcd(*c) if next(filter(None, c)) > 0 else -gcd(*c)
-            forms.append(LinearForm(tuple(a // g for a in c)))
+            forms.append(LinearForm.make([sum(a * row[k] for a, row in zip(w, adj)) for k in range(r)]))
         return Arrangement(nvars=r, forms=tuple(forms), name=self.name), self.nvars - r
 
 

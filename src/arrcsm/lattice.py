@@ -221,8 +221,8 @@ def reduced_char_poly(lat: IntersectionLattice) -> tuple[int, ...]:
     return divide_by_t_minus(char_poly(lat), 1)
 
 
-def render_poly_in_t(coeffs: tuple[int, ...], var: str = "t") -> str:
-    return render_terms((coeffs[i], [(var, i)]) for i in reversed(range(len(coeffs))))
+def render_poly_in_t(coeffs: tuple[int, ...]) -> str:
+    return render_terms((coeffs[i], [("t", i)]) for i in reversed(range(len(coeffs))))
 
 
 def csm_complement(lat: IntersectionLattice) -> tuple[int, ...]:

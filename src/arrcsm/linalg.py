@@ -15,12 +15,12 @@ first column, and 0 at every other pivot, so each row is its RREF row
 times its pivot entry.  _insert clears a vector at the pivots it
 touches and joins the residue to the span, each through _sparse_step,
 one Bareiss step on the nonzero entries, with every intermediate value
-an int.  The derivation search's IncrementalSpan, the integer_kernel
-fallback and Arrangement._independent call it.  lattice.build_lattice
-takes the same single steps on dense rows, written out in its loop:
-its residues are already 0 at their flat's pivots, so one step at a
-cover's new pivot reduces them.  The search's vectors are sparse
-throughout, primitive with their first entry positive; only
+an int.  The derivation search's IncrementalSpan, ModularKernel's
+fallback _exact_kernel and Arrangement._independent call it.
+lattice.build_lattice takes the same single steps on dense rows, written
+out in its loop: its residues are already 0 at their flat's pivots, so
+one step at a cover's new pivot reduces them.  The search's vectors are
+sparse throughout, primitive with their first entry positive; only
 QMatrix.kernel_basis makes one dense.  A Fraction is made here only
 where a result leaves the integers: QMatrix.kernel_basis divides a
 vector by its leading entry.  A lattice flat's span leaves as integer
@@ -28,12 +28,12 @@ rows, which cli renders.
 
 ModularKernel eliminates sparse integer rows modulo the prime
 p = 2^61 - 1 with plain ints, once, which bounds the kernel's dimension
-from above.  It lifts a kernel vector's pivot entries back to Q by
-rational reconstruction only when the caller asks for that vector, and
-keeps the lift only when the rows annihilate it exactly; checked in
-free-column order, each lift is the vector the RREF over Q gives.  The
-first lift that fails hands the rest to the integer core.
-integer_kernel takes the whole of it.
+from above.  Its columns are the caller's own column numbers.  It lifts
+a kernel vector's pivot entries back to Q by rational reconstruction
+only when the caller asks for that vector, and keeps the lift only when
+the rows annihilate it exactly; checked in free-column order, each lift
+is the vector the RREF over Q gives.  The first lift that fails hands
+the rest to the integer core.
 """
 
 from __future__ import annotations
@@ -199,13 +199,13 @@ def _lift(a: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
-def _exact_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]]:
-    """integer_kernel's basis from the integer core: the rows reduced exactly, no prime."""
+def _exact_kernel(rows: Sequence[dict[int, int]], columns: Sequence[int]) -> list[dict[int, int]]:
+    """ModularKernel's basis from the integer core: the rows reduced exactly, no prime."""
     reduced: dict[int, dict[int, int]] = {}
     for row in rows:
         _insert(reduced, row)
     basis = []
-    for fc in range(ncols):
+    for fc in columns:
         if fc in reduced:
             continue
         # e_fc - sum row[fc]/row[pc] e_pc, times the lcm of the row[pc] it divides by
@@ -221,64 +221,57 @@ def _exact_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, 
 class ModularKernel:
     """The RREF kernel basis over Q of sparse integer rows, lifted from Z/p one vector at a time.
 
-    One _rref_mod_p of the rows gives upper = ncols - rank_p, an upper
-    bound on the kernel's dimension: a minor that is nonzero mod p is
-    nonzero over Z, so rank_p <= rank_Q.  Iterating yields the kernel
-    vectors in ascending free-column order, and each is lifted and
-    checked only when it is asked for.  The vector of the mod-p free
-    column f has entry 1 at f and the lifts of the RREF entries at the
-    mod-p pivots before f; when the rows annihilate it exactly, f is not
-    a pivot over Q.  When every free column before f is checked too, the
-    Q-pivots before f are exactly the mod-p pivots: none of those free
-    columns is a Q-pivot, and rank_Q >= rank_p on the columns before f
-    leaves no mod-p pivot out.  So the vector is the one the RREF over Q
-    gives for f, here made primitive, as {column: entry} with keys
-    ascending.  The first lift or check that fails sends the rest to the
-    integer core, which reduces the rows exactly, with no second RREF mod
-    p: the vectors already yielded are its first ones, it goes on from
-    there, and upper becomes the exact dimension.
-
-    columns names the columns in the vectors yielded (ascending, so keys
-    stay ascending); by default column j is j.
+    columns lists the unknowns in ascending order, by the caller's own
+    column numbers: the rows' keys lie among them, and the vectors
+    yielded are keyed by them, keys ascending.  One _rref_mod_p of the
+    rows gives upper = len(columns) - rank_p, an upper bound on the
+    kernel's dimension: a minor that is nonzero mod p is nonzero over Z,
+    so rank_p <= rank_Q.  Iterating yields the kernel vectors in
+    ascending free-column order, and each is lifted and checked only
+    when it is asked for.  The vector of the mod-p free column f has
+    entry 1 at f and the lifts of the RREF entries at the mod-p pivots
+    before f; when the rows annihilate it exactly, f is not a pivot over
+    Q.  When every free column before f is checked too, the Q-pivots
+    before f are exactly the mod-p pivots: none of those free columns is
+    a Q-pivot, and rank_Q >= rank_p on the columns before f leaves no
+    mod-p pivot out.  So the vector is the one the RREF over Q gives for
+    f, here made primitive, as {column: entry} with keys ascending.  The
+    first lift or check that fails sends the rest to the integer core,
+    which reduces the rows exactly, with no second RREF mod p: the
+    vectors already yielded are its first ones, it goes on from there,
+    and upper becomes the exact dimension.
     """
 
-    def __init__(self, rows: Sequence[dict[int, int]], ncols: int,
-                 columns: Sequence[int] | None = None):
-        self.rows, self.ncols = rows, ncols
-        self._columns = columns
+    def __init__(self, rows: Sequence[dict[int, int]], columns: Sequence[int]):
+        self.rows, self.columns = rows, columns
         self._reduced = _rref_mod_p(rows)
-        self._free = [fc for fc in range(ncols) if fc not in self._reduced]
+        self._free = [fc for fc in columns if fc not in self._reduced]
         self.upper = len(self._free)
         self._exact: list[dict[int, int]] | None = None  # the integer core's basis, once a lift fails
-        self._cols: tuple[list[list[tuple[int, int]]], list[list[tuple[int, int]]]] | None = None
+        self._cols: tuple[dict[int, list[tuple[int, int]]], ...] | None = None
 
     def __iter__(self) -> Iterator[dict[int, int]]:
         made = 0
         while self._exact is None and made < len(self._free):
             v = self._lifted(self._free[made])
             if v is None:
-                self._exact = _exact_kernel(self.rows, self.ncols)
+                self._exact = _exact_kernel(self.rows, self.columns)
                 self.upper = len(self._exact)
             else:
                 made += 1
-                yield self._named(v)
-        for v in (self._exact or ())[made:]:
-            yield self._named(v)
-
-    def _named(self, v: dict[int, int]) -> dict[int, int]:
-        columns = self._columns
-        return v if columns is None else {columns[j]: a for j, a in v.items()}
+                yield v
+        yield from (self._exact or ())[made:]
 
     def _lifted(self, fc: int) -> dict[int, int] | None:
         """The checked kernel vector of free column fc, or None when its lift or check fails."""
         if self._cols is None:
-            # column j of the RREF and of the integer rows, as (row key, entry) pairs
-            rref_cols: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+            # each column of the RREF and of the integer rows, as (row key, entry) pairs
+            rref_cols: dict[int, list[tuple[int, int]]] = {j: [] for j in self.columns}
             for pc, row in self._reduced.items():
                 for j, a in row.items():
                     if j != pc:
                         rref_cols[j].append((pc, a))
-            int_cols: list[list[tuple[int, int]]] = [[] for _ in range(self.ncols)]
+            int_cols: dict[int, list[tuple[int, int]]] = {j: [] for j in self.columns}
             for i, row in enumerate(self.rows):
                 for j, a in row.items():
                     int_cols[j].append((i, a))
@@ -297,16 +290,6 @@ class ModularKernel:
             for i, a in int_cols[j]:
                 image[i] = image.get(i, 0) + a * wj
         return None if any(image.values()) else _primitive(w)
-
-
-def integer_kernel(rows: Sequence[dict[int, int]], ncols: int) -> list[dict[int, int]]:
-    """Basis of {v : M v = 0} for sparse integer rows {column: entry}, as the RREF over Q gives it.
-
-    One vector per free column fc, in column order, the RREF's vector
-    made primitive, as {column: entry} with keys ascending: it holds fc
-    and the pivots before it.  The whole of ModularKernel(rows, ncols).
-    """
-    return list(ModularKernel(rows, ncols))
 
 
 class QMatrix:
@@ -331,8 +314,8 @@ class QMatrix:
         self.entries = rows
 
     def kernel_basis(self) -> list[Vector]:
-        """Basis of {v : M v = 0}: integer_kernel's vectors scaled to leading entry 1."""
-        kernel = integer_kernel(integer_rows(self.entries), self.ncols)
+        """Basis of {v : M v = 0}: ModularKernel's vectors scaled to leading entry 1."""
+        kernel = ModularKernel(integer_rows(self.entries), range(self.ncols))
         return [_rational([v.get(j, 0) for j in range(self.ncols)], v[min(v)]) for v in kernel]
 
 

@@ -44,7 +44,7 @@ from math import prod
 from operator import itemgetter
 
 from .arrangement import Arrangement
-from .linalg import IncrementalSpan, ModularKernel, _rref_mod_p, integer_det
+from .linalg import IncrementalSpan, ModularKernel, integer_det
 from .poly import FormalClass, Monomial, monomial_mul, monomials_of_degree, render_terms
 
 
@@ -95,21 +95,17 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial], d0: bool = F
     A coordinate hyperplane x_j adds no rows.  Its rows would be the
     coefficients of theta_j at the monomials free of x_j: unit vectors of
     the columns (j, m) with x_j not dividing m, pivots that no other
-    kernel vector touches.  The kernel is solved on the other columns,
-    and its keys are mapped back to the full layout: the same RREF basis.
-    With d0 the system leaves out every column of theta_0 as well: its
-    kernel is D_0(A)_d = {theta in D(A)_d : theta_0 = 0}.
+    kernel vector touches.  The kernel is solved on the other columns, in
+    the layout's own numbering j * per + k: the same RREF basis.  With d0
+    the system leaves out every column of theta_0 as well: its kernel is
+    D_0(A)_d = {theta in D(A)_d : theta_0 = 0}.
     """
     n1, per = arr.nvars, len(monos)
     forms = arr.integer_forms
     coordinate = {min(a) for a in forms if len(a) == 1}
-    kept: list[int] = []  # the columns left in the system
-    slots: list[list[tuple[int, int]]] = [[] for _ in range(n1)]  # (monomial, kept index) per x_j
+    slots: list[list[int]] = [[] for _ in range(n1)]  # per x_j, k of each kept column j * per + k
     for j in range(1 if d0 else 0, n1):
-        for k, mono in enumerate(monos):
-            if j not in coordinate or mono[j]:
-                slots[j].append((k, len(kept)))
-                kept.append(j * per + k)
+        slots[j] = [k for k, mono in enumerate(monos) if j not in coordinate or mono[j]]
     weight = [(d + 1) ** (n1 - 1 - k) for k in range(n1)]
     codes = [sum(e * w for e, w in zip(mono, weight)) for mono in monos]
     rows: list[dict[int, int]] = []
@@ -132,12 +128,12 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial], d0: bool = F
                 rows.append({})
         scales = [a[pivot] ** (d - e) for e in range(d + 1)]
         for j, c in a.items():
-            for k, i in slots[j]:
-                e = monos[k][pivot]
+            for k in slots[j]:
+                e, i = monos[k][pivot], j * per + k
                 base, scale = codes[k] - e * weight[pivot], c * scales[e]
                 for u, b in powers[e].items():
                     rows[row_of[base + u]][i] = scale * b
-    return ModularKernel(rows, len(kept), kept)
+    return ModularKernel(rows, [j * per + k for j in range(n1) for k in slots[j]])
 
 
 def degree_dimension(arr: Arrangement, d: int) -> int:
@@ -151,7 +147,7 @@ def degree_dimension(arr: Arrangement, d: int) -> int:
     if d < 0:
         return 0
     kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
-    if kernel.upper == kernel.ncols - sum(1 for row in kernel.rows if row):
+    if kernel.upper == len(kernel.columns) - sum(1 for row in kernel.rows if row):
         return kernel.upper
     return len(list(kernel))
 
@@ -180,23 +176,21 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
     At each degree the span of monomial multiples of earlier generators
     is built first; new generators are an echelon-canonical complement
     basis inside the degree-d kernel.  dims[d] is the kernel's upper =
-    N - rank_p(R), for its N columns and residue rows R, certified in one
-    of three ways:
-    - upper = 0, full column rank mod p;
-    - rank_p(multiples) = upper: the degree adds no generator, and no
-      kernel vector is lifted or reduced;
-    - the exact span's rank reaches upper, and then no further kernel
-      vector is lifted.
-    They hold because rank_p <= rank_Q for an integer matrix (a minor
-    nonzero mod p is nonzero over Z), so upper bounds dim D(A)_d from
-    above, and the exact rank of vectors in D(A)_d (the multiples, and
-    the span) bounds it from below.  Where no bound closes, a lift failed
-    and upper is the integer core's exact dimension.  A vector is lifted
-    for the mod-p free columns in ascending order; its check proves its
-    column is not a pivot over Q, and with every earlier free column
-    checked the Q-pivots before it are the mod-p pivots.  So each vector
-    the span takes is the RREF vector over Q of the whole kernel, and the
-    residues, generators and log do not depend on how many are lifted.
+    N - rank_p(R), for its N columns and residue rows R, certified by the
+    exact span alone: it takes the multiples, then kernel vectors while
+    its rank is below upper, and its rank reaching upper closes the
+    degree.  That holds because rank_p <= rank_Q for an integer matrix (a
+    minor nonzero mod p is nonzero over Z), so upper bounds dim D(A)_d
+    from above, and the span's exact rank, of vectors in D(A)_d, bounds
+    it from below.  Multiples that fill D(A)_d reach upper with no lift,
+    and upper = 0 leaves no multiple to add.  Where the span stops short,
+    a lift failed and upper is the integer core's exact dimension.  A
+    vector is lifted for the mod-p free columns in ascending order; its
+    check proves its column is not a pivot over Q, and with every earlier
+    free column checked the Q-pivots before it are the mod-p pivots.  So
+    each vector the span takes is the RREF vector over Q of the whole
+    kernel, and the residues, generators and log do not depend on how
+    many are lifted.
     Early exits: more than n+1 generators (never free), or exactly n+1
     with degree sum |A| (Saito candidate found).
 
@@ -219,24 +213,19 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
         per = len(monos)
         kernel = _degree_kernel(arr, d, monos, d0)
         column = {mono: k for k, mono in enumerate(monos)}
-        multiples = [
-            {j * per + column[monomial_mul(mono, shift)]: c for j, mono, c in g.terms}
-            for g in gens
-            for shift in monomials_of_degree(n1, d - g.degree)
-        ]
+        span = IncrementalSpan(n1 * per)
+        for g in gens:  # the monomial multiples of the generators found so far
+            for shift in monomials_of_degree(n1, d - g.degree):
+                span.add({j * per + column[monomial_mul(mono, shift)]: c for j, mono, c in g.terms})
         fresh = 0
-        if len(multiples) < kernel.upper or len(_rref_mod_p(multiples)) < kernel.upper:
-            span = IncrementalSpan(n1 * per)
-            for row in multiples:
-                span.add(row)
-            vectors = iter(kernel)
-            # below upper the span may not be D(A)_d yet; at upper it is, and
-            # every vector left is dependent, so none is lifted
-            while span.rank < kernel.upper and (v := next(vectors, None)) is not None:
-                residue = span.add(v)
-                if residue is not None:
-                    gens.append(vector_to_derivation(residue, n1, d, monos))
-                    fresh += 1
+        vectors = iter(kernel)
+        # below upper the span may not be D(A)_d yet; at upper it is, and
+        # every vector left is dependent, so none is lifted
+        while span.rank < kernel.upper and (v := next(vectors, None)) is not None:
+            residue = span.add(v)
+            if residue is not None:
+                gens.append(vector_to_derivation(residue, n1, d, monos))
+                fresh += 1
         dims[d] = kernel.upper
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
         if len(gens) > rank:

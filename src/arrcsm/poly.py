@@ -133,8 +133,8 @@ class FormalClass:
             out.append(-sum(self.coeffs[i] * out[k - i] for i in range(1, k + 1)))
         return FormalClass(tuple(out))
 
-    def render(self, var: str = "X") -> str:
-        return render_terms((c, [(var, i)]) for i, c in enumerate(self.coeffs))
+    def render(self) -> str:
+        return render_terms((c, [("X", i)]) for i, c in enumerate(self.coeffs))
 
     def _check(self, other: "FormalClass") -> None:
         if self.order != other.order:

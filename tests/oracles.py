@@ -13,7 +13,8 @@ references reach the same objects by other means:
   that Saito's scalar c in det M(theta) = c * Q is checked against.
 - fraction_rref, fraction_kernel and fraction_det: plain Gauss-Jordan
   elimination over Fraction that uses no arrcsm code, the reference for
-  linalg's integer core and for integer_det.  primitive scales their
+  linalg's integer core and for integer_det; rref_kernel reads the
+  kernel basis off RREF rows for fraction_kernel.  primitive scales their
   leading-1 vectors to the primitive integer vectors the core returns,
   and dense(v, n) lists a sparse {column: entry} vector of the search
   with its n entries, for comparing the two.
@@ -27,7 +28,7 @@ references reach the same objects by other means:
   rows off a span's dense primitive integer rows, as Flat.span holds
   them.
 - reduction_kernel: D(A)_d from residues modulo each form, with
-  MultiPoly's reduce_mod_linear, solved by fraction_kernel; and
+  MultiPoly's reduce_mod_linear, solved by rref_rows and rref_kernel; and
   evaluation_rows: dense rows that evaluate alpha(theta) at lattice
   points of each hyperplane, reducing nothing modulo a form.  Both are
   oracles for the search's sparse integer residue rows and their kernel;
@@ -354,7 +355,11 @@ def fraction_rref(vectors) -> tuple[tuple[Fraction, ...], ...]:
 
 def fraction_kernel(rows, ncols: int) -> list[tuple[Fraction, ...]]:
     """Kernel basis read off fraction_rref: one vector per free column, leading entry 1."""
-    reduced = fraction_rref(rows)
+    return rref_kernel(fraction_rref(rows), ncols)
+
+
+def rref_kernel(reduced, ncols: int) -> list[tuple[Fraction, ...]]:
+    """Kernel basis of the RREF rows reduced: one vector per free column, leading entry 1."""
     pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
     basis = []
     for fc in (c for c in range(ncols) if c not in pivots):
@@ -507,6 +512,8 @@ def reduction_kernel(arr: Arrangement, d: int) -> list[tuple[Fraction, ...]]:
     its pivot variable (reduce_mod_linear); sum_j a_j theta_j lies in
     (alpha) when the coefficient of each pivot-free monomial in its
     residue vanishes.  Columns are (variable, monomial) as in the search.
+    The kernel is read off rref_rows, the dense integer core, which is
+    pinned to fraction_rref.
     """
     n1 = arr.nvars
     monos = monomials_of_degree(n1, d)
@@ -518,7 +525,7 @@ def reduction_kernel(arr: Arrangement, d: int) -> list[tuple[Fraction, ...]]:
         residues = {m: reduce_mod_linear(MultiPoly(n1, {m: Fraction(1)}), fp) for m in monos}
         for t in (m for m in monos if m[pivot] == 0):
             rows.append([form[j] * residues[m].coefficient(t) for j, m in cols])
-    return fraction_kernel(rows, len(cols))
+    return rref_kernel(rref_rows(rows), len(cols))
 
 
 def evaluation_rows(arr: Arrangement, d: int, monos: list[Monomial]) -> list[list[int]]:

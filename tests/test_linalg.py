@@ -11,7 +11,6 @@ from arrcsm.linalg import (
     QMatrix,
     _rref_mod_p,
     integer_det,
-    integer_kernel,
     integer_rows,
 )
 from oracles import (
@@ -211,7 +210,7 @@ def test_kernel_matches_fraction_rref_on_random_matrices():
         m = _random_matrix(rng)
         expected = fraction_kernel(m.entries, m.ncols)
         assert m.kernel_basis() == expected
-        kernel = ModularKernel(integer_rows(m.entries), m.ncols)
+        kernel = ModularKernel(integer_rows(m.entries), range(m.ncols))
         assert [dense(v, m.ncols) for v in kernel] == [primitive(v) for v in expected]
         certified += kernel._exact is None
     # most small matrices take the certified modular path
@@ -237,7 +236,7 @@ def test_kernel_vectors_hold_their_free_column_and_the_pivots_before_it(monkeypa
         rows = integer_rows(m.entries)
         pivots = set(_rref_mod_p(rows))
         free = [c for c in range(m.ncols) if c not in pivots]
-        kernel = integer_kernel(rows, m.ncols)
+        kernel = list(ModularKernel(rows, range(m.ncols)))
         assert len(kernel) == len(free)
         for fc, v in zip(free, kernel):
             assert list(v) == sorted(v) and list(v)[-1] == fc
@@ -255,7 +254,7 @@ def test_kernel_degenerate_shapes():
               QMatrix([[0, 0], [0, 0]]), QMatrix([[Fraction(1, 3), Fraction(2, 7)]] * 3)):
         assert m.kernel_basis() == fraction_kernel(m.entries, m.ncols)
         expected = [primitive(v) for v in fraction_kernel(m.entries, m.ncols)]
-        kernel = ModularKernel(integer_rows(m.entries), m.ncols)
+        kernel = ModularKernel(integer_rows(m.entries), range(m.ncols))
         assert [dense(v, m.ncols) for v in kernel] == expected
         assert kernel._exact is None
 
@@ -271,7 +270,7 @@ def test_kernel_degenerate_shapes():
 )
 def test_kernel_falls_back_to_fractions(rows, expected):
     m = QMatrix(rows)
-    kernel = ModularKernel(integer_rows(m.entries), m.ncols)
+    kernel = ModularKernel(integer_rows(m.entries), range(m.ncols))
     assert [dense(v, m.ncols) for v in kernel] == [primitive(v) for v in expected]
     assert kernel._exact is not None
     assert m.kernel_basis() == expected == fraction_kernel(m.entries, m.ncols)
@@ -292,7 +291,7 @@ def test_a_failed_lift_goes_on_in_the_integer_core_without_a_second_rref(monkeyp
             monkeypatch.setattr(linalg.ModularKernel, "_lifted",
                                 lambda self, fc: None if next(tries) == k else lifted(self, fc))
             calls.clear()
-            kernel = ModularKernel(rows, m.ncols)
+            kernel = ModularKernel(rows, range(m.ncols))
             assert kernel.upper == len(expected)
             assert [dense(v, m.ncols) for v in kernel] == expected
             assert calls == [1]
@@ -305,15 +304,17 @@ def test_kernel_vectors_are_lifted_only_when_asked_for(monkeypatch):
     lifted = linalg.ModularKernel._lifted
     monkeypatch.setattr(linalg.ModularKernel, "_lifted",
                         lambda self, fc: lifts.append(fc) or lifted(self, fc))
-    kernel = ModularKernel([{0: 1, 1: 1, 3: 2}, {2: 1, 3: -1}], 6)
+    kernel = ModularKernel([{0: 1, 1: 1, 3: 2}, {2: 1, 3: -1}], range(6))
     assert kernel.upper == 4 and lifts == []
     vectors = iter(kernel)
     assert next(vectors) == {0: 1, 1: -1}
     assert lifts == [1]
     assert next(vectors) == {0: 2, 2: -1, 3: -1}
     assert lifts == [1, 3]
-    # columns renames the keys, in order
-    assert list(ModularKernel([{0: 1, 1: 1}], 2, columns=[4, 7])) == [{4: 1, 7: -1}]
+    # the vectors are keyed by the columns given, which need not be 0..N-1;
+    # a column in no row is free
+    assert list(ModularKernel([{4: 1, 7: 1}], [4, 7])) == [{4: 1, 7: -1}]
+    assert list(ModularKernel([{4: 1, 7: 1}], [2, 4, 7])) == [{2: 1}, {4: 1, 7: -1}]
 
 
 def _random_sparse_vectors(rng: random.Random, ncols: int, count: int) -> list[dict[int, int]]:

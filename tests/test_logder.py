@@ -16,7 +16,7 @@ from arrcsm.logder import (
     minimal_generators,
     vector_to_derivation,
 )
-from arrcsm.linalg import IncrementalSpan, integer_kernel, integer_rows
+from arrcsm.linalg import IncrementalSpan, ModularKernel, integer_rows
 from arrcsm.poly import monomials_of_degree
 from oracles import (
     MultiPoly,
@@ -237,7 +237,7 @@ def test_search_vectors_are_primitive_integer_vectors(monkeypatch, fallback):
         span = IncrementalSpan(arr.nvars * len(monos))
         check([residue for v in kernel if (residue := span.add(v)) is not None])
     rows = integer_rows([[Fraction(1, 2), 3, 0, -1], [0, 2, 4, Fraction(2, 3)]])
-    check(integer_kernel(rows, 4))
+    check(list(ModularKernel(rows, range(4))))
 
 
 def test_kernel_entries_past_the_lift_bound_take_the_fallback(monkeypatch):
@@ -255,64 +255,63 @@ def test_kernel_entries_past_the_lift_bound_take_the_fallback(monkeypatch):
     space = log_derivation_space(arr, 3)
     (kernel,) = kernels
     assert kernel._exact is not None
-    rows, ncols = kernel.rows, kernel.ncols
+    rows, ncols = kernel.rows, len(kernel.columns)
     monos = monomials_of_degree(arr.nvars, 3)
     vectors = [derivation_to_vector(theta, monos) for theta in space]
     assert vectors == fraction_kernel([dense(row, ncols) for row in rows], ncols)
     assert max(x.numerator.bit_length() for v in vectors for x in v) > 30
 
 
-def _spy_on_the_search(monkeypatch):
-    """Record each mod-p rank the search takes as (rows, rank), and each exact span's dimension."""
-    ranks, spans = [], []
-    rref_mod_p = logder._rref_mod_p
+def test_multiples_that_fill_a_degree_take_no_kernel_vector(monkeypatch):
+    kernels, spans, lifts = [], [], []
+    lifted = linalg.ModularKernel._lifted
 
-    def recorded_rref(rows):
-        reduced = rref_mod_p(rows)
-        ranks.append((len(rows), len(reduced)))
-        return reduced
+    class RecordedKernel(logder.ModularKernel):
+        def __init__(self, rows, columns):
+            kernels.append(self)
+            super().__init__(rows, columns)
+
+    class RecordedSpan(logder.IncrementalSpan):
+        def __init__(self, dim):
+            spans.append(self)
+            super().__init__(dim)
+
+    def counted(self, fc):
+        lifts.append(kernels.index(self))
+        return lifted(self, fc)
+
+    monkeypatch.setattr(logder, "ModularKernel", RecordedKernel)
+    monkeypatch.setattr(logder, "IncrementalSpan", RecordedSpan)
+    monkeypatch.setattr(linalg.ModularKernel, "_lifted", counted)
+    near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
+    graded = minimal_generators(near_pencil_5, range(near_pencil_5.size + 1))
+    assert graded.generator_degrees == (1, 1, 3)
+    # degree 2: the 6 multiples of the two linear generators span D(A)_2, of
+    # dim 6, so the span reaches the kernel's upper bound and lifts nothing
+    assert graded.dimensions[2] == kernels[2].upper == spans[2].rank == 6
+    assert 2 not in lifts and {1, 3} <= set(lifts)
+
+
+def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
+    # Four lines through (c : 1 : 0), c = 2^61 - 1, and x0 = 0.  The linear
+    # generators carry 1/c, and so do the residue rows: they lose rank mod c,
+    # so N - rank_p(R) exceeds dim D(A)_d at every degree.  The exact span
+    # stays below that bound, the first lift fails, and the integer core
+    # gives each dimension.
+    c = 2**61 - 1
+    arr = parse(f"vars 3\n0 0 1\n1 {-c} 0\n1 {-c} 1\n1 {-c} -1\n1 0 0\n")
+    spans = []
 
     class RecordedSpan(logder.IncrementalSpan):
         def __init__(self, dim):
             spans.append(dim)
             super().__init__(dim)
 
-    monkeypatch.setattr(logder, "_rref_mod_p", recorded_rref)
     monkeypatch.setattr(logder, "IncrementalSpan", RecordedSpan)
-    return ranks, spans
-
-
-def test_degrees_without_new_generators_skip_the_exact_span(monkeypatch):
-    ranks, spans = _spy_on_the_search(monkeypatch)
-    near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
-    graded = minimal_generators(near_pencil_5, range(near_pencil_5.size + 1))
-    assert graded.generator_degrees == (1, 1, 3)
-    # degree 2: the 6 multiples of the two linear generators have rank 6 mod p = dim D(A)_2
-    assert (6, 6) in ranks and graded.dimensions[2] == 6
-    assert spans == [3 * 3, 3 * 10]
-
-
-def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
-    # Four lines through (c : 1 : 0), c = 2^61 - 1, and x0 = 0.  The linear
-    # generators carry 1/c, and so do the residue rows: they lose rank mod c,
-    # so N - rank_p(R) exceeds dim D(A)_d at every degree.  Fewer multiples
-    # than that bound take no mod-p rank, the exact span runs, the first lift
-    # fails, and the integer core gives each dimension.
-    c = 2**61 - 1
-    arr = parse(f"vars 3\n0 0 1\n1 {-c} 0\n1 {-c} 1\n1 {-c} -1\n1 0 0\n")
-    ranks, spans = _spy_on_the_search(monkeypatch)
     graded = minimal_generators(arr, range(arr.size + 1))
     assert graded.search_log[2] == "degree 2: dim 6, 0 new generator(s), total 2"
     assert [graded.dimensions[d] for d in range(4)] == [0, 2, 6, 13]
-    assert ranks == [] and spans == [3 * 1, 3 * 3, 3 * 6, 3 * 10]
-    # a multiples' rank that drops mod p only costs the exact span: on
-    # near_pencil_5 the multiples certify degree 2 unless their rank is 0
-    near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
-    expected = minimal_generators(near_pencil_5, range(near_pencil_5.size + 1))
-    monkeypatch.setattr(logder, "_rref_mod_p", lambda rows: {})  # rank 0: no skip
-    assert minimal_generators(arr, range(arr.size + 1)) == graded
-    assert minimal_generators(near_pencil_5, range(near_pencil_5.size + 1)) == expected
-
+    assert spans == [3 * 1, 3 * 3, 3 * 6, 3 * 10]
 
 
 def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
@@ -321,7 +320,7 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     # generators are independent and dim D(A)_8 = 73, so one kernel vector
     # fills the span; the 72 after it are neither lifted nor reduced
     arr, _ = parse(arrangement_text(3, [[0, 1, t] for t in range(9)] + [[1, 0, 0]])).adapted()
-    ncols = _degree_kernel(arr, 8, monomials_of_degree(3, 8)).ncols
+    ncols = len(_degree_kernel(arr, 8, monomials_of_degree(3, 8)).columns)
     adds, lifts = {}, {}
 
     class CountedSpan(logder.IncrementalSpan):
@@ -332,7 +331,7 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     lifted = linalg.ModularKernel._lifted
 
     def counted(self, fc):
-        lifts[self.ncols] = lifts.get(self.ncols, 0) + 1
+        lifts[len(self.columns)] = lifts.get(len(self.columns), 0) + 1
         return lifted(self, fc)
 
     monkeypatch.setattr(logder, "IncrementalSpan", CountedSpan)
@@ -376,22 +375,24 @@ def test_a_two_term_form_puts_one_entry_per_column(monkeypatch):
     seen = []
 
     class RecordedKernel(logder.ModularKernel):
-        def __init__(self, rows, ncols, columns):
-            seen.append(rows)
-            super().__init__(rows, ncols, columns)
+        def __init__(self, rows, columns):
+            seen.append((rows, columns))
+            super().__init__(rows, columns)
 
     monkeypatch.setattr(logder, "ModularKernel", RecordedKernel)
     for d in range(6):
         monos = monomials_of_degree(BRAID.nvars, d)
+        per = len(monos)
         _degree_kernel(BRAID, d, monos)
-        rows = seen.pop()
-        # the coordinate hyperplanes x0, x1, x2 keep only (k, m) with x_k | m
-        kept = [(k, m) for k in range(4) for m in monos if k == 3 or m[k]]
+        rows, columns = seen.pop()
+        # the coordinate hyperplanes x0, x1, x2 keep only (k, m) with x_k | m,
+        # each at its column k * per + (the index of m)
+        assert columns == [k * per + t for k in range(4) for t, m in enumerate(monos) if k == 3 or m[k]]
         per_form = len(monomials_of_degree(3, d))
         assert len(rows) == 3 * per_form
         for f, (i, j) in enumerate([(0, 1), (0, 2), (1, 2)]):
             entries = [c for row in rows[f * per_form:(f + 1) * per_form] for c in row]
-            assert sorted(entries) == [c for c, (k, _) in enumerate(kept) if k in (i, j)]
+            assert sorted(entries) == [c for c in columns if c // per in (i, j)]
 
 
 def _with_coordinate_hyperplanes(rng):
@@ -412,9 +413,9 @@ def test_coordinate_hyperplanes_add_no_rows_and_keep_the_kernel(monkeypatch):
     seen = []
 
     class RecordedKernel(logder.ModularKernel):
-        def __init__(self, rows, ncols, columns):
-            seen.append((len(rows), ncols))
-            super().__init__(rows, ncols, columns)
+        def __init__(self, rows, columns):
+            seen.append((len(rows), len(columns)))
+            super().__init__(rows, columns)
 
     monkeypatch.setattr(logder, "ModularKernel", RecordedKernel)
     for arr in arrs:

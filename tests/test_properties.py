@@ -11,7 +11,7 @@ from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
 from arrcsm.chow import SurfaceClass
 from arrcsm.cli import _arrangement_payload, _json, _lattice_payload
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
-from arrcsm.linalg import integer_kernel
+from arrcsm.linalg import ModularKernel
 from arrcsm.logder import _degree_kernel, degree_dimension, minimal_generators
 from arrcsm.poly import FormalClass, monomials_of_degree
 from oracles import (
@@ -229,8 +229,8 @@ def test_the_degree_dimension_lies_between_its_two_bounds(arr, d):
     """
     monos = monomials_of_degree(arr.nvars, d)
     kernel = _degree_kernel(arr, d, monos)
-    lower = kernel.ncols - sum(1 for row in kernel.rows if row)
-    dim = len(integer_kernel(kernel.rows, kernel.ncols))
+    lower = len(kernel.columns) - sum(1 for row in kernel.rows if row)
+    dim = len(list(ModularKernel(kernel.rows, kernel.columns)))
     assert lower <= dim <= kernel.upper
     if d <= 2:
         assert dim == len(fraction_kernel(evaluation_rows(arr, d, monos), arr.nvars * len(monos)))
