@@ -159,7 +159,7 @@ def _derivations_payload(
         if freeness.free:
             n = arr.projective_dim
             return sum(comb(d - e + n, n) for e in freeness.exponents if e <= d)
-        return degree_dimension(arr, d)
+        return degree_dimension(arr, d, gb.generators)
 
     dims = [[d, dimension(d)] for d in range(max_degree + 1)]
     return {

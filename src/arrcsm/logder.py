@@ -11,7 +11,9 @@ generators degree by degree, D(A)_d being the exact kernel of sparse
 integer rows, the coefficients of alpha(theta) reduced modulo each form
 alpha (_degree_kernel; a coordinate hyperplane x_j adds no rows: it only
 asks theta_j to lie in x_j * S_(d-1), so the columns it zeroes leave the
-system), then read the scalar c in det M(theta) = c * Q off one integer
+system, and so do the trailing columns of the multiples of the
+generators already found, whose kernel vectors the search would only
+reject), then read the scalar c in det M(theta) = c * Q off one integer
 point where the defining polynomial Q does not vanish: free if and only
 if c != 0 (a scalar determinant, no polynomial products or division).
 The search walks the degrees it is given.  The full walk is 0..|A|: a
@@ -36,7 +38,7 @@ and the final Saito division.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
@@ -79,7 +81,27 @@ def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) ->
     return Derivation(nvars, degree, terms)
 
 
-def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial], d0: bool = False) -> ModularKernel:
+def _trailing_columns(gens: Iterable[Derivation], d: int, column: dict[Monomial, int]) -> set[int]:
+    """T: the trailing (last nonzero) column of each degree-d monomial multiple x^beta * g of gens.
+
+    column maps each monomial of degree d to its index k in the layout.
+    A generator's terms are in layout order, so its last term (j, m) is
+    its trailing column; deg-lex is a monomial order, so x^beta * m stays
+    the least of x^beta * g's monomials at j, and the multiple's
+    trailing column is j * per + column[x^beta * m].  For gens in D(A),
+    each column of T is a free column of D(A)_d's rows (_degree_kernel).
+    """
+    per = len(column)
+    return {
+        g.terms[-1][0] * per + column[monomial_mul(g.terms[-1][1], shift)]
+        for g in gens
+        for shift in monomials_of_degree(g.nvars, d - g.degree)
+    }
+
+
+def _degree_kernel(
+    arr: Arrangement, d: int, monos: list[Monomial], d0: bool = False, trailing: Set[int] = frozenset()
+) -> ModularKernel:
     """The kernel D(A)_d, its primitive vectors sparse in the (variable, monomial) layout.
 
     A form scaled to integers a, with pivot p its first nonzero index, gets
@@ -99,6 +121,25 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial], d0: bool = F
     the layout's own numbering j * per + k: the same RREF basis.  With d0
     the system leaves out every column of theta_0 as well: its kernel is
     D_0(A)_d = {theta in D(A)_d : theta_0 = 0}.
+
+    The columns in trailing leave the system too: T of _trailing_columns,
+    for generators in D(A) (in D_0(A) with d0).  The
+    kernel then has |T| dimensions fewer, and iterating it yields the
+    RREF vectors of the other free columns, unchanged.  Over Q, with R
+    the rows:
+    - T holds only free columns.  A nonzero kernel vector is a
+      combination of the RREF vectors v_f, each 1 at its free column f
+      and nonzero elsewhere only at pivots before f, so its last nonzero
+      column is the last f it takes, a free column.
+    - Dropping T keeps every other vector.  Deleting free columns keeps
+      the pivots of R: the RREF of R with those columns deleted is R's
+      RREF with them deleted.  So v_f for each free f outside T is
+      unchanged, and the kernel of the rest has dimension
+      dim D(A)_d - |T|.
+    - The dropped vectors are dependent.  The multiple with trailing
+      column t is c_t v_t + sum of c_f v_f over free f < t, c_t != 0, so
+      v_t lies in the span of the multiples and the v_f with f < t.
+    With T empty the system is the whole one, with no membership test.
     """
     n1, per = arr.nvars, len(monos)
     forms = arr.integer_forms
@@ -106,6 +147,8 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial], d0: bool = F
     slots: list[list[int]] = [[] for _ in range(n1)]  # per x_j, k of each kept column j * per + k
     for j in range(1 if d0 else 0, n1):
         slots[j] = [k for k, mono in enumerate(monos) if j not in coordinate or mono[j]]
+    if trailing:
+        slots = [[k for k in ks if j * per + k not in trailing] for j, ks in enumerate(slots)]
     weight = [(d + 1) ** (n1 - 1 - k) for k in range(n1)]
     codes = [sum(e * w for e, w in zip(mono, weight)) for mono in monos]
     rows: list[dict[int, int]] = []
@@ -136,20 +179,25 @@ def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial], d0: bool = F
     return ModularKernel(rows, [j * per + k for j in range(n1) for k in slots[j]])
 
 
-def degree_dimension(arr: Arrangement, d: int) -> int:
+def degree_dimension(arr: Arrangement, d: int, generators: Iterable[Derivation] = ()) -> int:
     """dim D(A)_d, from two bounds when they meet, else from the exact kernel.
 
-    With N columns and residue rows R, dim D(A)_d = N - rank_Q(R) lies
+    generators lie in D(A), of degree at most d: the trailing columns T
+    of their degree-d multiples leave the system (_degree_kernel), and
+    dim D(A)_d is |T| plus the kernel of the rest.  With N columns and
+    residue rows R left, that kernel's dimension N - rank_Q(R) lies
     between N - (the nonempty rows of R) and N - rank_p(R), since
     rank_p(R) <= rank_Q(R).  When rank_p(R) is the number of nonempty
     rows the two are equal and no kernel vector is lifted.
     """
     if d < 0:
         return 0
-    kernel = _degree_kernel(arr, d, monomials_of_degree(arr.nvars, d))
+    monos = monomials_of_degree(arr.nvars, d)
+    trailing = _trailing_columns(generators, d, {mono: k for k, mono in enumerate(monos)})
+    kernel = _degree_kernel(arr, d, monos, trailing=trailing)
     if kernel.upper == len(kernel.columns) - sum(1 for row in kernel.rows if row):
-        return kernel.upper
-    return len(list(kernel))
+        return len(trailing) + kernel.upper
+    return len(trailing) + len(list(kernel))
 
 
 @dataclass
@@ -175,22 +223,29 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
 
     At each degree the span of monomial multiples of earlier generators
     is built first; new generators are an echelon-canonical complement
-    basis inside the degree-d kernel.  dims[d] is the kernel's upper =
+    basis inside the degree-d kernel.  The multiples' trailing columns T
+    are free columns of the residue rows, and leave the kernel
+    (_degree_kernel): it hands out the RREF vectors of the other free
+    columns, and the ones it drops, v_t for t in T, lie in the span of
+    the multiples and the v_f with f < t, so the span, which takes the
+    vectors in ascending free-column order, would reject each.  The
+    vectors it takes, and so the residues, generators and log, are those
+    of the whole kernel.  dims[d] is |T| + the kernel's upper =
     N - rank_p(R), for its N columns and residue rows R, certified by the
     exact span alone: it takes the multiples, then kernel vectors while
-    its rank is below upper, and its rank reaching upper closes the
+    its rank is below |T| + upper, and its rank reaching that closes the
     degree.  That holds because rank_p <= rank_Q for an integer matrix (a
-    minor nonzero mod p is nonzero over Z), so upper bounds dim D(A)_d
-    from above, and the span's exact rank, of vectors in D(A)_d, bounds
-    it from below.  Multiples that fill D(A)_d reach upper with no lift,
-    and upper = 0 leaves no multiple to add.  Where the span stops short,
-    a lift failed and upper is the integer core's exact dimension.  A
+    minor nonzero mod p is nonzero over Z), so |T| + upper bounds
+    dim D(A)_d from above, and the span's exact rank, of vectors in
+    D(A)_d, bounds it from below.  Multiples that fill D(A)_d reach it
+    with no lift, and with no generator yet T is empty and there is no
+    multiple to add.  Where the span stops short, a lift failed and upper
+    is the integer core's exact dimension of the smaller system.  A
     vector is lifted for the mod-p free columns in ascending order; its
     check proves its column is not a pivot over Q, and with every earlier
     free column checked the Q-pivots before it are the mod-p pivots.  So
-    each vector the span takes is the RREF vector over Q of the whole
-    kernel, and the residues, generators and log do not depend on how
-    many are lifted.
+    each vector the span takes is the RREF vector over Q, and the
+    residues, generators and log do not depend on how many are lifted.
     Early exits: more than n+1 generators (never free), or exactly n+1
     with degree sum |A| (Saito candidate found).
 
@@ -211,8 +266,9 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
     for d in walked:
         monos = monomials_of_degree(n1, d)
         per = len(monos)
-        kernel = _degree_kernel(arr, d, monos, d0)
         column = {mono: k for k, mono in enumerate(monos)}
+        trailing = _trailing_columns(gens, d, column)
+        kernel = _degree_kernel(arr, d, monos, d0, trailing)
         span = IncrementalSpan(n1 * per)
         for g in gens:  # the monomial multiples of the generators found so far
             for shift in monomials_of_degree(n1, d - g.degree):
@@ -221,12 +277,12 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
         vectors = iter(kernel)
         # below upper the span may not be D(A)_d yet; at upper it is, and
         # every vector left is dependent, so none is lifted
-        while span.rank < kernel.upper and (v := next(vectors, None)) is not None:
+        while span.rank < len(trailing) + kernel.upper and (v := next(vectors, None)) is not None:
             residue = span.add(v)
             if residue is not None:
                 gens.append(vector_to_derivation(residue, n1, d, monos))
                 fresh += 1
-        dims[d] = kernel.upper
+        dims[d] = len(trailing) + kernel.upper
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
         if len(gens) > rank:
             exit_reason = "overflow"

@@ -263,6 +263,8 @@ def test_kernel_entries_past_the_lift_bound_take_the_fallback(monkeypatch):
 
 
 def test_multiples_that_fill_a_degree_take_no_kernel_vector(monkeypatch):
+    near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
+    unpruned = _degree_kernel(near_pencil_5, 2, monomials_of_degree(3, 2))
     kernels, spans, lifts = [], [], []
     lifted = linalg.ModularKernel._lifted
 
@@ -283,13 +285,39 @@ def test_multiples_that_fill_a_degree_take_no_kernel_vector(monkeypatch):
     monkeypatch.setattr(logder, "ModularKernel", RecordedKernel)
     monkeypatch.setattr(logder, "IncrementalSpan", RecordedSpan)
     monkeypatch.setattr(linalg.ModularKernel, "_lifted", counted)
-    near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
     graded = minimal_generators(near_pencil_5, range(near_pencil_5.size + 1))
     assert graded.generator_degrees == (1, 1, 3)
     # degree 2: the 6 multiples of the two linear generators span D(A)_2, of
-    # dim 6, so the span reaches the kernel's upper bound and lifts nothing
-    assert graded.dimensions[2] == kernels[2].upper == spans[2].rank == 6
+    # dim 6.  Their 6 trailing columns leave the kernel, whose upper bound
+    # is then 0, so the span reaches 6 + 0 with no kernel vector lifted
+    assert len(unpruned.columns) - len(kernels[2].columns) == 6
+    assert graded.dimensions[2] == spans[2].rank == 6
+    assert kernels[2].upper == 0
     assert 2 not in lifts and {1, 3} <= set(lifts)
+
+
+def test_the_pruned_kernel_is_the_whole_one_less_the_trailing_columns():
+    # near_pencil_6 is free with exponents 1, 1, 4.  Past degree 1 the
+    # multiples of the generators found so far drop their trailing columns
+    # T from the kernel: those are free columns of the whole kernel, whose
+    # other vectors the pruned kernel keeps, in order, and
+    # degree_dimension, given the generators, counts |T| + the rest
+    near_pencil_6 = parse_file(CORPUS / "near_pencil_6.arr")
+    gens = minimal_generators(near_pencil_6, range(near_pencil_6.size + 1)).generators
+    assert [g.degree for g in gens] == [1, 1, 4]
+    sizes = []
+    for d in range(8):
+        monos = monomials_of_degree(3, d)
+        earlier = [g for g in gens if g.degree < d]
+        trailing = logder._trailing_columns(earlier, d, {m: k for k, m in enumerate(monos)})
+        whole = list(_degree_kernel(near_pencil_6, d, monos))
+        pruned = _degree_kernel(near_pencil_6, d, monos, trailing=trailing)
+        assert trailing <= {max(v) for v in whole}
+        assert list(pruned) == [v for v in whole if max(v) not in trailing]
+        assert len(whole) == len(trailing) + pruned.upper == degree_dimension(near_pencil_6, d, gens)
+        sizes.append((len(trailing), pruned.upper))
+    # (|T|, the pruned upper): the degree-4 generator adds its multiples from degree 5
+    assert sizes == [(0, 0), (0, 2), (6, 0), (12, 0), (20, 1), (30, 3), (42, 6), (56, 10)]
 
 
 def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
@@ -317,10 +345,16 @@ def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
 def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     # nine lines through a point and a transversal, in coordinates adapted to
     # them: exponents 1, 1, 8.  At degree 8 the 72 multiples of the linear
-    # generators are independent and dim D(A)_8 = 73, so one kernel vector
-    # fills the span; the 72 after it are neither lifted nor reduced
+    # generators are independent and dim D(A)_8 = 73.  Their 72 trailing
+    # columns leave the kernel, so one kernel vector fills the span, and the
+    # 72 vectors of those columns are never made
     arr, _ = parse(arrangement_text(3, [[0, 1, t] for t in range(9)] + [[1, 0, 0]])).adapted()
-    ncols = len(_degree_kernel(arr, 8, monomials_of_degree(3, 8)).columns)
+    monos = monomials_of_degree(3, 8)
+    linear = minimal_generators(arr, [0, 1]).generators
+    trailing = logder._trailing_columns(linear, 8, {m: k for k, m in enumerate(monos)})
+    assert len(trailing) == 72
+    ncols = len(_degree_kernel(arr, 8, monos, trailing=trailing).columns)
+    assert ncols == len(_degree_kernel(arr, 8, monos).columns) - 72
     adds, lifts = {}, {}
 
     class CountedSpan(logder.IncrementalSpan):
@@ -341,12 +375,12 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     assert graded.dimensions[8] == 73
     assert adds[3 * 45] == 73 and lifts[ncols] == 1
     # a span that never reports its rank takes, and lifts, every kernel
-    # vector, to the same end
+    # vector, to the same end: the one vector of the pruned kernel
     monkeypatch.setattr(CountedSpan, "rank", -1)
     adds.clear()
     lifts.clear()
     assert minimal_generators(arr, range(arr.size + 1)) == graded
-    assert adds[3 * 45] == 72 + 73 and lifts[ncols] == 73
+    assert adds[3 * 45] == 72 + 1 and lifts[ncols] == 1
 
 
 def test_exhausted_walk_names_only_the_degrees_it_searched():

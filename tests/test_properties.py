@@ -2,18 +2,20 @@ import json
 import math
 from fractions import Fraction
 from random import Random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from arrcsm import logder
 from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
 from arrcsm.chow import SurfaceClass
 from arrcsm.cli import _arrangement_payload, _json, _lattice_payload
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
 from arrcsm.linalg import ModularKernel
 from arrcsm.logder import _degree_kernel, degree_dimension, minimal_generators
-from arrcsm.poly import FormalClass, monomials_of_degree
+from arrcsm.poly import FormalClass, monomial_mul, monomials_of_degree
 from oracles import (
     cramer_adapted,
     dense,
@@ -254,6 +256,52 @@ def test_the_search_equals_the_search_over_whole_kernels(rng, shape):
     adapted, _ = arr.adapted()
     d0 = minimal_generators(adapted, degrees, d0=True)
     assert d0 == whole_kernel_search(adapted, degrees, d0=True), adapted.forms
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32).map(Random), st.sampled_from([(3, 8), (4, 6)]), st.booleans())
+def test_the_multiples_trailing_columns_leave_the_kernel(rng, shape, d0):
+    """At each degree the search drops T, the generator multiples' trailing columns.
+
+    Against fraction_kernel of the unpruned rows, at every degree of the
+    full walk, or of the D_0 walk on A' = A.adapted(): T is the last
+    nonzero column of each multiple and a free column; the pruned kernel
+    is the RREF kernel vectors of the other free columns, in order; and
+    dims[d] is the dimension of the whole kernel.
+    """
+    arr = random_rational_arrangement(rng, *shape)
+    if d0:
+        arr, _ = arr.adapted()
+    walked = []
+    pruned_kernel = logder._degree_kernel
+
+    def recorded(arr, d, monos, d0=False, trailing=frozenset()):
+        walked.append((d, trailing))
+        return pruned_kernel(arr, d, monos, d0, trailing)
+
+    with patch.object(logder, "_degree_kernel", recorded):
+        graded = minimal_generators(arr, range(arr.size + 1), d0=d0)
+    assert [d for d, _ in walked] == list(graded.dimensions)
+    for d, trailing in walked:
+        monos = monomials_of_degree(arr.nvars, d)
+        per = len(monos)
+        assert trailing == {
+            max(j * per + monos.index(monomial_mul(m, shift)) for j, m, _ in g.terms)
+            for g in graded.generators if g.degree < d
+            for shift in monomials_of_degree(arr.nvars, d - g.degree)
+        }, (arr.forms, d)
+        whole = _degree_kernel(arr, d, monos, d0)
+        columns = whole.columns
+        expected = fraction_kernel([[row.get(c, 0) for c in columns] for row in whole.rows], len(columns))
+        # each vector's last nonzero entry is the 1 at its free column
+        free = [columns[max(i for i, x in enumerate(v) if x)] for v in expected]
+        assert trailing <= set(free), (arr.forms, d)
+        kept = [
+            {columns[i]: a for i, a in enumerate(primitive(v)) if a}
+            for fc, v in zip(free, expected) if fc not in trailing
+        ]
+        assert list(pruned_kernel(arr, d, monos, d0, trailing)) == kept, (arr.forms, d)
+        assert graded.dimensions[d] == len(expected), (arr.forms, d)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
