@@ -62,7 +62,9 @@ class LinearForm:
     @classmethod
     def make(cls, coeffs) -> "LinearForm":
         """The form on the ray of rational coeffs; ValueError when they are all 0."""
-        v = _integer_vector(coeffs)
+        v = list(coeffs)
+        if not all(type(a) is int for a in v):
+            v = _integer_vector(v)
         g = gcd(*v) if next(filter(None, v), 0) >= 0 else -gcd(*v)
         # g is 0 only for the zero form, which __post_init__ refuses
         return cls(tuple(v) if g in (0, 1) else tuple([a // g for a in v]))
@@ -101,12 +103,19 @@ class Arrangement:
 
         The span is linalg's {pivot column: primitive sparse integer row},
         joined from integer_forms; on its pivot columns the chosen forms make
-        an invertible matrix.  Computed once per arrangement and shared, so
-        no caller mutates the span.
+        an invertible matrix.  The join stops once the span has nvars rows:
+        no later form can raise the rank, and the span is the RREF of all
+        forms either way, since the RREF of a span is unique.  Computed once
+        per arrangement and shared, so no caller mutates the span.
         """
         span: dict[int, dict[int, int]] = {}
-        chosen = tuple(i for i, v in enumerate(self.integer_forms) if _insert(span, v) is not None)
-        return chosen, span
+        chosen: list[int] = []
+        for i, v in enumerate(self.integer_forms):
+            if _insert(span, v) is not None:
+                chosen.append(i)
+                if len(chosen) == self.nvars:
+                    break
+        return tuple(chosen), span
 
     def rank(self) -> int:
         return len(self._independent[0])
@@ -157,18 +166,21 @@ class Arrangement:
 def _parse_rational(token: str, line_no: int) -> int | Fraction:
     """The token's value: an int for ASCII digits after signs, else Fraction's reading.
 
-    int reads such a token without Fraction's regex, and it fails exactly
-    where Fraction does (two signs).  Underscores and non-ASCII digits,
-    which int and Fraction do not treat alike, go to Fraction.
+    A token of at most MAX_TOKEN ASCII characters, decimal after its
+    signs, is read by int, with no exponent check and without Fraction's
+    regex; int fails exactly where Fraction does (two signs, as in --5).
+    Longer tokens, exponents, underscores and non-ASCII digits, which int
+    and Fraction do not treat alike, take the bounds check and then
+    Fraction.
     """
-    exponent = token.lower().partition("e")[2].lstrip("+-").replace("_", "")
-    if len(token) > MAX_TOKEN or exponent.isdecimal() and int(exponent) > MAX_TOKEN:
-        raise ParseError(f"rational {token[:MAX_TOKEN]!r} is over {MAX_TOKEN} characters"
-                         f" or has an exponent over {MAX_TOKEN}", line_no)
+    integer = len(token) <= MAX_TOKEN and token.isascii() and token.lstrip("+-").isdecimal()
+    if not integer:
+        exponent = token.lower().partition("e")[2].lstrip("+-").replace("_", "")
+        if len(token) > MAX_TOKEN or exponent.isdecimal() and int(exponent) > MAX_TOKEN:
+            raise ParseError(f"rational {token[:MAX_TOKEN]!r} is over {MAX_TOKEN} characters"
+                             f" or has an exponent over {MAX_TOKEN}", line_no)
     try:
-        if token.isascii() and token.lstrip("+-").isdecimal():
-            return int(token)
-        return Fraction(token)
+        return int(token) if integer else Fraction(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse rational {token!r}", line_no) from None
 

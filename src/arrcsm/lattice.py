@@ -89,18 +89,32 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     (the RREF of a span is unique, whichever forms built it).
 
     mu by Weisner's theorem (Stanley, Enumerative Combinatorics I, Cor.
-    3.9.3) for the atom of X's smallest hyperplane i: the Y <= X whose
-    join with it is X are X and the Y covered by X that miss i, so
-    mu(X) = -sum mu(Y) over those Y.  The walk meets each pair of a flat
-    and a cover once, level by level, so a flat's sum is complete before
-    its own covers are met; the top sums the flats of codim r - 1 that
-    miss hyperplane 0.
+    3.9.3) for the atom of X's smallest hyperplane a: the Y <= X whose
+    join with it is X are X and the Y covered by X that miss a, so
+    mu(X) = -sum mu(Y) over those Y.  So the walk visits only those
+    pairs.  A group's smallest hyperplane is its first, and the groups of
+    a flat come in order of it: the bottom's groups come in index order,
+    each group of a cover starts with its first contributor, and the
+    groups keep the order of their first contributors.  From a flat Y
+    other than the bottom, the cover of a group is X with a = through[0]
+    exactly when through[0] comes before Y's smallest hyperplane, so the
+    walk leaves Y at its first group past that, before building the
+    cover's index set.  Nothing else is lost: the lattice is geometric,
+    so every flat X of codim c < r has a lower cover Y missing a (extend
+    {a} to a basis of X's forms, then drop a), and Y, of codim
+    c - 1 <= r - 2, is in the walk; by induction on c every flat is
+    found.  The walk goes level by level, so a flat's sum is complete
+    before its own covers are met; the top sums the flats of codim r - 1
+    that miss hyperplane 0.
 
     The flats come in order of codim, then RREF rows.  A span row is its
     pivot entry times its RREF row, so with scale the lcm of every pivot
     entry, the row times scale // (its pivot entry) is scale times its
     RREF row: ints that order like the RREF rows, so the sort makes and
-    compares no Fraction.  When scale is 1 the span is its own key.
+    compares no Fraction.  The pivot entries are gathered as the rows
+    are made: the top's, each residue's lead, and each stepped row's
+    entry at its pivot; a row a join leaves as it is keeps its entry.
+    When scale is 1 the span is its own key.
     """
     top = arr._independent[1]
     r = len(top)
@@ -110,6 +124,8 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
             tuple(top[pc].get(j, 0) for j in range(arr.nvars)) for pc in sorted(top)
         ),
     }
+    # every pivot entry of every span row, as the row is made
+    leads = {top[pc][pc] for pc in top}
     mus = {(): 1}
     covers = {f.coeffs: (i,) for i, f in enumerate(arr.forms)}
     # (closed index set, pivots, span, {residue: the forms outside it with that residue})
@@ -117,22 +133,26 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     while frontier:
         nxt = []
         for indices, pivots, span, covers in frontier:
+            first = indices[0] if indices else arr.size
             for residue, through in covers.items():
+                # Weisner: the covers whose smallest hyperplane this flat misses
+                if through[0] > first:
+                    break
                 cover = tuple(sorted(indices + through))
-                # Weisner: does this flat miss the cover's first hyperplane?
-                if not indices or cover[0] < indices[0]:
-                    mus[cover] = mus.get(cover, 0) - mus[indices]
+                mus[cover] = mus.get(cover, 0) - mus[indices]
                 if cover in found:
                     continue
                 p = next(filter(None, residue))
+                leads.add(p)
                 lead = residue.index(p)
                 joined = []
-                for row in span:
+                for pc, row in zip(pivots, span):
                     c = row[lead]
                     if c:
                         w = [p * a - c * b for a, b in zip(row, residue)]
                         g = gcd(*w)
                         row = tuple([a // g for a in w]) if g > 1 else tuple(w)
+                        leads.add(row[pc])
                     joined.append(row)
                 at = bisect(pivots, lead)
                 joined.insert(at, residue)
@@ -156,7 +176,7 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
         below = (x for x, span in found.items() if len(span) == r - 1 and 0 not in x)
         mus[tuple(range(arr.size))] = -sum(mus[x] for x in below)
     spans = list(found.values())
-    scale = lcm(*(next(filter(None, row)) for span in spans for row in span))
+    scale = lcm(*leads)
 
     def scaled(row: tuple[int, ...]) -> tuple[int, ...]:
         m = scale // next(filter(None, row))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable
 
 Monomial = tuple[int, ...]
@@ -27,7 +28,7 @@ Scalar = int | Fraction
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:

@@ -17,6 +17,7 @@ from arrcsm.arrangement import (
     parse_file,
 )
 from oracles import MultiPoly, defining_polynomial, single
+from property_checks import arrangement_text
 
 THREE_CONCURRENT = "vars 3\n0 1 0\n0 0 1\n0 1 1\n"
 
@@ -43,6 +44,9 @@ def test_canonicalization_leading_one():
     assert LinearForm.make([0, -4, -6]).coeffs == (0, 2, 3)
     with pytest.raises(ValueError):
         LinearForm.make([0, Fraction(0), 0])
+    # an iterable is read once: ints skip the integer vector, a Fraction does not
+    assert LinearForm.make(a for a in (0, -4, -6)).coeffs == (0, 2, 3)
+    assert LinearForm.make(a for a in (0, Fraction(-1, 2), 1)).coeffs == (0, 1, -2)
 
 
 def test_duplicate_collapse_with_warning():
@@ -245,3 +249,49 @@ def test_integer_tokens_parse_as_fraction_reads_them(monkeypatch, token):
 def test_integer_token_is_its_fraction(token):
     value = _parse_rational(token, 1)
     assert type(value) is int and value == Fraction(token)
+
+
+@pytest.mark.parametrize(
+    "token,expected",
+    [
+        ("7", 7),
+        ("-7", -7),
+        ("+-3", "cannot parse rational '+-3'"),
+        ("--5", "cannot parse rational '--5'"),
+        ("1" * 101, f"rational '{'1' * 100}' is over 100 characters or has an exponent over 100"),
+        ("1e5", Fraction(100000)),
+        ("1E+101", "rational '1E+101' is over 100 characters or has an exponent over 100"),
+        ("1_0", Fraction(10)),
+        ("\u0663", Fraction(3)),
+        ("3/4", Fraction(3, 4)),
+        ("0.5", Fraction(1, 2)),
+    ],
+)
+def test_parse_rational_values_and_errors(token, expected):
+    # integers up to MAX_TOKEN characters take int; the rest the bounds check, then Fraction
+    if isinstance(expected, str):
+        with pytest.raises(ParseError) as exc:
+            _parse_rational(token, 4)
+        assert (str(exc.value), exc.value.line) == (f"line 4: {expected}", 4)
+    else:
+        value = _parse_rational(token, 4)
+        assert (type(value), value) == (type(expected), expected)
+
+
+def test_independent_forms_stop_at_full_rank(monkeypatch):
+    # once the span has nvars rows no form can raise the rank: 3 joins for
+    # 12 generic lines, 4 for 12 generic planes in P^3; braid A4 has rank 4
+    # in 5 coordinates, so every one of its 10 forms is joined
+    calls = []
+    insert = arrangement._insert
+    monkeypatch.setattr(arrangement, "_insert", lambda rows, v: calls.append(1) or insert(rows, v))
+    moment = [arrangement_text(n, [[t**k for k in range(n)] for t in range(1, 13)]) for n in (3, 4)]
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    braid = arrangement_text(5, [[(c == i) - (c == j) for c in range(5)] for i, j in pairs])
+    counts = []
+    for text in moment + [braid]:
+        calls.clear()
+        arr = parse(text)
+        assert len(arr._independent[0]) == arr.rank()
+        counts.append((arr.rank(), len(calls), len(arr._independent[1])))
+    assert counts == [(3, 3, 3), (4, 4, 4), (4, 10, 4)]

@@ -308,12 +308,36 @@ def _random_rows(rng: random.Random, nvars: int) -> list[list[int]]:
     return [r for r in rows if any(r)]
 
 
+def _nested_rows(rng: random.Random, nvars: int) -> list[list[int]]:
+    """Seven forms from nested spans of 2, 3 and 4 generators and one random form, shuffled.
+
+    The forms of each span meet in one flat, so flats of codim 3 and 4
+    hold many hyperplanes, and their Weisner sums have several terms.
+    """
+    gens = [[rng.randint(-2, 2) for _ in range(nvars)] for _ in range(4)]
+    rows = [[rng.randint(-2, 2) for _ in range(nvars)]]
+    for k, count in ((2, 3), (3, 2), (4, 2)):
+        for _ in range(count):
+            weights = [rng.randint(-2, 2) for _ in range(k)]
+            rows.append([sum(w * g[j] for w, g in zip(weights, gens)) for j in range(nvars)])
+    rng.shuffle(rows)
+    return [r for r in rows if any(r)]
+
+
+def _weisner_terms(flats, x) -> int:
+    """The flats covered by x that miss x's smallest hyperplane: the terms of Weisner's sum for mu(x)."""
+    return sum(
+        y.codim == x.codim - 1 and set(y.indices) < set(x.indices) and min(x.indices) not in y.indices
+        for y in flats
+    )
+
+
 def test_lattice_matches_brute_force_over_subsets():
     rng = random.Random(8080)
-    essential = nonessential = concurrent = 0
-    for _ in range(200):
-        nvars = rng.randint(2, 4)
-        rows = _random_rows(rng, nvars)
+    essential = nonessential = concurrent = several = 0
+    shapes = [(rng.randint(2, 4), _random_rows) for _ in range(200)] + [(5, _nested_rows)] * 12
+    for nvars, draw in shapes:
+        rows = draw(rng, nvars)
         arr = parse(arrangement_text(nvars, rows))
         flats = build_lattice(arr).flats
         assert {(f.indices, f.codim, f.mu) for f in flats} == _brute_force_flats(arr), arr.forms
@@ -322,7 +346,9 @@ def test_lattice_matches_brute_force_over_subsets():
         essential += arr.rank() == nvars
         nonessential += arr.size > 0 and arr.rank() != nvars
         concurrent += any(f.codim == 2 and len(f.indices) >= 3 for f in flats)
-    assert essential > 20 and nonessential > 20 and concurrent > 20
+        # in 5 variables, a flat of codim 3 or 4 whose Weisner sum has two terms or more
+        several += nvars == 5 and any(_weisner_terms(flats, x) >= 2 for x in flats if x.codim in (3, 4))
+    assert essential > 20 and nonessential > 20 and concurrent > 20 and several == 12
 
 
 def test_flats_come_in_codim_then_rref_order():
@@ -366,6 +392,29 @@ def test_walk_reduces_no_residue_against_flats_one_below_the_top(monkeypatch):
     )
     build_lattice(_moment_curve(3, 12))
     assert sorted(lines.values()) == [66, 12 * 11]
+
+
+def _cover_visits(monkeypatch, arr) -> int:
+    """The (flat, cover) pairs build_lattice visits: each sorts the cover's index tuple once."""
+    visits = []
+    with monkeypatch.context() as m:
+        m.setattr(lattice, "sorted", lambda a: visits.append(type(a) is tuple) or sorted(a), raising=False)
+        build_lattice(arr)
+    return sum(visits)
+
+
+def test_walk_visits_only_weisners_cover_pairs(monkeypatch):
+    # a pair Y < X counts toward mu(X) only when Y misses X's smallest
+    # hyperplane: a point {i, j}, i < j, of generic lines is met from {j}
+    # alone (12 + 66, not 12 + 2 * 66), and a point {i, j, k} of generic
+    # planes from {j, k} alone
+    assert _cover_visits(monkeypatch, _moment_curve(3, 12)) == 12 + 66
+    assert _cover_visits(monkeypatch, _moment_curve(4, 12)) == 12 + 66 + 220
+    # braid A4: the pairs Y covered by X, X below the top, with min X not in Y
+    arr = _braid(4)
+    flats = build_lattice(arr).flats
+    pairs = sum(_weisner_terms(flats, x) for x in flats if x.codim < arr.rank())
+    assert _cover_visits(monkeypatch, arr) == pairs == 81
 
 
 def _count_fractions(monkeypatch) -> list:
