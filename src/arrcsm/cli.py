@@ -23,15 +23,15 @@ print warnings, emit JSON, turn errors into exit codes.
 
 verify and corpus print only the freeness verdict and the exponents, so
 their search runs on A in coordinates adapted to it (Arrangement.adapted),
-where the first form is x_0.  It searches D_0(A) = {theta : theta_0 = 0},
-the complement of the Euler field theta_E's multiples in
-D(A) = S*theta_E (+) D_0(A), and puts theta_E in front of the generators
-before Saito's check.  It walks only the roots of chi(A, t) / (t - 1)
-when that splits over the nonnegative integers, running the full walk of
-D_0(A) after it only when that walk does not certify freeness
-(_guided_freeness).  freeness, derivations and report print the
-generators, Saito's scalar and the per-degree search of D(A), so they
-keep the full walk of D(A) in input coordinates.
+where the first form is x_0.  D(A) = S*theta_E (+) D_0(A) there, with
+D_0(A) = {theta : theta_0 = 0}, so the search (minimal_generators with
+d0) puts the Euler field theta_E first among the generators and solves
+its kernels in D_0(A) alone.  It walks only the roots of
+chi(A, t) / (t - 1) when that splits over the nonnegative integers,
+running the full walk of D_0(A) after it only when that walk does not
+certify freeness (_guided_freeness).  freeness, derivations and report
+print the generators, Saito's scalar and the per-degree search of D(A),
+so they keep the full walk of D(A) in input coordinates.
 
 Exit codes: 0 success / verified, 1 a verification failed, 2 input error,
 3 internal error (a consistency check inside arrcsm failed).
@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from collections.abc import Iterable
 from dataclasses import replace
 from functools import cache
 from json.encoder import encode_basestring_ascii
@@ -73,7 +72,6 @@ from .lattice import (
     render_poly_in_t,
 )
 from .logder import (
-    Derivation,
     FreenessReport,
     GradedBasis,
     decide_freeness,
@@ -225,35 +223,23 @@ def _full_search(arr: Arrangement) -> GradedBasis:
     return minimal_generators(arr, range(arr.size + 1))
 
 
-def _d0_freeness(adapted: Arrangement, degrees: Iterable[int]) -> FreenessReport:
-    """Saito's decision on theta_E and the generators of D_0(A') found in the given degrees.
-
-    The first form of A' is x_0, so D(A') = S*theta_E (+) D_0(A') with
-    D_0(A') = {theta : theta_0 = 0} (Orlik & Terao, Prop. 4.27), and
-    theta_E followed by a basis of D_0(A') is a basis of D(A').
-    """
-    graded = minimal_generators(adapted, degrees, d0=True)
-    n1 = adapted.nvars
-    euler = Derivation(n1, 1, tuple((j, tuple(int(k == j) for k in range(n1)), 1) for j in range(n1)))
-    return decide_freeness(adapted, replace(graded, generators=(euler,) + graded.generators))
-
-
 def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessReport:
     """Saito's decision on A', A in coordinates adapted to it, with the exponents of A.
 
     The search runs on A' = arr.adapted(): its first rank A independent
     forms are coordinate hyperplanes there, which cost the kernels no
     rows, and the exponents of A are those of A' and n+1-r zeros for the
-    lineality space.  The first form is x'_0, so the search runs on
-    D_0(A') and theta_E comes first among the generators (_d0_freeness);
-    the report's generators, scalar and log are those of that search on
-    A'.  If A' is free, the exponents of D_0(A') are those of A' but one
-    1, the roots of chi(A', t) / (t - 1) = chi(A, t) / (t^(n+1-r) (t - 1))
-    (Terao's factorization, Orlik & Terao Thm 4.137), so the walk over
-    those distinct roots finds the generators, the exponents and the
-    scalar of the full walk of D_0(A').  A free verdict on that walk is
-    certified by Saito's criterion alone (Orlik & Terao, Prop. 4.12),
-    since exponents are unique; any other outcome, or a chi that does not
+    lineality space.  The first form is x'_0, so the search solves its
+    kernels in D_0(A') and puts theta_E first among the generators
+    (minimal_generators with d0); the report's generators, scalar and
+    log are those of that search on A'.  If A' is free, the exponents of
+    D_0(A') are those of A' but one 1, the roots of
+    chi(A', t) / (t - 1) = chi(A, t) / (t^(n+1-r) (t - 1)) (Terao's
+    factorization, Orlik & Terao Thm 4.137), so the walk over those
+    distinct roots finds the generators, the exponents and the scalar of
+    the full walk of D_0(A').  A free verdict on that walk is certified
+    by Saito's criterion alone (Orlik & Terao, Prop. 4.12), since
+    exponents are unique; any other outcome, or a chi that does not
     split over the nonnegative integers, falls back to the full walk of
     D_0(A'), degrees 0..|A| - 1, their sum.  The verdict is never read
     off chi.  The empty A' has no x'_0 and keeps the full walk of D(A').
@@ -264,9 +250,10 @@ def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessRepo
     roots = integer_roots(reduced_char_poly(lat))
     report = None
     if roots is not None:
-        report = _d0_freeness(adapted, sorted(set(roots[lineality:])))
+        degrees = sorted(set(roots[lineality:]))
+        report = decide_freeness(adapted, minimal_generators(adapted, degrees, d0=True))
     if report is None or not report.free:
-        report = _d0_freeness(adapted, range(adapted.size))
+        report = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size), d0=True))
     if report.free:
         report = replace(report, exponents=(0,) * lineality + report.exponents)
     return report
@@ -351,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_report = on_file("report", "full report: lattice, classes, freeness, verification")
     p_report.add_argument("--primes", help=primes_help)
-    p_report.add_argument("--max-degree", type=int, default=3)
+    p_report.add_argument("--max-degree", type=int, default=3, help="largest degree to tabulate")
 
     p_corpus = sub.add_parser("corpus", help="verify every .arr file in a directory")
     p_corpus.add_argument("--input", required=True, help="directory of .arr files")

@@ -26,10 +26,10 @@ verify searches Arrangement.adapted(), where the first rank A
 independent forms are coordinate hyperplanes, and adds a zero exponent
 per dimension of the lineality space.  There the first form is x_0, so
 D(A) = S*theta_E (+) D_0(A) with D_0(A) = {theta in D(A) : theta_0 = 0}
-(Orlik & Terao, Prop. 4.27): verify searches D_0(A) (minimal_generators
-with d0), whose kernels leave out the C(d+n-1, n) multiples of the Euler
-field theta_E at each degree d, and puts theta_E in front of what it
-finds, the one exponent 1 that D_0(A) lacks.
+(Orlik & Terao, Prop. 4.27): minimal_generators with d0 puts the Euler
+field theta_E first among the generators and solves each kernel in
+D_0(A) alone, counting the C(d+n-1, n) multiples of theta_E at degree d
+without solving for them.  Either walk's result describes D(A).
 
 A Derivation keeps the search's integer vector; multiples, rendering and
 Saito's integer determinant read it, and Fractions appear only in render
@@ -42,7 +42,7 @@ from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
-from math import prod
+from math import comb, prod
 from operator import itemgetter
 
 from .arrangement import Arrangement
@@ -81,24 +81,6 @@ def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) ->
     return Derivation(nvars, degree, terms)
 
 
-def _trailing_columns(gens: Iterable[Derivation], d: int, column: dict[Monomial, int]) -> set[int]:
-    """T: the trailing (last nonzero) column of each degree-d monomial multiple x^beta * g of gens.
-
-    column maps each monomial of degree d to its index k in the layout.
-    A generator's terms are in layout order, so its last term (j, m) is
-    its trailing column; deg-lex is a monomial order, so x^beta * m stays
-    the least of x^beta * g's monomials at j, and the multiple's
-    trailing column is j * per + column[x^beta * m].  For gens in D(A),
-    each column of T is a free column of D(A)_d's rows (_degree_kernel).
-    """
-    per = len(column)
-    return {
-        g.terms[-1][0] * per + column[monomial_mul(g.terms[-1][1], shift)]
-        for g in gens
-        for shift in monomials_of_degree(g.nvars, d - g.degree)
-    }
-
-
 def _degree_kernel(
     arr: Arrangement, d: int, monos: list[Monomial], d0: bool = False, trailing: Set[int] = frozenset()
 ) -> ModularKernel:
@@ -122,11 +104,11 @@ def _degree_kernel(
     the system leaves out every column of theta_0 as well: its kernel is
     D_0(A)_d = {theta in D(A)_d : theta_0 = 0}.
 
-    The columns in trailing leave the system too: T of _trailing_columns,
-    for generators in D(A) (in D_0(A) with d0).  The
-    kernel then has |T| dimensions fewer, and iterating it yields the
-    RREF vectors of the other free columns, unchanged.  Over Q, with R
-    the rows:
+    The columns in trailing leave the system too: T, the trailing (last
+    nonzero) columns of the degree-d multiples of generators in D(A) (in
+    D_0(A) with d0; _degree_system).  The kernel then has |T| dimensions
+    fewer, and iterating it yields the RREF vectors of the other free
+    columns, unchanged.  Over Q, with R the rows:
     - T holds only free columns.  A nonzero kernel vector is a
       combination of the RREF vectors v_f, each 1 at its free column f
       and nonzero elsewhere only at pivots before f, so its last nonzero
@@ -179,25 +161,44 @@ def _degree_kernel(
     return ModularKernel(rows, [j * per + k for j in range(n1) for k in slots[j]])
 
 
+def _degree_system(
+    arr: Arrangement, d: int, gens: Iterable[Derivation], d0: bool = False
+) -> tuple[list[Monomial], list[dict[int, int]], int, ModularKernel]:
+    """Degree d's monomials, the multiples of gens, |T| and the kernel without T's columns.
+
+    The multiples are the sparse layout vectors of x^beta * g, for each g
+    in gens and each monomial x^beta of degree d - deg g, keys ascending.
+    T is their trailing (largest) columns: for gens in D(A) (in D_0(A)
+    with d0) they are free columns of D(A)_d's rows, and leave the kernel
+    (_degree_kernel).
+    """
+    monos = monomials_of_degree(arr.nvars, d)
+    per = len(monos)
+    column = {mono: k for k, mono in enumerate(monos)}
+    multiples = [
+        {j * per + column[monomial_mul(mono, shift)]: c for j, mono, c in g.terms}
+        for g in gens
+        for shift in monomials_of_degree(arr.nvars, d - g.degree)
+    ]
+    trailing = {max(v) for v in multiples}
+    return monos, multiples, len(trailing), _degree_kernel(arr, d, monos, d0, trailing)
+
+
 def degree_dimension(arr: Arrangement, d: int, generators: Iterable[Derivation] = ()) -> int:
     """dim D(A)_d, from two bounds when they meet, else from the exact kernel.
 
-    generators lie in D(A), of degree at most d: the trailing columns T
-    of their degree-d multiples leave the system (_degree_kernel), and
-    dim D(A)_d is |T| plus the kernel of the rest.  With N columns and
-    residue rows R left, that kernel's dimension N - rank_Q(R) lies
-    between N - (the nonempty rows of R) and N - rank_p(R), since
-    rank_p(R) <= rank_Q(R).  When rank_p(R) is the number of nonempty
-    rows the two are equal and no kernel vector is lifted.
+    generators lie in D(A): the trailing columns T of their degree-d
+    multiples leave the system (_degree_system), and dim D(A)_d is |T|
+    plus the kernel of the rest.  With N columns and residue rows R left,
+    that kernel's dimension N - rank_Q(R) lies between N - (the nonempty
+    rows of R) and N - rank_p(R), since rank_p(R) <= rank_Q(R).  When
+    rank_p(R) is the number of nonempty rows the two are equal and no
+    kernel vector is lifted.
     """
-    if d < 0:
-        return 0
-    monos = monomials_of_degree(arr.nvars, d)
-    trailing = _trailing_columns(generators, d, {mono: k for k, mono in enumerate(monos)})
-    kernel = _degree_kernel(arr, d, monos, trailing=trailing)
+    _, _, known, kernel = _degree_system(arr, d, generators)
     if kernel.upper == len(kernel.columns) - sum(1 for row in kernel.rows if row):
-        return len(trailing) + kernel.upper
-    return len(trailing) + len(list(kernel))
+        return known + kernel.upper
+    return known + len(list(kernel))
 
 
 @dataclass
@@ -249,51 +250,49 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
     Early exits: more than n+1 generators (never free), or exactly n+1
     with degree sum |A| (Saito candidate found).
 
-    With d0 the search runs on D_0(A) = {theta in D(A) : theta_0 = 0}
-    instead, for an A whose first form is x_0.  Then
-    D(A) = S*theta_E (+) D_0(A) (Orlik & Terao, Prop. 4.27): the Euler
-    field takes one exponent 1, and the exits are at more than n
-    generators, or exactly n with degree sum |A| - 1.  Every dimension is
-    that of D_0(A)_d, C(d+n-1, n) below dim D(A)_d.
+    With d0, for an A whose first form is x_0, theta_E comes first among
+    the generators and the kernels are those of D_0(A) =
+    {theta in D(A) : theta_0 = 0}; D(A) = S*theta_E (+) D_0(A) (Orlik &
+    Terao, Prop. 4.27).  Only the generators after theta_E add multiples
+    to the span and T, and dims[d] also counts theta_E's multiples, one
+    per monomial of degree d - 1, which have theta_0 != 0 and so lie
+    outside the kernel.  The dimensions, generator degrees and exits are
+    then those of the full walk; the generators after theta_E are
+    D_0(A)'s.
     """
     n1 = arr.nvars
-    rank, total = (n1 - 1, arr.size - 1) if d0 else (n1, arr.size)
-    gens: list[Derivation] = []
+    euler = Derivation(n1, 1, tuple((j, tuple(int(k == j) for k in range(n1)), 1) for j in range(n1)))
+    gens: list[Derivation] = [euler] if d0 else []
     dims: dict[int, int] = {}
     log: list[str] = []
     exit_reason = "exhausted"
     walked = list(degrees)
     for d in walked:
-        monos = monomials_of_degree(n1, d)
-        per = len(monos)
-        column = {mono: k for k, mono in enumerate(monos)}
-        trailing = _trailing_columns(gens, d, column)
-        kernel = _degree_kernel(arr, d, monos, d0, trailing)
-        span = IncrementalSpan(n1 * per)
-        for g in gens:  # the monomial multiples of the generators found so far
-            for shift in monomials_of_degree(n1, d - g.degree):
-                span.add({j * per + column[monomial_mul(mono, shift)]: c for j, mono, c in g.terms})
+        monos, multiples, known, kernel = _degree_system(arr, d, gens[1:] if d0 else gens, d0)
+        span = IncrementalSpan(n1 * len(monos))
+        for v in multiples:
+            span.add(v)
         fresh = 0
         vectors = iter(kernel)
         # below upper the span may not be D(A)_d yet; at upper it is, and
         # every vector left is dependent, so none is lifted
-        while span.rank < len(trailing) + kernel.upper and (v := next(vectors, None)) is not None:
+        while span.rank < known + kernel.upper and (v := next(vectors, None)) is not None:
             residue = span.add(v)
             if residue is not None:
                 gens.append(vector_to_derivation(residue, n1, d, monos))
                 fresh += 1
-        dims[d] = len(trailing) + kernel.upper
+        dims[d] = known + kernel.upper + (comb(d + n1 - 2, n1 - 1) if d0 and d else 0)
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
-        if len(gens) > rank:
+        if len(gens) > n1:
             exit_reason = "overflow"
             log.append(
-                f"stopped at degree {d}: {len(gens)} generators exceed the rank bound {rank}"
+                f"stopped at degree {d}: {len(gens)} generators exceed the rank bound {n1}"
             )
             break
-        if len(gens) == rank and sum(g.degree for g in gens) == total:
+        if len(gens) == n1 and sum(g.degree for g in gens) == arr.size:
             exit_reason = "complete"
             log.append(
-                f"stopped at degree {d}: {rank} generators with degree sum {total}"
+                f"stopped at degree {d}: {n1} generators with degree sum {arr.size}"
             )
             break
     else:

@@ -37,7 +37,9 @@ references reach the same objects by other means:
 - whole_kernel_search: minimal_generators as it was before the search
   took kernel vectors on demand: every degree solves its whole kernel,
   and every multiple and kernel vector goes to the dense integer core
-  above, with no mod-p rank and no early stop.
+  above, with no mod-p rank and no early stop.  euler_field is theta_E,
+  its first generator on the D_0 walk.  trailing_columns is T, the last
+  nonzero column of each generator multiple, found by list index.
 - cramer_adapted: Arrangement.adapted() by Cramer's rule, one set of r
   determinants per form, for the one adjugate the package takes.
 - poly_from_roots: the monic polynomial with given roots, for Terao's
@@ -560,11 +562,31 @@ def log_derivation_space(arr: Arrangement, d: int) -> list[Derivation]:
     return [vector_to_derivation(v, arr.nvars, d, monos) for v in _degree_kernel(arr, d, monos)]
 
 
+def euler_field(nvars: int) -> Derivation:
+    """The Euler derivation sum x_j d/dx_j, of degree 1."""
+    return Derivation(
+        nvars, 1, tuple((j, tuple(int(k == j) for k in range(nvars)), 1) for j in range(nvars))
+    )
+
+
+def trailing_columns(gens: Iterable[Derivation], d: int, monos: list[Monomial]) -> set[int]:
+    """The last nonzero column of each degree-d multiple x^beta * g of gens, in the search's layout."""
+    return {
+        max(j * len(monos) + monos.index(monomial_mul(m, shift)) for j, m, _ in g.terms)
+        for g in gens
+        for shift in monomials_of_degree(g.nvars, d - g.degree)
+    }
+
+
 def whole_kernel_search(arr: Arrangement, degrees, d0: bool = False) -> GradedBasis:
-    """minimal_generators(arr, degrees, d0=d0), from whole kernels and the dense integer core."""
+    """minimal_generators(arr, degrees, d0=d0), from whole kernels and the dense integer core.
+
+    With d0 the Euler field is the first generator, and dims[d] is the
+    D_0 kernel's dimension plus its multiples, one per monomial of
+    degree d - 1; only the generators after it add multiples to the span.
+    """
     n1 = arr.nvars
-    rank, total = (n1 - 1, arr.size - 1) if d0 else (n1, arr.size)
-    gens: list[Derivation] = []
+    gens: list[Derivation] = [euler_field(n1)] if d0 else []
     dims: dict[int, int] = {}
     log: list[str] = []
     exit_reason = "exhausted"
@@ -573,9 +595,9 @@ def whole_kernel_search(arr: Arrangement, degrees, d0: bool = False) -> GradedBa
         monos = monomials_of_degree(n1, d)
         dim = n1 * len(monos)
         kernel = list(_degree_kernel(arr, d, monos, d0))
-        dims[d] = len(kernel)
+        dims[d] = len(kernel) + (len(monomials_of_degree(n1, d - 1)) if d0 else 0)
         span: dict[int, list[int]] = {}
-        for g in gens:
+        for g in gens[1:] if d0 else gens:
             for shift in monomials_of_degree(n1, d - g.degree):
                 row = [0] * dim
                 for j, mono, c in g.terms:
@@ -589,13 +611,13 @@ def whole_kernel_search(arr: Arrangement, degrees, d0: bool = False) -> GradedBa
                 gens.append(vector_to_derivation(vec, n1, d, monos))
                 fresh += 1
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
-        if len(gens) > rank:
+        if len(gens) > n1:
             exit_reason = "overflow"
-            log.append(f"stopped at degree {d}: {len(gens)} generators exceed the rank bound {rank}")
+            log.append(f"stopped at degree {d}: {len(gens)} generators exceed the rank bound {n1}")
             break
-        if len(gens) == rank and sum(g.degree for g in gens) == total:
+        if len(gens) == n1 and sum(g.degree for g in gens) == arr.size:
             exit_reason = "complete"
-            log.append(f"stopped at degree {d}: {rank} generators with degree sum {total}")
+            log.append(f"stopped at degree {d}: {n1} generators with degree sum {arr.size}")
             break
     else:
         contiguous = walked and walked == list(range(walked[0], walked[-1] + 1))

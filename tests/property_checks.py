@@ -18,6 +18,7 @@ from arrcsm.poly import monomial_mul, monomials_of_degree
 from oracles import (
     defining_polynomial,
     dense,
+    euler_field,
     fraction_det,
     fraction_rref,
     intersection_property_check,
@@ -98,13 +99,6 @@ def freeness_of(arr: Arrangement) -> FreenessReport:
 def verify(arr: Arrangement) -> VerificationReport:
     """Every route on arr, from a fresh lattice and a fresh freeness decision."""
     return verify_arrangement(build_lattice(arr), freeness_of(arr))
-
-
-def euler_field(nvars: int) -> Derivation:
-    """The Euler derivation sum x_j d/dx_j, of degree 1."""
-    return Derivation(
-        nvars, 1, tuple((j, tuple(int(k == j) for k in range(nvars)), 1) for j in range(nvars))
-    )
 
 
 def scaled_by_monomial(theta: Derivation, mono: tuple[int, ...]) -> Derivation:

@@ -444,7 +444,7 @@ def _with_lineality(report, lineality):
 
 
 def _assert_guided_equals_full(arr):
-    """verify decides as the full D_0 walk on A' after theta_E, with the lineality zeros.
+    """verify decides as the full D_0 walk on A', with the lineality zeros.
 
     Its verdict and exponents are also those of the full D(A) walks on A'
     and on A.
@@ -455,9 +455,7 @@ def _assert_guided_equals_full(arr):
     n1 = adapted.nvars
     if adapted.size:  # D(A') = S*theta_E (+) D_0(A'), D_0 = {theta_0 = 0} on A''s first form x_0
         assert adapted.forms[0].coeffs == (1,) + (0,) * (n1 - 1)
-        graded = minimal_generators(adapted, range(adapted.size), d0=True)
-        euler = Derivation(n1, 1, tuple((j, tuple(int(k == j) for k in range(n1)), 1) for j in range(n1)))
-        full = decide_freeness(adapted, replace(graded, generators=(euler,) + graded.generators))
+        full = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size), d0=True))
     else:  # no x_0 to split off: the full D(A') walk
         full = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size + 1)))
     full = _with_lineality(full, lineality)

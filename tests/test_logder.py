@@ -32,6 +32,7 @@ from oracles import (
     polys,
     primitive,
     reduction_kernel,
+    trailing_columns,
 )
 from property_checks import (
     arrangement_text,
@@ -309,7 +310,7 @@ def test_the_pruned_kernel_is_the_whole_one_less_the_trailing_columns():
     for d in range(8):
         monos = monomials_of_degree(3, d)
         earlier = [g for g in gens if g.degree < d]
-        trailing = logder._trailing_columns(earlier, d, {m: k for k, m in enumerate(monos)})
+        trailing = trailing_columns(earlier, d, monos)
         whole = list(_degree_kernel(near_pencil_6, d, monos))
         pruned = _degree_kernel(near_pencil_6, d, monos, trailing=trailing)
         assert trailing <= {max(v) for v in whole}
@@ -351,7 +352,7 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     arr, _ = parse(arrangement_text(3, [[0, 1, t] for t in range(9)] + [[1, 0, 0]])).adapted()
     monos = monomials_of_degree(3, 8)
     linear = minimal_generators(arr, [0, 1]).generators
-    trailing = logder._trailing_columns(linear, 8, {m: k for k, m in enumerate(monos)})
+    trailing = trailing_columns(linear, 8, monos)
     assert len(trailing) == 72
     ncols = len(_degree_kernel(arr, 8, monos, trailing=trailing).columns)
     assert ncols == len(_degree_kernel(arr, 8, monos).columns) - 72

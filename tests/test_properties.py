@@ -15,7 +15,7 @@ from arrcsm.cli import _arrangement_payload, _json, _lattice_payload
 from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
 from arrcsm.linalg import ModularKernel
 from arrcsm.logder import _degree_kernel, degree_dimension, minimal_generators
-from arrcsm.poly import FormalClass, monomial_mul, monomials_of_degree
+from arrcsm.poly import FormalClass, monomials_of_degree
 from oracles import (
     cramer_adapted,
     dense,
@@ -27,12 +27,14 @@ from oracles import (
     primitive,
     rational_rows,
     reference_point_count,
+    trailing_columns,
     whole_kernel_search,
 )
 from property_checks import (
     arrangement_text,
     assert_point_rows_match_reduction,
     derivation_render_matches_polys,
+    euler_field,
     euler_membership,
     integer_det_matches_fraction_det,
     intersection_der,
@@ -201,10 +203,11 @@ def test_residue_rows_cut_out_the_kernel_of_the_evaluation_rows(case):
 def test_the_euler_field_splits_off_one_exponent_1(rng, shape):
     """D(A') = S*theta_E (+) D_0(A') on A' = A.adapted(), whose first form is x_0.
 
-    Walked through degree |A|, the two searches stop at the same degree,
-    each dimension of D(A') is that of D_0(A') = {theta_0 = 0} plus the
-    C(d+n-1, n) multiples of theta_E, and theta_E adds one generator of
-    degree 1 (Orlik & Terao, Prop. 4.27).
+    Walked through degree |A|, the D_0 walk, which solves only the
+    kernels of D_0(A') = {theta_0 = 0} and counts theta_E's multiples
+    beside them, describes D(A') as the full walk does: the same
+    dimensions, generator degrees and exit, with theta_E its first
+    generator (Orlik & Terao, Prop. 4.27).
     """
     nvars, max_forms = shape
     adapted, _ = random_arrangement(rng, nvars, max_forms).adapted()
@@ -214,11 +217,10 @@ def test_the_euler_field_splits_off_one_exponent_1(rng, shape):
     degrees = range(adapted.size + 1)
     whole = minimal_generators(adapted, degrees)
     d0 = minimal_generators(adapted, degrees, d0=True)
-    assert whole.dimensions.keys() == d0.dimensions.keys()
-    for d, dim in whole.dimensions.items():
-        assert dim == d0.dimensions[d] + (math.comb(d + n - 1, n) if d else 0), (adapted.forms, d)
-    assert sorted((1,) + d0.generator_degrees) == sorted(whole.generator_degrees), adapted.forms
+    assert whole.dimensions == d0.dimensions, adapted.forms
+    assert sorted(d0.generator_degrees) == sorted(whole.generator_degrees), adapted.forms
     assert whole.exit_reason == d0.exit_reason
+    assert d0.generators[0] == euler_field(n + 1)
 
 
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
@@ -267,7 +269,8 @@ def test_the_multiples_trailing_columns_leave_the_kernel(rng, shape, d0):
     full walk, or of the D_0 walk on A' = A.adapted(): T is the last
     nonzero column of each multiple and a free column; the pruned kernel
     is the RREF kernel vectors of the other free columns, in order; and
-    dims[d] is the dimension of the whole kernel.
+    dims[d] is the dimension of the whole kernel, with theta_E's
+    multiples on the D_0 walk.
     """
     arr = random_rational_arrangement(rng, *shape)
     if d0:
@@ -284,12 +287,8 @@ def test_the_multiples_trailing_columns_leave_the_kernel(rng, shape, d0):
     assert [d for d, _ in walked] == list(graded.dimensions)
     for d, trailing in walked:
         monos = monomials_of_degree(arr.nvars, d)
-        per = len(monos)
-        assert trailing == {
-            max(j * per + monos.index(monomial_mul(m, shift)) for j, m, _ in g.terms)
-            for g in graded.generators if g.degree < d
-            for shift in monomials_of_degree(arr.nvars, d - g.degree)
-        }, (arr.forms, d)
+        found = graded.generators[1:] if d0 else graded.generators  # theta_E adds no multiple
+        assert trailing == trailing_columns([g for g in found if g.degree < d], d, monos), (arr.forms, d)
         whole = _degree_kernel(arr, d, monos, d0)
         columns = whole.columns
         expected = fraction_kernel([[row.get(c, 0) for c in columns] for row in whole.rows], len(columns))
@@ -301,7 +300,8 @@ def test_the_multiples_trailing_columns_leave_the_kernel(rng, shape, d0):
             for fc, v in zip(free, expected) if fc not in trailing
         ]
         assert list(pruned_kernel(arr, d, monos, d0, trailing)) == kept, (arr.forms, d)
-        assert graded.dimensions[d] == len(expected), (arr.forms, d)
+        euler = len(monomials_of_degree(arr.nvars, d - 1)) if d0 else 0
+        assert graded.dimensions[d] == len(expected) + euler, (arr.forms, d)
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
