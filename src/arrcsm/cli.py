@@ -414,7 +414,10 @@ def _freeness(args, arr):
 
 def _verify(args, arr):
     lat = build_lattice(arr)
-    # the routes get a second lattice: perfbench/test_bench.py pins 2 builds per verify
+    # lat is read for chi alone and never makes its flats; the routes get a
+    # second lattice (perfbench/test_bench.py pins 2 builds per verify), the
+    # only one materialized, and only in P^2, where the surface routes read
+    # its points (of_codim(2))
     vr = verify_arrangement(build_lattice(arr), _guided_freeness(arr, lat))
     result = _verify_payload(vr)
     oracle_ok = _add_oracle(result, lat, args.primes)

@@ -16,14 +16,17 @@ complement is assembled by Mobius inclusion-exclusion over the
 projectivized flats (the origin has empty projectivization and is
 skipped): each flat P^d contributes its Chern class pushed into
 A_*(P^n), with coefficient of [P^(d-i)] equal to binomial(d+1, i).
-CSM vectors are indexed by codimension, entry j multiplying [P^(n-j)],
-so the last entry is the Euler characteristic of the complement.
+Both read a flat's codim and mu alone, so they read the sums of mu by
+codim and make no span (the CSM class depends on the lattice only
+through chi: Aluffi, IMRN 2013).  CSM vectors are indexed by
+codimension, entry j multiplying [P^(n-j)], so the last entry is the
+Euler characteristic of the complement.
 """
 
 from __future__ import annotations
 
 from bisect import bisect
-from dataclasses import dataclass
+from functools import cached_property
 from math import comb, gcd, lcm
 from typing import NamedTuple
 
@@ -51,16 +54,83 @@ class Flat(NamedTuple):
     mu: int
 
 
-@dataclass(frozen=True)
 class IntersectionLattice:
-    arrangement: Arrangement
-    flats: tuple[Flat, ...]
+    """An arrangement's intersection lattice, as build_lattice's walk leaves it.
+
+    mu_sums[c] sums mu over the flats of codim c, c = 0..rank A, which is
+    all that chi and the CSM class read.  The walk leaves the spans of the
+    flats of codim rank A - 1 unmade, as the joins that make them; flats
+    makes those and the order on its first read.
+    """
+
+    def __init__(self, arrangement: Arrangement, mu_sums: tuple[int, ...], walk: tuple) -> None:
+        self.arrangement = arrangement
+        self.mu_sums = mu_sums
+        # (span by closed index set, pending join by closed index set, mu by
+        # closed index set, every pivot entry the walk made)
+        self._walk = walk
+        self._size = len(walk[2])
+
+    @cached_property
+    def flats(self) -> tuple[Flat, ...]:
+        """Every flat, in order of codim, then RREF rows.
+
+        The first read makes each pending span by its join (_join, the
+        walk's own step), sorts, and drops the walk.  A span row is its
+        pivot entry times its RREF row, so with scale the lcm of every
+        pivot entry, the row times scale // (its pivot entry) is scale
+        times its RREF row: ints that order like the RREF rows, so the
+        sort makes and compares no Fraction.  The pivot entries are
+        gathered as the rows are made: the top's, each residue's lead,
+        and each stepped row's entry at its pivot; a row a join leaves as
+        it is keeps its entry.  When scale is 1 the span is its own key.
+        """
+        found, pending, mus, leads = self._walk
+        del self._walk
+        for x, (pivots, span, residue) in pending.items():
+            found[x] = _join(pivots, span, residue, leads)[2]
+        spans = list(found.values())
+        scale = lcm(*leads)
+
+        def scaled(row: tuple[int, ...]) -> tuple[int, ...]:
+            m = scale // next(filter(None, row))
+            return tuple([a * m for a in row])
+
+        keys = spans if scale == 1 else [tuple(map(scaled, span)) for span in spans]
+        # (codim, key) differs between any two flats, so spans and indices are never compared
+        order = sorted(zip(map(len, spans), keys, spans, found))
+        return tuple([Flat(span, codim, x, mus[x]) for codim, _, span, x in order])
 
     def of_codim(self, c: int) -> tuple[Flat, ...]:
         return tuple(f for f in self.flats if f.codim == c)
 
     def size(self) -> int:
-        return len(self.flats)
+        return self._size
+
+
+def _join(pivots: tuple[int, ...], span: tuple[tuple[int, ...], ...], residue: tuple[int, ...],
+          leads: set[int]) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+    """A flat's span joined with a residue against it: the lead, its place among the pivots, the span.
+
+    One elimination step at the lead (linalg._sparse_step, on dense rows)
+    on each row nonzero there, and the residue goes in at its pivot's
+    place; each pivot entry made goes into leads.
+    """
+    p = next(filter(None, residue))
+    leads.add(p)
+    lead = residue.index(p)
+    joined = []
+    for pc, row in zip(pivots, span):
+        c = row[lead]
+        if c:
+            w = [p * a - c * b for a, b in zip(row, residue)]
+            g = gcd(*w)
+            row = tuple([a // g for a in w]) if g > 1 else tuple(w)
+            leads.add(row[pc])
+        joined.append(row)
+    at = bisect(pivots, lead)
+    joined.insert(at, residue)
+    return lead, at, tuple(joined)
 
 
 def build_lattice(arr: Arrangement) -> IntersectionLattice:
@@ -74,19 +144,18 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     form_j are proportional, that is equal, so the hyperplanes grouped by
     residue are the covers of F, one group each.  A residue is 0 at the
     pivots of F, and its first nonzero column, lead, is the cover's new
-    pivot.  So one elimination step at lead (linalg._sparse_step, written
-    out here on dense rows), on each row of F's span that is nonzero
-    there, joins it to the span, and the residue goes in at its pivot's
-    place; and one step at lead turns each other group's residue into
-    its residue against the cover, which the forms of a group share.  A
-    residue that is already 0 at lead is kept as it is.  The walk makes
-    no Fraction.
+    pivot.  So one elimination step at lead on each row of F's span that
+    is nonzero there joins it to the span (_join), and one step at lead
+    turns each other group's residue into its residue against the cover,
+    which the forms of a group share.  A residue that is already 0 at
+    lead is kept as it is.  The walk makes no Fraction.
 
     With r = rank A, a flat of codim r - 1 has one cover, the top: the
     span of all forms, closed under every hyperplane.  So the walk stops
     at codim r - 1 without reducing any residue against those flats, and
-    the top enters once with the span Arrangement._independent builds
-    (the RREF of a span is unique, whichever forms built it).
+    leaves their joins pending until something reads the flats; the top
+    enters once with the span Arrangement._independent builds (the RREF
+    of a span is unique, whichever forms built it).
 
     mu by Weisner's theorem (Stanley, Enumerative Combinatorics I, Cor.
     3.9.3) for the atom of X's smallest hyperplane a: the Y <= X whose
@@ -105,25 +174,20 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     c - 1 <= r - 2, is in the walk; by induction on c every flat is
     found.  The walk goes level by level, so a flat's sum is complete
     before its own covers are met; the top sums the flats of codim r - 1
-    that miss hyperplane 0.
-
-    The flats come in order of codim, then RREF rows.  A span row is its
-    pivot entry times its RREF row, so with scale the lcm of every pivot
-    entry, the row times scale // (its pivot entry) is scale times its
-    RREF row: ints that order like the RREF rows, so the sort makes and
-    compares no Fraction.  The pivot entries are gathered as the rows
-    are made: the top's, each residue's lead, and each stepped row's
-    entry at its pivot; a row a join leaves as it is keeps its entry.
-    When scale is 1 the span is its own key.
+    that miss hyperplane 0.  The sums by codim follow.
     """
     top = arr._independent[1]
     r = len(top)
-    # closed index set -> span; the top is the bottom, () -> (), when A is empty
+    everything = tuple(range(arr.size))
+    # closed index set -> span, below codim r - 1 and the top; the top is
+    # the bottom, () -> (), when A is empty
     found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
-        (): (), tuple(range(arr.size)): tuple(
+        (): (), everything: tuple(
             tuple(top[pc].get(j, 0) for j in range(arr.nvars)) for pc in sorted(top)
         ),
     }
+    # closed index set of codim r - 1 -> (pivots, span, residue): the join that makes its span
+    pending: dict[tuple[int, ...], tuple] = {}
     # every pivot entry of every span row, as the row is made
     leads = {top[pc][pc] for pc in top}
     mus = {(): 1}
@@ -134,68 +198,49 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
         nxt = []
         for indices, pivots, span, covers in frontier:
             first = indices[0] if indices else arr.size
+            last = len(pivots) == r - 2
             for residue, through in covers.items():
                 # Weisner: the covers whose smallest hyperplane this flat misses
                 if through[0] > first:
                     break
                 cover = tuple(sorted(indices + through))
                 mus[cover] = mus.get(cover, 0) - mus[indices]
+                if last:
+                    # the join from any lower cover makes the same span, its RREF
+                    pending[cover] = (pivots, span, residue)
+                    continue
                 if cover in found:
                     continue
-                p = next(filter(None, residue))
-                leads.add(p)
-                lead = residue.index(p)
-                joined = []
-                for pc, row in zip(pivots, span):
-                    c = row[lead]
+                lead, at, joined = _join(pivots, span, residue, leads)
+                found[cover] = joined
+                p = residue[lead]
+                above: dict[tuple[int, ...], tuple[int, ...]] = {}
+                for v, js in covers.items():
+                    if v is residue:
+                        continue
+                    c = v[lead]
                     if c:
-                        w = [p * a - c * b for a, b in zip(row, residue)]
-                        g = gcd(*w)
-                        row = tuple([a // g for a in w]) if g > 1 else tuple(w)
-                        leads.add(row[pc])
-                    joined.append(row)
-                at = bisect(pivots, lead)
-                joined.insert(at, residue)
-                found[cover] = joined = tuple(joined)
-                if len(joined) < r - 1:
-                    above: dict[tuple[int, ...], tuple[int, ...]] = {}
-                    for v, js in covers.items():
-                        if v is residue:
-                            continue
-                        c = v[lead]
-                        if c:
-                            w = [p * a - c * b for a, b in zip(v, residue)]
-                            # primitive, with a positive first nonzero entry
-                            g = gcd(*w) if next(filter(None, w)) > 0 else -gcd(*w)
-                            v = tuple([a // g for a in w]) if g != 1 else tuple(w)
-                        above[v] = above.get(v, ()) + js
-                    nxt.append((cover, pivots[:at] + (lead,) + pivots[at:], joined, above))
+                        w = [p * a - c * b for a, b in zip(v, residue)]
+                        # primitive, with a positive first nonzero entry
+                        g = gcd(*w) if next(filter(None, w)) > 0 else -gcd(*w)
+                        v = tuple([a // g for a in w]) if g != 1 else tuple(w)
+                    above[v] = above.get(v, ()) + js
+                nxt.append((cover, pivots[:at] + (lead,) + pivots[at:], joined, above))
         frontier = nxt
 
     if r:
-        below = (x for x, span in found.items() if len(span) == r - 1 and 0 not in x)
-        mus[tuple(range(arr.size))] = -sum(mus[x] for x in below)
-    spans = list(found.values())
-    scale = lcm(*leads)
-
-    def scaled(row: tuple[int, ...]) -> tuple[int, ...]:
-        m = scale // next(filter(None, row))
-        return tuple([a * m for a in row])
-
-    keys = spans if scale == 1 else [tuple(map(scaled, span)) for span in spans]
-    # (codim, key) differs between any two flats, so spans and indices are never compared
-    order = sorted(zip(map(len, spans), keys, spans, found))
-    flats = tuple([Flat(span, codim, x, mus[x]) for codim, _, span, x in order])
-    return IntersectionLattice(arrangement=arr, flats=flats)
+        # when r = 1 the one flat below the top is the bottom
+        mus[everything] = -sum(mus[x] for x in (pending if r > 1 else found) if 0 not in x)
+    sums = [0] * (r + 1)
+    for x, span in found.items():
+        sums[len(span)] += mus[x]
+    sums[r - 1] += sum(mus[x] for x in pending)
+    return IntersectionLattice(arr, tuple(sums), (found, pending, mus, leads))
 
 
 def char_poly(lat: IntersectionLattice) -> tuple[int, ...]:
     """Coefficients of chi(A, t), ascending powers, length nvars + 1."""
-    nvars = lat.arrangement.nvars
-    coeffs = [0] * (nvars + 1)
-    for f in lat.flats:
-        coeffs[nvars - f.codim] += f.mu
-    return tuple(coeffs)
+    return (0,) * (lat.arrangement.nvars + 1 - len(lat.mu_sums)) + lat.mu_sums[::-1]
 
 
 def poly_eval_int(coeffs: tuple[int, ...], t: int) -> int:
@@ -250,12 +295,11 @@ def csm_complement(lat: IntersectionLattice) -> tuple[int, ...]:
     arr = lat.arrangement
     n = arr.projective_dim
     out = [0] * (n + 1)
-    for f in lat.flats:
-        if f.codim >= arr.nvars:
-            continue  # origin flat: empty projectivization
-        d = arr.nvars - f.codim - 1
+    # the origin, of codim nvars, has empty projectivization
+    for c, mu in enumerate(lat.mu_sums[:n + 1]):
+        d = n - c
         for i in range(d + 1):
-            out[f.codim + i] += f.mu * comb(d + 1, i)
+            out[c + i] += mu * comb(d + 1, i)
     return tuple(out)
 
 

@@ -18,7 +18,7 @@ one Bareiss step on the nonzero entries, with every intermediate value
 an int.  The derivation search's IncrementalSpan, ModularKernel's
 fallback _exact_kernel and Arrangement._independent call it.
 lattice.build_lattice takes the same single steps on dense rows, written
-out in its loop: its residues are already 0 at their flat's pivots, so
+out in its module: its residues are already 0 at their flat's pivots, so
 one step at a cover's new pivot reduces them.  The search's vectors are
 sparse throughout, primitive with their first entry positive; only
 QMatrix.kernel_basis makes one dense.  A Fraction is made here only

@@ -3,6 +3,7 @@ import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb, lcm
 from pathlib import Path
@@ -384,13 +385,16 @@ def test_walk_reduces_no_residue_against_flats_one_below_the_top(monkeypatch):
     # are, each line steps the residues of the other 11, and the 66 points,
     # whose one cover is the top, none; a walk into the points would add
     # 66 * 10 more.  Each step and each row a join eliminates takes one gcd,
-    # counted by the line that calls it: the steps, and the 66 joins that
-    # clear a line's row at a point's new pivot
+    # counted by the line that calls it: the build takes the steps alone,
+    # and the first read of the flats the 66 joins that clear a line's row
+    # at a point's new pivot
     lines = Counter()
     monkeypatch.setattr(
         lattice, "gcd", lambda *a, fn=lattice.gcd: lines.update([sys._getframe(1).f_lineno]) or fn(*a)
     )
-    build_lattice(_moment_curve(3, 12))
+    lat = build_lattice(_moment_curve(3, 12))
+    assert sorted(lines.values()) == [12 * 11]
+    assert len(lat.flats) == 1 + 12 + 66 + 1
     assert sorted(lines.values()) == [66, 12 * 11]
 
 
@@ -417,6 +421,31 @@ def test_walk_visits_only_weisners_cover_pairs(monkeypatch):
     assert _cover_visits(monkeypatch, arr) == pairs == 81
 
 
+@pytest.mark.parametrize(
+    "argv,made",
+    [
+        (["csm", "generic5_p3.arr"], 0),
+        (["charpoly", "braid_essential.arr"], 0),
+        (["verify", "generic5_p3.arr"], 0),
+        (["verify", "three_concurrent.arr"], 1),
+        (["lattice", "tetrahedron_p3.arr"], 1),
+        (["report", "generic5_p3.arr"], 1),
+        (["report", "near_pencil_4.arr"], 1),
+    ],
+)
+def test_only_a_reader_of_the_flats_makes_them(monkeypatch, argv, made):
+    # chi and the CSM class read the sums of mu by codim; verify's first
+    # lattice is read for chi alone, and its second makes its flats only for
+    # the P^2 routes; lattice and report make them once
+    reads = []
+    make = lattice.IntersectionLattice.flats.func
+    flats = cached_property(lambda lat: reads.append(lat) or make(lat))
+    flats.__set_name__(lattice.IntersectionLattice, "flats")
+    monkeypatch.setattr(lattice.IntersectionLattice, "flats", flats)
+    assert cli.run([argv[0], "--input", str(CORPUS / argv[1])]) == 0
+    assert len(reads) == made
+
+
 def _count_fractions(monkeypatch) -> list:
     """A list that gets one entry for each Fraction made from now on."""
     made = []
@@ -427,12 +456,13 @@ def _count_fractions(monkeypatch) -> list:
 
 
 def test_build_lattice_makes_no_fraction(monkeypatch):
-    # the walk, the sort and the top's span are integers; reading a span's
-    # rational rows shows that the count works
+    # the walk, the sort and the top's span are integers; the sort waits for
+    # the first read of the flats; reading a span's rational rows shows that
+    # the count works
     arrs = [_braid(5), _moment_curve(4, 12)]
     made = _count_fractions(monkeypatch)
     lats = [build_lattice(arr) for arr in arrs]
-    assert not made
+    assert [len(lat.flats) for lat in lats] and not made
     assert [lat.size() for lat in lats] == [203, 1 + 12 + comb(12, 2) + comb(12, 3) + 1]
     assert rational_rows(lats[1].of_codim(1)[-1].span) and made
 

@@ -12,7 +12,14 @@ from arrcsm import logder
 from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
 from arrcsm.chow import SurfaceClass
 from arrcsm.cli import _arrangement_payload, _json, _lattice_payload
-from arrcsm.lattice import BadReductionError, build_lattice, point_count_oracle
+from arrcsm.lattice import (
+    BadReductionError,
+    build_lattice,
+    char_poly,
+    csm_complement,
+    point_count_oracle,
+    reduced_char_poly,
+)
 from arrcsm.linalg import ModularKernel
 from arrcsm.logder import _degree_kernel, degree_dimension, minimal_generators
 from arrcsm.poly import FormalClass, monomials_of_degree
@@ -167,6 +174,33 @@ def test_flat_spans_are_primitive_integer_rows(arr):
         for row, pc in zip(f.span, pivots):
             assert all(type(a) is int for a in row) and math.gcd(*row) == 1 and row[pc] > 0
             assert all(row[other] == 0 for other in pivots if other != pc)
+
+
+def test_mu_sums_and_size_are_the_flats_and_leave_them_unmade():
+    # P^1..P^3 with and without a lineality space, the empty arrangement, one
+    # form, and rank 2, where the atoms are the level the walk leaves unjoined:
+    # the walk's sums by codim and its count are those of the flats, and chi,
+    # the CSM class and the count read them without making the flats
+    rng = Random(909)
+    arrs = [parse("vars 3\n"), parse("vars 3\n1 2 3\n")]
+    arrs += [parse(arrangement_text(3, [[1, 0, 0], [0, 1, 0], [1, -2, 0]]))]
+    arrs += [random_rational_arrangement(rng, nvars, 7) for nvars in (2, 3, 4) for _ in range(20)]
+    arrs += [random_arrangement(rng, nvars, 7) for nvars in (2, 3, 4) for _ in range(10)]
+    seen = set()
+    for arr in arrs:
+        lat = build_lattice(arr)
+        chi, csm, size = char_poly(lat), csm_complement(lat), lat.size()
+        if arr.size:
+            reduced_char_poly(lat)
+        assert "flats" not in vars(lat)
+        flats = lat.flats
+        assert lat.flats is flats and size == len(flats)
+        r = arr.rank()
+        assert lat.mu_sums == tuple(sum(f.mu for f in flats if f.codim == c) for c in range(r + 1))
+        assert chi == tuple(sum(f.mu for f in flats if f.codim == arr.nvars - k) for k in range(arr.nvars + 1))
+        assert csm[-1] == sum(f.mu * (arr.nvars - f.codim) for f in flats if f.codim < arr.nvars)
+        seen.add((r, r == arr.nvars))
+    assert {(0, False), (1, False), (2, False), (2, True), (3, False), (3, True), (4, True)} <= seen
 
 
 @st.composite
