@@ -192,7 +192,9 @@ def parse(text: str, name: str = "") -> Arrangement:
     (proportional) forms are collapsed and reported in warnings.
     """
     nvars: int | None = None
-    rows: list[tuple[int, list[int | Fraction]]] = []
+    forms: list[LinearForm] = []
+    warnings: list[str] = []
+    seen: dict[tuple[int, ...], int] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -216,14 +218,7 @@ def parse(text: str, name: str = "") -> Arrangement:
         coeffs = [_parse_rational(t, line_no) for t in tokens]
         if not any(coeffs):
             raise ParseError("zero form is not a hyperplane", line_no)
-        rows.append((line_no, coeffs))
-    if nvars is None:
-        raise ParseError("missing 'vars <k>' header", 1)
-
-    forms: list[LinearForm] = []
-    warnings: list[str] = []
-    seen: dict[tuple[int, ...], int] = {}
-    for line_no, coeffs in rows:
+        # make cannot fail on a nonzero form
         f = LinearForm.make(coeffs)
         if f.coeffs in seen:
             warnings.append(
@@ -232,6 +227,8 @@ def parse(text: str, name: str = "") -> Arrangement:
             continue
         seen[f.coeffs] = line_no
         forms.append(f)
+    if nvars is None:
+        raise ParseError("missing 'vars <k>' header", 1)
     return Arrangement(nvars=nvars, forms=tuple(forms), name=name, warnings=tuple(warnings))
 
 

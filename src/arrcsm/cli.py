@@ -185,20 +185,19 @@ def _blowup_payload(blowup: BlowupRoute | None) -> dict | None:
     if blowup is None:
         return None
     cls = blowup.cls
+    points = [center.render() for center in blowup.centers]
     return {
         "unit": cls.unit,
         "h": cls.h,
-        "exceptional": [
-            [center.render(), coef] for center, coef in zip(blowup.centers, cls.exc)
-        ],
+        "exceptional": [[point, coef] for point, coef in zip(points, cls.exc)],
         "pt": cls.pt,
         "centers": [
             {
-                "point": center.render(),
+                "point": point,
                 "multiplicity": center.multiplicity,
                 "lines": list(center.lines),
             }
-            for center in blowup.centers
+            for point, center in zip(points, blowup.centers)
         ],
     }
 
@@ -565,7 +564,9 @@ def _report_text(result: dict, arr: Arrangement, elapsed_ms: float) -> None:
     print(f"chi(t) = {result['charpoly']['rendered']}")
     print(f"csm vector: {tuple(result['csm']['vector'])}")
     _freeness_line(result["freeness"])
-    _verify_text(result["verification"], arr, elapsed_ms)
+    # _add_oracle puts report's oracle beside the verification payload, not in it
+    verification = {**result["verification"], "oracle": result.get("oracle", {"checks": []})}
+    _verify_text(verification, arr, elapsed_ms)
 
 
 def _example41_text(result: dict, arr, elapsed_ms: float) -> None:

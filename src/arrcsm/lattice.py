@@ -67,7 +67,7 @@ class IntersectionLattice:
         self.arrangement = arrangement
         self.mu_sums = mu_sums
         # (span by closed index set, pending join by closed index set, mu by
-        # closed index set, every pivot entry the walk made)
+        # closed index set)
         self._walk = walk
         self._size = len(walk[2])
 
@@ -77,20 +77,19 @@ class IntersectionLattice:
 
         The first read makes each pending span by its join (_join, the
         walk's own step), sorts, and drops the walk.  A span row is its
-        pivot entry times its RREF row, so with scale the lcm of every
-        pivot entry, the row times scale // (its pivot entry) is scale
-        times its RREF row: ints that order like the RREF rows, so the
-        sort makes and compares no Fraction.  The pivot entries are
-        gathered as the rows are made: the top's, each residue's lead,
-        and each stepped row's entry at its pivot; a row a join leaves as
-        it is keeps its entry.  When scale is 1 the span is its own key.
+        pivot entry, which is its first nonzero entry, times its RREF row.
+        So with scale the lcm of the pivot entries of every span, read off
+        the rows, the row times scale // (its pivot entry) is scale times
+        its RREF row: ints that order like the RREF rows, so the sort
+        makes and compares no Fraction.  When scale is 1 the span is its
+        own key.
         """
-        found, pending, mus, leads = self._walk
+        found, pending, mus = self._walk
         del self._walk
         for x, (pivots, span, residue) in pending.items():
-            found[x] = _join(pivots, span, residue, leads)[2]
+            found[x] = _join(pivots, span, residue)[2]
         spans = list(found.values())
-        scale = lcm(*leads)
+        scale = lcm(*[next(filter(None, row)) for span in spans for row in span])
 
         def scaled(row: tuple[int, ...]) -> tuple[int, ...]:
             m = scale // next(filter(None, row))
@@ -108,25 +107,23 @@ class IntersectionLattice:
         return self._size
 
 
-def _join(pivots: tuple[int, ...], span: tuple[tuple[int, ...], ...], residue: tuple[int, ...],
-          leads: set[int]) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
+def _join(pivots: tuple[int, ...], span: tuple[tuple[int, ...], ...],
+          residue: tuple[int, ...]) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
     """A flat's span joined with a residue against it: the lead, its place among the pivots, the span.
 
     One elimination step at the lead (linalg._sparse_step, on dense rows)
     on each row nonzero there, and the residue goes in at its pivot's
-    place; each pivot entry made goes into leads.
+    place.
     """
     p = next(filter(None, residue))
-    leads.add(p)
     lead = residue.index(p)
     joined = []
-    for pc, row in zip(pivots, span):
+    for row in span:
         c = row[lead]
         if c:
             w = [p * a - c * b for a, b in zip(row, residue)]
             g = gcd(*w)
             row = tuple([a // g for a in w]) if g > 1 else tuple(w)
-            leads.add(row[pc])
         joined.append(row)
     at = bisect(pivots, lead)
     joined.insert(at, residue)
@@ -188,8 +185,6 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     }
     # closed index set of codim r - 1 -> (pivots, span, residue): the join that makes its span
     pending: dict[tuple[int, ...], tuple] = {}
-    # every pivot entry of every span row, as the row is made
-    leads = {top[pc][pc] for pc in top}
     mus = {(): 1}
     covers = {f.coeffs: (i,) for i, f in enumerate(arr.forms)}
     # (closed index set, pivots, span, {residue: the forms outside it with that residue})
@@ -211,7 +206,7 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
                     continue
                 if cover in found:
                     continue
-                lead, at, joined = _join(pivots, span, residue, leads)
+                lead, at, joined = _join(pivots, span, residue)
                 found[cover] = joined
                 p = residue[lead]
                 above: dict[tuple[int, ...], tuple[int, ...]] = {}
@@ -235,7 +230,7 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     for x, span in found.items():
         sums[len(span)] += mus[x]
     sums[r - 1] += sum(mus[x] for x in pending)
-    return IntersectionLattice(arr, tuple(sums), (found, pending, mus, leads))
+    return IntersectionLattice(arr, tuple(sums), (found, pending, mus))
 
 
 def char_poly(lat: IntersectionLattice) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from arrcsm import cli
 from arrcsm.arrangement import MAX_VARS, parse, parse_file
+from arrcsm.chow import SingularPoint
 from arrcsm.cli import corpus_runner, main, run
 from arrcsm.lattice import build_lattice
 from arrcsm.logder import Derivation, decide_freeness, degree_dimension, minimal_generators
@@ -147,6 +148,37 @@ def test_report_renders_each_generator_once(capsys, monkeypatch, tmp_path):
     gens = result["derivations"]["generators"]
     assert result["freeness"]["generators"] == gens and len(gens) > 3
     assert len(rendered) == len(gens)
+
+
+def _oracle_lines(out: str) -> list[str]:
+    return [line for line in out.splitlines() if line.lstrip().startswith("oracle p =")]
+
+
+def test_report_text_prints_the_oracle_as_verify_does(capsys):
+    # _add_oracle puts the counts beside the verification payload, not in it
+    argv = ["--input", str(FOUR_GENERIC), "--primes", "101,103"]
+    assert run(["verify", *argv]) == 0
+    verify_lines = _oracle_lines(capsys.readouterr().out)
+    assert run(["report", *argv]) == 0
+    report_lines = _oracle_lines(capsys.readouterr().out)
+    assert [line.split(":")[0].strip() for line in verify_lines] == ["oracle p = 101", "oracle p = 103"]
+    assert report_lines == verify_lines
+
+
+def test_report_text_shows_a_disagreeing_count(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "point_count_oracle", lambda arr, p, fn=cli.point_count_oracle: fn(arr, p) + 1)
+    assert run(["report", "--input", str(FOUR_GENERIC), "--primes", "101"]) == 1
+    lines = _oracle_lines(capsys.readouterr().out)
+    assert len(lines) == 1 and lines[0].endswith("match: False")
+
+
+def test_blowup_payload_renders_each_center_once(capsys, monkeypatch):
+    rendered = []
+    monkeypatch.setattr(SingularPoint, "render", lambda c, fn=SingularPoint.render: rendered.append(c) or fn(c))
+    assert run(["verify", "--input", str(THREE_CONC), "--json"]) == 0
+    blowup = json.loads(capsys.readouterr().out)["result"]["blowup_class"]
+    assert [p for p, _ in blowup["exceptional"]] == [c["point"] for c in blowup["centers"]]
+    assert len(rendered) == len(blowup["centers"]) > 0
 
 
 def test_example41(capsys):
