@@ -310,8 +310,10 @@ def _is_prime(p: int) -> bool:
 
 
 # Largest chart, p^n points of P^n(F_p), that the oracle sweeps.  The
-# sweep holds one boolean mask of the chart, p^n bytes (2 MB at this
-# bound), and a few int64 arrays of p^(n-1) entries, whatever |A|.
+# sweep holds one bit grid of p x p points per prefix of the chart, each
+# grid row 2p bits rounded up to whole bytes: about p^n / 4 bytes (0.5 MB
+# at this bound, under 2 MB with the grids one form's pass makes), whatever
+# |A|.
 ORACLE_MAX_POINTS = 2_000_000
 
 
@@ -319,17 +321,23 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
     """Count points of P^n(F_p) lying on no hyperplane, fibre by fibre.
 
     Independent of the lattice machinery: reduces the forms mod p and
-    sweeps every projective point chart by chart (vectorized, int64
-    modular arithmetic, no rounding anywhere).  In the chart
-    (0, ..., 0, 1, y_(lead+1), ..., y_n) a prefix (y_(lead+1), ...,
-    y_(n-1)) fixes an affine line in y_n, on which a form is a + c*y_n:
-    for c != 0 it vanishes at y_n = -a/c alone, for c = 0 on the whole
-    line when a = 0 and nowhere otherwise.  So each form marks its
-    points in one boolean mask of the chart with one scatter per fibre,
-    and the chart contributes its unmarked points.  Refuses primes of
-    bad reduction, those dividing a form's lead and so a denominator of
-    the form over it; refuses a largest chart p^n above
-    ORACLE_MAX_POINTS, the size of that mask, before allocating anything.
+    sweeps every projective point chart by chart, in integers alone.  In
+    the chart (0, ..., 0, 1, y_(lead+1), ..., y_n) a prefix (y_(lead+1),
+    ..., y_(n-2)) fixes a p x p grid in (y_(n-1), y_n), one row if y_n is
+    the chart's only coordinate, on which a form is a + b*y_(n-1) + c*y_n.
+    The grid is the bits of one int: row r takes 2p bits rounded up to
+    whole bytes, and holds the point y_n = y at bit y and again at bit
+    y + p.  For c != 0 the form vanishes on the line y_n = u + v*y_(n-1),
+    u = -a/c and v = -b/c: the line of slope v through y_n = 0, shifted
+    right by p - u, read in the low p bits of each row, where the copy at
+    y + p makes the wrap of u + v*r past p.  For c = 0 it vanishes on the
+    row y_(n-1) = -a/b when b != 0, and on the whole grid or nowhere as a
+    is 0 or not when b = 0.  Each prefix ORs the marks of its forms into
+    one int, a form whose prefix terms all vanish mod p marks every prefix
+    alike and is ORed once, and the chart contributes the unmarked points.
+    Refuses primes of bad reduction, those dividing a form's lead and so
+    a denominator of the form over it; refuses a largest chart p^n above
+    ORACLE_MAX_POINTS before allocating anything.
     """
     if p > 1000:  # before _is_prime, whose trial division is unbounded in p
         raise ValueError("oracle is restricted to primes up to 1000")
@@ -340,7 +348,6 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
         raise ValueError(
             f"oracle chart of {p}^{n1 - 1} points exceeds the bound of {ORACLE_MAX_POINTS}"
         )
-    import numpy as np  # only this oracle uses numpy; the CLI starts without it
 
     for f in arr.forms:
         lead = next(filter(None, f.coeffs))
@@ -350,6 +357,11 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
                 raise BadReductionError(f"denominator of {a // g}/{lead // g} vanishes mod {p}")
     reduced_forms = [[a % p for a in f.coeffs] for f in arr.forms]
 
+    width = (2 * p + 7) // 8  # bytes to a grid row
+    low = (1 << p) - 1  # a row's own points
+    pair = 1 | 1 << p
+    # column[y]: the grid row with the point y_n = y marked
+    column = [(pair << y).to_bytes(width, "little") for y in range(p)]
     total = 0
     for lead in range(n1):
         free = n1 - lead - 1
@@ -357,18 +369,33 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
             # the chart is the point (0, ..., 0, 1)
             total += all(row[lead] for row in reduced_forms)
             continue
-        # the prefix y_(lead+1), ..., y_(n-1) as open grids, p long on
-        # their own axis and 1 on the others; y_n is the mask's last axis
-        prefix = np.ix_(*[np.arange(p, dtype=np.int64)] * (free - 1))
-        hit = np.zeros((p,) * free, dtype=bool)
-        for row in reduced_forms:
-            a = row[lead]
-            for c, y in zip(row[lead + 1:-1], prefix):
-                if c:
-                    a = a + c * y
-            if row[-1]:
-                hit[(*prefix, a * -pow(row[-1], -1, p) % p)] = True
+        rows = p if free > 1 else 1
+        window = int.from_bytes(low.to_bytes(width, "little") * rows, "little")
+        shared = 0
+        marks = [0] * p ** max(free - 2, 0)  # one grid per prefix, in product order
+        for f in reduced_forms:
+            b, c = (f[-2] if free > 1 else 0), f[-1]
+            # a at every prefix, in product order; one value for all of them
+            # when the prefix terms all vanish mod p
+            a = [f[lead]]
+            if any(prefix := f[lead + 1:-2]):
+                for k in prefix:
+                    a = [(x + k * y) % p for x in a for y in range(p)]
+            if c:
+                inv = pow(c, -1, p)
+                v = -b * inv % p
+                line = int.from_bytes(b"".join([column[v * r % p] for r in range(rows)]), "little")
+                grids = [line >> p - (-x * inv % p) for x in a]
+            elif b:
+                inv = pow(b, -1, p)
+                grids = [low << 8 * width * (-x * inv % p) for x in a]
             else:
-                hit[np.broadcast_to(a % p == 0, hit.shape[:-1])] = True
-        total += hit.size - int(np.count_nonzero(hit))
+                grids = [0 if x else window for x in a]
+            if len(grids) == 1:
+                shared |= grids[0]
+            else:
+                marks = [m | g for m, g in zip(marks, grids)]
+        cells = rows * p
+        unmarked = cells - (shared & window).bit_count()
+        total += sum(cells - ((m | shared) & window).bit_count() if m else unmarked for m in marks)
     return total

@@ -45,8 +45,8 @@ references reach the same objects by other means:
 - poly_from_roots: the monic polynomial with given roots, for Terao's
   factorization of the characteristic polynomial.
 - reference_point_count: the points of P^n(F_p) off every hyperplane,
-  one point at a time in plain Python, the reference for the numpy
-  point-count oracle.
+  one point at a time, the reference for the bit-grid point-count
+  oracle.
 - lattice_payload: the lattice result as plain dicts and lists, each
   basis fraction_rref of the flat's forms rendered by str(Fraction), the
   reference for the JSON cli._json writes from the lattice's Flat records.

@@ -650,6 +650,16 @@ def test_importing_the_cli_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_report_with_the_oracle_runs_without_numpy():
+    # None in sys.modules makes every import of numpy raise ImportError
+    code = "import sys; sys.modules['numpy'] = None; from arrcsm.cli import main; sys.exit(main())"
+    argv = ["report", "--input", str(CORPUS / "generic5_p3.arr"), "--json"]
+    argv += ["--primes", "101,103", "--max-degree", "4"]
+    proc = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (REPO / "tests" / "golden" / "generic5_p3.report.json").read_bytes()
+
+
 def test_oracle_point_bound_is_an_input_error(capsys):
     code = run(["lattice", "--input", str(CORPUS / "tetrahedron_p3.arr"), "--primes", "997"])
     captured = capsys.readouterr()

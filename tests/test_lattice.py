@@ -1,5 +1,6 @@
 import random
 import sys
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -26,7 +27,14 @@ from arrcsm.lattice import (
     reduced_char_poly,
     render_poly_in_t,
 )
-from oracles import fraction_rref, lead_one, poly_from_roots, primitive, rational_rows
+from oracles import (
+    fraction_rref,
+    lead_one,
+    poly_from_roots,
+    primitive,
+    rational_rows,
+    reference_point_count,
+)
 from property_checks import arrangement_text
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n")
@@ -224,9 +232,9 @@ def _oracle_peak(arr, p: int) -> tuple[int, int]:
 
 
 def test_oracle_sweeps_a_p3_chart_fibre_by_fibre():
-    # The largest chart holds 101^3 points: one boolean mask of 1.03 MB,
-    # and int64 arrays of the 101^2 fibres (82 kB each), where one full
-    # int64 grid of the chart would take 8.2 MB.
+    # The largest chart holds 101^3 points: 101 bit grids, one per value of
+    # y_1, of 101 rows of 26 bytes each, 265 kB in all, where one int64
+    # array of the chart would take 8.2 MB.
     arr = parse_file(CORPUS / "generic5_p3.arr")
     count, peak = _oracle_peak(arr, 101)
     assert count == poly_eval_int(reduced_char_poly(build_lattice(arr)), 101)
@@ -235,12 +243,65 @@ def test_oracle_sweeps_a_p3_chart_fibre_by_fibre():
 
 def test_oracle_memory_does_not_grow_with_the_number_of_forms():
     # 60 planes in P^3 hold the peak to the bound of 5 planes: each form
-    # scatters into the one mask, and no array per form is kept
+    # ORs its marks into the one grid per prefix, and no grid per form is kept
     rng = random.Random(60)
     arr = parse(arrangement_text(4, [[rng.randint(1, 100) for _ in range(4)] for _ in range(60)]))
     count, peak = _oracle_peak(arr, 101)
     assert 0 < count < 101**3
     assert peak < 4_000_000
+
+
+def _forms_mod_p(rng: random.Random, nvars: int, p: int, m: int) -> list[list[int]]:
+    """m forms with a lead prime to p, and then two more.
+
+    The first of them equals the first form mod p, and the second has no
+    term in the last two coordinates, y_(n-1) and y_n of the charts.
+    """
+
+    def draw() -> list[int]:
+        while True:
+            f = [rng.choice((0, 0, 1, -1, p, rng.randint(-3 * p, 3 * p))) for _ in range(nvars)]
+            if any(f) and next(filter(None, f)) % p:
+                return f
+
+    if not m:
+        return []
+    forms = [draw() for _ in range(m)]
+    first = forms[0]
+    lead = next(i for i, c in enumerate(first) if c)
+    forms.append([c + p * rng.randint(-2, 2) if i > lead else c for i, c in enumerate(first)])
+    flat = draw()
+    flat[max(nvars - 2, 1):] = [0] * min(nvars - 1, 2)
+    forms.append(flat if any(flat) else [1] + [0] * (nvars - 1))
+    return forms
+
+
+# (nvars, p): P^1 to P^3 at primes whose grid rows take 3 to 8 bytes, P^2
+# at p = 101, and P^4, whose charts have two prefix coordinates
+GRID_CASES = [(nvars, p) for nvars in (2, 3, 4) for p in (11, 13, 31)] + [(3, 101), (5, 5), (5, 7)]
+
+
+@pytest.mark.parametrize("nvars, p", GRID_CASES)
+def test_oracle_bit_grid_matches_the_point_by_point_count(nvars, p):
+    rng = random.Random(1000 * nvars + p)
+    for m in (0, 1, 4, 7):
+        arr = parse(arrangement_text(nvars, _forms_mod_p(rng, nvars, p, m)))
+        assert point_count_oracle(arr, p) == reference_point_count(arr, p)
+
+
+def test_oracle_at_the_prime_bound_in_p2():
+    # the lines (1, t, t^2), t = 1..40, and two coordinate lines: every
+    # nonzero minor of their forms is a product of integers below 80, so
+    # the lattice mod 997 is the lattice over Q.  Each of the 42 forms
+    # marks the one 997-row grid of 250-byte rows (250 kB), and no grid
+    # per form or per slope is kept
+    rows = [[1, t, t * t] for t in range(1, 41)] + [[0, 1, 0], [0, 0, 1]]
+    arr = parse(arrangement_text(3, rows))
+    started = time.perf_counter()
+    count = point_count_oracle(arr, 997)
+    assert time.perf_counter() - started < 1.0
+    assert count == poly_eval_int(reduced_char_poly(build_lattice(arr)), 997)
+    assert _oracle_peak(arr, 997)[1] < 4_000_000
 
 
 def test_lattice_flat_rows_are_canonical():
