@@ -21,16 +21,15 @@ exponent of at most MAX_TOKEN.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
 from .linalg import _insert, _integer_vector, integer_det
 
 
-# The degree-d monomial walk recurses once per coordinate, so a bound far
-# below the interpreter's recursion limit; 100 is P^99.
+# A bound on input size; 100 is P^99, five times the largest CI input.
 MAX_VARS = 100
 # A coefficient then has at most 2 * MAX_TOKEN digits, and Fraction never
 # expands a power of ten beyond 10^MAX_TOKEN.
@@ -45,19 +44,18 @@ class ParseError(ValueError):
         self.line = line
 
 
-@dataclass(frozen=True)
-class LinearForm:
+class LinearForm(NamedTuple("LinearForm", [("coeffs", tuple[int, ...])])):
     """Nonzero form as primitive ints, its lead (first nonzero entry) positive.
 
     It stands for the form coeffs / lead; proportional forms have equal coeffs.
     """
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        cs = self.coeffs
-        if not (all(type(c) is int for c in cs) and gcd(*cs) == 1 and next(filter(None, cs)) > 0):
-            raise ValueError(f"{cs} is not a primitive integer form with a positive lead")
+    def __new__(cls, coeffs: tuple[int, ...]) -> "LinearForm":
+        if not (all(type(c) is int for c in coeffs) and gcd(*coeffs) == 1 and next(filter(None, coeffs)) > 0):
+            raise ValueError(f"{coeffs} is not a primitive integer form with a positive lead")
+        return super().__new__(cls, coeffs)
 
     @classmethod
     def make(cls, coeffs) -> "LinearForm":
@@ -66,28 +64,55 @@ class LinearForm:
         if not all(type(a) is int for a in v):
             v = _integer_vector(v)
         g = gcd(*v) if next(filter(None, v), 0) >= 0 else -gcd(*v)
-        # g is 0 only for the zero form, which __post_init__ refuses
+        # g is 0 only for the zero form, which __new__ refuses
         return cls(tuple(v) if g in (0, 1) else tuple([a // g for a in v]))
 
 
-@dataclass(frozen=True)
 class Arrangement:
-    """Immutable central arrangement in k^nvars (hyperplanes in P^(nvars-1))."""
+    """Immutable central arrangement in k^nvars (hyperplanes in P^(nvars-1)).
+
+    Equal arrangements have equal nvars and forms; name and warnings are
+    not compared or hashed.  The attributes are set once, in __init__; the
+    cached properties below write straight into the instance __dict__.
+    """
 
     nvars: int
     forms: tuple[LinearForm, ...]
-    name: str = field(default="", compare=False)
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    name: str
+    warnings: tuple[str, ...]
 
-    def __post_init__(self):
-        if self.nvars < 1:
+    def __init__(
+        self, nvars: int, forms: tuple[LinearForm, ...], name: str = "", warnings: tuple[str, ...] = ()
+    ):
+        if nvars < 1:
             raise ValueError("need at least one coordinate")
-        for f in self.forms:
-            if len(f.coeffs) != self.nvars:
+        for f in forms:
+            if len(f.coeffs) != nvars:
                 raise ValueError("form arity does not match the arrangement")
-        canon = {f.coeffs for f in self.forms}
-        if len(canon) != len(self.forms):
+        canon = {f.coeffs for f in forms}
+        if len(canon) != len(forms):
             raise ValueError("duplicate hyperplanes must be collapsed before construction")
+        self.__dict__.update(nvars=nvars, forms=forms, name=name, warnings=warnings)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.nvars, self.forms) == (other.nvars, other.forms)
+
+    def __hash__(self) -> int:
+        return hash((self.nvars, self.forms))
+
+    def __repr__(self) -> str:
+        return (
+            f"Arrangement(nvars={self.nvars!r}, forms={self.forms!r},"
+            f" name={self.name!r}, warnings={self.warnings!r})"
+        )
 
     @property
     def size(self) -> int:

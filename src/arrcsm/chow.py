@@ -27,8 +27,8 @@ the lattice or the freeness decision it reads and builds neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import IntersectionLattice, csm_complement
 from .linalg import QMatrix
@@ -81,8 +81,7 @@ def verify_pencil_koszul(m: int, n: int) -> tuple[bool, FormalClass]:
     return (ok, twisted)
 
 
-@dataclass(frozen=True)
-class ProjectionCheck:
+class ProjectionCheck(NamedTuple):
     """Both sides of the projection-formula comparison on P^n.
 
     X is a degree-d hypersurface, Y a transverse degree-e hypersurface.
@@ -134,18 +133,18 @@ def projection_check(d: int, e: int, n: int) -> ProjectionCheck:
     )
 
 
-@dataclass(frozen=True)
-class SurfaceClass:
+class SurfaceClass(
+    NamedTuple("SurfaceClass", [("unit", int), ("h", int), ("exc", tuple[int, ...]), ("pt", int)])
+):
     """Element of the integer Chow ring of P^2 blown up at len(exc) points."""
 
-    unit: int
-    h: int
-    exc: tuple[int, ...]
-    pt: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(type(c) is int for c in (self.unit, self.h, self.pt, *self.exc)):
+    def __new__(cls, unit: int, h: int, exc: tuple[int, ...], pt: int) -> "SurfaceClass":
+        self = super().__new__(cls, unit, h, exc, pt)
+        if not all(type(c) is int for c in (unit, h, pt, *exc)):
             raise ValueError(f"{self} is not an integer class")
+        return self
 
     @classmethod
     def make(cls, unit: int = 0, h: int = 0, exc=(), pt: int = 0) -> "SurfaceClass":
@@ -186,8 +185,7 @@ def pushforward_to_p2(cls: SurfaceClass) -> tuple[int, ...]:
     return (cls.unit, cls.h, cls.pt)
 
 
-@dataclass(frozen=True)
-class SingularPoint:
+class SingularPoint(NamedTuple):
     """Ordinary singular point of the line arrangement divisor."""
 
     coords: tuple[Fraction, ...]
@@ -220,8 +218,7 @@ def blowup_centers(lat: IntersectionLattice) -> tuple[SingularPoint, ...]:
     return tuple(points)
 
 
-@dataclass(frozen=True)
-class BlowupRoute:
+class BlowupRoute(NamedTuple):
     """Normal-crossing class on the blow-up, before pushing forward."""
 
     cls: SurfaceClass
@@ -271,8 +268,7 @@ def tjurina_route(lat: IntersectionLattice) -> tuple[int, ...]:
     return (tangent * divisor.inverse() * correction).coeffs
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of running every applicable route on one arrangement."""
 
     routes: dict[str, tuple[int, ...] | None]

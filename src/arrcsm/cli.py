@@ -42,7 +42,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from functools import cache
 from json.encoder import encode_basestring_ascii
 from math import comb, gcd
@@ -254,7 +253,7 @@ def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessRepo
     if report is None or not report.free:
         report = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size), d0=True))
     if report.free:
-        report = replace(report, exponents=(0,) * lineality + report.exponents)
+        report = report._replace(exponents=(0,) * lineality + report.exponents)
     return report
 
 

@@ -39,19 +39,18 @@ and the final Saito division.
 from __future__ import annotations
 
 from collections.abc import Iterable, Set
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import groupby
 from math import comb, prod
 from operator import itemgetter
+from typing import NamedTuple
 
 from .arrangement import Arrangement
 from .linalg import IncrementalSpan, ModularKernel, integer_det
 from .poly import FormalClass, Monomial, monomial_mul, monomials_of_degree, render_terms
 
 
-@dataclass(frozen=True)
-class Derivation:
+class Derivation(NamedTuple):
     """Homogeneous vector field of one degree, as the search finds it.
 
     terms are the (variable j, monomial, c) triples of the nonzero entries
@@ -201,8 +200,7 @@ def degree_dimension(arr: Arrangement, d: int, generators: Iterable[Derivation] 
     return known + len(list(kernel))
 
 
-@dataclass
-class GradedBasis:
+class GradedBasis(NamedTuple):
     """Degree-by-degree picture of D(A) at the degrees the search walked."""
 
     dimensions: dict[int, int]
@@ -307,8 +305,7 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
     )
 
 
-@dataclass(frozen=True)
-class FreenessReport:
+class FreenessReport(NamedTuple):
     free: bool
     exponents: tuple[int, ...] | None
     saito_scalar: Fraction | None

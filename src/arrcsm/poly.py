@@ -17,10 +17,9 @@ ints: inverse takes only a constant term of 1, as every route's has.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Monomial = tuple[int, ...]
 
@@ -32,22 +31,20 @@ def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
 
 
 def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
-    """All exponent tuples of the given total degree, descending deg-lex."""
+    """All exponent tuples of the given total degree, descending deg-lex.
+
+    Built one slot at a time from (prefix, degree left) pairs, each prefix
+    extended by its largest exponent first.  It makes no reference cycle,
+    so reference counting alone frees the result.
+    """
     if degree < 0:
         return []
-    out: list[Monomial] = []
-
-    def fill(prefix: tuple[int, ...], remaining: int, slots: int) -> None:
-        if slots == 1:
-            out.append(prefix + (remaining,))
-            return
-        for e in range(remaining, -1, -1):
-            fill(prefix + (e,), remaining - e, slots - 1)
-
     if nvars == 0:
         return [()] if degree == 0 else []
-    fill((), degree, nvars)
-    return out
+    level: list[tuple[Monomial, int]] = [((), degree)]
+    for _ in range(nvars - 1):
+        level = [(prefix + (e,), left - e) for prefix, left in level for e in range(left, -1, -1)]
+    return [prefix + (left,) for prefix, left in level]
 
 
 def render_terms(terms: Iterable[tuple[Scalar, Iterable[tuple[str, int]]]]) -> str:
@@ -72,15 +69,15 @@ def render_terms(terms: Iterable[tuple[Scalar, Iterable[tuple[str, int]]]]) -> s
     return " ".join(pieces) if pieces else "0"
 
 
-@dataclass(frozen=True)
-class FormalClass:
+class FormalClass(NamedTuple("FormalClass", [("coeffs", tuple[int, ...])])):
     """Truncated series sum coeffs[i] X^i modulo X^(order+1), with int coefficients."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(type(c) is int for c in self.coeffs):
-            raise ValueError(f"{self.coeffs} is not an integer class")
+    def __new__(cls, coeffs: tuple[int, ...]) -> "FormalClass":
+        if not all(type(c) is int for c in coeffs):
+            raise ValueError(f"{coeffs} is not an integer class")
+        return super().__new__(cls, coeffs)
 
     @classmethod
     def make(cls, values, order: int) -> "FormalClass":

@@ -197,6 +197,19 @@ def test_duplicate_construction_rejected():
         Arrangement(nvars=3, forms=(f, f))
 
 
+def test_equality_and_hash_ignore_name_and_warnings():
+    forms = (LinearForm.make([1, 0, 0]), LinearForm.make([0, 1, 1]))
+    plain = Arrangement(3, forms)
+    warnings = ("line 3: proportional to the form on line 2; collapsed",)
+    named = Arrangement(3, forms, name="named", warnings=warnings)
+    assert plain == named and not plain != named
+    assert hash(plain) == hash(named) and len({plain, named}) == 1
+    assert plain != Arrangement(3, forms[:1])
+    assert plain != Arrangement(4, tuple(LinearForm.make([*f.coeffs, 0]) for f in forms))
+    with pytest.raises(AttributeError):
+        plain.name = "renamed"
+
+
 @pytest.mark.parametrize("coeffs", [(2, 4), (-1, 0), (Fraction(1, 2), 1), (0, 0), (True, 0)])
 def test_non_canonical_form_rejected(coeffs):
     # not primitive, a negative lead, not ints, zero; bool is not an int here

@@ -70,6 +70,14 @@ def test_formal_class_int_vector_and_render():
     assert FormalClass.make([0], 1).render() == "0"
 
 
+@pytest.mark.parametrize("coeffs", [(1, Fraction(1, 2)), (1.0, 0), (True, 0)])
+def test_formal_class_rejects_non_int_entries(coeffs):
+    # bool is not an int here
+    with pytest.raises(ValueError) as err:
+        FormalClass(coeffs)
+    assert str(err.value) == f"{coeffs} is not an integer class"
+
+
 def test_formal_class_order_mismatch():
     with pytest.raises(ValueError):
         FormalClass.one(2) + FormalClass.one(3)
@@ -147,6 +155,17 @@ def test_surface_class_intersection_form():
     assert h * e == SurfaceClass.make(0, 0, (0,), 0)
     assert pt * pt == SurfaceClass.make(0, 0, (0,), 0)
     assert pt * h == SurfaceClass.make(0, 0, (0,), 0)
+
+
+@pytest.mark.parametrize(
+    "unit,h,exc,pt",
+    [(1, Fraction(1), (), 0), (1, 0, (0, 0.5), 0), (True, 0, (), 0), (1, 0, (0,), Fraction(1, 2))],
+)
+def test_surface_class_rejects_non_int_entries(unit, h, exc, pt):
+    with pytest.raises(ValueError) as err:
+        SurfaceClass(unit, h, exc, pt)
+    record = f"SurfaceClass(unit={unit!r}, h={h!r}, exc={exc!r}, pt={pt!r})"
+    assert str(err.value) == f"{record} is not an integer class"
 
 
 def test_surface_class_inverse():

@@ -4,7 +4,6 @@ import shutil
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -472,7 +471,7 @@ SPLIT_NOT_FREE = "vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n
 def _with_lineality(report, lineality):
     if not report.free:
         return report
-    return replace(report, exponents=(0,) * lineality + report.exponents)
+    return report._replace(exponents=(0,) * lineality + report.exponents)
 
 
 def _assert_guided_equals_full(arr):
@@ -526,8 +525,11 @@ def _braid(k):
 @pytest.mark.parametrize(
     "arr,exponents",
     [(_near_pencil(m), (1, 1, m - 2)) for m in range(4, 13)]
-    + [(_braid(3), (0, 1, 2, 3)), (_braid(4), (0, 1, 2, 3, 4))],
-    ids=[f"near_pencil_{m}" for m in range(4, 13)] + ["braid_A3", "braid_A4"],
+    + [(_braid(3), (0, 1, 2, 3)), (_braid(4), (0, 1, 2, 3, 4))]
+    # x0 = x1 and x1 = x2 in 5 coordinates: A' is two coordinate lines, and
+    # the lineality space of dimension 3 adds three zeros
+    + [(parse(arrangement_text(5, [(1, -1, 0, 0, 0), (0, 1, -1, 0, 0)])), (0, 0, 0, 1, 1))],
+    ids=[f"near_pencil_{m}" for m in range(4, 13)] + ["braid_A3", "braid_A4", "lineality_3"],
 )
 def test_guided_freeness_equals_the_full_walk_on_free_families(arr, exponents):
     assert cli._guided_freeness(arr, build_lattice(arr)).exponents == exponents
@@ -650,6 +652,15 @@ def test_importing_the_cli_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are NamedTuples; dataclasses imports inspect, which imports ast, dis and tokenize
+    names = "{'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}"
+    code = f"import sys, arrcsm.cli; print(sorted({names} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_report_with_the_oracle_runs_without_numpy():
     # None in sys.modules makes every import of numpy raise ImportError
     code = "import sys; sys.modules['numpy'] = None; from arrcsm.cli import main; sys.exit(main())"
@@ -744,7 +755,7 @@ def test_dimensions_of_a_free_arrangement_come_from_its_exponents():
         if freeness.free:
             free += 1
             # with no searched degree, every dimension is read off the exponents
-            unsearched = replace(graded, dimensions={})
+            unsearched = graded._replace(dimensions={})
             dims = cli._derivations_payload(arr, unsearched, freeness, 5, [])["dims"]
             assert dims == [[d, degree_dimension(arr, d)] for d in range(6)], path.name
     assert free == 9  # all but four_generic and generic5_p3

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -161,7 +160,7 @@ def test_saito_scalar_vanishes_on_dependent_generators():
     # module: det M(theta) is 0, so c is 0 and they certify nothing
     graded = minimal_generators(BOOLEAN, range(BOOLEAN.size + 1))
     g0, g1, _ = graded.generators
-    report = decide_freeness(BOOLEAN, replace(graded, generators=(g0, g1, g1)))
+    report = decide_freeness(BOOLEAN, graded._replace(generators=(g0, g1, g1)))
     assert not report.free
     assert report.reason == "Saito determinant vanishes"
 

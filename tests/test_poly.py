@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -9,6 +10,17 @@ from oracles import MultiPoly, poly_divmod, reduce_mod_linear
 
 def x(i, n=3):
     return MultiPoly.linear_form([int(j == i) for j in range(n)])
+
+
+def test_monomials_of_degree_leaves_no_cyclic_garbage():
+    # reference counting alone frees the list and its tuples
+    gc.disable()
+    try:
+        gc.collect()
+        monomials_of_degree(3, 5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_monomial_enumeration_order():
