@@ -44,6 +44,7 @@ from .logder import (
     Derivation,
     FreenessReport,
     GradedBasis,
+    InternalError,
     chern_class_free,
     decide_freeness,
     minimal_generators,
@@ -58,6 +59,7 @@ __all__ = [
     "FormalClass",
     "FreenessReport",
     "GradedBasis",
+    "InternalError",
     "IntersectionLattice",
     "LinearForm",
     "ParseError",

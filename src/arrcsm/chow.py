@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from .lattice import IntersectionLattice, csm_complement
 from .linalg import QMatrix
-from .logder import FreenessReport, chern_class_free
+from .logder import FreenessReport, InternalError, chern_class_free
 from .poly import FormalClass
 
 ROUTE_NAMES = ("lattice_csm", "exponent_product", "tjurina", "blowup_pushforward")
@@ -207,7 +207,7 @@ def blowup_centers(lat: IntersectionLattice) -> tuple[SingularPoint, ...]:
             continue
         kern = QMatrix(flat.span, ncols=3).kernel_basis()
         if len(kern) != 1:
-            raise RuntimeError("internal consistency failure: codim-2 flat is not a point")
+            raise InternalError("internal consistency failure: codim-2 flat is not a point")
         points.append(
             SingularPoint(
                 coords=kern[0],

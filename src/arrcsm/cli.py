@@ -33,13 +33,16 @@ certify freeness (_guided_freeness).  freeness, derivations and report
 print the generators, Saito's scalar and the per-degree search of D(A),
 so they keep the full walk of D(A) in input coordinates.
 
-Exit codes: 0 success / verified, 1 a verification failed, 2 input error,
-3 internal error (a consistency check inside arrcsm failed).
+Exit codes: 0 success / verified, 1 a verification failed, 2 input error
+or a stdout closed before the output was written, 3 internal error (an
+InternalError: a consistency check inside arrcsm failed).  corpus gives
+each file the status STATUSES names for the code verify would give it.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from functools import cache
@@ -73,6 +76,7 @@ from .lattice import (
 from .logder import (
     FreenessReport,
     GradedBasis,
+    InternalError,
     decide_freeness,
     degree_dimension,
     minimal_generators,
@@ -81,6 +85,9 @@ from .poly import FormalClass
 
 # Largest --max-degree: the table has one entry, and a non-free A one kernel, per degree.
 MAX_DEGREE = 100
+
+# the status corpus gives a file, indexed by the exit code verify gives it
+STATUSES = ("pass", "fail", "error", "internal_error")
 
 
 def _arrangement_payload(arr: Arrangement) -> dict:
@@ -129,9 +136,9 @@ def _charpoly_payload(lat: IntersectionLattice) -> dict:
     return payload
 
 
-def _csm_payload(lat: IntersectionLattice) -> dict:
-    n = lat.arrangement.projective_dim
-    vec = csm_complement(lat)
+def _csm_payload(vec: tuple[int, ...]) -> dict:
+    """vec, a class in A_*(P^n) by codimension, with its basis labels [P^n], ..., [P^0]."""
+    n = len(vec) - 1
     return {
         "vector": list(vec),
         "basis_labels": [f"[P^{n - j}]" for j in range(n + 1)],
@@ -257,44 +264,35 @@ def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessRepo
     return report
 
 
-def _is_internal(exc: RuntimeError) -> bool:
-    return str(exc).startswith("internal consistency failure")
-
-
 def corpus_runner(directory: Path) -> tuple[dict, int]:
     """Verify every .arr file in a directory; summary payload and exit code.
 
-    num_error counts both input errors (status "error") and internal
-    errors (status "internal_error"); any internal error makes the code 3.
+    Each file gets the code verify would exit with on it and the status
+    STATUSES names for it; num_error counts codes 2 and 3, and the
+    directory's code is the largest file code, 0 when it has no file.
     """
-    entries = []
+    entries, codes = [], []
     for path in sorted(directory.glob("*.arr")):
         try:
             arr = parse_file(path)
             lat = build_lattice(arr)
             vr = verify_arrangement(lat, _guided_freeness(arr, lat))
         except (OSError, ValueError) as exc:  # ParseError is a ValueError
-            entries.append({"file": path.name, "status": "error", "message": str(exc)})
-            continue
-        except RuntimeError as exc:
-            if not _is_internal(exc):
-                raise
-            entries.append({"file": path.name, "status": "internal_error", "message": str(exc)})
-            continue
-        status = "pass" if vr.passed else "fail"
-        entries.append({"file": path.name, "status": status, "routes": _routes_payload(vr.routes)})
-    statuses = [e["status"] for e in entries]
-    num_pass, num_fail = statuses.count("pass"), statuses.count("fail")
-    num_error = len(statuses) - num_pass - num_fail
+            code, detail = 2, {"message": str(exc)}
+        except InternalError as exc:
+            code, detail = 3, {"message": str(exc)}
+        else:
+            code, detail = (0 if vr.passed else 1), {"routes": _routes_payload(vr.routes)}
+        codes.append(code)
+        entries.append({"file": path.name, "status": STATUSES[code], **detail})
     payload = {
         "directory": directory.name,
         "entries": entries,
-        "num_pass": num_pass,
-        "num_fail": num_fail,
-        "num_error": num_error,
+        "num_pass": codes.count(0),
+        "num_fail": codes.count(1),
+        "num_error": codes.count(2) + codes.count(3),
     }
-    code = 3 if "internal_error" in statuses else 2 if num_error else 1 if num_fail else 0
-    return payload, code
+    return payload, max(codes, default=0)
 
 
 @cache
@@ -389,7 +387,7 @@ def _charpoly(args, arr):
 
 
 def _csm(args, arr):
-    return _csm_payload(build_lattice(arr)), 0
+    return _csm_payload(csm_complement(build_lattice(arr))), 0
 
 
 def _max_degree(args) -> int:
@@ -433,7 +431,7 @@ def _report(args, arr):
     result = {
         "lattice": _lattice_payload(lat),
         "charpoly": _charpoly_payload(lat),
-        "csm": _csm_payload(lat),
+        "csm": _csm_payload(vr.routes["lattice_csm"]),
         "derivations": _derivations_payload(arr, graded, freeness, max_degree, generators),
         "freeness": _freeness_payload(freeness, generators),
         "verification": _verify_payload(vr),
@@ -692,24 +690,27 @@ def run(argv: list[str]) -> int:
     except (OSError, ValueError) as exc:  # ParseError and BadReductionError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
-        if not _is_internal(exc):
-            raise
+    except InternalError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return 3
-    if args.json:
-        payload = {
-            "command": args.command,
-            "result": result,
-            "tool": {"name": "arrcsm", "version": __version__},
-        }
-        if arr is not None:
-            payload["arrangement"] = _arrangement_payload(arr)
-        sys.stdout.write(_json(payload) + "\n")
-    else:
-        for w in arr.warnings if arr is not None else ():
-            print(f"warning: {w}")
-        show(result, arr, (time.perf_counter() - started) * 1000)
+    try:
+        if args.json:
+            payload = {
+                "command": args.command,
+                "result": result,
+                "tool": {"name": "arrcsm", "version": __version__},
+            }
+            if arr is not None:
+                payload["arrangement"] = _arrangement_payload(arr)
+            sys.stdout.write(_json(payload) + "\n")
+        else:
+            for w in arr.warnings if arr is not None else ():
+                print(f"warning: {w}")
+            show(result, arr, (time.perf_counter() - started) * 1000)
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early: fd 1 to devnull, so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     return code
 
 

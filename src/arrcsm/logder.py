@@ -50,6 +50,10 @@ from .linalg import IncrementalSpan, ModularKernel, integer_det
 from .poly import FormalClass, Monomial, monomial_mul, monomials_of_degree, render_terms
 
 
+class InternalError(RuntimeError):
+    """One of arrcsm's own consistency checks failed: a bug in arrcsm, not in the input."""
+
+
 class Derivation(NamedTuple):
     """Homogeneous vector field of one degree, as the search finds it.
 
@@ -395,9 +399,7 @@ def chern_class_free(freeness: FreenessReport) -> tuple[int, ...]:
     exps = list(freeness.exponents)
     n = len(exps) - 1
     if 1 not in exps:
-        raise RuntimeError(
-            "internal consistency failure: free exponents contain no Euler slot"
-        )
+        raise InternalError("internal consistency failure: free exponents contain no Euler slot")
     exps.remove(1)
     factors = (FormalClass.make([1, 1 - e], n) for e in exps)
     return prod(factors, start=FormalClass.one(n)).coeffs

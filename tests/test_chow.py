@@ -19,6 +19,7 @@ from arrcsm.chow import (
     verify_pencil_koszul,
 )
 from arrcsm.lattice import build_lattice, csm_complement
+from arrcsm.logder import InternalError
 from property_checks import freeness_of, verify
 
 BOOLEAN = parse("vars 3\n1 0 0\n0 1 0\n0 0 1\n", name="boolean")
@@ -214,6 +215,19 @@ def test_singular_points_counts():
     assert [p.multiplicity for p in braid_pts] == [3, 3, 3, 3]
     with pytest.raises(ValueError):
         blowup_centers(build_lattice(TETRAHEDRON))
+
+
+def test_blowup_centers_raise_internal_error_on_a_flat_that_is_not_a_point(monkeypatch):
+    class NoKernel:  # a codim-2 span whose kernel is not one point
+        def __init__(self, rows, ncols):
+            pass
+
+        def kernel_basis(self):
+            return []
+
+    monkeypatch.setattr(chow, "QMatrix", NoKernel)
+    with pytest.raises(InternalError, match="^internal consistency failure: codim-2 flat is not a point$"):
+        blowup_centers(build_lattice(THREE_CONC))
 
 
 def test_blowup_three_concurrent_frozen():

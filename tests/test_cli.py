@@ -1,5 +1,6 @@
 import ast
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -17,7 +18,7 @@ from arrcsm.arrangement import MAX_VARS, parse, parse_file
 from arrcsm.chow import SingularPoint
 from arrcsm.cli import corpus_runner, main, run
 from arrcsm.lattice import build_lattice
-from arrcsm.logder import Derivation, decide_freeness, degree_dimension, minimal_generators
+from arrcsm.logder import Derivation, InternalError, decide_freeness, degree_dimension, minimal_generators
 from property_checks import arrangement_text
 
 REPO = Path(__file__).resolve().parents[1]
@@ -762,7 +763,7 @@ def test_dimensions_of_a_free_arrangement_come_from_its_exponents():
 
 
 def _raise_internal(*args, **kwargs):
-    raise RuntimeError("internal consistency failure: injected by the test")
+    raise InternalError("internal consistency failure: injected by the test")
 
 
 def test_internal_error_exits_3(monkeypatch, capsys):
@@ -783,6 +784,18 @@ def test_other_runtime_errors_still_propagate(monkeypatch):
         run(["verify", "--input", str(THREE_CONC)])
 
 
+def test_internal_errors_are_told_by_type_not_by_message(monkeypatch, tmp_path):
+    def crash(*args, **kwargs):
+        raise RuntimeError("internal consistency failure: but not an InternalError")
+
+    monkeypatch.setattr("arrcsm.chow.tjurina_route", crash)
+    shutil.copy(THREE_CONC, tmp_path)
+    with pytest.raises(RuntimeError, match="not an InternalError"):
+        run(["verify", "--input", str(THREE_CONC)])
+    with pytest.raises(RuntimeError, match="not an InternalError"):
+        corpus_runner(tmp_path)
+
+
 def test_corpus_marks_internal_error_and_continues(monkeypatch, tmp_path, capsys):
     # tjurina_route runs only in P^2, so the P^3 file still passes
     monkeypatch.setattr("arrcsm.chow.tjurina_route", _raise_internal)
@@ -797,6 +810,62 @@ def test_corpus_marks_internal_error_and_continues(monkeypatch, tmp_path, capsys
     assert payload["num_pass"] == 1 and payload["num_error"] == 2
     assert run(["corpus", "--input", str(tmp_path)]) == 3
     assert "a_plane.arr" in capsys.readouterr().out
+
+
+def _wrong_tjurina(lat):
+    return (7,) * (lat.arrangement.projective_dim + 1)
+
+
+@pytest.mark.parametrize(
+    "files,statuses,code",
+    [
+        ({"a_plane.arr": THREE_CONC}, ["fail"], 1),
+        ({"a_plane.arr": THREE_CONC, "b_space.arr": CORPUS / "tetrahedron_p3.arr"}, ["fail", "pass"], 1),
+        ({"a_plane.arr": THREE_CONC, "b_broken.arr": None}, ["fail", "error"], 2),
+    ],
+    ids=["fail", "fail_and_pass", "fail_and_error"],
+)
+def test_corpus_exits_with_the_largest_file_code(monkeypatch, tmp_path, capsys, files, statuses, code):
+    # tjurina_route runs only in P^2: the plane file fails, the P^3 file still passes
+    monkeypatch.setattr("arrcsm.chow.tjurina_route", _wrong_tjurina)
+    for name, source in files.items():
+        text = "vars 3\n1 0\n" if source is None else source.read_text(encoding="utf-8")
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    payload, rc = corpus_runner(tmp_path)
+    assert rc == code
+    assert [e["status"] for e in payload["entries"]] == statuses
+    kinds = ("pass", "fail", "error")
+    assert [payload[f"num_{kind}"] for kind in kinds] == [statuses.count(kind) for kind in kinds]
+    assert run(["corpus", "--input", str(tmp_path)]) == code
+    capsys.readouterr()
+    # each file's code is the one verify exits with on it
+    for name, status in zip(files, statuses):
+        assert run(["verify", "--input", str(tmp_path / name)]) == cli.STATUSES.index(status)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("large", [True, False], ids=["mid_output", "before_the_last_flush"])
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, large):
+    # planes_30's lattice prints 4,527 flats, about 180 kB, more than a pipe
+    # holds, so the writer meets the pipe closed after one line while it
+    # prints; csm's two lines wait in stdout's buffer, block-buffered as by
+    # default, for the last flush
+    if large:
+        path = tmp_path / "planes_30.arr"
+        path.write_text(arrangement_text(4, [[t**k for k in range(4)] for t in range(1, 31)]), encoding="utf-8")
+        argv = ["lattice", "--input", str(path)]
+    else:
+        argv = ["csm", "--input", str(THREE_CONC)]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "arrcsm", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
+    )
+    if large:
+        assert proc.stdout.readline() == b"4527 flats\n"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert b"Traceback" not in err and b"Exception ignored" not in err
 
 
 # str values as json.dumps escapes them: quotes, backslashes, control

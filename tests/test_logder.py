@@ -8,6 +8,7 @@ import pytest
 from arrcsm import linalg, logder
 from arrcsm.arrangement import parse, parse_file
 from arrcsm.logder import (
+    InternalError,
     _degree_kernel,
     chern_class_free,
     decide_freeness,
@@ -187,7 +188,7 @@ def test_chern_class_free_frozen():
 def test_chern_class_free_errors():
     with pytest.raises(ValueError):
         chern_class_free(freeness_of(FOUR_GENERIC))
-    with pytest.raises(RuntimeError):
+    with pytest.raises(InternalError):
         chern_class_free(freeness_of(EMPTY))
 
 
