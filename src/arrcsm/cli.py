@@ -66,6 +66,7 @@ from .lattice import (
     IntersectionLattice,
     build_lattice,
     char_poly,
+    check_oracle_prime,
     csm_complement,
     integer_roots,
     point_count_oracle,
@@ -343,18 +344,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_primes(spec: str | None) -> list[int]:
+def _parse_primes(spec: str | None, arr: Arrangement) -> list[int]:
+    """The --primes list, each prime checked before any stage runs."""
     if not spec:
         return []
     try:
-        return [int(tok) for tok in spec.split(",") if tok.strip()]
+        primes = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"cannot parse prime list {spec!r}") from None
+    for p in primes:
+        check_oracle_prime(arr, p)
+    return primes
 
 
-def _add_oracle(result: dict, lat: IntersectionLattice, spec: str | None) -> bool:
-    """Attach the --primes point counts to result; False when one disagrees."""
-    primes = _parse_primes(spec)
+def _add_oracle(result: dict, lat: IntersectionLattice, primes: list[int]) -> bool:
+    """Attach the point counts at primes to result; False when one disagrees."""
     if not primes:
         return True
     reduced = reduced_char_poly(lat) if lat.arrangement.size >= 1 else None
@@ -376,9 +380,10 @@ def _add_oracle(result: dict, lat: IntersectionLattice, spec: str | None) -> boo
 
 
 def _lattice(args, arr):
+    primes = _parse_primes(args.primes, arr)
     lat = build_lattice(arr)
     result = _lattice_payload(lat)
-    oracle_ok = _add_oracle(result, lat, args.primes)
+    oracle_ok = _add_oracle(result, lat, primes)
     return result, 0 if oracle_ok else 1
 
 
@@ -409,6 +414,7 @@ def _freeness(args, arr):
 
 
 def _verify(args, arr):
+    primes = _parse_primes(args.primes, arr)
     lat = build_lattice(arr)
     # lat is read for chi alone and never makes its flats; the routes get a
     # second lattice (perfbench/test_bench.py pins 2 builds per verify), the
@@ -416,12 +422,13 @@ def _verify(args, arr):
     # its points (of_codim(2))
     vr = verify_arrangement(build_lattice(arr), _guided_freeness(arr, lat))
     result = _verify_payload(vr)
-    oracle_ok = _add_oracle(result, lat, args.primes)
+    oracle_ok = _add_oracle(result, lat, primes)
     return result, 0 if (vr.passed and oracle_ok) else 1
 
 
 def _report(args, arr):
     max_degree = _max_degree(args)
+    primes = _parse_primes(args.primes, arr)
     lat = build_lattice(arr)
     graded = _full_search(arr)
     freeness = decide_freeness(arr, graded)
@@ -436,7 +443,7 @@ def _report(args, arr):
         "freeness": _freeness_payload(freeness, generators),
         "verification": _verify_payload(vr),
     }
-    oracle_ok = _add_oracle(result, lat, args.primes)
+    oracle_ok = _add_oracle(result, lat, primes)
     return result, 0 if (vr.passed and oracle_ok) else 1
 
 

@@ -317,6 +317,30 @@ def _is_prime(p: int) -> bool:
 ORACLE_MAX_POINTS = 2_000_000
 
 
+def check_oracle_prime(arr: Arrangement, p: int) -> None:
+    """Refuse a prime that point_count_oracle cannot sweep, reading only the forms.
+
+    Refused: p above 1000, p not prime, a largest chart p^n above
+    ORACLE_MAX_POINTS, and p of bad reduction, dividing a form's lead and
+    so a denominator of the form over it.
+    """
+    if p > 1000:  # before _is_prime, whose trial division is unbounded in p
+        raise ValueError("oracle is restricted to primes up to 1000")
+    if not _is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    n1 = arr.nvars
+    if p ** (n1 - 1) > ORACLE_MAX_POINTS:
+        raise ValueError(
+            f"oracle chart of {p}^{n1 - 1} points exceeds the bound of {ORACLE_MAX_POINTS}"
+        )
+    for f in arr.forms:
+        lead = next(filter(None, f.coeffs))
+        for a in f.coeffs:
+            # a / lead in lowest terms is (a // g) / (lead // g)
+            if lead // (g := gcd(a, lead)) % p == 0:
+                raise BadReductionError(f"denominator of {a // g}/{lead // g} vanishes mod {p}")
+
+
 def point_count_oracle(arr: Arrangement, p: int) -> int:
     """Count points of P^n(F_p) lying on no hyperplane, fibre by fibre.
 
@@ -335,26 +359,10 @@ def point_count_oracle(arr: Arrangement, p: int) -> int:
     is 0 or not when b = 0.  Each prefix ORs the marks of its forms into
     one int, a form whose prefix terms all vanish mod p marks every prefix
     alike and is ORed once, and the chart contributes the unmarked points.
-    Refuses primes of bad reduction, those dividing a form's lead and so
-    a denominator of the form over it; refuses a largest chart p^n above
-    ORACLE_MAX_POINTS before allocating anything.
+    Refuses what check_oracle_prime refuses, before allocating anything.
     """
-    if p > 1000:  # before _is_prime, whose trial division is unbounded in p
-        raise ValueError("oracle is restricted to primes up to 1000")
-    if not _is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    check_oracle_prime(arr, p)
     n1 = arr.nvars
-    if p ** (n1 - 1) > ORACLE_MAX_POINTS:
-        raise ValueError(
-            f"oracle chart of {p}^{n1 - 1} points exceeds the bound of {ORACLE_MAX_POINTS}"
-        )
-
-    for f in arr.forms:
-        lead = next(filter(None, f.coeffs))
-        for a in f.coeffs:
-            # a / lead in lowest terms is (a // g) / (lead // g)
-            if lead // (g := gcd(a, lead)) % p == 0:
-                raise BadReductionError(f"denominator of {a // g}/{lead // g} vanishes mod {p}")
     reduced_forms = [[a % p for a in f.coeffs] for f in arr.forms]
 
     width = (2 * p + 7) // 8  # bytes to a grid row

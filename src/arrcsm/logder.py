@@ -328,62 +328,58 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
     det M(theta)(x0) / Q(x0) at one point x0 off the arrangement.  By
     Saito's criterion the theta_i are a basis of D(A), and the
     arrangement is free, if and only if c != 0.
+
+    The verdict, the last line of the report's search_log, is the first of
+    four outcomes that holds, checked in this order: not free when the
+    search overflowed the rank bound n + 1, not free when it found other
+    than n + 1 generators, not free when their degrees do not sum to |A|,
+    and otherwise free exactly when c != 0, with those degrees as exponents.
     """
-    log = list(graded.search_log)
     n1 = arr.nvars
     m = arr.size
     gens = graded.generators
-
-    def failed(reason: str) -> FreenessReport:
-        log.append(f"not free: {reason}")
-        return FreenessReport(
-            free=False,
-            exponents=None,
-            saito_scalar=None,
-            generators=gens,
-            reason=reason,
-            search_log=tuple(log),
-        )
-
+    degrees = sorted(g.degree for g in gens)
     if graded.exit_reason == "overflow":
-        return failed(
-            f"needs {len(gens)} minimal generators, more than the rank bound {n1}"
-        )
-    if len(gens) != n1:
+        reason = f"needs {len(gens)} minimal generators, more than the rank bound {n1}"
+        scalar = None
+    elif len(gens) != n1:
         walked = "without walking a degree"
         if graded.dimensions:
             walked = f"through degree {max(graded.dimensions)}"
-        return failed(f"found {len(gens)} minimal generators {walked}, expected {n1}")
-    degrees = sorted(g.degree for g in gens)
-    if sum(degrees) != m:
-        return failed(
-            f"generator degrees {tuple(degrees)} sum to {sum(degrees)}, not {m}"
-        )
-    # x0 = (1, t, ..., t^n): a form is a nonzero polynomial of degree <= n in t,
-    # so one of t = 0, ..., m*n leaves Q(x0), the product of the forms, nonzero
-    for t in range(m * (n1 - 1) + 1):
-        x0 = [t**j for j in range(n1)]
-        q_x0 = prod(sum(c * x for c, x in zip(f.coeffs, x0)) for f in arr.forms)
-        if q_x0:
-            break
-    # row i is the integer vector of theta_i at x0; theta_i is it over its first entry
-    rows = [[0] * n1 for _ in gens]
-    for row, g in zip(rows, gens):
-        for j, mono, c in g.terms:
-            row[j] += c * prod(map(pow, x0, mono))
-    # Q is the product of the forms over their leads, so Q(x0) is q_x0 over the leads
-    leads = prod(next(filter(None, f.coeffs)) for f in arr.forms)
-    scalar = Fraction(integer_det(rows) * leads, q_x0 * prod(g.terms[0][2] for g in gens))
-    if not scalar:
-        return failed("Saito determinant vanishes")
-    log.append(f"free: Saito determinant = {scalar} * defining polynomial")
+        reason = f"found {len(gens)} minimal generators {walked}, expected {n1}"
+        scalar = None
+    elif sum(degrees) != m:
+        reason = f"generator degrees {tuple(degrees)} sum to {sum(degrees)}, not {m}"
+        scalar = None
+    else:
+        # x0 = (1, t, ..., t^n): a form is a nonzero polynomial of degree <= n in t,
+        # so one of t = 0, ..., m*n leaves Q(x0), the product of the forms, nonzero
+        for t in range(m * (n1 - 1) + 1):
+            x0 = [t**j for j in range(n1)]
+            q_x0 = prod(sum(c * x for c, x in zip(f.coeffs, x0)) for f in arr.forms)
+            if q_x0:
+                break
+        # row i is the integer vector of theta_i at x0; theta_i is it over its first entry
+        rows = [[0] * n1 for _ in gens]
+        for row, g in zip(rows, gens):
+            for j, mono, c in g.terms:
+                row[j] += c * prod(map(pow, x0, mono))
+        # Q is the product of the forms over their leads, so Q(x0) is q_x0 over the leads
+        leads = prod(next(filter(None, f.coeffs)) for f in arr.forms)
+        det = integer_det(rows) * leads
+        reason = None if det else "Saito determinant vanishes"
+        scalar = Fraction(det, q_x0 * prod(g.terms[0][2] for g in gens)) if det else None
+    if reason is None:
+        verdict = f"free: Saito determinant = {scalar} * defining polynomial"
+    else:
+        verdict = f"not free: {reason}"
     return FreenessReport(
-        free=True,
-        exponents=tuple(degrees),
+        free=reason is None,
+        exponents=tuple(degrees) if reason is None else None,
         saito_scalar=scalar,
         generators=gens,
-        reason=None,
-        search_log=tuple(log),
+        reason=reason,
+        search_log=(*graded.search_log, verdict),
     )
 
 

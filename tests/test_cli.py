@@ -464,6 +464,28 @@ def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searc
     assert stage_calls == {"build_lattice": builds, "minimal_generators": searches}
 
 
+@pytest.mark.parametrize("command", ["lattice", "verify", "report"])
+@pytest.mark.parametrize(
+    "primes,message",
+    [
+        ("101,x", "cannot parse prime list '101,x'"),
+        ("1009", "oracle is restricted to primes up to 1000"),
+        ("7,4", "4 is not prime"),
+        ("101", "oracle chart of 101^5 points exceeds the bound of 2000000"),
+        ("2", "denominator of 1/2 vanishes mod 2"),
+    ],
+    ids=["unparsable", "too_large", "not_prime", "chart_too_large", "bad_reduction"],
+)
+def test_a_bad_prime_is_refused_before_any_stage(
+    stage_calls, tmp_path, capsys, command, primes, message
+):
+    path = tmp_path / "p5.arr"
+    path.write_text("vars 6\n1 0 0 0 0 0\n0 1 0 0 0 0\n0 0 2 0 0 1\n", encoding="utf-8")
+    assert run([command, "--input", str(path), "--primes", primes]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert stage_calls == {"build_lattice": 0, "minimal_generators": 0}
+
+
 # Non-free, although chi = (t - 1)(t - 3)^2 splits: the walk over its roots
 # overflows at degree 3, and the full walk finds 4 generators by degree 5.
 SPLIT_NOT_FREE = "vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n"

@@ -395,12 +395,28 @@ def test_exhausted_walk_names_only_the_degrees_it_searched():
     assert sorted(graded.dimensions) == [1, 2, 4]
     assert graded.generator_degrees == (1, 2)
     # the reason names the last degree walked, not |A|
-    assert decide_freeness(split, graded).reason == (
-        "found 2 minimal generators through degree 4, expected 3")
+    report = decide_freeness(split, graded)
+    assert report.reason == "found 2 minimal generators through degree 4, expected 3"
+    assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
     graded = minimal_generators(split, [])
     assert graded.search_log == ("search walked no degree",)
-    assert decide_freeness(split, graded).reason == (
-        "found 0 minimal generators without walking a degree, expected 3")
+    report = decide_freeness(split, graded)
+    assert report.reason == "found 0 minimal generators without walking a degree, expected 3"
+    assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
+    # three generators by degree 3, but their degrees sum past |A| = 6
+    sum_past = parse("vars 3\n2 -1 0\n-1 1 -1\n-1 2 -1\n0 1 0\n2 0 -1\n1 1 -1\n")
+    graded = minimal_generators(sum_past, range(4))
+    assert graded.search_log[-1] == "search exhausted degrees 0..3"
+    report = decide_freeness(sum_past, graded)
+    assert report.reason == "generator degrees (1, 3, 3) sum to 7, not 6"
+    assert (report.free, report.exponents, report.saito_scalar) == (False, None, None)
+    assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
+    # a free verdict is the last log line too
+    graded = minimal_generators(near_pencil_5, range(near_pencil_5.size + 1))
+    report = decide_freeness(near_pencil_5, graded)
+    assert report.free and report.reason is None
+    verdict = f"free: Saito determinant = {report.saito_scalar} * defining polynomial"
+    assert report.search_log == graded.search_log + (verdict,)
 
 
 def test_a_two_term_form_puts_one_entry_per_column(monkeypatch):
