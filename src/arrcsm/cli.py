@@ -6,10 +6,13 @@ document.  JSON output is key-sorted and contains nothing run-dependent,
 so two runs on the same input are byte-identical; wall-clock timing only
 ever appears in text output.  _json writes it, byte-identical to
 json.dumps(sort_keys=True, indent=2) on the payloads' str, int, bool,
-None, dict and list values.  The lattice result holds the lattice's
-Flat records, which _json writes by one template and _lattice_text
-reads; each basis is rendered from its integer span, each distinct span
-row once per output, and the output stage makes no Fraction.
+None, dict, list and tuple values.  A result holds the tuples the stages
+return, uncopied; _json writes a tuple as json.dumps writes a list, and
+the text renderers print them as tuples.  The lattice result holds the
+lattice's Flat records, which _json writes by one template and
+_lattice_text reads; each basis is rendered from its integer span, each
+distinct span row once per output, and the output stage makes no
+Fraction.
 
 Each subcommand is one entry of HANDLERS: a handler that computes only
 the stages its command reads, each of them once (report builds one
@@ -101,7 +104,7 @@ def _arrangement_payload(arr: Arrangement) -> dict:
         "rank": rank,
         "essential": rank == arr.nvars,
         "forms": [_rref_row(f.coeffs) for f in arr.forms],
-        "warnings": list(arr.warnings),
+        "warnings": arr.warnings,
     }
 
 
@@ -123,25 +126,22 @@ def _lattice_payload(lat: IntersectionLattice) -> dict:
 
 
 def _charpoly_payload(lat: IntersectionLattice) -> dict:
+    """chi(A, t), and chi(A, t) / (t - 1) but for the empty arrangement."""
     chi = char_poly(lat)
-    payload = {
-        "ascending_coeffs": list(chi),
+    reduced = reduced_char_poly(lat) if lat.arrangement.size >= 1 else None
+    return {
+        "ascending_coeffs": chi,
         "rendered": render_poly_in_t(chi),
-        "reduced_ascending_coeffs": None,
-        "reduced_rendered": None,
+        "reduced_ascending_coeffs": reduced,
+        "reduced_rendered": render_poly_in_t(reduced) if reduced is not None else None,
     }
-    if lat.arrangement.size >= 1:
-        reduced = reduced_char_poly(lat)
-        payload["reduced_ascending_coeffs"] = list(reduced)
-        payload["reduced_rendered"] = render_poly_in_t(reduced)
-    return payload
 
 
 def _csm_payload(vec: tuple[int, ...]) -> dict:
     """vec, a class in A_*(P^n) by codimension, with its basis labels [P^n], ..., [P^0]."""
     n = len(vec) - 1
     return {
-        "vector": list(vec),
+        "vector": vec,
         "basis_labels": [f"[P^{n - j}]" for j in range(n + 1)],
         "euler_characteristic": vec[-1],
     }
@@ -169,22 +169,19 @@ def _derivations_payload(
     dims = [[d, dimension(d)] for d in range(max_degree + 1)]
     return {
         "dims": dims,
-        "generator_degrees": list(gb.generator_degrees),
+        "generator_degrees": gb.generator_degrees,
         "generators": generators,
         "exit_reason": gb.exit_reason,
-        "search_log": list(gb.search_log),
+        "search_log": gb.search_log,
     }
 
 
 def _freeness_payload(rep: FreenessReport, generators: list[str]) -> dict:
-    """rep's verdict, with its generators rendered as generators."""
+    """rep's fields, its Saito scalar as a string and its generators rendered as generators."""
     return {
-        "free": rep.free,
-        "exponents": list(rep.exponents) if rep.exponents is not None else None,
+        **rep._asdict(),
         "saito_scalar": str(rep.saito_scalar) if rep.saito_scalar is not None else None,
-        "reason": rep.reason,
         "generators": generators,
-        "search_log": list(rep.search_log),
     }
 
 
@@ -196,31 +193,27 @@ def _blowup_payload(blowup: BlowupRoute | None) -> dict | None:
     return {
         "unit": cls.unit,
         "h": cls.h,
-        "exceptional": [[point, coef] for point, coef in zip(points, cls.exc)],
+        "exceptional": tuple(zip(points, cls.exc)),
         "pt": cls.pt,
         "centers": [
             {
                 "point": point,
                 "multiplicity": center.multiplicity,
-                "lines": list(center.lines),
+                "lines": center.lines,
             }
             for point, center in zip(points, blowup.centers)
         ],
     }
 
 
-def _routes_payload(routes: dict) -> dict:
-    return {name: (list(vec) if vec is not None else None) for name, vec in routes.items()}
-
-
 def _verify_payload(vr: VerificationReport) -> dict:
     return {
-        "routes": _routes_payload(vr.routes),
-        "agreements": [[a, b, ok] for a, b, ok in vr.agreements],
+        "routes": vr.routes,
+        "agreements": vr.agreements,
         "passed": vr.passed,
-        "notes": list(vr.notes),
+        "notes": vr.notes,
         "free": vr.freeness.free,
-        "exponents": list(vr.freeness.exponents) if vr.freeness.exponents is not None else None,
+        "exponents": vr.freeness.exponents,
         "blowup_class": _blowup_payload(vr.blowup),
     }
 
@@ -283,7 +276,7 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
         except InternalError as exc:
             code, detail = 3, {"message": str(exc)}
         else:
-            code, detail = (0 if vr.passed else 1), {"routes": _routes_payload(vr.routes)}
+            code, detail = (0 if vr.passed else 1), {"routes": vr.routes}
         codes.append(code)
         entries.append({"file": path.name, "status": STATUSES[code], **detail})
     payload = {
@@ -345,11 +338,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_primes(spec: str | None, arr: Arrangement) -> list[int]:
-    """The --primes list, each prime checked before any stage runs."""
+    """The --primes list, each prime once in first-seen order, checked before any stage runs."""
     if not spec:
         return []
     try:
-        primes = [int(tok) for tok in spec.split(",") if tok.strip()]
+        primes = list(dict.fromkeys(int(tok) for tok in spec.split(",") if tok.strip()))
     except ValueError:
         raise ValueError(f"cannot parse prime list {spec!r}") from None
     for p in primes:
@@ -454,11 +447,11 @@ def _example41(args, _arr):
         "m": args.m,
         "n": args.n,
         "identity": {
-            "csm_side": list(csm_side.coeffs),
-            "chern_side": list(chern_side.coeffs),
+            "csm_side": csm_side.coeffs,
+            "chern_side": chern_side.coeffs,
             "equal": ok,
         },
-        "koszul": {"twisted_class": list(twisted.coeffs), "equal": k_ok},
+        "koszul": {"twisted_class": twisted.coeffs, "equal": k_ok},
     }
     return result, 0 if (ok and k_ok) else 1
 
@@ -522,13 +515,13 @@ def _csm_text(result: dict, arr, elapsed_ms: float) -> None:
 def _derivations_text(result: dict, arr, elapsed_ms: float) -> None:
     for d, dim in result["dims"]:
         print(f"  degree {d}: dim {dim}")
-    print(f"minimal generator degrees: {tuple(result['generator_degrees'])}")
+    print(f"minimal generator degrees: {result['generator_degrees']}")
     print(f"search exit: {result['exit_reason']}")
 
 
 def _freeness_line(result: dict) -> None:
     if result["free"]:
-        print(f"free, exponents {tuple(result['exponents'])}")
+        print(f"free, exponents {result['exponents']}")
     else:
         print(f"not free: {result['reason']}")
 
@@ -566,7 +559,7 @@ def _verify_text(result: dict, arr: Arrangement, elapsed_ms: float) -> None:
 
 def _report_text(result: dict, arr: Arrangement, elapsed_ms: float) -> None:
     print(f"chi(t) = {result['charpoly']['rendered']}")
-    print(f"csm vector: {tuple(result['csm']['vector'])}")
+    print(f"csm vector: {result['csm']['vector']}")
     _freeness_line(result["freeness"])
     # _add_oracle puts report's oracle beside the verification payload, not in it
     verification = {**result["verification"], "oracle": result.get("oracle", {"checks": []})}

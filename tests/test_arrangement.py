@@ -193,8 +193,12 @@ def test_single():
 
 def test_duplicate_construction_rejected():
     f = LinearForm.make([1, 0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="duplicate"):
         Arrangement(nvars=3, forms=(f, f))
+    with pytest.raises(ValueError, match="at least one coordinate"):
+        Arrangement(0, ())
+    with pytest.raises(ValueError, match="arity"):
+        Arrangement(nvars=2, forms=(f,))
 
 
 def test_equality_and_hash_ignore_name_and_warnings():
@@ -208,6 +212,13 @@ def test_equality_and_hash_ignore_name_and_warnings():
     assert plain != Arrangement(4, tuple(LinearForm.make([*f.coeffs, 0]) for f in forms))
     with pytest.raises(AttributeError):
         plain.name = "renamed"
+    with pytest.raises(AttributeError):
+        del named.name
+    # another type compares unequal through NotImplemented, not an error
+    assert (plain == 3) is False and plain != 3
+    assert repr(named) == (
+        f"Arrangement(nvars=3, forms={forms!r}, name='named', warnings={warnings!r})"
+    )
 
 
 @pytest.mark.parametrize("coeffs", [(2, 4), (-1, 0), (Fraction(1, 2), 1), (0, 0), (True, 0)])

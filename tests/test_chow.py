@@ -106,6 +106,10 @@ def test_pencil_identity_validation():
         verify_pencil_identity(1, 2)
     with pytest.raises(ValueError):
         verify_pencil_identity(3, -1)
+    with pytest.raises(ValueError):
+        verify_pencil_koszul(1, 2)
+    with pytest.raises(ValueError):
+        verify_pencil_koszul(3, 101)
 
 
 def test_pencil_koszul_frozen():

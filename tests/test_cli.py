@@ -471,10 +471,14 @@ def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searc
         ("101,x", "cannot parse prime list '101,x'"),
         ("1009", "oracle is restricted to primes up to 1000"),
         ("7,4", "4 is not prime"),
+        ("1", "1 is not prime"),
+        ("0", "0 is not prime"),
+        ("-3", "-3 is not prime"),
         ("101", "oracle chart of 101^5 points exceeds the bound of 2000000"),
         ("2", "denominator of 1/2 vanishes mod 2"),
     ],
-    ids=["unparsable", "too_large", "not_prime", "chart_too_large", "bad_reduction"],
+    ids=["unparsable", "too_large", "not_prime", "one", "zero", "negative", "chart_too_large",
+         "bad_reduction"],
 )
 def test_a_bad_prime_is_refused_before_any_stage(
     stage_calls, tmp_path, capsys, command, primes, message
@@ -484,6 +488,17 @@ def test_a_bad_prime_is_refused_before_any_stage(
     assert run([command, "--input", str(path), "--primes", primes]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert stage_calls == {"build_lattice": 0, "minimal_generators": 0}
+
+
+@pytest.mark.parametrize("command", ["lattice", "verify", "report"])
+def test_a_repeated_prime_is_counted_once(monkeypatch, capsys, command):
+    swept = []
+    monkeypatch.setattr(
+        cli, "point_count_oracle", lambda arr, p, fn=cli.point_count_oracle: swept.append(p) or fn(arr, p)
+    )
+    assert run([command, "--input", str(THREE_CONC), "--primes", "103,101,103,101", "--json"]) == 0
+    checks = json.loads(capsys.readouterr().out)["result"]["oracle"]["checks"]
+    assert swept == [c["prime"] for c in checks] == [103, 101]
 
 
 # Non-free, although chi = (t - 1)(t - 3)^2 splits: the walk over its roots

@@ -181,6 +181,14 @@ def test_ragged_rows_rejected():
         QMatrix([[1, 2], [1]])
 
 
+def test_declared_width_checked():
+    with pytest.raises(ValueError, match="ncols"):
+        QMatrix([[1, 2]], ncols=3)
+    empty = QMatrix([])
+    assert (empty.nrows, empty.ncols) == (0, 0)
+    assert empty.kernel_basis() == []
+
+
 def _random_matrix(rng: random.Random) -> QMatrix:
     nrows = rng.randint(0, 8)
     ncols = rng.randint(0, 10)
