@@ -44,6 +44,15 @@ MAX_ORDER = 100
 MAX_DIGITS = 4000
 
 
+def _pencil_ring(m: int, n: int) -> tuple[FormalClass, FormalClass, FormalClass]:
+    """1, X and (1 + X)^-1 modulo X^(n+1), once m and n are checked."""
+    if m < 2 or not 0 <= n <= MAX_ORDER:
+        raise ValueError(f"need m >= 2 and 0 <= n <= {MAX_ORDER}")
+    one = FormalClass.one(n)
+    x = FormalClass.x(n)
+    return one, x, (one + x).inverse()
+
+
 def verify_pencil_identity(m: int, n: int) -> tuple[bool, FormalClass, FormalClass]:
     """Compare the two classes attached to m hypersurfaces of one pencil.
 
@@ -52,11 +61,7 @@ def verify_pencil_identity(m: int, n: int) -> tuple[bool, FormalClass, FormalCla
     derivation side is (1 - (m-2)X)/(1+X)^2.  Both omit the common
     c(TV) factor, which cancels.  Returns (equal, csm side, chern side).
     """
-    if m < 2 or not 0 <= n <= MAX_ORDER:
-        raise ValueError(f"need m >= 2 and 0 <= n <= {MAX_ORDER}")
-    one = FormalClass.one(n)
-    x = FormalClass.x(n)
-    inv1 = (one + x).inverse()
+    one, x, inv1 = _pencil_ring(m, n)
     csm_side = one - m * (x * inv1) + (m - 1) * (x * x * inv1 * inv1)
     chern_side = (one - (m - 2) * x) * inv1 * inv1
     return (csm_side == chern_side, csm_side, chern_side)
@@ -70,11 +75,7 @@ def verify_pencil_koszul(m: int, n: int) -> tuple[bool, FormalClass]:
     divisor gives c = (1+mX)(1-(m-2)X)/(1+X)^2.  Dividing out c(O(D))
     must reproduce the derivation-side class above.
     """
-    if m < 2 or not 0 <= n <= MAX_ORDER:
-        raise ValueError(f"need m >= 2 and 0 <= n <= {MAX_ORDER}")
-    one = FormalClass.one(n)
-    x = FormalClass.x(n)
-    inv1 = (one + x).inverse()
+    one, x, inv1 = _pencil_ring(m, n)
     twisted = (one + m * x) * (one - (m - 2) * x) * inv1 * inv1
     derivation_side = (one - (m - 2) * x) * inv1 * inv1
     ok = twisted * (one + m * x).inverse() == derivation_side

@@ -339,12 +339,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _parse_primes(spec: str | None, arr: Arrangement) -> list[int]:
     """The --primes list, each prime once in first-seen order, checked before any stage runs."""
-    if not spec:
+    if spec is None:
         return []
     try:
         primes = list(dict.fromkeys(int(tok) for tok in spec.split(",") if tok.strip()))
     except ValueError:
         raise ValueError(f"cannot parse prime list {spec!r}") from None
+    if not primes:
+        raise ValueError(f"prime list {spec!r} names no prime")
     for p in primes:
         check_oracle_prime(arr, p)
     return primes
@@ -458,20 +460,16 @@ def _example41(args, _arr):
 
 def _projection(args, _arr):
     chk = projection_check(args.d, args.e, args.n)
+
+    def side(pushed, capped, equal) -> dict:
+        return {"pushed": [str(c) for c in pushed], "capped": [str(c) for c in capped], "equal": equal}
+
     result = {
         "d": args.d,
         "e": args.e,
         "n": args.n,
-        "structure_sheaf": {
-            "pushed": [str(c) for c in chk.structure_pushed],
-            "capped": [str(c) for c in chk.structure_capped],
-            "equal": chk.structure_equal,
-        },
-        "transverse": {
-            "pushed": [str(c) for c in chk.transverse_pushed],
-            "capped": [str(c) for c in chk.transverse_capped],
-            "equal": chk.transverse_equal,
-        },
+        "structure_sheaf": side(chk.structure_pushed, chk.structure_capped, chk.structure_equal),
+        "transverse": side(chk.transverse_pushed, chk.transverse_capped, chk.transverse_equal),
         "as_expected": chk.as_expected,
     }
     return result, 0 if chk.as_expected else 1

@@ -49,8 +49,6 @@ Vector = tuple[Fraction, ...]
 _P = 2**61 - 1
 # Wang's bound: a residue has at most one lift n/d with |n|, d <= _LIFT_BOUND.
 _LIFT_BOUND = isqrt(_P // 2)
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _sparse_step(v: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
@@ -131,12 +129,8 @@ def _integer_vector(v: Sequence[Scalar]) -> list[int]:
 
 
 def _rational(row: Sequence[int], p: int) -> Vector:
-    """row / p as Fractions.
-
-    Zeros and ones are shared objects, so comparing two such vectors
-    rarely calls Fraction.__eq__.
-    """
-    return tuple(_ZERO if a == 0 else _ONE if a == p else Fraction(a, p) for a in row)
+    """row / p as Fractions."""
+    return tuple(Fraction(a, p) for a in row)
 
 
 def integer_rows(rows: Iterable[Sequence[Scalar]]) -> list[dict[int, int]]:

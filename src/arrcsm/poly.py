@@ -101,8 +101,7 @@ class FormalClass(NamedTuple("FormalClass", [("coeffs", tuple[int, ...])])):
         return FormalClass(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "FormalClass") -> "FormalClass":
-        self._check(other)
-        return FormalClass(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self + (-1) * other
 
     def __mul__(self, other: "FormalClass | int") -> "FormalClass":
         if isinstance(other, FormalClass):
@@ -110,12 +109,8 @@ class FormalClass(NamedTuple("FormalClass", [("coeffs", tuple[int, ...])])):
             n = self.order
             out = [0] * (n + 1)
             for i, a in enumerate(self.coeffs):
-                if not a:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b:
-                        out[i + j] += a * b
+                for j, b in enumerate(other.coeffs[: n + 1 - i]):
+                    out[i + j] += a * b
             return FormalClass(tuple(out))
         return FormalClass(tuple(a * other for a in self.coeffs))
 

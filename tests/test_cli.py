@@ -476,9 +476,12 @@ def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searc
         ("-3", "-3 is not prime"),
         ("101", "oracle chart of 101^5 points exceeds the bound of 2000000"),
         ("2", "denominator of 1/2 vanishes mod 2"),
+        (",", "prime list ',' names no prime"),
+        (" , ", "prime list ' , ' names no prime"),
+        ("", "prime list '' names no prime"),
     ],
     ids=["unparsable", "too_large", "not_prime", "one", "zero", "negative", "chart_too_large",
-         "bad_reduction"],
+         "bad_reduction", "comma", "blank_commas", "empty"],
 )
 def test_a_bad_prime_is_refused_before_any_stage(
     stage_calls, tmp_path, capsys, command, primes, message

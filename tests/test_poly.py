@@ -30,6 +30,9 @@ def test_monomial_enumeration_order():
     ]
     assert monomials_of_degree(2, 0) == [(0, 0)]
     assert monomials_of_degree(1, 4) == [(4,)]
+    # no variables: only the empty monomial, of degree 0
+    assert monomials_of_degree(0, 0) == [()]
+    assert monomials_of_degree(0, 2) == []
 
 
 def test_product_of_linear_forms():
