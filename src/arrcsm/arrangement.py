@@ -5,7 +5,7 @@ k^(n+1), i.e. a central arrangement, read projectively as hyperplanes
 in P^n.  Forms are kept as primitive integer vectors, first nonzero
 entry positive; proportional duplicates collapse with a warning.
 
-File format (.arr), UTF-8 with LF or CRLF line endings:
+File format (.arr), UTF-8 with or without a byte-order mark, LF or CRLF:
 
     # optional comments, whole-line or trailing
     vars 3
@@ -261,4 +261,4 @@ def parse_file(path) -> Arrangement:
     from pathlib import Path
 
     p = Path(path)
-    return parse(p.read_text(encoding="utf-8"), name=p.stem)
+    return parse(p.read_text(encoding="utf-8-sig"), name=p.stem)

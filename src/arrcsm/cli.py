@@ -14,15 +14,17 @@ _lattice_text reads; each basis is rendered from its integer span, each
 distinct span row once per output, and the output stage makes no
 Fraction.
 
-Each subcommand is one entry of HANDLERS: a handler that computes only
+Each subcommand is one entry of COMMANDS: a handler that computes only
 the stages its command reads, each of them once (report builds one
 lattice and runs one derivation search), and returns the JSON result
-with the exit code; and a text renderer that prints the report from
-that result alone.  Only the handlers, corpus_runner and
+with the exit code; a text renderer that prints the report from that
+result alone; and its help and arguments, from which _build_parser
+makes the parser.  Only the handlers, corpus_runner and
 _guided_freeness call build_lattice, minimal_generators and
 decide_freeness; every stage in lattice, logder and chow takes the
-results it reads.  run() does the shared work once: parse the input,
-print warnings, emit JSON, turn errors into exit codes.
+results it reads.  run() does the shared work once: parse the .arr file
+of a subcommand that takes _INPUT, print warnings, emit JSON, turn
+errors into exit codes.
 
 verify and corpus print only the freeness verdict and the exponents, so
 their search runs on A in coordinates adapted to it (Arrangement.adapted),
@@ -264,7 +266,10 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
     Each file gets the code verify would exit with on it and the status
     STATUSES names for it; num_error counts codes 2 and 3, and the
     directory's code is the largest file code, 0 when it has no file.
+    ValueError when directory is not a directory.
     """
+    if not directory.is_dir():
+        raise ValueError(f"{directory} is not a directory")
     entries, codes = [], []
     for path in sorted(directory.glob("*.arr")):
         try:
@@ -287,54 +292,6 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
         "num_error": codes.count(2) + codes.count(3),
     }
     return payload, max(codes, default=0)
-
-
-@cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arrcsm",
-        description="Exact CSM / log-derivation class computations for hyperplane arrangements",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def on_file(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", required=True, help=".arr file")
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        return p
-
-    primes_help = "comma-separated primes for the counting oracle"
-    on_file("lattice", "intersection lattice with Mobius values").add_argument(
-        "--primes", help=primes_help
-    )
-    on_file("charpoly", "characteristic polynomial")
-    on_file("csm", "CSM class of the projective complement")
-    on_file("derivations", "logarithmic derivation module").add_argument(
-        "--max-degree", type=int, default=3, help="largest degree to tabulate"
-    )
-    on_file("freeness", "freeness decision via Saito's criterion")
-    on_file("verify", "compute all routes and compare").add_argument("--primes", help=primes_help)
-
-    p_ex = sub.add_parser("example41", help="pencil-family identity in a formal divisor class")
-    p_ex.add_argument("--m", type=int, required=True, help="number of pencil members, >= 2")
-    p_ex.add_argument("--n", type=int, default=2, help="truncation order (ambient dimension)")
-    p_ex.add_argument("--json", action="store_true")
-
-    p_proj = sub.add_parser("projection", help="projection-formula comparison on P^n")
-    p_proj.add_argument("--d", type=int, default=1, help="degree of the hypersurface X")
-    p_proj.add_argument("--e", type=int, default=1, help="degree of the transverse hypersurface Y")
-    p_proj.add_argument("--n", type=int, default=2, help="ambient projective dimension")
-    p_proj.add_argument("--json", action="store_true")
-
-    p_report = on_file("report", "full report: lattice, classes, freeness, verification")
-    p_report.add_argument("--primes", help=primes_help)
-    p_report.add_argument("--max-degree", type=int, default=3, help="largest degree to tabulate")
-
-    p_corpus = sub.add_parser("corpus", help="verify every .arr file in a directory")
-    p_corpus.add_argument("--input", required=True, help="directory of .arr files")
-    p_corpus.add_argument("--json", action="store_true")
-
-    return parser
 
 
 def _parse_primes(spec: str | None, arr: Arrangement) -> list[int]:
@@ -473,13 +430,6 @@ def _projection(args, _arr):
         "as_expected": chk.as_expected,
     }
     return result, 0 if chk.as_expected else 1
-
-
-def _corpus(args, _arr):
-    directory = Path(args.input)
-    if not directory.is_dir():
-        raise ValueError(f"{directory} is not a directory")
-    return corpus_runner(directory)
 
 
 # Text renderers: (JSON result, arrangement or None, elapsed ms) -> printed
@@ -663,27 +613,56 @@ def _json(obj, pad: str = "", memo: dict | None = None) -> str:
     return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
 
 
-# subcommand -> (handler, text renderer, whether it reads the .arr file --input)
-HANDLERS = {
-    "lattice": (_lattice, _lattice_text, True),
-    "charpoly": (_charpoly, _charpoly_text, True),
-    "csm": (_csm, _csm_text, True),
-    "derivations": (_derivations, _derivations_text, True),
-    "freeness": (_freeness, _freeness_text, True),
-    "verify": (_verify, _verify_text, True),
-    "report": (_report, _report_text, True),
-    "example41": (_example41, _example41_text, False),
-    "projection": (_projection, _projection_text, False),
-    "corpus": (_corpus, _corpus_text, False),
+# argparse arguments as (flag, keywords); run() parses the .arr file that _INPUT names
+_INPUT = ("--input", {"required": True, "help": ".arr file"})
+_JSON = ("--json", {"action": "store_true", "help": "emit JSON instead of text"})
+_PRIMES = ("--primes", {"help": "comma-separated primes for the counting oracle"})
+_MAX_DEGREE = ("--max-degree", {"type": int, "default": 3, "help": "largest degree to tabulate"})
+
+# subcommand -> (handler, text renderer, help, arguments), in the order --help lists them
+COMMANDS = {
+    "lattice": (_lattice, _lattice_text, "intersection lattice with Mobius values", (_INPUT, _JSON, _PRIMES)),
+    "charpoly": (_charpoly, _charpoly_text, "characteristic polynomial", (_INPUT, _JSON)),
+    "csm": (_csm, _csm_text, "CSM class of the projective complement", (_INPUT, _JSON)),
+    "derivations": (_derivations, _derivations_text, "logarithmic derivation module",
+                    (_INPUT, _JSON, _MAX_DEGREE)),
+    "freeness": (_freeness, _freeness_text, "freeness decision via Saito's criterion", (_INPUT, _JSON)),
+    "verify": (_verify, _verify_text, "compute all routes and compare", (_INPUT, _JSON, _PRIMES)),
+    "example41": (_example41, _example41_text, "pencil-family identity in a formal divisor class", (
+        ("--m", {"type": int, "required": True, "help": "number of pencil members, >= 2"}),
+        ("--n", {"type": int, "default": 2, "help": "truncation order (ambient dimension)"}), _JSON)),
+    "projection": (_projection, _projection_text, "projection-formula comparison on P^n", (
+        ("--d", {"type": int, "default": 1, "help": "degree of the hypersurface X"}),
+        ("--e", {"type": int, "default": 1, "help": "degree of the transverse hypersurface Y"}),
+        ("--n", {"type": int, "default": 2, "help": "ambient projective dimension"}), _JSON)),
+    "report": (_report, _report_text, "full report: lattice, classes, freeness, verification",
+               (_INPUT, _JSON, _PRIMES, _MAX_DEGREE)),
+    "corpus": (lambda args, _arr: corpus_runner(Path(args.input)), _corpus_text,
+               "verify every .arr file in a directory",
+               (("--input", {"required": True, "help": "directory of .arr files"}), _JSON)),
 }
+
+
+@cache
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="arrcsm",
+        description="Exact CSM / log-derivation class computations for hyperplane arrangements",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, _, help_text, arguments) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            command.add_argument(flag, **keywords)
+    return parser
 
 
 def run(argv: list[str]) -> int:
     args = _build_parser().parse_args(argv)
     started = time.perf_counter()
-    handler, show, reads_arrangement = HANDLERS[args.command]
+    handler, show, _, arguments = COMMANDS[args.command]
     try:
-        arr = parse_file(args.input) if reads_arrangement else None
+        arr = parse_file(args.input) if _INPUT in arguments else None
         result, code = handler(args, arr)
     except (OSError, ValueError) as exc:  # ParseError and BadReductionError included
         print(f"error: {exc}", file=sys.stderr)

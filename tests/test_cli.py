@@ -1,6 +1,7 @@
 import ast
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -331,6 +332,41 @@ def test_corpus_not_a_directory(capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "not a directory" in err
+
+
+def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
+    # Windows editors may start a UTF-8 file with U+FEFF, which would precede the header
+    text = (CORPUS / "braid_essential.arr").read_bytes()
+    outputs, arrangements = [], []
+    for folder, data in (("plain", text), ("bom", b"\xef\xbb\xbf" + text)):
+        path = tmp_path / folder / "braid_essential.arr"
+        path.parent.mkdir()
+        path.write_bytes(data)
+        arrangements.append(parse_file(path))
+        assert run(["verify", "--input", str(path), "--json"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert arrangements[0] == arrangements[1] and arrangements[0].warnings == arrangements[1].warnings
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("name", list(cli.COMMANDS))
+def test_every_subcommand_prints_its_help(capsys, name):
+    with pytest.raises(SystemExit) as exited:
+        run([name, "--help"])
+    assert exited.value.code == 0
+    out = capsys.readouterr().out
+    words = " ".join(out.split())
+    for flag, keywords in cli.COMMANDS[name][3]:
+        assert re.search(rf"^  {flag}\b", out, re.M), (name, flag)
+        assert keywords["help"] in words, (name, flag)
+
+
+def test_the_top_level_help_lists_every_subcommand_in_table_order(capsys):
+    with pytest.raises(SystemExit) as exited:
+        run(["--help"])
+    assert exited.value.code == 0
+    listed = re.findall(r"^    (\w+)\s", capsys.readouterr().out, re.M)
+    assert listed == list(cli.COMMANDS)
 
 
 def test_missing_input_file(capsys):

@@ -5,8 +5,11 @@ Each file tests/golden/<stem>.<command>.json is the exact stdout of
 files tests/golden/<command>.json hold the commands that read no single
 .arr file.  tests/golden/<stem>.lattice.txt is the text output of
 `arrcsm lattice --input corpus/<stem>.arr --primes 101,103` for two of
-them.  Every case must also exit 0.  Regenerate them, only when an
-output change is intended, with
+them.  tests/golden/inputs/<stem>.<command>.json is the stdout of
+`arrcsm <command> --input tests/inputs/<stem>.arr --json` for verify,
+freeness and charpoly, on the inputs whose answers come from outside
+arrcsm (tests/test_known_answers.py).  Every case must also exit 0.
+Regenerate both sets, only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -21,6 +24,7 @@ from arrcsm.cli import run
 
 REPO = Path(__file__).resolve().parents[1]
 CORPUS = REPO / "corpus"
+INPUTS = Path(__file__).resolve().parent / "inputs"
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = {
     "charpoly": [],
@@ -44,6 +48,13 @@ CASES.update(
     }
 )
 
+INPUT_CASES = {
+    f"inputs/{path.stem}.{command}": [command, "--input", str(path), "--json"]
+    for path in sorted(INPUTS.glob("*.arr"))
+    for command in ("charpoly", "freeness", "verify")
+}
+JSON_CASES = {**CASES, **INPUT_CASES}
+
 TEXT_CASES = {
     f"{stem}.lattice.txt": ["lattice", "--input", str(CORPUS / f"{stem}.arr"), "--primes", "101,103"]
     for stem in ("braid_essential", "four_generic")
@@ -64,10 +75,16 @@ def test_every_corpus_file_has_its_goldens():
     assert {p.name for p in GOLDEN.glob("*.json")} == expected
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
+def test_every_input_file_has_its_goldens():
+    expected = {f"{case}.json" for case in INPUT_CASES}
+    assert len(expected) == 18
+    assert {f"inputs/{p.name}" for p in (GOLDEN / "inputs").glob("*.json")} == expected
+
+
+@pytest.mark.parametrize("case", sorted(JSON_CASES))
 def test_json_output_matches_golden(case):
     golden = (GOLDEN / f"{case}.json").read_bytes()
-    assert render(CASES[case]).encode("utf-8") == golden
+    assert render(JSON_CASES[case]).encode("utf-8") == golden
 
 
 @pytest.mark.parametrize("name", sorted(TEXT_CASES))
@@ -76,7 +93,7 @@ def test_text_output_matches_golden(name):
 
 
 if __name__ == "__main__":
-    for case in CASES:
-        (GOLDEN / f"{case}.json").write_bytes(render(CASES[case]).encode("utf-8"))
+    for case, argv in JSON_CASES.items():
+        (GOLDEN / f"{case}.json").write_bytes(render(argv).encode("utf-8"))
     for name, argv in TEXT_CASES.items():
         (GOLDEN / name).write_bytes(render(argv).encode("utf-8"))

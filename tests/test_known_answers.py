@@ -11,15 +11,24 @@ whether the six triple points lie on a conic.
 
 Reflection arrangements (Orlik & Terao, Arrangements of Hyperplanes,
 Appendix C): free, with exponents in closed form.
+
+Each arrangement is also a file tests/inputs/<name>.arr, with goldens
+under tests/golden/inputs/; the tests here build its forms and check
+that the file parses to them.
 """
 
 import json
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
+from arrcsm.arrangement import parse, parse_file
 from arrcsm.cli import run
+from property_checks import arrangement_text
+
+INPUTS = Path(__file__).resolve().parent / "inputs"
 
 
 def _result(capsys, argv: list[str]) -> dict:
@@ -27,10 +36,11 @@ def _result(capsys, argv: list[str]) -> dict:
     return json.loads(capsys.readouterr().out)["result"]
 
 
-def _write(tmp_path, name: str, forms) -> str:
-    path = tmp_path / f"{name}.arr"
-    rows = "".join(" ".join(map(str, f)) + "\n" for f in forms)
-    path.write_text(f"vars {len(forms[0])}\n{rows}", encoding="utf-8")
+def _input(name: str, forms) -> str:
+    """The path of tests/inputs/<name>.arr, which holds exactly forms, in their order."""
+    path = INPUTS / f"{name}.arr"
+    arr = parse_file(path)
+    assert arr == parse(arrangement_text(len(forms[0]), forms)) and not arr.warnings
     return str(path)
 
 
@@ -95,12 +105,12 @@ ZIEGLER_DIMS = [0, 1, 3, 6, 10, 15, 27, 42, 60, 81, 105]
 
 
 @pytest.mark.parametrize("member", sorted(ZIEGLER))
-def test_ziegler_pair(tmp_path, capsys, member):
+def test_ziegler_pair(capsys, member):
     left, right = ZIEGLER[member]
     # the six points lie on a conic exactly when their Veronese determinant vanishes
     veronese = [(x * x, x * y, y * y, x * z, y * z, z * z) for x, y, z in left + right]
     assert (_det(veronese) == 0) == (member == "conic")
-    path = _write(tmp_path, member, [_cross(p, q) for p in left for q in right])
+    path = _input(f"ziegler_{member}", [_cross(p, q) for p in left for q in right])
 
     assert _result(capsys, ["charpoly", "--input", path])["ascending_coeffs"] == [-22, 30, -9, 1]
     flats = _result(capsys, ["lattice", "--input", path])["flats"]
@@ -148,10 +158,10 @@ REFLECTION = {
 
 
 @pytest.mark.parametrize("name", sorted(REFLECTION))
-def test_reflection_exponents(tmp_path, capsys, name):
+def test_reflection_exponents(capsys, name):
     forms, size, exponents = REFLECTION[name]
     assert len(set(forms)) == size
-    path = _write(tmp_path, name, forms)
+    path = _input(name.lower(), forms)
     freeness = _result(capsys, ["freeness", "--input", path])
     assert freeness["free"] is True
     assert freeness["exponents"] == exponents
