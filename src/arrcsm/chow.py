@@ -82,7 +82,11 @@ def verify_pencil_koszul(m: int, n: int) -> tuple[bool, FormalClass]:
     return (ok, twisted)
 
 
-class ProjectionCheck(NamedTuple):
+class ProjectionCheck(NamedTuple("ProjectionCheck", [
+    ("structure_pushed", tuple[int, ...]), ("structure_capped", tuple[int, ...]),
+    ("structure_equal", bool), ("transverse_pushed", tuple[int, ...]),
+    ("transverse_capped", tuple[int, ...]), ("transverse_equal", bool),
+])):
     """Both sides of the projection-formula comparison on P^n.
 
     X is a degree-d hypersurface, Y a transverse degree-e hypersurface.
@@ -91,12 +95,7 @@ class ProjectionCheck(NamedTuple):
     the hyperplane class h.
     """
 
-    structure_pushed: tuple[int, ...]
-    structure_capped: tuple[int, ...]
-    structure_equal: bool
-    transverse_pushed: tuple[int, ...]
-    transverse_capped: tuple[int, ...]
-    transverse_equal: bool
+    __slots__ = ()
 
     @property
     def as_expected(self) -> bool:
@@ -186,12 +185,12 @@ def pushforward_to_p2(cls: SurfaceClass) -> tuple[int, ...]:
     return (cls.unit, cls.h, cls.pt)
 
 
-class SingularPoint(NamedTuple):
+class SingularPoint(NamedTuple("SingularPoint", [
+    ("coords", tuple[Fraction, ...]), ("multiplicity", int), ("lines", tuple[int, ...]),
+])):
     """Ordinary singular point of the line arrangement divisor."""
 
-    coords: tuple[Fraction, ...]
-    multiplicity: int
-    lines: tuple[int, ...]
+    __slots__ = ()
 
     def render(self) -> str:
         inner = " : ".join(str(c) for c in self.coords)
@@ -219,11 +218,10 @@ def blowup_centers(lat: IntersectionLattice) -> tuple[SingularPoint, ...]:
     return tuple(points)
 
 
-class BlowupRoute(NamedTuple):
+class BlowupRoute(NamedTuple("BlowupRoute", [("cls", SurfaceClass), ("centers", tuple[SingularPoint, ...])])):
     """Normal-crossing class on the blow-up, before pushing forward."""
 
-    cls: SurfaceClass
-    centers: tuple[SingularPoint, ...]
+    __slots__ = ()
 
 
 def blowup_chern_snc(lat: IntersectionLattice) -> BlowupRoute:
@@ -269,15 +267,14 @@ def tjurina_route(lat: IntersectionLattice) -> tuple[int, ...]:
     return (tangent * divisor.inverse() * correction).coeffs
 
 
-class VerificationReport(NamedTuple):
+class VerificationReport(NamedTuple("VerificationReport", [
+    ("routes", dict[str, tuple[int, ...] | None]), ("agreements", tuple[tuple[str, str, bool], ...]),
+    ("passed", bool), ("freeness", FreenessReport), ("blowup", BlowupRoute | None),
+    ("notes", tuple[str, ...]),
+])):
     """Outcome of running every applicable route on one arrangement."""
 
-    routes: dict[str, tuple[int, ...] | None]
-    agreements: tuple[tuple[str, str, bool], ...]
-    passed: bool
-    freeness: FreenessReport
-    blowup: BlowupRoute | None
-    notes: tuple[str, ...]
+    __slots__ = ()
 
 
 def verify_arrangement(lat: IntersectionLattice, freeness: FreenessReport) -> VerificationReport:

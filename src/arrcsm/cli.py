@@ -19,24 +19,26 @@ the stages its command reads, each of them once (report builds one
 lattice and runs one derivation search), and returns the JSON result
 with the exit code; a text renderer that prints the report from that
 result alone; and its help and arguments, from which _build_parser
-makes the parser.  Only the handlers, corpus_runner and
-_guided_freeness call build_lattice, minimal_generators and
-decide_freeness; every stage in lattice, logder and chow takes the
-results it reads.  run() does the shared work once: parse the .arr file
-of a subcommand that takes _INPUT, print warnings, emit JSON, turn
-errors into exit codes.
+makes the parser (for a named subcommand, that subcommand's alone).
+Only the handlers, corpus_runner and _search call build_lattice,
+minimal_generators and decide_freeness; every stage in lattice, logder
+and chow takes the results it reads.  run() does the shared work once:
+parse the .arr file of a subcommand that takes _INPUT, print warnings,
+emit JSON, turn errors into exit codes.
 
-verify and corpus print only the freeness verdict and the exponents, so
-their search runs on A in coordinates adapted to it (Arrangement.adapted),
-where the first form is x_0.  D(A) = S*theta_E (+) D_0(A) there, with
-D_0(A) = {theta : theta_0 = 0}, so the search (minimal_generators with
-d0) puts the Euler field theta_E first among the generators and solves
-its kernels in D_0(A) alone.  It walks only the roots of
-chi(A, t) / (t - 1) when that splits over the nonnegative integers,
-running the full walk of D_0(A) after it only when that walk does not
-certify freeness (_guided_freeness).  freeness, derivations and report
-print the generators, Saito's scalar and the per-degree search of D(A),
-so they keep the full walk of D(A) in input coordinates.
+Every search for derivations walks only chi's roots when chi splits over
+the nonnegative integers (_search), and rebuilds the full walk from the
+generators when Saito's criterion certifies them; else it runs the full
+walk.  freeness, derivations and report print the generators, Saito's
+scalar and the per-degree search of D(A), so they search D(A) in input
+coordinates, on the roots of chi(A, t) (report's lattice, or one that
+makes no flat).  verify and corpus print only the freeness verdict and
+the exponents, so their search runs on A in coordinates adapted to it
+(Arrangement.adapted), where the first form is x_0.  D(A) =
+S*theta_E (+) D_0(A) there, with D_0(A) = {theta : theta_0 = 0}, so the
+search (minimal_generators with d0) puts the Euler field theta_E first
+among the generators, solves its kernels in D_0(A) alone and walks the
+roots of chi(A, t) / (t - 1) (_guided_freeness).
 
 Exit codes: 0 success / verified, 1 a verification failed, 2 input error
 or a stdout closed before the output was written, 3 internal error (an
@@ -153,7 +155,7 @@ def _derivations_payload(
     arr: Arrangement, gb: GradedBasis, freeness: FreenessReport, max_degree: int,
     generators: list[str],
 ) -> dict:
-    """The search's dimensions, and past its stop those of D(A) = sum_i S(-e_i) when A is free.
+    """_search's full-walk dimensions, and past its stop those of D(A) = sum_i S(-e_i) when A is free.
 
     A non-free A solves one kernel for each degree past the stop.
     generators are gb's generators rendered, which report shares with
@@ -220,8 +222,39 @@ def _verify_payload(vr: VerificationReport) -> dict:
     }
 
 
-def _full_search(arr: Arrangement) -> GradedBasis:
-    return minimal_generators(arr, range(arr.size + 1))
+def _search(
+    arr: Arrangement, roots: tuple[int, ...] | None, d0: bool = False
+) -> tuple[GradedBasis, FreenessReport]:
+    """The full walk of D(A) (of D_0(A) with d0) and Saito's decision on it, from chi's roots when it can.
+
+    roots are chi's nonnegative integer roots, None when chi does not
+    split so.  A free A's exponents are among them (Terao's factorization,
+    Orlik & Terao Thm 4.137), and by induction on the degree the full walk
+    appends nothing at a degree that is not one, and at one that is the
+    same vectors, from the same span of multiples.  So a free verdict on
+    the walk over the roots, certified by Saito's criterion alone (Prop.
+    4.12; exponents are unique), has the full walk's generators; its
+    dimensions through the stop, sum over the generator degrees e <= d of
+    C(d - e + n, n), and its log are rebuilt from them.  Any other
+    outcome, or roots None, runs the full walk, degrees 0..|A| (0..|A| - 1
+    with d0).  The verdict is never read off chi.
+    """
+    if roots is not None:
+        graded = minimal_generators(arr, sorted(set(roots)), d0=d0)
+        report = decide_freeness(arr, graded)
+        if report.free and graded.exit_reason == "complete":
+            n, found = arr.projective_dim, [g.degree for g in graded.generators]
+            dims, log, total = {}, [], int(d0)  # theta_E is seeded, not appended
+            for d in range(max(graded.dimensions) + 1):
+                dims[d] = sum(comb(d - e + n, n) for e in found if e <= d)
+                fresh = found[int(d0):].count(d)
+                total += fresh
+                log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {total}")
+            log.append(graded.search_log[-1])
+            return (graded._replace(dimensions=dims, search_log=tuple(log)),
+                    report._replace(search_log=(*log, report.search_log[-1])))
+    graded = minimal_generators(arr, range(arr.size if d0 else arr.size + 1), d0=d0)
+    return graded, decide_freeness(arr, graded)
 
 
 def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessReport:
@@ -230,31 +263,15 @@ def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessRepo
     The search runs on A' = arr.adapted(): its first rank A independent
     forms are coordinate hyperplanes there, which cost the kernels no
     rows, and the exponents of A are those of A' and n+1-r zeros for the
-    lineality space.  The first form is x'_0, so the search solves its
-    kernels in D_0(A') and puts theta_E first among the generators
-    (minimal_generators with d0); the report's generators, scalar and
-    log are those of that search on A'.  If A' is free, the exponents of
-    D_0(A') are those of A' but one 1, the roots of
-    chi(A', t) / (t - 1) = chi(A, t) / (t^(n+1-r) (t - 1)) (Terao's
-    factorization, Orlik & Terao Thm 4.137), so the walk over those
-    distinct roots finds the generators, the exponents and the scalar of
-    the full walk of D_0(A').  A free verdict on that walk is certified
-    by Saito's criterion alone (Orlik & Terao, Prop. 4.12), since
-    exponents are unique; any other outcome, or a chi that does not
-    split over the nonnegative integers, falls back to the full walk of
-    D_0(A'), degrees 0..|A| - 1, their sum.  The verdict is never read
-    off chi.  The empty A' has no x'_0 and keeps the full walk of D(A').
+    lineality space.  The first form is x'_0, so _search runs on D_0(A')
+    (minimal_generators with d0) and walks the roots of
+    chi(A', t) / (t - 1) = chi(A, t) / (t^(n+1-r) (t - 1)), the exponents
+    of a free D_0(A'): those of A' but one 1.  The report is that of the
+    full walk of D_0(A').  The empty A' has no x'_0: the full walk of D(A').
     """
     adapted, lineality = arr.adapted()
-    if not adapted.size:
-        return decide_freeness(adapted, _full_search(adapted))
-    roots = integer_roots(reduced_char_poly(lat))
-    report = None
-    if roots is not None:
-        degrees = sorted(set(roots[lineality:]))
-        report = decide_freeness(adapted, minimal_generators(adapted, degrees, d0=True))
-    if report is None or not report.free:
-        report = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size), d0=True))
+    roots = integer_roots(reduced_char_poly(lat)) if adapted.size else None
+    _, report = _search(adapted, None if roots is None else roots[lineality:], d0=bool(adapted.size))
     if report.free:
         report = report._replace(exponents=(0,) * lineality + report.exponents)
     return report
@@ -355,13 +372,13 @@ def _max_degree(args) -> int:
 
 def _derivations(args, arr):
     max_degree = _max_degree(args)
-    graded = _full_search(arr)
+    graded, freeness = _search(arr, integer_roots(char_poly(build_lattice(arr))))
     generators = [g.render() for g in graded.generators]
-    return _derivations_payload(arr, graded, decide_freeness(arr, graded), max_degree, generators), 0
+    return _derivations_payload(arr, graded, freeness, max_degree, generators), 0
 
 
 def _freeness(args, arr):
-    rep = decide_freeness(arr, _full_search(arr))
+    _, rep = _search(arr, integer_roots(char_poly(build_lattice(arr))))
     return _freeness_payload(rep, [g.render() for g in rep.generators]), 0
 
 
@@ -382,8 +399,7 @@ def _report(args, arr):
     max_degree = _max_degree(args)
     primes = _parse_primes(args.primes, arr)
     lat = build_lattice(arr)
-    graded = _full_search(arr)
-    freeness = decide_freeness(arr, graded)
+    graded, freeness = _search(arr, integer_roots(char_poly(lat)))
     vr = verify_arrangement(lat, freeness)
     # decide_freeness keeps the search's generators: render them once for both payloads
     generators = [g.render() for g in graded.generators]
@@ -644,21 +660,42 @@ COMMANDS = {
 
 
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="arrcsm",
-        description="Exact CSM / log-derivation class computations for hyperplane arrangements",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, _, help_text, arguments) in COMMANDS.items():
-        command = sub.add_parser(name, help=help_text)
-        for flag, keywords in arguments:
-            command.add_argument(flag, **keywords)
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The top-level parser, or the one it hands command's arguments to, named "arrcsm <command>" as there.
+
+    Building an ArgumentParser costs more than parsing with it, and the
+    top-level parser builds one per subcommand.
+    """
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="arrcsm",
+            description="Exact CSM / log-derivation class computations for hyperplane arrangements",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {name: sub.add_parser(name, help=entry[2]) for name, entry in COMMANDS.items()}
+    else:
+        parser = argparse.ArgumentParser(prog=f"arrcsm {command}")
+        parsers = {command: parser}
+    for name, each in parsers.items():
+        for flag, keywords in COMMANDS[name][3]:
+            each.add_argument(flag, **keywords)
     return parser
 
 
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argv as the top-level parser parses it, through a named subcommand's parser alone.
+
+    What that parser leaves over, the top-level parser refuses with its own usage.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, rest = _build_parser(argv[0]).parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not rest:
+            return args
+    return _build_parser().parse_args(argv)
+
+
 def run(argv: list[str]) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(argv)
     started = time.perf_counter()
     handler, show, _, arguments = COMMANDS[args.command]
     try:

@@ -38,7 +38,9 @@ class BadReductionError(ValueError):
     """Prime unusable for the point-count oracle (form degenerates mod p)."""
 
 
-class Flat(NamedTuple):
+class Flat(NamedTuple("Flat", [
+    ("span", tuple[tuple[int, ...], ...]), ("codim", int), ("indices", tuple[int, ...]), ("mu", int),
+])):
     """One lattice element: the span of its forms as primitive integer rows.
 
     span holds one row per pivot, in pivot order: gcd 1, positive at its
@@ -48,10 +50,7 @@ class Flat(NamedTuple):
     dataclass.
     """
 
-    span: tuple[tuple[int, ...], ...]
-    codim: int
-    indices: tuple[int, ...]
-    mu: int
+    __slots__ = ()
 
 
 class IntersectionLattice:

@@ -54,7 +54,9 @@ class InternalError(RuntimeError):
     """One of arrcsm's own consistency checks failed: a bug in arrcsm, not in the input."""
 
 
-class Derivation(NamedTuple):
+class Derivation(NamedTuple("Derivation", [
+    ("nvars", int), ("degree", int), ("terms", tuple[tuple[int, Monomial, int], ...]),
+])):
     """Homogeneous vector field of one degree, as the search finds it.
 
     terms are the (variable j, monomial, c) triples of the nonzero entries
@@ -63,9 +65,7 @@ class Derivation(NamedTuple):
     that vector divided by its first entry.
     """
 
-    nvars: int
-    degree: int
-    terms: tuple[tuple[int, Monomial, int], ...]
+    __slots__ = ()
 
     def render(self) -> str:
         lead = self.terms[0][2] if self.terms else 1
@@ -204,13 +204,13 @@ def degree_dimension(arr: Arrangement, d: int, generators: Iterable[Derivation] 
     return known + len(list(kernel))
 
 
-class GradedBasis(NamedTuple):
+class GradedBasis(NamedTuple("GradedBasis", [
+    ("dimensions", dict[int, int]), ("generators", tuple[Derivation, ...]), ("exit_reason", str),
+    ("search_log", tuple[str, ...]),
+])):
     """Degree-by-degree picture of D(A) at the degrees the search walked."""
 
-    dimensions: dict[int, int]
-    generators: tuple[Derivation, ...]
-    exit_reason: str
-    search_log: tuple[str, ...]
+    __slots__ = ()
 
     @property
     def generator_degrees(self) -> tuple[int, ...]:
@@ -309,13 +309,10 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
     )
 
 
-class FreenessReport(NamedTuple):
-    free: bool
-    exponents: tuple[int, ...] | None
-    saito_scalar: Fraction | None
-    generators: tuple[Derivation, ...]
-    reason: str | None
-    search_log: tuple[str, ...]
+FreenessReport = NamedTuple("FreenessReport", [
+    ("free", bool), ("exponents", tuple[int, ...] | None), ("saito_scalar", Fraction | None),
+    ("generators", tuple[Derivation, ...]), ("reason", str | None), ("search_log", tuple[str, ...]),
+])
 
 
 def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:

@@ -18,7 +18,7 @@ from arrcsm import cli
 from arrcsm.arrangement import MAX_VARS, parse, parse_file
 from arrcsm.chow import SingularPoint
 from arrcsm.cli import corpus_runner, main, run
-from arrcsm.lattice import build_lattice
+from arrcsm.lattice import build_lattice, char_poly, integer_roots
 from arrcsm.logder import Derivation, InternalError, decide_freeness, degree_dimension, minimal_generators
 from property_checks import arrangement_text
 
@@ -27,6 +27,11 @@ CORPUS = REPO / "corpus"
 THREE_CONC = CORPUS / "three_concurrent.arr"
 FOUR_GENERIC = CORPUS / "four_generic.arr"
 BOOLEAN = CORPUS / "boolean_triangle.arr"
+INPUTS = REPO / "tests" / "inputs"
+
+# Non-free, although chi = (t - 1)(t - 3)^2 splits: the walk over its roots
+# overflows at degree 3, and the full walk finds 4 generators by degree 5.
+SPLIT_NOT_FREE = "vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n"
 
 
 def test_verify_text(capsys):
@@ -369,6 +374,38 @@ def test_the_top_level_help_lists_every_subcommand_in_table_order(capsys):
     assert listed == list(cli.COMMANDS)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["report", "--input", "a.arr", "--max-degree", "5", "--json"],
+        ["report", "--max-degree", "x", "--input", "a.arr"],  # a bad type: the subcommand's usage
+        ["verify"],  # a missing --input
+        ["verify", "--input", "a.arr", "--bogus"],  # left over: the top-level usage
+        ["example41", "--m", "3", "extra"],
+        ["corpus", "--help"],
+        ["--help"],
+        [],
+    ],
+    ids=["valid", "bad_type", "missing", "unrecognized_flag", "unrecognized_positional", "help",
+         "top_level_help", "empty"],
+)
+def test_arguments_parse_as_the_top_level_parser_parses_them(capsys, argv):
+    def outcome(parse):
+        try:
+            parsed = vars(parse(argv))
+        except SystemExit as exc:
+            parsed = exc.code
+        return parsed, capsys.readouterr()
+
+    assert outcome(cli._parse_args) == outcome(cli._build_parser().parse_args)
+
+
+def test_a_named_subcommand_builds_its_own_parser_alone():
+    cli._build_parser.cache_clear()
+    assert run(["charpoly", "--input", str(THREE_CONC)]) == 0
+    assert cli._build_parser.cache_info().currsize == 1
+
+
 def test_missing_input_file(capsys):
     code = run(["csm", "--input", "/nonexistent/nope.arr"])
     err = capsys.readouterr().err
@@ -478,19 +515,28 @@ def stage_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv,builds,searches",
+    "argv,builds,searches,text",
     [
-        (["report", "--primes", "101", "--max-degree", "4"], 1, 1),
-        (["derivations", "--max-degree", "4"], 0, 1),
-        (["freeness"], 0, 1),
+        (["report", "--primes", "101", "--max-degree", "4"], 1, 1, None),
+        # derivations and freeness read chi off a lattice that makes no flat
+        (["derivations", "--max-degree", "4"], 1, 1, None),
+        (["freeness"], 1, 1, None),
         # the second build is pinned by perfbench/test_bench.py
-        (["verify", "--primes", "101"], 2, 1),
-        (["corpus"], 1, 1),
+        (["verify", "--primes", "101"], 2, 1, None),
+        (["corpus"], 1, 1, None),
+        # chi splits but A is not free: the walk over its roots, then the full walk
+        (["freeness"], 1, 2, SPLIT_NOT_FREE),
+        # chi = (t - 1)(t^2 - 8t + 22) does not split: the full walk alone
+        (["freeness"], 1, 1, (INPUTS / "ziegler_conic.arr").read_text(encoding="utf-8")),
     ],
-    ids=["report", "derivations", "freeness", "verify", "corpus"],
+    ids=["report", "derivations", "freeness", "verify", "corpus", "freeness_split_not_free",
+         "freeness_ziegler_conic"],
 )
-def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searches):
+def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searches, text):
     target = THREE_CONC
+    if text is not None:
+        target = tmp_path / "input.arr"
+        target.write_text(text, encoding="utf-8")
     if argv[0] == "corpus":  # a directory holding that one file
         target = tmp_path
         shutil.copy(THREE_CONC, tmp_path)
@@ -540,15 +586,19 @@ def test_a_repeated_prime_is_counted_once(monkeypatch, capsys, command):
     assert swept == [c["prime"] for c in checks] == [103, 101]
 
 
-# Non-free, although chi = (t - 1)(t - 3)^2 splits: the walk over its roots
-# overflows at degree 3, and the full walk finds 4 generators by degree 5.
-SPLIT_NOT_FREE = "vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n"
-
-
 def _with_lineality(report, lineality):
     if not report.free:
         return report
     return report._replace(exponents=(0,) * lineality + report.exponents)
+
+
+def _assert_search_equals_full(arr):
+    """_search on chi's roots returns the full walk of D(A) and its decision, field by field."""
+    graded, report = cli._search(arr, integer_roots(char_poly(build_lattice(arr))))
+    full = minimal_generators(arr, range(arr.size + 1))
+    assert graded._asdict() == full._asdict(), arr.forms
+    assert report._asdict() == decide_freeness(arr, full)._asdict(), arr.forms
+    return report
 
 
 def _assert_guided_equals_full(arr):
@@ -569,17 +619,18 @@ def _assert_guided_equals_full(arr):
     full = _with_lineality(full, lineality)
     assert (guided.free, guided.exponents, guided.saito_scalar, guided.reason) == (
         full.free, full.exponents, full.saito_scalar, full.reason), arr.forms
-    assert [g.render() for g in guided.generators] == [g.render() for g in full.generators]
-    if not full.free:  # the fallback is the full D_0 walk on A' itself
-        assert guided == full
+    # the whole record: a free decision carries the full walk's log, rebuilt
+    assert guided._asdict() == full._asdict(), arr.forms
     whole = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size + 1)))
     whole = _with_lineality(whole, lineality)
     assert (guided.free, guided.exponents) == (whole.free, whole.exponents), arr.forms
-    original = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
+    original = _assert_search_equals_full(arr)
     assert (guided.free, guided.exponents) == (original.free, original.exponents), arr.forms
 
 
-@pytest.mark.parametrize("path", sorted(CORPUS.glob("*.arr")), ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path", sorted(CORPUS.glob("*.arr")) + sorted(INPUTS.glob("*.arr")), ids=lambda p: p.stem
+)
 def test_guided_freeness_equals_the_full_walk_on_the_corpus(path):
     _assert_guided_equals_full(parse_file(path))
 
@@ -633,6 +684,16 @@ def _arrangements_in_p2_and_p3(draw):
 @given(_arrangements_in_p2_and_p3())
 def test_the_adapted_decision_equals_the_full_walk(arr):
     _assert_guided_equals_full(arr)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from([3, 4]).flatmap(
+    lambda nvars: st.lists(st.tuples(*[st.integers(-1, 1)] * nvars).filter(any), min_size=3, max_size=7)
+))
+def test_the_search_on_chi_roots_equals_the_full_walk(rows):
+    # entries in -1..1 meet often, as in the reflection arrangements, so
+    # many of these are free with exponents that skip degrees
+    _assert_search_equals_full(parse(arrangement_text(len(rows[0]), rows)))
 
 
 @pytest.mark.parametrize(
