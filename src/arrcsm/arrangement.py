@@ -261,4 +261,5 @@ def parse_file(path) -> Arrangement:
     from pathlib import Path
 
     p = Path(path)
-    return parse(p.read_text(encoding="utf-8-sig"), name=p.stem)
+    # one leading U+FEFF (a byte-order mark) is dropped; utf-8-sig would import its own codec
+    return parse(p.read_text(encoding="utf-8").removeprefix("\ufeff"), name=p.stem)

@@ -26,19 +26,11 @@ and chow takes the results it reads.  run() does the shared work once:
 parse the .arr file of a subcommand that takes _INPUT, print warnings,
 emit JSON, turn errors into exit codes.
 
-Every search for derivations walks only chi's roots when chi splits over
-the nonnegative integers (_search), and rebuilds the full walk from the
-generators when Saito's criterion certifies them; else it runs the full
-walk.  freeness, derivations and report print the generators, Saito's
-scalar and the per-degree search of D(A), so they search D(A) in input
-coordinates, on the roots of chi(A, t) (report's lattice, or one that
-makes no flat).  verify and corpus print only the freeness verdict and
-the exponents, so their search runs on A in coordinates adapted to it
-(Arrangement.adapted), where the first form is x_0.  D(A) =
-S*theta_E (+) D_0(A) there, with D_0(A) = {theta : theta_0 = 0}, so the
-search (minimal_generators with d0) puts the Euler field theta_E first
-among the generators, solves its kernels in D_0(A) alone and walks the
-roots of chi(A, t) / (t - 1) (_guided_freeness).
+Every search for derivations goes through _search, which solves only
+chi's roots when chi splits over the nonnegative integers.  freeness,
+derivations and report search D(A) in input coordinates, whose
+generators and log they print; verify and corpus search D_0(A) in
+coordinates adapted to A (_guided_freeness).
 
 Exit codes: 0 success / verified, 1 a verification failed, 2 input error
 or a stdout closed before the output was written, 3 internal error (an
@@ -54,7 +46,7 @@ import sys
 import time
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import comb, gcd
+from math import gcd
 from pathlib import Path
 
 from . import __version__
@@ -87,6 +79,7 @@ from .logder import (
     InternalError,
     decide_freeness,
     degree_dimension,
+    free_dimension,
     minimal_generators,
 )
 from .poly import FormalClass
@@ -166,8 +159,7 @@ def _derivations_payload(
         if d in gb.dimensions:
             return gb.dimensions[d]
         if freeness.free:
-            n = arr.projective_dim
-            return sum(comb(d - e + n, n) for e in freeness.exponents if e <= d)
+            return free_dimension(freeness.exponents, arr.projective_dim, d)
         return degree_dimension(arr, d, gb.generators)
 
     dims = [[d, dimension(d)] for d in range(max_degree + 1)]
@@ -227,33 +219,25 @@ def _search(
 ) -> tuple[GradedBasis, FreenessReport]:
     """The full walk of D(A) (of D_0(A) with d0) and Saito's decision on it, from chi's roots when it can.
 
-    roots are chi's nonnegative integer roots, None when chi does not
-    split so.  A free A's exponents are among them (Terao's factorization,
-    Orlik & Terao Thm 4.137), and by induction on the degree the full walk
-    appends nothing at a degree that is not one, and at one that is the
-    same vectors, from the same span of multiples.  So a free verdict on
-    the walk over the roots, certified by Saito's criterion alone (Prop.
-    4.12; exponents are unique), has the full walk's generators; its
-    dimensions through the stop, sum over the generator degrees e <= d of
-    C(d - e + n, n), and its log are rebuilt from them.  Any other
-    outcome, or roots None, runs the full walk, degrees 0..|A| (0..|A| - 1
-    with d0).  The verdict is never read off chi.
+    The full walk is degrees 0..|A| (0..|A| - 1 with d0).  roots are chi's
+    nonnegative integer roots, None when chi does not split so.  A free
+    A's exponents are among them (Terao's factorization, Orlik & Terao
+    Thm 4.137), and by induction on the degree the full walk appends
+    nothing at a degree that is not one, where dim D(A)_d is the Hilbert
+    function of the generators so far, and at one that is the same
+    vectors, from the same span of multiples.  So the walk that skips the
+    degrees that are not roots (minimal_generators' skip) is the full
+    walk when Saito's criterion certifies its generators (Prop. 4.12;
+    exponents are unique); any other verdict, or roots None, runs the
+    full walk.  The verdict is never read off chi.
     """
+    walk = range(arr.size if d0 else arr.size + 1)
     if roots is not None:
-        graded = minimal_generators(arr, sorted(set(roots)), d0=d0)
+        graded = minimal_generators(arr, walk, skip=set(walk).difference(roots), d0=d0)
         report = decide_freeness(arr, graded)
-        if report.free and graded.exit_reason == "complete":
-            n, found = arr.projective_dim, [g.degree for g in graded.generators]
-            dims, log, total = {}, [], int(d0)  # theta_E is seeded, not appended
-            for d in range(max(graded.dimensions) + 1):
-                dims[d] = sum(comb(d - e + n, n) for e in found if e <= d)
-                fresh = found[int(d0):].count(d)
-                total += fresh
-                log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {total}")
-            log.append(graded.search_log[-1])
-            return (graded._replace(dimensions=dims, search_log=tuple(log)),
-                    report._replace(search_log=(*log, report.search_log[-1])))
-    graded = minimal_generators(arr, range(arr.size if d0 else arr.size + 1), d0=d0)
+        if report.free:
+            return graded, report
+    graded = minimal_generators(arr, walk, d0=d0)
     return graded, decide_freeness(arr, graded)
 
 

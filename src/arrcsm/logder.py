@@ -16,16 +16,16 @@ generators already found, whose kernel vectors the search would only
 reject), then read the scalar c in det M(theta) = c * Q off one integer
 point where the defining polynomial Q does not vanish: free if and only
 if c != 0 (a scalar determinant, no polynomial products or division).
-The search walks the degrees it is given.  The full walk is 0..|A|: a
-free module's exponents are nonnegative and sum to |A|.  By Terao's
-factorization (Orlik & Terao, Thm 4.137) the exponents of a free A are
-the roots of chi(A, t), so a walk over those roots alone finds the same
-generators; whatever a shorter walk finds, Saito's criterion certifies
-or rejects on its own.  The search runs on the arrangement it is given;
-verify searches Arrangement.adapted(), where the first rank A
-independent forms are coordinate hyperplanes, and adds a zero exponent
-per dimension of the lineality space.  There the first form is x_0, so
-D(A) = S*theta_E (+) D_0(A) with D_0(A) = {theta in D(A) : theta_0 = 0}
+The full walk is degrees 0..|A|: a free module's exponents are
+nonnegative and sum to |A|.  By Terao's factorization (Orlik & Terao,
+Thm 4.137) the exponents of a free A are the roots of chi(A, t), so a
+walk that solves only those degrees finds the same generators, and
+Saito's criterion certifies or rejects whatever it finds.  The search
+runs on the arrangement it is given; verify searches
+Arrangement.adapted(), where the first rank A independent forms are
+coordinate hyperplanes, and adds a zero exponent per dimension of the
+lineality space.  There the first form is x_0, so D(A) =
+S*theta_E (+) D_0(A) with D_0(A) = {theta in D(A) : theta_0 = 0}
 (Orlik & Terao, Prop. 4.27): minimal_generators with d0 puts the Euler
 field theta_E first among the generators and solves each kernel in
 D_0(A) alone, counting the C(d+n-1, n) multiples of theta_E at degree d
@@ -187,6 +187,11 @@ def _degree_system(
     return monos, multiples, len(trailing), _degree_kernel(arr, d, monos, d0, trailing)
 
 
+def free_dimension(exponents: Iterable[int], n: int, d: int) -> int:
+    """dim of (sum_i S(-e_i))_d over the exponents e_i, S the polynomial ring in n + 1 variables."""
+    return sum(comb(d - e + n, n) for e in exponents if e <= d)
+
+
 def degree_dimension(arr: Arrangement, d: int, generators: Iterable[Derivation] = ()) -> int:
     """dim D(A)_d, from two bounds when they meet, else from the exact kernel.
 
@@ -217,12 +222,19 @@ class GradedBasis(NamedTuple("GradedBasis", [
         return tuple(g.degree for g in self.generators)
 
 
-def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = False) -> GradedBasis:
+def minimal_generators(
+    arr: Arrangement, degrees: Iterable[int], *, skip: Set[int] = frozenset(), d0: bool = False
+) -> GradedBasis:
     """Minimal homogeneous generators of D(A), searched in the given ascending degrees.
 
-    range(arr.size + 1) is the full walk, through degree |A|.  A walk
-    that skips a degree holding a generator misses it, and its later
-    degrees then count that generator's multiples as new generators.
+    range(arr.size + 1) is the full walk, through degree |A|.  A degree
+    in skip solves no kernel and finds no generator: dims[d] is
+    free_dimension over the generators so far, and its log line and both
+    exits run as at any degree.  That is dim D(A)_d when the generators
+    are a basis of D(A) with no exponent d, which only Saito's criterion
+    on the whole result certifies: a walk with skips stands on a free
+    verdict alone (cli._search).  A walk that misses a degree holding a
+    generator counts that generator's multiples as new generators later.
 
     At each degree the span of monomial multiples of earlier generators
     is built first; new generators are an echelon-canonical complement
@@ -270,20 +282,23 @@ def minimal_generators(arr: Arrangement, degrees: Iterable[int], *, d0: bool = F
     exit_reason = "exhausted"
     walked = list(degrees)
     for d in walked:
-        monos, multiples, known, kernel = _degree_system(arr, d, gens[1:] if d0 else gens, d0)
-        span = IncrementalSpan(n1 * len(monos))
-        for v in multiples:
-            span.add(v)
         fresh = 0
-        vectors = iter(kernel)
-        # below upper the span may not be D(A)_d yet; at upper it is, and
-        # every vector left is dependent, so none is lifted
-        while span.rank < known + kernel.upper and (v := next(vectors, None)) is not None:
-            residue = span.add(v)
-            if residue is not None:
-                gens.append(vector_to_derivation(residue, n1, d, monos))
-                fresh += 1
-        dims[d] = known + kernel.upper + (comb(d + n1 - 2, n1 - 1) if d0 and d else 0)
+        if d in skip:
+            dims[d] = free_dimension((g.degree for g in gens), n1 - 1, d)
+        else:
+            monos, multiples, known, kernel = _degree_system(arr, d, gens[1:] if d0 else gens, d0)
+            span = IncrementalSpan(n1 * len(monos))
+            for v in multiples:
+                span.add(v)
+            vectors = iter(kernel)
+            # below upper the span may not be D(A)_d yet; at upper it is, and
+            # every vector left is dependent, so none is lifted
+            while span.rank < known + kernel.upper and (v := next(vectors, None)) is not None:
+                residue = span.add(v)
+                if residue is not None:
+                    gens.append(vector_to_derivation(residue, n1, d, monos))
+                    fresh += 1
+            dims[d] = known + kernel.upper + (free_dimension((1,), n1 - 1, d) if d0 else 0)
         log.append(f"degree {d}: dim {dims[d]}, {fresh} new generator(s), total {len(gens)}")
         if len(gens) > n1:
             exit_reason = "overflow"

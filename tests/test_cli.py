@@ -354,6 +354,19 @@ def test_a_byte_order_mark_is_skipped(tmp_path, capsys):
     assert outputs[0] == outputs[1]
 
 
+def test_a_byte_order_mark_loads_no_codec(tmp_path):
+    # the utf-8 codec is loaded at start-up; decoding as utf-8-sig imports one more module
+    path = tmp_path / "bom.arr"
+    path.write_bytes(b"\xef\xbb\xbf" + (CORPUS / "braid_essential.arr").read_bytes())
+    code = (
+        "import sys; from arrcsm.arrangement import parse_file; parse_file(sys.argv[1]); "
+        "print('encodings.utf_8_sig' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code, str(path)], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.parametrize("name", list(cli.COMMANDS))
 def test_every_subcommand_prints_its_help(capsys, name):
     with pytest.raises(SystemExit) as exited:
@@ -546,6 +559,39 @@ def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searc
     assert stage_calls == {"build_lattice": builds, "minimal_generators": searches}
 
 
+@pytest.mark.parametrize(
+    "command,text,solved",
+    [
+        # B_3: chi = (t - 1)(t - 3)(t - 5), and the walk stops complete at degree 5
+        ("freeness", None, [1, 3, 5]),
+        ("derivations", None, [1, 3, 5]),
+        ("report", None, [1, 3, 5]),
+        # D_0 of B_3 in adapted coordinates: the roots of chi / (t - 1)
+        ("verify", None, [3, 5]),
+        # the roots, through the overflow at degree 3, then the full walk to its overflow
+        ("freeness", SPLIT_NOT_FREE, [1, 3, 0, 1, 2, 3, 4, 5]),
+    ],
+    ids=["freeness", "derivations", "report", "verify", "freeness_split_not_free"],
+)
+def test_the_search_solves_only_the_roots_of_chi(monkeypatch, tmp_path, capsys, command, text, solved):
+    from arrcsm import logder
+
+    degrees = []
+
+    def spy(arr, d, *args, solve=logder._degree_system):
+        degrees.append(d)
+        return solve(arr, d, *args)
+
+    monkeypatch.setattr(logder, "_degree_system", spy)
+    target = INPUTS / "b3.arr"
+    if text is not None:
+        target = tmp_path / "input.arr"
+        target.write_text(text, encoding="utf-8")
+    assert run([command, "--input", str(target), "--json"]) == 0
+    capsys.readouterr()
+    assert degrees == solved
+
+
 @pytest.mark.parametrize("command", ["lattice", "verify", "report"])
 @pytest.mark.parametrize(
     "primes,message",
@@ -619,7 +665,7 @@ def _assert_guided_equals_full(arr):
     full = _with_lineality(full, lineality)
     assert (guided.free, guided.exponents, guided.saito_scalar, guided.reason) == (
         full.free, full.exponents, full.saito_scalar, full.reason), arr.forms
-    # the whole record: a free decision carries the full walk's log, rebuilt
+    # the whole record: a free decision carries the full walk's log
     assert guided._asdict() == full._asdict(), arr.forms
     whole = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size + 1)))
     whole = _with_lineality(whole, lineality)
