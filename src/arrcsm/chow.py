@@ -23,17 +23,17 @@ logarithmic derivation bundle of a projective line arrangement:
 All four must land on the same integer vector; verify_arrangement
 computes whichever routes apply and compares them.  Each route takes
 the lattice or the freeness decision it reads and builds neither.
+Blow-up centres are integer cross products, so every value here is an int.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .lattice import IntersectionLattice, csm_complement
-from .linalg import QMatrix
 from .logder import FreenessReport, InternalError, chern_class_free
-from .poly import FormalClass
+from .poly import FormalClass, _over_lead
 
 ROUTE_NAMES = ("lattice_csm", "exponent_product", "tjurina", "blowup_pushforward")
 
@@ -186,35 +186,34 @@ def pushforward_to_p2(cls: SurfaceClass) -> tuple[int, ...]:
 
 
 class SingularPoint(NamedTuple("SingularPoint", [
-    ("coords", tuple[Fraction, ...]), ("multiplicity", int), ("lines", tuple[int, ...]),
+    ("coords", tuple[int, ...]), ("multiplicity", int), ("lines", tuple[int, ...]),
 ])):
-    """Ordinary singular point of the line arrangement divisor."""
+    """Ordinary singular point of the line arrangement divisor; coords are primitive ints, lead positive."""
 
     __slots__ = ()
 
     def render(self) -> str:
-        inner = " : ".join(str(c) for c in self.coords)
-        return f"[{inner}]"
+        return f"[{' : '.join(_over_lead(self.coords))}]"
 
 
 def blowup_centers(lat: IntersectionLattice) -> tuple[SingularPoint, ...]:
-    """The points where three or more lines meet, the blow-up centres, as projective points."""
+    """The points where three or more lines meet, the blow-up centres, as projective points.
+
+    A point is the cross product of its flat's two span rows, made primitive with its lead positive.
+    """
     if lat.arrangement.nvars != 3:
         raise ValueError("blow-up centres are for line arrangements in P^2")
     points = []
     for flat in lat.of_codim(2):
         if len(flat.indices) < 3:
             continue
-        kern = QMatrix(flat.span, ncols=3).kernel_basis()
-        if len(kern) != 1:
+        (a0, a1, a2), (b0, b1, b2) = flat.span
+        cross = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+        g = gcd(*cross)
+        if not g:
             raise InternalError("internal consistency failure: codim-2 flat is not a point")
-        points.append(
-            SingularPoint(
-                coords=kern[0],
-                multiplicity=len(flat.indices),
-                lines=flat.indices,
-            )
-        )
+        g = g if next(filter(None, cross)) > 0 else -g
+        points.append(SingularPoint(tuple(c // g for c in cross), len(flat.indices), flat.indices))
     return tuple(points)
 
 

@@ -11,8 +11,8 @@ return, uncopied; _json writes a tuple as json.dumps writes a list, and
 the text renderers print them as tuples.  The lattice result holds the
 lattice's Flat records, which _json writes by one template and
 _lattice_text reads; each basis is rendered from its integer span, each
-distinct span row once per output, and the output stage makes no
-Fraction.
+distinct span row once per output.  A run makes a Fraction only for
+Saito's scalar or a non-integer input token.
 
 Each subcommand is one entry of COMMANDS: a handler that computes only
 the stages its command reads, each of them once (report builds one
@@ -46,7 +46,6 @@ import sys
 import time
 from functools import cache
 from json.encoder import encode_basestring_ascii
-from math import gcd
 from pathlib import Path
 
 from . import __version__
@@ -82,7 +81,7 @@ from .logder import (
     free_dimension,
     minimal_generators,
 )
-from .poly import FormalClass
+from .poly import FormalClass, _over_lead
 
 # Largest --max-degree: the table has one entry, and a non-free A one kernel, per degree.
 MAX_DEGREE = 100
@@ -100,21 +99,9 @@ def _arrangement_payload(arr: Arrangement) -> dict:
         "num_forms": arr.size,
         "rank": rank,
         "essential": rank == arr.nvars,
-        "forms": [_rref_row(f.coeffs) for f in arr.forms],
+        "forms": [_over_lead(f.coeffs) for f in arr.forms],
         "warnings": arr.warnings,
     }
-
-
-def _rref_row(row: tuple[int, ...]) -> list[str]:
-    """str(Fraction(a, p)) for each entry a of a span row or form, p its first nonzero entry.
-
-    p > 0, so a/p in lowest terms is a // g over p // g with g = gcd(a, p),
-    an integer when g = p (which a = 0 falls under, and every a when p = 1).
-    """
-    p = next(filter(None, row))
-    if p == 1:
-        return list(map(str, row))
-    return [str(a // p) if (g := gcd(a, p)) == p else f"{a // g}/{p // g}" for a in row]
 
 
 def _lattice_payload(lat: IntersectionLattice) -> dict:
@@ -231,13 +218,13 @@ def _search(
     exponents are unique); any other verdict, or roots None, runs the
     full walk.  The verdict is never read off chi.
     """
-    walk = range(arr.size if d0 else arr.size + 1)
+    stop = arr.size if d0 else arr.size + 1
     if roots is not None:
-        graded = minimal_generators(arr, walk, skip=set(walk).difference(roots), d0=d0)
+        graded = minimal_generators(arr, stop, skip=set(range(stop)).difference(roots), d0=d0)
         report = decide_freeness(arr, graded)
         if report.free:
             return graded, report
-    graded = minimal_generators(arr, walk, d0=d0)
+    graded = minimal_generators(arr, stop, d0=d0)
     return graded, decide_freeness(arr, graded)
 
 
@@ -582,7 +569,7 @@ def _json(obj, pad: str = "", memo: dict | None = None) -> str:
         for row in obj.span:
             text = rows.get(row)
             if text is None:  # the entries are ASCII digits, "-" and "/": quoted, not escaped
-                text = rows[row] = f'[\n{deep}  "' + f'",\n{deep}  "'.join(_rref_row(row)) + f'"\n{deep}]'
+                text = rows[row] = f'[\n{deep}  "' + f'",\n{deep}  "'.join(_over_lead(row)) + f'"\n{deep}]'
             basis.append(text)
         sep = f",\n{deep}"
         basis = f"[\n{deep}{sep.join(basis)}\n{inner}]" if basis else "[]"

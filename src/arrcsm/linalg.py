@@ -1,8 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Every result is exact: QMatrix holds Fraction entries, spans hold
-integer rows standing for rational ones, and the modular kernel's sparse
-integer rows are certified over Q.  Pivots are chosen by exact nonzero
+Every result is exact: spans hold integer rows standing for rational
+ones, the modular kernel's sparse integer rows are certified over Q,
+and QMatrix holds Fraction entries.  Pivots are chosen by exact nonzero
 test (magnitude is irrelevant without rounding).  Kernel bases come out
 echelon-shaped, one vector per free column in ascending column order, so
 results are deterministic and directly comparable.  integer_det is the
@@ -20,11 +20,11 @@ fallback _exact_kernel and Arrangement._independent call it.
 lattice.build_lattice takes the same single steps on dense rows, written
 out in its module: its residues are already 0 at their flat's pivots, so
 one step at a cover's new pivot reduces them.  The search's vectors are
-sparse throughout, primitive with their first entry positive; only
-QMatrix.kernel_basis makes one dense.  A Fraction is made here only
-where a result leaves the integers: QMatrix.kernel_basis divides a
-vector by its leading entry.  A lattice flat's span leaves as integer
-rows, which cli renders.
+sparse throughout, primitive with their first entry positive.  QMatrix,
+which makes its kernel vectors dense and divides each by its leading
+entry, is the one place here that makes a Fraction; no shipped path
+calls it (the tests and the benchmark's tracer read it).  A lattice
+flat's span leaves as integer rows, which poly._over_lead writes.
 
 ModularKernel eliminates sparse integer rows modulo the prime
 p = 2^61 - 1 with plain ints, once, which bounds the kernel's dimension
@@ -42,8 +42,7 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Iterable, Iterator, Sequence
 
-from .poly import Scalar
-
+Scalar = int | Fraction
 Vector = tuple[Fraction, ...]
 
 _P = 2**61 - 1

@@ -31,9 +31,9 @@ field theta_E first among the generators and solves each kernel in
 D_0(A) alone, counting the C(d+n-1, n) multiples of theta_E at degree d
 without solving for them.  Either walk's result describes D(A).
 
-A Derivation keeps the search's integer vector; multiples, rendering and
-Saito's integer determinant read it, and Fractions appear only in render
-and the final Saito division.
+A Derivation keeps the search's integer vector; multiples, rendering (by
+poly's integer writer) and Saito's integer determinant read it, and the
+one Fraction made here is Saito's scalar, in decide_freeness.
 """
 
 from __future__ import annotations
@@ -69,9 +69,10 @@ class Derivation(NamedTuple("Derivation", [
 
     def render(self) -> str:
         lead = self.terms[0][2] if self.terms else 1
+        sign = 1 if lead > 0 else -1  # c / lead is sign * c over the positive sign * lead
         names = [f"x{i}" for i in range(self.nvars)]
         pieces = [
-            f"({render_terms((Fraction(c, lead), zip(names, m)) for _, m, c in group)})*d/dx{j}"
+            f"({render_terms(((sign * c, zip(names, m)) for _, m, c in group), sign * lead)})*d/dx{j}"
             for j, group in groupby(self.terms, key=itemgetter(0))
         ]
         return " + ".join(pieces) if pieces else "0"
@@ -223,11 +224,11 @@ class GradedBasis(NamedTuple("GradedBasis", [
 
 
 def minimal_generators(
-    arr: Arrangement, degrees: Iterable[int], *, skip: Set[int] = frozenset(), d0: bool = False
+    arr: Arrangement, stop: int, *, skip: Set[int] = frozenset(), d0: bool = False
 ) -> GradedBasis:
-    """Minimal homogeneous generators of D(A), searched in the given ascending degrees.
+    """Minimal homogeneous generators of D(A), searched in degrees 0..stop - 1, stop >= 1.
 
-    range(arr.size + 1) is the full walk, through degree |A|.  A degree
+    stop = arr.size + 1 is the full walk, through degree |A|.  A degree
     in skip solves no kernel and finds no generator: dims[d] is
     free_dimension over the generators so far, and its log line and both
     exits run as at any degree.  That is dim D(A)_d when the generators
@@ -274,14 +275,15 @@ def minimal_generators(
     then those of the full walk; the generators after theta_E are
     D_0(A)'s.
     """
+    if stop < 1:
+        raise ValueError(f"the search walks degrees 0..stop - 1 and needs stop >= 1, got {stop}")
     n1 = arr.nvars
     euler = Derivation(n1, 1, tuple((j, tuple(int(k == j) for k in range(n1)), 1) for j in range(n1)))
     gens: list[Derivation] = [euler] if d0 else []
     dims: dict[int, int] = {}
     log: list[str] = []
     exit_reason = "exhausted"
-    walked = list(degrees)
-    for d in walked:
+    for d in range(stop):
         fresh = 0
         if d in skip:
             dims[d] = free_dimension((g.degree for g in gens), n1 - 1, d)
@@ -313,9 +315,7 @@ def minimal_generators(
             )
             break
     else:
-        contiguous = walked and walked == list(range(walked[0], walked[-1] + 1))
-        shown = f"{walked[0]}..{walked[-1]}" if contiguous else ", ".join(map(str, walked))
-        log.append(f"search exhausted degrees {shown}" if walked else "search walked no degree")
+        log.append(f"search exhausted degrees 0..{stop - 1}")
     return GradedBasis(
         dimensions=dims,
         generators=tuple(gens),
@@ -331,7 +331,7 @@ FreenessReport = NamedTuple("FreenessReport", [
 
 
 def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
-    """Saito's criterion on the generators that minimal_generators(arr, degrees) found.
+    """Saito's criterion on the generators that minimal_generators(arr, stop) found.
 
     Saito's lemma (Orlik & Terao, Arrangements of Hyperplanes, Prop. 4.12):
     for theta_0, ..., theta_n in D(A), the defining polynomial Q divides
@@ -355,10 +355,7 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
         reason = f"needs {len(gens)} minimal generators, more than the rank bound {n1}"
         scalar = None
     elif len(gens) != n1:
-        walked = "without walking a degree"
-        if graded.dimensions:
-            walked = f"through degree {max(graded.dimensions)}"
-        reason = f"found {len(gens)} minimal generators {walked}, expected {n1}"
+        reason = f"found {len(gens)} minimal generators through degree {max(graded.dimensions)}, expected {n1}"
         scalar = None
     elif sum(degrees) != m:
         reason = f"generator degrees {tuple(degrees)} sum to {sum(degrees)}, not {m}"

@@ -1,4 +1,4 @@
-"""Monomials, the polynomial renderer and the truncated integer class ring.
+"""Monomials, the rational writer, the polynomial renderer and the truncated integer class ring.
 
 Monomials are exponent tuples of a fixed length (one slot per variable
 x0, x1, ...).  The canonical term order is degree-lexicographic: compare
@@ -7,6 +7,11 @@ heaviest.  monomials_of_degree enumerates in this order descending, and
 the derivation search lays out its columns and renders its generators in
 it, so all downstream output is byte-stable.  render_terms is the one
 polynomial renderer: every rendered generator and class goes through it.
+
+_ratio is the one rational writer: every printed rational is an int
+over a positive int, in lowest terms, from ints alone.  _over_lead writes
+a row over its first nonzero entry (a basis row, a form, a blow-up
+centre), render_terms each coefficient over the terms' common denominator.
 
 FormalClass is the one truncated class ring: power series in one
 divisor variable modulo X^(n+1), i.e. A*(P^n) = Z[h]/h^(n+1) with X = h.
@@ -17,13 +22,11 @@ ints: inverse takes only a constant term of 1, as every route's has.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd
 from operator import add
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 Monomial = tuple[int, ...]
-
-Scalar = int | Fraction
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -47,21 +50,33 @@ def monomials_of_degree(nvars: int, degree: int) -> list[Monomial]:
     return [prefix + (left,) for prefix, left in level]
 
 
-def render_terms(terms: Iterable[tuple[Scalar, Iterable[tuple[str, int]]]]) -> str:
-    """Sign-aware sum of coefficient * monomial terms, in the given order.
+def _ratio(a: int, p: int) -> str:
+    """a / p for p > 0 as the fractions module writes it: a // g over p // g, g = gcd(a, p), or a // p."""
+    g = gcd(a, p)
+    return str(a // g) if g == p else f"{a // g}/{p // g}"
+
+
+def _over_lead(row: Sequence[int]) -> list[str]:
+    """Each entry of a nonzero integer row over its first nonzero entry, which is positive."""
+    p = next(filter(None, row))
+    return list(map(str, row)) if p == 1 else [_ratio(a, p) for a in row]
+
+
+def render_terms(terms: Iterable[tuple[int, Iterable[tuple[str, int]]]], den: int = 1) -> str:
+    """Sign-aware sum of coefficient / den * monomial terms, in the given order, den > 0.
 
     A monomial is a sequence of (variable name, exponent) factors.  Zero
-    terms and zero exponents are skipped, a coefficient of magnitude 1 is
-    left off a nonconstant monomial, later terms are joined by "+ " or
-    "- ", and an empty sum renders as "0".
+    terms and zero exponents are skipped, each magnitude is written by
+    _ratio and left off a nonconstant monomial when it is 1, later terms
+    are joined by "+ " or "- ", and an empty sum renders as "0".
     """
     pieces: list[str] = []
     for coef, factors in terms:
         if not coef:
             continue
         body = "*".join(v if e == 1 else f"{v}^{e}" for v, e in factors if e)
-        mag = abs(coef)
-        chunk = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        mag = _ratio(abs(coef), den)
+        chunk = mag if not body else body if mag == "1" else f"{mag}*{body}"
         if not pieces:
             pieces.append(chunk if coef > 0 else f"-{chunk}")
         else:

@@ -60,9 +60,9 @@ from math import gcd, lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from arrcsm.arrangement import Arrangement, LinearForm
-from arrcsm.linalg import _integer_vector, _rational, integer_det
+from arrcsm.linalg import Scalar, _integer_vector, _rational, integer_det
 from arrcsm.logder import Derivation, GradedBasis, _degree_kernel, vector_to_derivation
-from arrcsm.poly import Monomial, Scalar, monomial_mul, monomials_of_degree, render_terms
+from arrcsm.poly import Monomial, monomial_mul, monomials_of_degree, render_terms
 
 
 def monomial_key(mono: Monomial) -> tuple[int, Monomial]:
@@ -199,7 +199,9 @@ class MultiPoly:
     def render(self, names: list[str] | None = None) -> str:
         if names is None:
             names = [f"x{i}" for i in range(self.nvars)]
-        return render_terms((coef, zip(names, mono)) for mono, coef in self.terms())
+        terms = list(self.terms())
+        den = lcm(*(coef.denominator for _, coef in terms))
+        return render_terms(((int(coef * den), zip(names, mono)) for mono, coef in terms), den)
 
     def __repr__(self) -> str:
         return f"MultiPoly({self.render()})"
@@ -578,8 +580,8 @@ def trailing_columns(gens: Iterable[Derivation], d: int, monos: list[Monomial]) 
     }
 
 
-def whole_kernel_search(arr: Arrangement, degrees, d0: bool = False) -> GradedBasis:
-    """minimal_generators(arr, degrees, d0=d0), from whole kernels and the dense integer core.
+def whole_kernel_search(arr: Arrangement, stop: int, d0: bool = False) -> GradedBasis:
+    """minimal_generators(arr, stop, d0=d0), from whole kernels and the dense integer core.
 
     With d0 the Euler field is the first generator, and dims[d] is the
     D_0 kernel's dimension plus its multiples, one per monomial of
@@ -590,8 +592,7 @@ def whole_kernel_search(arr: Arrangement, degrees, d0: bool = False) -> GradedBa
     dims: dict[int, int] = {}
     log: list[str] = []
     exit_reason = "exhausted"
-    walked = list(degrees)
-    for d in walked:
+    for d in range(stop):
         monos = monomials_of_degree(n1, d)
         dim = n1 * len(monos)
         kernel = list(_degree_kernel(arr, d, monos, d0))
@@ -620,9 +621,7 @@ def whole_kernel_search(arr: Arrangement, degrees, d0: bool = False) -> GradedBa
             log.append(f"stopped at degree {d}: {n1} generators with degree sum {arr.size}")
             break
     else:
-        contiguous = walked and walked == list(range(walked[0], walked[-1] + 1))
-        shown = f"{walked[0]}..{walked[-1]}" if contiguous else ", ".join(map(str, walked))
-        log.append(f"search exhausted degrees {shown}" if walked else "search walked no degree")
+        log.append(f"search exhausted degrees 0..{stop - 1}")
     return GradedBasis(dims, tuple(gens), exit_reason, tuple(log))
 
 

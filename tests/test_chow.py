@@ -221,17 +221,13 @@ def test_singular_points_counts():
         blowup_centers(build_lattice(TETRAHEDRON))
 
 
-def test_blowup_centers_raise_internal_error_on_a_flat_that_is_not_a_point(monkeypatch):
-    class NoKernel:  # a codim-2 span whose kernel is not one point
-        def __init__(self, rows, ncols):
-            pass
-
-        def kernel_basis(self):
-            return []
-
-    monkeypatch.setattr(chow, "QMatrix", NoKernel)
+def test_blowup_centers_raise_internal_error_on_a_flat_that_is_not_a_point():
+    # a codim-2 flat whose two span rows are one line: their cross product is 0
+    lat = build_lattice(THREE_CONC)
+    (point,) = lat.of_codim(2)
+    lat.flats = (point._replace(span=(point.span[0],) * 2),)
     with pytest.raises(InternalError, match="^internal consistency failure: codim-2 flat is not a point$"):
-        blowup_centers(build_lattice(THREE_CONC))
+        blowup_centers(lat)
 
 
 def test_blowup_three_concurrent_frozen():

@@ -641,7 +641,7 @@ def _with_lineality(report, lineality):
 def _assert_search_equals_full(arr):
     """_search on chi's roots returns the full walk of D(A) and its decision, field by field."""
     graded, report = cli._search(arr, integer_roots(char_poly(build_lattice(arr))))
-    full = minimal_generators(arr, range(arr.size + 1))
+    full = minimal_generators(arr, arr.size + 1)
     assert graded._asdict() == full._asdict(), arr.forms
     assert report._asdict() == decide_freeness(arr, full)._asdict(), arr.forms
     return report
@@ -659,15 +659,15 @@ def _assert_guided_equals_full(arr):
     n1 = adapted.nvars
     if adapted.size:  # D(A') = S*theta_E (+) D_0(A'), D_0 = {theta_0 = 0} on A''s first form x_0
         assert adapted.forms[0].coeffs == (1,) + (0,) * (n1 - 1)
-        full = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size), d0=True))
+        full = decide_freeness(adapted, minimal_generators(adapted, adapted.size, d0=True))
     else:  # no x_0 to split off: the full D(A') walk
-        full = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size + 1)))
+        full = decide_freeness(adapted, minimal_generators(adapted, adapted.size + 1))
     full = _with_lineality(full, lineality)
     assert (guided.free, guided.exponents, guided.saito_scalar, guided.reason) == (
         full.free, full.exponents, full.saito_scalar, full.reason), arr.forms
     # the whole record: a free decision carries the full walk's log
     assert guided._asdict() == full._asdict(), arr.forms
-    whole = decide_freeness(adapted, minimal_generators(adapted, range(adapted.size + 1)))
+    whole = decide_freeness(adapted, minimal_generators(adapted, adapted.size + 1))
     whole = _with_lineality(whole, lineality)
     assert (guided.free, guided.exponents) == (whole.free, whole.exponents), arr.forms
     original = _assert_search_equals_full(arr)
@@ -934,7 +934,7 @@ def test_dimensions_of_a_free_arrangement_come_from_its_exponents():
     free = 0
     for path in sorted(CORPUS.glob("*.arr")):
         arr = parse_file(path)
-        graded = minimal_generators(arr, range(arr.size + 1))
+        graded = minimal_generators(arr, arr.size + 1)
         freeness = decide_freeness(arr, graded)
         if freeness.free:
             free += 1

@@ -544,11 +544,11 @@ def test_lattice_output_renders_each_distinct_row_once(monkeypatch):
     # braid A5's 544 span rows hold 15 distinct rows; the moment curve's
     # 808 hold 463
     counts = []
-    render = cli._rref_row
+    render = cli._over_lead
     for arr in (_braid(5), _moment_curve(4, 12)):
         lat = build_lattice(arr)
         rendered = []
-        monkeypatch.setattr(cli, "_rref_row", lambda row: rendered.append(row) or render(row))
+        monkeypatch.setattr(cli, "_over_lead", lambda row: rendered.append(row) or render(row))
         cli._json(cli._lattice_payload(lat))
         rows = [row for f in lat.flats for row in f.span]
         assert sorted(rendered) == sorted(set(rows))
@@ -556,16 +556,32 @@ def test_lattice_output_renders_each_distinct_row_once(monkeypatch):
     assert counts == [(544, 15), (808, 463)]
 
 
-@pytest.mark.parametrize("command", ["lattice", "charpoly", "csm"])
+@pytest.mark.parametrize("command", ["lattice", "charpoly", "csm", "verify", "freeness", "derivations", "report"])
 def test_json_on_integer_tokens_makes_no_fraction(monkeypatch, capsys, tmp_path, command):
-    # parse keeps integer tokens as ints, and the forms render as the flats
-    # do; the first form over its lead is (1, 3/2, 0, 1/2)
-    path = tmp_path / "ints.arr"
-    path.write_text(arrangement_text(4, [[2, 3, 0, 1], [0, 1, 1, 0], [1, 0, 0, 5], [4, 4, 1, 1]]))
+    # parse keeps integer tokens as ints, and every printed rational is
+    # written from ints: the forms and the flats over their leads, the
+    # generators over theirs, a blow-up centre from the cross product of
+    # its span rows.  The one Fraction is Saito's scalar, made once per
+    # free verdict.  The first of the four independent planes, which are
+    # free, is (1, 3/2, 0, 1/2) over its lead; three of the lines meet in
+    # [1 : 1/2 : 0], a free near-pencil with the fourth line and not free
+    # with a fifth
+    inputs = (
+        ([[2, 3, 0, 1], [0, 1, 1, 0], [1, 0, 0, 5], [4, 4, 1, 1]], True, '"3/2"'),
+        ([[1, -2, 0], [0, 0, 1], [1, -2, 1], [1, 1, 3]], True, '"[1 : 1/2 : 0]"'),
+        ([[1, -2, 0], [0, 0, 1], [1, -2, 1], [1, 1, 3], [1, 3, 2]], False, '"[1 : 1/2 : 0]"'),
+    )
+    searches = command in ("verify", "freeness", "derivations", "report")
     made = _count_fractions(monkeypatch)
-    assert cli.run([command, "--input", str(path), "--json"]) == 0
-    assert not made
-    assert '"3/2"' in capsys.readouterr().out
+    for i, (forms, free, shown) in enumerate(inputs):
+        path = tmp_path / f"ints{i}.arr"
+        path.write_text(arrangement_text(len(forms[0]), forms))
+        made.clear()
+        assert cli.run([command, "--input", str(path), "--json"]) == 0
+        assert len(made) == (searches and free), forms
+        out = capsys.readouterr().out
+        if len(forms[0]) == 4 or command in ("verify", "report"):
+            assert shown in out
 
 
 def test_oracle_refuses_a_prime_dividing_a_lead(capsys, tmp_path):

@@ -97,14 +97,14 @@ def test_vector_round_trip():
 
 
 def test_minimal_generators_boolean():
-    graded = minimal_generators(BOOLEAN, range(BOOLEAN.size + 1))
+    graded = minimal_generators(BOOLEAN, BOOLEAN.size + 1)
     assert graded.generator_degrees == (1, 1, 1)
     assert graded.exit_reason == "complete"
     assert any("degree 1" in line for line in graded.search_log)
 
 
 def test_minimal_generators_four_generic_overflow():
-    graded = minimal_generators(FOUR_GENERIC, range(FOUR_GENERIC.size + 1))
+    graded = minimal_generators(FOUR_GENERIC, FOUR_GENERIC.size + 1)
     assert graded.exit_reason in ("overflow", "exhausted")
     assert len(graded.generators) != 3 or sum(graded.generator_degrees) != 4
 
@@ -123,7 +123,7 @@ FREENESS_CASES = [
 
 def test_decide_freeness_frozen():
     for arr, want_free, want_exps in FREENESS_CASES:
-        report = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
+        report = decide_freeness(arr, minimal_generators(arr, arr.size + 1))
         assert report.free is want_free, arr.forms
         if want_free:
             assert report.exponents == want_exps
@@ -139,7 +139,7 @@ def test_free_reports_include_euler_slot():
     for arr, want_free, want_exps in FREENESS_CASES:
         if not want_free or arr.size == 0:
             continue
-        report = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
+        report = decide_freeness(arr, minimal_generators(arr, arr.size + 1))
         assert 1 in report.exponents
 
 
@@ -148,7 +148,7 @@ def test_saito_determinant_rank2():
     # its scalar is read at t = 3; the third one's second generator is its
     # integer vector over a first entry of 2, so c needs that division
     for arr in (RANK2, parse("vars 2\n0 1\n1 -1\n2 -1\n"), parse("vars 2\n1 -2\n0 1\n1 1\n")):
-        report = decide_freeness(arr, minimal_generators(arr, range(arr.size + 1)))
+        report = decide_freeness(arr, minimal_generators(arr, arr.size + 1))
         assert report.free
         mat = [list(polys(theta)) for theta in report.generators]
         det = poly_det(mat)
@@ -159,7 +159,7 @@ def test_saito_determinant_rank2():
 def test_saito_scalar_vanishes_on_dependent_generators():
     # three logarithmic fields of degrees summing to |A| that span a rank-2
     # module: det M(theta) is 0, so c is 0 and they certify nothing
-    graded = minimal_generators(BOOLEAN, range(BOOLEAN.size + 1))
+    graded = minimal_generators(BOOLEAN, BOOLEAN.size + 1)
     g0, g1, _ = graded.generators
     report = decide_freeness(BOOLEAN, graded._replace(generators=(g0, g1, g1)))
     assert not report.free
@@ -170,7 +170,7 @@ def test_saito_rejects_degenerate_generators():
     # Replace one generator by a monomial multiple of another: the resulting
     # tuple is still made of logarithmic derivations, but the determinant
     # collapses to zero, so it no longer certifies freeness.
-    report = decide_freeness(BOOLEAN, minimal_generators(BOOLEAN, range(BOOLEAN.size + 1)))
+    report = decide_freeness(BOOLEAN, minimal_generators(BOOLEAN, BOOLEAN.size + 1))
     _, g1, g2 = report.generators
     fake = scaled_by_monomial(g1, (1, 0, 0))
     assert is_logarithmic(fake, BOOLEAN)
@@ -208,9 +208,9 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 def test_search_without_the_modular_kernel(monkeypatch):
     arrs = [parse_file(path) for path in sorted(CORPUS.glob("*.arr"))]
-    modular = [minimal_generators(arr, range(arr.size + 1)) for arr in arrs]
+    modular = [minimal_generators(arr, arr.size + 1) for arr in arrs]
     monkeypatch.setattr(linalg.ModularKernel, "_lifted", lambda self, fc: None)
-    assert [minimal_generators(arr, range(arr.size + 1)) for arr in arrs] == modular
+    assert [minimal_generators(arr, arr.size + 1) for arr in arrs] == modular
     for arr in arrs:
         for d in range(4):
             monos = monomials_of_degree(arr.nvars, d)
@@ -286,7 +286,7 @@ def test_multiples_that_fill_a_degree_take_no_kernel_vector(monkeypatch):
     monkeypatch.setattr(logder, "ModularKernel", RecordedKernel)
     monkeypatch.setattr(logder, "IncrementalSpan", RecordedSpan)
     monkeypatch.setattr(linalg.ModularKernel, "_lifted", counted)
-    graded = minimal_generators(near_pencil_5, range(near_pencil_5.size + 1))
+    graded = minimal_generators(near_pencil_5, near_pencil_5.size + 1)
     assert graded.generator_degrees == (1, 1, 3)
     # degree 2: the 6 multiples of the two linear generators span D(A)_2, of
     # dim 6.  Their 6 trailing columns leave the kernel, whose upper bound
@@ -304,7 +304,7 @@ def test_the_pruned_kernel_is_the_whole_one_less_the_trailing_columns():
     # other vectors the pruned kernel keeps, in order, and
     # degree_dimension, given the generators, counts |T| + the rest
     near_pencil_6 = parse_file(CORPUS / "near_pencil_6.arr")
-    gens = minimal_generators(near_pencil_6, range(near_pencil_6.size + 1)).generators
+    gens = minimal_generators(near_pencil_6, near_pencil_6.size + 1).generators
     assert [g.degree for g in gens] == [1, 1, 4]
     sizes = []
     for d in range(8):
@@ -337,7 +337,7 @@ def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
             super().__init__(dim)
 
     monkeypatch.setattr(logder, "IncrementalSpan", RecordedSpan)
-    graded = minimal_generators(arr, range(arr.size + 1))
+    graded = minimal_generators(arr, arr.size + 1)
     assert graded.search_log[2] == "degree 2: dim 6, 0 new generator(s), total 2"
     assert [graded.dimensions[d] for d in range(4)] == [0, 2, 6, 13]
     assert spans == [3 * 1, 3 * 3, 3 * 6, 3 * 10]
@@ -351,7 +351,7 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     # 72 vectors of those columns are never made
     arr, _ = parse(arrangement_text(3, [[0, 1, t] for t in range(9)] + [[1, 0, 0]])).adapted()
     monos = monomials_of_degree(3, 8)
-    linear = minimal_generators(arr, [0, 1]).generators
+    linear = minimal_generators(arr, 2).generators
     trailing = trailing_columns(linear, 8, monos)
     assert len(trailing) == 72
     ncols = len(_degree_kernel(arr, 8, monos, trailing=trailing).columns)
@@ -371,7 +371,7 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
 
     monkeypatch.setattr(logder, "IncrementalSpan", CountedSpan)
     monkeypatch.setattr(linalg.ModularKernel, "_lifted", counted)
-    graded = minimal_generators(arr, range(arr.size + 1))
+    graded = minimal_generators(arr, arr.size + 1)
     assert graded.generator_degrees == (1, 1, 8)
     assert graded.dimensions[8] == 73
     assert adds[3 * 45] == 73 and lifts[ncols] == 1
@@ -380,39 +380,38 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     monkeypatch.setattr(CountedSpan, "rank", -1)
     adds.clear()
     lifts.clear()
-    assert minimal_generators(arr, range(arr.size + 1)) == graded
+    assert minimal_generators(arr, arr.size + 1) == graded
     assert adds[3 * 45] == 72 + 1 and lifts[ncols] == 1
 
 
 def test_exhausted_walk_names_only_the_degrees_it_searched():
     near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
-    graded = minimal_generators(near_pencil_5, [0, 1, 2])
+    graded = minimal_generators(near_pencil_5, 3)
     assert graded.search_log[-1] == "search exhausted degrees 0..2"
-    # chi = (t - 1)(t - 3)^2, not free: degrees 1, 2, 4 hold only two generators
+    # chi = (t - 1)(t - 3)^2, not free: degrees 0..4 hold only two generators
     split = parse("vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n")
-    graded = minimal_generators(split, [1, 2, 4])
-    assert graded.search_log[-1] == "search exhausted degrees 1, 2, 4"
-    assert sorted(graded.dimensions) == [1, 2, 4]
+    graded = minimal_generators(split, 5)
+    assert graded.search_log[-1] == "search exhausted degrees 0..4"
+    assert sorted(graded.dimensions) == [0, 1, 2, 3, 4]
     assert graded.generator_degrees == (1, 2)
     # the reason names the last degree walked, not |A|
     report = decide_freeness(split, graded)
     assert report.reason == "found 2 minimal generators through degree 4, expected 3"
     assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
-    graded = minimal_generators(split, [])
-    assert graded.search_log == ("search walked no degree",)
-    report = decide_freeness(split, graded)
-    assert report.reason == "found 0 minimal generators without walking a degree, expected 3"
-    assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
+    # a walk holds degree 0 at least
+    for stop in (0, -1):
+        with pytest.raises(ValueError, match="needs stop >= 1"):
+            minimal_generators(split, stop)
     # three generators by degree 3, but their degrees sum past |A| = 6
     sum_past = parse("vars 3\n2 -1 0\n-1 1 -1\n-1 2 -1\n0 1 0\n2 0 -1\n1 1 -1\n")
-    graded = minimal_generators(sum_past, range(4))
+    graded = minimal_generators(sum_past, 4)
     assert graded.search_log[-1] == "search exhausted degrees 0..3"
     report = decide_freeness(sum_past, graded)
     assert report.reason == "generator degrees (1, 3, 3) sum to 7, not 6"
     assert (report.free, report.exponents, report.saito_scalar) == (False, None, None)
     assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
     # a free verdict is the last log line too
-    graded = minimal_generators(near_pencil_5, range(near_pencil_5.size + 1))
+    graded = minimal_generators(near_pencil_5, near_pencil_5.size + 1)
     report = decide_freeness(near_pencil_5, graded)
     assert report.free and report.reason is None
     verdict = f"free: Saito determinant = {report.saito_scalar} * defining polynomial"

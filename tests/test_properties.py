@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from arrcsm import logder
 from arrcsm.arrangement import Arrangement, ParseError, _parse_rational, parse
-from arrcsm.chow import SurfaceClass
+from arrcsm.chow import SurfaceClass, blowup_centers
 from arrcsm.cli import _arrangement_payload, _json, _lattice_payload
 from arrcsm.lattice import (
     BadReductionError,
@@ -20,9 +20,9 @@ from arrcsm.lattice import (
     point_count_oracle,
     reduced_char_poly,
 )
-from arrcsm.linalg import ModularKernel
+from arrcsm.linalg import ModularKernel, QMatrix
 from arrcsm.logder import _degree_kernel, degree_dimension, minimal_generators
-from arrcsm.poly import FormalClass, monomials_of_degree
+from arrcsm.poly import FormalClass, _ratio, monomials_of_degree
 from oracles import (
     cramer_adapted,
     dense,
@@ -132,6 +132,27 @@ def test_lattice_basis_strings_are_the_rref_rows(arr):
     for flat, payload in zip(lat.flats, flats, strict=True):
         rows = fraction_rref(lead_one(arr.forms[i]) for i in flat.indices)
         assert payload["basis"] == [[str(c) for c in row] for row in rows]
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.integers(-(10**40), 10**40), st.integers(1, 10**40) | st.integers(1, 12))
+def test_the_rational_writer_writes_a_fraction_from_ints(a, p):
+    assert _ratio(a, p) == str(Fraction(a, p))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.booleans())
+def test_blowup_centres_render_as_the_kernel_of_their_span(seed, rational):
+    # up to 9 lines with small integer or rational coefficients; a centre is
+    # the cross product of its flat's span rows, and QMatrix's kernel vector,
+    # scaled to leading entry 1, is the reference
+    make = random_rational_arrangement if rational else random_arrangement
+    lat = build_lattice(make(Random(seed), 3, 9))
+    points = [f for f in lat.of_codim(2) if len(f.indices) >= 3]
+    for flat, center in zip(points, blowup_centers(lat), strict=True):
+        (kernel,) = QMatrix(flat.span, ncols=3).kernel_basis()
+        assert center.render() == "[" + " : ".join(map(str, kernel)) + "]", lat.arrangement.forms
+        assert center.lines == flat.indices and math.gcd(*center.coords) == 1
 
 
 def _dumps(value) -> str:
@@ -248,9 +269,8 @@ def test_the_euler_field_splits_off_one_exponent_1(rng, shape):
     n = adapted.projective_dim
     assert adapted.forms[0].coeffs == (1,) + (0,) * n
     assume(n >= 1)  # a rank-1 A: D_0(A') = 0 in P^0, whose search stops at degree 0
-    degrees = range(adapted.size + 1)
-    whole = minimal_generators(adapted, degrees)
-    d0 = minimal_generators(adapted, degrees, d0=True)
+    whole = minimal_generators(adapted, adapted.size + 1)
+    d0 = minimal_generators(adapted, adapted.size + 1, d0=True)
     assert whole.dimensions == d0.dimensions, adapted.forms
     assert sorted(d0.generator_degrees) == sorted(whole.generator_degrees), adapted.forms
     assert whole.exit_reason == d0.exit_reason
@@ -287,11 +307,11 @@ def test_the_search_equals_the_search_over_whole_kernels(rng, shape):
     dense integer core.
     """
     arr = random_arrangement(rng, *shape)
-    degrees = range(arr.size + 1)
-    assert minimal_generators(arr, degrees) == whole_kernel_search(arr, degrees), arr.forms
+    stop = arr.size + 1
+    assert minimal_generators(arr, stop) == whole_kernel_search(arr, stop), arr.forms
     adapted, _ = arr.adapted()
-    d0 = minimal_generators(adapted, degrees, d0=True)
-    assert d0 == whole_kernel_search(adapted, degrees, d0=True), adapted.forms
+    d0 = minimal_generators(adapted, stop, d0=True)
+    assert d0 == whole_kernel_search(adapted, stop, d0=True), adapted.forms
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -317,7 +337,7 @@ def test_the_multiples_trailing_columns_leave_the_kernel(rng, shape, d0):
         return pruned_kernel(arr, d, monos, d0, trailing)
 
     with patch.object(logder, "_degree_kernel", recorded):
-        graded = minimal_generators(arr, range(arr.size + 1), d0=d0)
+        graded = minimal_generators(arr, arr.size + 1, d0=d0)
     assert [d for d, _ in walked] == list(graded.dimensions)
     for d, trailing in walked:
         monos = monomials_of_degree(arr.nvars, d)
