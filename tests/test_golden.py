@@ -1,21 +1,27 @@
-"""Byte-for-byte golden JSON for every subcommand.
+"""Byte-for-byte golden JSON for every subcommand, and golden text for four.
 
 Each file tests/golden/<stem>.<command>.json is the exact stdout of
 `arrcsm <command> --input corpus/<stem>.arr --json [extra args]`; the
 files tests/golden/<command>.json hold the commands that read no single
-.arr file.  tests/golden/<stem>.lattice.txt is the text output of
-`arrcsm lattice --input corpus/<stem>.arr --primes 101,103` for two of
-them.  tests/golden/inputs/<stem>.<command>.json is the stdout of
+.arr file.  tests/golden/inputs/<stem>.<command>.json is the stdout of
 `arrcsm <command> --input tests/inputs/<stem>.arr --json` for verify,
 freeness and charpoly, on the inputs whose answers come from outside
-arrcsm (tests/test_known_answers.py).  Every case must also exit 0.
-Regenerate both sets, only when an output change is intended, with
+arrcsm (tests/test_known_answers.py).
+
+The text goldens are the stdout without --json: <stem>.verify.txt and
+<stem>.report.txt (report with --primes 101,103 --max-degree 4) for
+every corpus file, corpus.txt for the corpus directory, and
+<stem>.lattice.txt (--primes 101,103) for two corpus files.  The one
+run-dependent line of text output, `elapsed: <ms> ms`, is compared with
+its time replaced by MASK.  Every case must also exit 0.  Regenerate
+every golden, only when an output change is intended, with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import contextlib
 import io
+import re
 from pathlib import Path
 
 import pytest
@@ -56,9 +62,19 @@ INPUT_CASES = {
 JSON_CASES = {**CASES, **INPUT_CASES}
 
 TEXT_CASES = {
-    f"{stem}.lattice.txt": ["lattice", "--input", str(CORPUS / f"{stem}.arr"), "--primes", "101,103"]
-    for stem in ("braid_essential", "four_generic")
+    f"{path.stem}.{command}.txt": [command, "--input", str(path), *extra]
+    for path in sorted(CORPUS.glob("*.arr"))
+    for command, extra in (("verify", []), ("report", COMMANDS["report"]))
 }
+TEXT_CASES.update(
+    {
+        f"{stem}.lattice.txt": ["lattice", "--input", str(CORPUS / f"{stem}.arr"), "--primes", "101,103"]
+        for stem in ("braid_essential", "four_generic")
+    }
+)
+TEXT_CASES["corpus.txt"] = ["corpus", "--input", str(CORPUS)]
+ELAPSED = re.compile(r"^elapsed: \d+\.\d ms$", re.M)
+MASK = "elapsed: ... ms"
 
 
 def render(argv: list[str]) -> str:
@@ -69,10 +85,20 @@ def render(argv: list[str]) -> str:
     return out.getvalue()
 
 
+def masked(argv: list[str]) -> str:
+    """The text output of argv with its elapsed time masked."""
+    return ELAPSED.sub(MASK, render(argv))
+
+
 def test_every_corpus_file_has_its_goldens():
     expected = {f"{case}.json" for case in CASES}
     assert len(expected) == 80
     assert {p.name for p in GOLDEN.glob("*.json")} == expected
+
+
+def test_every_text_case_has_its_golden():
+    assert len(TEXT_CASES) == 25
+    assert {p.name for p in GOLDEN.glob("*.txt")} == set(TEXT_CASES)
 
 
 def test_every_input_file_has_its_goldens():
@@ -89,11 +115,11 @@ def test_json_output_matches_golden(case):
 
 @pytest.mark.parametrize("name", sorted(TEXT_CASES))
 def test_text_output_matches_golden(name):
-    assert render(TEXT_CASES[name]).encode("utf-8") == (GOLDEN / name).read_bytes()
+    assert masked(TEXT_CASES[name]).encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 if __name__ == "__main__":
     for case, argv in JSON_CASES.items():
         (GOLDEN / f"{case}.json").write_bytes(render(argv).encode("utf-8"))
     for name, argv in TEXT_CASES.items():
-        (GOLDEN / name).write_bytes(render(argv).encode("utf-8"))
+        (GOLDEN / name).write_bytes(masked(argv).encode("utf-8"))
