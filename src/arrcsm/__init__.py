@@ -19,6 +19,7 @@ __version__ = "0.1.0"
 from .arrangement import Arrangement, LinearForm, ParseError, parse, parse_file
 from .chow import (
     ProjectionCheck,
+    Route,
     SurfaceClass,
     VerificationReport,
     blowup_chern_snc,
@@ -65,6 +66,7 @@ __all__ = [
     "ParseError",
     "ProjectionCheck",
     "QMatrix",
+    "Route",
     "SurfaceClass",
     "VerificationReport",
     "blowup_chern_snc",

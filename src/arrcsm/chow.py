@@ -11,7 +11,9 @@ blow-up route uses it, and pushforward_to_p2 brings its class down.
 Both rings hold ints: inverse takes only a constant term of 1.
 
 On top of these sit the verification routes for the class of the
-logarithmic derivation bundle of a projective line arrangement:
+logarithmic derivation bundle of a projective line arrangement.
+_routes returns one Route record for each, in this order (route order),
+and its tuple is the one list of routes:
 
   lattice_csm          Mobius inclusion-exclusion over the flats
   exponent_product     free case, product over shifted exponents
@@ -20,9 +22,10 @@ logarithmic derivation bundle of a projective line arrangement:
   blowup_pushforward   blow up every point of multiplicity >= 3, take
                        the normal-crossing class upstairs, push forward
 
-All four must land on the same integer vector; verify_arrangement
-computes whichever routes apply and compares them.  Each route takes
-the lattice or the freeness decision it reads and builds neither.
+All four must land on the same integer vector.  A route that does not
+apply has no vector and says why it skipped; verify_arrangement compares
+the vectors of the routes that ran.  Each route takes the lattice or the
+freeness decision it reads and builds neither.
 Blow-up centres are integer cross products, so every value here is an int.
 """
 
@@ -34,8 +37,6 @@ from typing import NamedTuple
 from .lattice import IntersectionLattice, csm_complement
 from .logder import FreenessReport, InternalError, chern_class_free
 from .poly import FormalClass, _over_lead
-
-ROUTE_NAMES = ("lattice_csm", "exponent_product", "tjurina", "blowup_pushforward")
 
 # Largest truncation order n the formal identities accept: products take
 # n^2 steps on entries exponential in n, so an unbounded n is an unbounded run.
@@ -266,58 +267,49 @@ def tjurina_route(lat: IntersectionLattice) -> tuple[int, ...]:
     return (tangent * divisor.inverse() * correction).coeffs
 
 
-class VerificationReport(NamedTuple("VerificationReport", [
-    ("routes", dict[str, tuple[int, ...] | None]), ("agreements", tuple[tuple[str, str, bool], ...]),
-    ("passed", bool), ("freeness", FreenessReport), ("blowup", BlowupRoute | None),
-    ("notes", tuple[str, ...]),
+class Route(NamedTuple("Route", [
+    ("name", str), ("vector", tuple[int, ...] | None), ("skipped", str | None), ("evidence", BlowupRoute | None),
 ])):
-    """Outcome of running every applicable route on one arrangement."""
+    """One route's outcome: its vector, or None and the reason it skipped.
+
+    evidence is the blow-up route's BlowupRoute, None for every other route.
+    """
+
+    __slots__ = ()
+
+
+def _routes(lat: IntersectionLattice, freeness: FreenessReport) -> tuple[Route, ...]:
+    """Every route's record on lat and freeness: the one list of routes, in route order."""
+    arr = lat.arrangement
+    exponent = ("exponent route skipped: not free" if not freeness.free
+                else "exponent route skipped: empty arrangement has no Euler slot" if arr.size < 1 else None)
+    surface = ("surface routes skipped: not a line arrangement in P^2" if arr.projective_dim != 2
+               else "surface routes skipped: empty arrangement" if arr.size < 1 else None)
+    blowup = None if surface else blowup_chern_snc(lat)
+    return (
+        Route("lattice_csm", csm_complement(lat), None, None),
+        Route("exponent_product", None if exponent else chern_class_free(freeness), exponent, None),
+        Route("tjurina", None if surface else tjurina_route(lat), surface, None),
+        Route("blowup_pushforward", None if surface else pushforward_to_p2(blowup.cls), surface, blowup),
+    )
+
+
+class VerificationReport(NamedTuple("VerificationReport", [
+    ("routes", tuple[Route, ...]), ("agreements", tuple[tuple[str, str, bool], ...]),
+    ("passed", bool), ("freeness", FreenessReport),
+])):
+    """Outcome of running every route on one arrangement, its Route records in route order."""
 
     __slots__ = ()
 
 
 def verify_arrangement(lat: IntersectionLattice, freeness: FreenessReport) -> VerificationReport:
-    """Compute every applicable route and compare them pairwise.
+    """Run every route and compare the vectors of those that ran pairwise.
 
     lat and freeness are the lattice and the freeness decision of one
     arrangement, lat.arrangement.
     """
-    arr = lat.arrangement
-    notes: list[str] = []
-    routes: dict[str, tuple[int, ...] | None] = {name: None for name in ROUTE_NAMES}
-
-    routes["lattice_csm"] = csm_complement(lat)
-
-    if freeness.free and arr.size >= 1:
-        routes["exponent_product"] = chern_class_free(freeness)
-    elif not freeness.free:
-        notes.append("exponent route skipped: not free")
-    else:
-        notes.append("exponent route skipped: empty arrangement has no Euler slot")
-
-    blowup = None
-    if arr.projective_dim == 2:
-        if arr.size >= 1:
-            routes["tjurina"] = tjurina_route(lat)
-            blowup = blowup_chern_snc(lat)
-            routes["blowup_pushforward"] = pushforward_to_p2(blowup.cls)
-        else:
-            notes.append("surface routes skipped: empty arrangement")
-    else:
-        notes.append("surface routes skipped: not a line arrangement in P^2")
-
-    available = [name for name in ROUTE_NAMES if routes[name] is not None]
-    agreements = tuple(
-        (a, b, routes[a] == routes[b])
-        for i, a in enumerate(available)
-        for b in available[i + 1:]
-    )
-    passed = all(ok for _, _, ok in agreements)
-    return VerificationReport(
-        routes=routes,
-        agreements=agreements,
-        passed=passed,
-        freeness=freeness,
-        blowup=blowup,
-        notes=tuple(notes),
-    )
+    routes = _routes(lat, freeness)
+    ran = [r for r in routes if r.vector is not None]
+    agreements = tuple((a.name, b.name, a.vector == b.vector) for i, a in enumerate(ran) for b in ran[i + 1:])
+    return VerificationReport(routes, agreements, all(ok for _, _, ok in agreements), freeness)

@@ -52,7 +52,6 @@ from . import __version__
 from .arrangement import Arrangement, parse_file
 from .chow import (
     BlowupRoute,
-    ROUTE_NAMES,
     VerificationReport,
     projection_check,
     verify_arrangement,
@@ -190,14 +189,16 @@ def _blowup_payload(blowup: BlowupRoute | None) -> dict | None:
 
 
 def _verify_payload(vr: VerificationReport) -> dict:
+    """vr's routes, with their skip reasons once each and the blow-up route's evidence."""
+    blowup = next((r.evidence for r in vr.routes if isinstance(r.evidence, BlowupRoute)), None)
     return {
-        "routes": vr.routes,
+        "routes": {route.name: route.vector for route in vr.routes},
         "agreements": vr.agreements,
         "passed": vr.passed,
-        "notes": vr.notes,
+        "notes": tuple(dict.fromkeys(route.skipped for route in vr.routes if route.skipped)),
         "free": vr.freeness.free,
         "exponents": vr.freeness.exponents,
-        "blowup_class": _blowup_payload(vr.blowup),
+        "blowup_class": _blowup_payload(blowup),
     }
 
 
@@ -269,7 +270,7 @@ def corpus_runner(directory: Path) -> tuple[dict, int]:
         except InternalError as exc:
             code, detail = 3, {"message": str(exc)}
         else:
-            code, detail = (0 if vr.passed else 1), {"routes": vr.routes}
+            code, detail = (0 if vr.passed else 1), {"routes": {r.name: r.vector for r in vr.routes}}
         codes.append(code)
         entries.append({"file": path.name, "status": STATUSES[code], **detail})
     payload = {
@@ -374,13 +375,14 @@ def _report(args, arr):
     vr = verify_arrangement(lat, freeness)
     # decide_freeness keeps the search's generators: render them once for both payloads
     generators = [g.render() for g in graded.generators]
+    verification = _verify_payload(vr)
     result = {
         "lattice": _lattice_payload(lat),
         "charpoly": _charpoly_payload(lat),
-        "csm": _csm_payload(vr.routes["lattice_csm"]),
+        "csm": _csm_payload(verification["routes"]["lattice_csm"]),
         "derivations": _derivations_payload(arr, graded, freeness, max_degree, generators),
         "freeness": _freeness_payload(freeness, generators),
-        "verification": _verify_payload(vr),
+        "verification": verification,
     }
     oracle_ok = _add_oracle(result, lat, primes)
     return result, 0 if (vr.passed and oracle_ok) else 1
@@ -471,8 +473,7 @@ def _freeness_text(result: dict, arr, elapsed_ms: float) -> None:
 
 def _verify_text(result: dict, arr: Arrangement, elapsed_ms: float) -> None:
     print(f"arrangement: {arr.name or '(unnamed)'} (P^{arr.projective_dim})")
-    for name in ROUTE_NAMES:
-        vec = result["routes"][name]
+    for name, vec in result["routes"].items():
         shown = "skipped" if vec is None else "(" + ", ".join(str(v) for v in vec) + ")"
         print(f"  {name:20s} {shown}")
     for note in result["notes"]:

@@ -111,11 +111,12 @@ def test_criterion_03_corpus_routes_agree():
     t0 = time.perf_counter()
     for name, arr in _corpus().items():
         vr = verify(arr)
+        vectors = {route.name: route.vector for route in vr.routes}
         if not vr.passed:
-            failures.append(f"{name}: routes disagree {vr.routes}")
-        if vr.routes["lattice_csm"] != EXPECTED_CLASS[name]:
+            failures.append(f"{name}: routes disagree {vectors}")
+        if vectors["lattice_csm"] != EXPECTED_CLASS[name]:
             failures.append(
-                f"{name}: class {vr.routes['lattice_csm']} != {EXPECTED_CLASS[name]}"
+                f"{name}: class {vectors['lattice_csm']} != {EXPECTED_CLASS[name]}"
             )
     elapsed = time.perf_counter() - t0
     if elapsed > 5.0:

@@ -6,8 +6,10 @@ import pytest
 from arrcsm import chow
 from arrcsm.arrangement import parse, parse_file
 from arrcsm.chow import (
-    ROUTE_NAMES,
+    BlowupRoute,
     FormalClass,
+    Route,
+    SingularPoint,
     SurfaceClass,
     blowup_centers,
     blowup_chern_snc,
@@ -285,62 +287,75 @@ def test_tjurina_route_computes_in_the_formal_ring(monkeypatch):
     assert checked >= 9
 
 
-def test_route_names_constant():
-    assert ROUTE_NAMES == (
-        "lattice_csm",
-        "exponent_product",
-        "tjurina",
-        "blowup_pushforward",
-    )
+def test_only_the_blowup_route_carries_evidence():
+    for path in sorted(CORPUS.glob("*.arr")):
+        lat = build_lattice(parse_file(path))
+        routes = verify_arrangement(lat, freeness_of(lat.arrangement)).routes
+        assert [r.name for r in routes] == ["lattice_csm", "exponent_product", "tjurina", "blowup_pushforward"]
+        assert [r.evidence for r in routes[:3]] == [None] * 3, path.name
+        assert routes[3].evidence == (None if routes[3].vector is None else blowup_chern_snc(lat)), path.name
 
 
 def test_verify_three_concurrent():
-    lat = build_lattice(THREE_CONC)
-    vr = verify_arrangement(lat, freeness_of(THREE_CONC))
+    vr = verify(THREE_CONC)
+    blowup = BlowupRoute(SurfaceClass(1, 0, (1,), -1), (SingularPoint((1, 0, 0), 3, (0, 1, 2)),))
+    assert vr.routes == (
+        Route("lattice_csm", (1, 0, -1), None, None),
+        Route("exponent_product", (1, 0, -1), None, None),
+        Route("tjurina", (1, 0, -1), None, None),
+        Route("blowup_pushforward", (1, 0, -1), None, blowup),
+    )
     assert vr.passed
-    assert lat.arrangement.projective_dim == 2
-    for name in ROUTE_NAMES:
-        assert vr.routes[name] == (1, 0, -1)
     assert len(vr.agreements) == 6
     assert all(ok for _, _, ok in vr.agreements)
     assert vr.freeness.free
-    assert vr.blowup is not None
-    assert vr.notes == ()
 
 
 def test_verify_four_generic_not_free():
     vr = verify(FOUR_GENERIC)
+    assert vr.routes == (
+        Route("lattice_csm", (1, -1, 1), None, None),
+        Route("exponent_product", None, "exponent route skipped: not free", None),
+        Route("tjurina", (1, -1, 1), None, None),
+        Route("blowup_pushforward", (1, -1, 1), None, BlowupRoute(SurfaceClass(1, -1, (), 1), ())),
+    )
     assert vr.passed
-    assert vr.routes["exponent_product"] is None
-    assert "exponent route skipped: not free" in vr.notes
-    for name in ("lattice_csm", "tjurina", "blowup_pushforward"):
-        assert vr.routes[name] == (1, -1, 1)
+    assert [(a, b) for a, b, _ in vr.agreements] == [
+        ("lattice_csm", "tjurina"), ("lattice_csm", "blowup_pushforward"), ("tjurina", "blowup_pushforward"),
+    ]
 
 
 def test_verify_empty():
     vr = verify(EMPTY)
+    surface = "surface routes skipped: empty arrangement"
+    assert vr.routes == (
+        Route("lattice_csm", (1, 3, 3), None, None),
+        Route("exponent_product", None, "exponent route skipped: empty arrangement has no Euler slot", None),
+        Route("tjurina", None, surface, None),
+        Route("blowup_pushforward", None, surface, None),
+    )
     assert vr.passed
-    assert vr.routes["lattice_csm"] == (1, 3, 3)
-    assert vr.routes["tjurina"] is None
-    assert vr.routes["blowup_pushforward"] is None
     assert vr.agreements == ()
-    assert "surface routes skipped: empty arrangement" in vr.notes
 
 
 def test_verify_higher_dimension():
     vr = verify(TETRAHEDRON)
+    surface = "surface routes skipped: not a line arrangement in P^2"
+    assert vr.routes == (
+        Route("lattice_csm", (1, 0, 0, 0), None, None),
+        Route("exponent_product", (1, 0, 0, 0), None, None),
+        Route("tjurina", None, surface, None),
+        Route("blowup_pushforward", None, surface, None),
+    )
     assert vr.passed
-    assert vr.routes["lattice_csm"] == (1, 0, 0, 0)
-    assert vr.routes["exponent_product"] == (1, 0, 0, 0)
-    assert vr.routes["tjurina"] is None
-    assert "surface routes skipped: not a line arrangement in P^2" in vr.notes
+    assert vr.agreements == (("lattice_csm", "exponent_product", True),)
 
 
 def test_routes_agree_with_csm():
     for arr in (BOOLEAN, THREE_CONC, FOUR_GENERIC, BRAID):
         lat = build_lattice(arr)
         vr = verify_arrangement(lat, freeness_of(arr))
-        assert vr.routes["lattice_csm"] == csm_complement(lat)
+        assert vr.routes[0] == ("lattice_csm", csm_complement(lat), None, None)
         assert vr.passed
 
 

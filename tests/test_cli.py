@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arrcsm import cli
+from arrcsm import chow, cli
 from arrcsm.arrangement import MAX_VARS, parse, parse_file
-from arrcsm.chow import SingularPoint
+from arrcsm.chow import Route, SingularPoint
 from arrcsm.cli import corpus_runner, main, run
 from arrcsm.lattice import build_lattice, char_poly, integer_roots
 from arrcsm.logder import Derivation, InternalError, decide_freeness, degree_dimension, minimal_generators
@@ -185,6 +185,24 @@ def test_blowup_payload_renders_each_center_once(capsys, monkeypatch):
     blowup = json.loads(capsys.readouterr().out)["result"]["blowup_class"]
     assert [p for p, _ in blowup["exceptional"]] == [c["point"] for c in blowup["centers"]]
     assert len(rendered) == len(blowup["centers"]) > 0
+
+
+def test_a_route_added_in_chow_alone_reaches_every_output(capsys, monkeypatch):
+    def with_fifth(lat, freeness, routes=chow._routes):
+        return (*routes(lat, freeness), Route("fifth", (1, 0, 0), None, None))
+
+    monkeypatch.setattr(chow, "_routes", with_fifth)
+    assert run(["verify", "--input", str(THREE_CONC), "--json"]) == 1
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result["routes"]["fifth"] == [1, 0, 0]
+    assert [a for a in result["agreements"] if "fifth" in a] == [
+        [name, "fifth", False] for name in ("lattice_csm", "exponent_product", "tjurina", "blowup_pushforward")
+    ]
+    assert result["passed"] is False
+    assert run(["verify", "--input", str(THREE_CONC)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[4:6] == ["  blowup_pushforward   (1, 0, -1)", "  fifth                (1, 0, 0)"]
+    assert "result: DISAGREEMENT" in lines
 
 
 def test_example41(capsys):
