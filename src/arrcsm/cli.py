@@ -4,15 +4,15 @@ Subcommands operate on .arr files (or pure parameters) and print either
 a human-readable text report or, with --json, a schema-stable JSON
 document.  JSON output is key-sorted and contains nothing run-dependent,
 so two runs on the same input are byte-identical; wall-clock timing only
-ever appears in text output.  _json writes it, byte-identical to
-json.dumps(sort_keys=True, indent=2) on the payloads' str, int, bool,
-None, dict, list and tuple values.  A result holds the tuples the stages
-return, uncopied; _json writes a tuple as json.dumps writes a list, and
-the text renderers print them as tuples.  The lattice result holds the
-lattice's Flat records, which _json writes by one template and
-_lattice_text reads; each basis is rendered from its integer span, each
-distinct span row once per output.  A run makes a Fraction only for
-Saito's scalar or a non-integer input token.
+ever appears in text output.  _json writes it piece by piece, never
+holding the whole output, byte for byte as json.dumps(sort_keys=True,
+indent=2) writes the payloads' str, int, bool, None, dict, list and
+tuple values.  A result holds the tuples the stages return, uncopied;
+_json writes a tuple as a list, and the text renderers as a tuple.  The
+lattice result holds the lattice's Flat records, which _json writes by
+one template and _lattice_text reads; each basis is rendered from its
+integer span, each distinct span row once per output.  A run makes a
+Fraction only for Saito's scalar or a non-integer input token.
 
 Each subcommand is one entry of COMMANDS: a handler that computes only
 the stages its command reads, each of them once (report builds one
@@ -545,21 +545,22 @@ _SCALARS = {
 }
 
 
-def _json(obj, pad: str = "", memo: dict | None = None) -> str:
-    """obj as json.dumps(obj, sort_keys=True, indent=2) writes it, with obj's first line at pad.
+def _json(obj, write, pad: str = "", memo: dict | None = None) -> None:
+    """Write obj through write piece by piece, never holding the output, as json.dumps(obj, sort_keys=True, indent=2).
 
-    A dict writes its items sorted by key, a list or tuple its elements,
-    each on its own line one indent deeper; scalars are written inline,
-    so a leaf costs no call of _json.  A lattice Flat is written by one
-    template as the dict {"basis", "codim", "hyperplanes", "mu"}, its
-    basis the RREF rows of its span.  memo maps a pad to the text of the
-    span rows written at it, so each distinct row is rendered once per
-    output.  Anything else, and a dict key that is not a str, raise
-    TypeError.
+    obj's first line is at pad.  A dict's items, sorted, and a list's or
+    tuple's elements go through one loop, each on a line one indent deeper:
+    its head (a dict item's key), then its value, a scalar inline, so a leaf
+    costs no call of _json.  A Flat is written by one template as the dict
+    {"basis", "codim", "hyperplanes", "mu"}, its basis the RREF rows of its
+    span.  memo maps a pad to the text of the span rows written at it, so
+    each distinct row is rendered once per output.  Anything else, and a
+    dict key that is not a str, raise TypeError.
     """
-    write = _SCALARS.get(type(obj))
-    if write is not None:
-        return write(obj)
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        write(scalar(obj))
+        return
     if memo is None:
         memo = {}
     inner = pad + "  "
@@ -575,30 +576,27 @@ def _json(obj, pad: str = "", memo: dict | None = None) -> str:
         sep = f",\n{deep}"
         basis = f"[\n{deep}{sep.join(basis)}\n{inner}]" if basis else "[]"
         hyperplanes = f"[\n{deep}{sep.join(map(str, obj.indices))}\n{inner}]" if obj.indices else "[]"
-        return (f'{{\n{inner}"basis": {basis},\n{inner}"codim": {obj.codim},\n{inner}"hyperplanes": '
-                f'{hyperplanes},\n{inner}"mu": {obj.mu}\n{pad}}}')
+        write(f'{{\n{inner}"basis": {basis},\n{inner}"codim": {obj.codim},\n{inner}"hyperplanes": '
+              f'{hyperplanes},\n{inner}"mu": {obj.mu}\n{pad}}}')
+        return
     if type(obj) is dict:
-        if not obj:
-            return "{}"
-        items = []
-        for key, value in sorted(obj.items()):
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            write = _SCALARS.get(type(value))
-            items.append(f"{encode_basestring_ascii(key)}: "
-                         + (write(value) if write else _json(value, inner, memo)))
+        items = ((f"{encode_basestring_ascii(key)}: ", value) for key, value in sorted(obj.items()))
         opening, closing = "{", "}"
     elif type(obj) in (list, tuple):
-        if not obj:
-            return "[]"
-        items = []
-        for value in obj:
-            write = _SCALARS.get(type(value))
-            items.append(write(value) if write else _json(value, inner, memo))
+        items = (("", value) for value in obj)
         opening, closing = "[", "]"
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}{closing}"
+    sep = f"{opening}\n{inner}"
+    for head, value in items:
+        scalar = _SCALARS.get(type(value))
+        if scalar is not None:
+            write(sep + head + scalar(value))
+        else:
+            write(sep + head)
+            _json(value, write, inner, memo)
+        sep = f",\n{inner}"
+    write(f"\n{pad}{closing}" if obj else opening + closing)
 
 
 # argparse arguments as (flag, keywords); run() parses the .arr file that _INPUT names
@@ -688,7 +686,8 @@ def run(argv: list[str]) -> int:
             }
             if arr is not None:
                 payload["arrangement"] = _arrangement_payload(arr)
-            sys.stdout.write(_json(payload) + "\n")
+            _json(payload, sys.stdout.write)
+            sys.stdout.write("\n")
         else:
             for w in arr.warnings if arr is not None else ():
                 print(f"warning: {w}")

@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from math import comb
 from pathlib import Path
@@ -1045,24 +1046,32 @@ def test_corpus_exits_with_the_largest_file_code(monkeypatch, tmp_path, capsys, 
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("large", [True, False], ids=["mid_output", "before_the_last_flush"])
-def test_closed_stdout_exits_2_without_a_traceback(tmp_path, large):
-    # planes_30's lattice prints 4,527 flats, about 180 kB, more than a pipe
-    # holds, so the writer meets the pipe closed after one line while it
-    # prints; csm's two lines wait in stdout's buffer, block-buffered as by
+def _planes_30(tmp_path) -> Path:
+    """30 generic planes in P^3, rows (1, t, t^2, t^3), t = 1..30: 4,527 flats."""
+    path = tmp_path / "planes_30.arr"
+    path.write_text(arrangement_text(4, [[t**k for k in range(4)] for t in range(1, 31)]), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    ("command", "first"),
+    [(["lattice"], b"4527 flats\n"), (["lattice", "--json"], b"{\n"), (["csm"], None)],
+    ids=["mid_output", "mid_json", "before_the_last_flush"],
+)
+def test_closed_stdout_exits_2_without_a_traceback(tmp_path, command, first):
+    # planes_30's lattice prints 4,527 flats, about 180 kB as text and 1.9 MB
+    # as JSON, more than a pipe holds, so the writer meets the pipe closed
+    # after one line while it prints, _json in the middle of a render;
+    # csm's two lines wait in stdout's buffer, block-buffered as by
     # default, for the last flush
-    if large:
-        path = tmp_path / "planes_30.arr"
-        path.write_text(arrangement_text(4, [[t**k for k in range(4)] for t in range(1, 31)]), encoding="utf-8")
-        argv = ["lattice", "--input", str(path)]
-    else:
-        argv = ["csm", "--input", str(THREE_CONC)]
+    path = _planes_30(tmp_path) if first else THREE_CONC
     proc = subprocess.Popen(
-        [sys.executable, "-m", "arrcsm", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        [sys.executable, "-m", "arrcsm", *command, "--input", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         env={k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"},
     )
-    if large:
-        assert proc.stdout.readline() == b"4527 flats\n"
+    if first:
+        assert proc.stdout.readline() == first
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
@@ -1100,17 +1109,59 @@ _json_values = st.recursive(
 @settings(max_examples=300, deadline=None, database=None, derandomize=True)
 @given(_json_values)
 def test_json_writer_matches_json_dumps(value):
-    assert cli._json(value) == json.dumps(value, sort_keys=True, indent=2)
+    pieces = []
+    cli._json(value, pieces.append)
+    assert "".join(pieces) == json.dumps(value, sort_keys=True, indent=2)
 
 
 @pytest.mark.parametrize("value", [1.5, Fraction(1, 2), {1: "a"}, {"a": [0.0]}, [{"b": {2: 3}}]])
 def test_json_writer_refuses_what_is_not_in_a_payload(value):
     # json.dumps writes floats and int keys; no payload holds one
     with pytest.raises(TypeError):
-        cli._json(value)
+        cli._json(value, [].append)
+
+
+class _CountingStdout:
+    """A stdout that keeps only the number of characters written to it."""
+
+    chars = 0
+
+    def write(self, text: str) -> int:
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_lattice_json_holds_no_copy_of_its_output(monkeypatch, tmp_path):
+    # planes_30's lattice --json is 1.9 MB, written piece by piece: the
+    # run's traced peak exceeds that of the lattice and its flats alone by
+    # less than half the output's length, so no copy of the output is held
+    path = _planes_30(tmp_path)
+    argv = ["lattice", "--input", str(path), "--json"]
+    sink = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert run(argv) == 0  # untraced: one-time allocations (the parser, first-call caches) stay out of both peaks
+    written, sink.chars = sink.chars, 0
+
+    def peak(call) -> int:
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak(lambda: build_lattice(parse_file(path)).flats)
+    rendered = peak(lambda: run(argv))
+    assert sink.chars == written > 1_900_000
+    assert rendered - alone <= written / 2, (alone, rendered, written)
 
 
 @pytest.mark.parametrize("name", sorted(p.name for p in (REPO / "tests" / "golden").glob("*.json")))
 def test_every_golden_reencodes_to_its_own_bytes(name):
     text = (REPO / "tests" / "golden" / name).read_text(encoding="utf-8")
-    assert cli._json(json.loads(text)) + "\n" == text
+    pieces = []
+    cli._json(json.loads(text), pieces.append)
+    assert "".join(pieces) + "\n" == text

@@ -535,7 +535,11 @@ def test_lattice_output_makes_no_fraction(monkeypatch):
     arrs = [_braid(5), _moment_curve(4, 12), parse(arrangement_text(3, [[2, 3, 0], [0, 1, 1]]))]
     lats = [build_lattice(arr) for arr in arrs]
     made = _count_fractions(monkeypatch)
-    texts = [cli._json(cli._lattice_payload(lat)) for lat in lats]
+    texts = []
+    for lat in lats:
+        pieces = []
+        cli._json(cli._lattice_payload(lat), pieces.append)
+        texts.append("".join(pieces))
     assert not made
     assert ["/" in text for text in texts] == [False, False, True] and '"3/2"' in texts[2]
 
@@ -549,7 +553,7 @@ def test_lattice_output_renders_each_distinct_row_once(monkeypatch):
         lat = build_lattice(arr)
         rendered = []
         monkeypatch.setattr(cli, "_over_lead", lambda row: rendered.append(row) or render(row))
-        cli._json(cli._lattice_payload(lat))
+        cli._json(cli._lattice_payload(lat), [].append)
         rows = [row for f in lat.flats for row in f.span]
         assert sorted(rendered) == sorted(set(rows))
         counts.append((len(rows), len(rendered)))

@@ -128,7 +128,7 @@ def test_flats_come_in_order_of_codim_then_rref_rows(arr):
 @given(arrangements(max_forms=7))
 def test_lattice_basis_strings_are_the_rref_rows(arr):
     lat = build_lattice(arr)
-    flats = json.loads(_json(_lattice_payload(lat)))["flats"]
+    flats = json.loads(_written(_lattice_payload(lat)))["flats"]
     for flat, payload in zip(lat.flats, flats, strict=True):
         rows = fraction_rref(lead_one(arr.forms[i]) for i in flat.indices)
         assert payload["basis"] == [[str(c) for c in row] for row in rows]
@@ -159,6 +159,13 @@ def _dumps(value) -> str:
     return json.dumps(value, sort_keys=True, indent=2)
 
 
+def _written(value) -> str:
+    """value's JSON as _json writes it, its pieces collected as run() writes them to stdout."""
+    pieces = []
+    _json(value, pieces.append)
+    return "".join(pieces)
+
+
 @settings(max_examples=80, deadline=None, database=None, derandomize=True)
 @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
 def test_lattice_writer_matches_the_dict_oracle(nvars, seed):
@@ -168,15 +175,15 @@ def test_lattice_writer_matches_the_dict_oracle(nvars, seed):
     # one level deeper, and both in one output, the same rows at two indents
     lat = build_lattice(random_rational_arrangement(Random(seed), nvars, 8))
     result, oracle = _lattice_payload(lat), lattice_payload(lat)
-    assert _json(result) == _dumps(oracle)
-    assert _json({"result": {"lattice": result}}) == _dumps({"result": {"lattice": oracle}})
+    assert _written(result) == _dumps(oracle)
+    assert _written({"result": {"lattice": result}}) == _dumps({"result": {"lattice": oracle}})
     both = {"lattice": result, "report": {"lattice": result}}
-    assert _json(both) == _dumps({"lattice": oracle, "report": {"lattice": oracle}})
+    assert _written(both) == _dumps({"lattice": oracle, "report": {"lattice": oracle}})
 
 
 def test_empty_arrangement_writes_an_empty_basis_and_no_hyperplanes():
     lat = build_lattice(parse("vars 3\n"))
-    written = _json({"result": _lattice_payload(lat)})
+    written = _written({"result": _lattice_payload(lat)})
     assert written == _dumps({"result": lattice_payload(lat)})
     assert json.loads(written)["result"]["flats"] == [
         {"basis": [], "codim": 0, "hyperplanes": [], "mu": 1}
