@@ -57,46 +57,54 @@ class IntersectionLattice:
     """An arrangement's intersection lattice, as build_lattice's walk leaves it.
 
     mu_sums[c] sums mu over the flats of codim c, c = 0..rank A, which is
-    all that chi and the CSM class read.  The walk leaves the spans of the
-    flats of codim rank A - 1 unmade, as the joins that make them; flats
-    makes those and the order on its first read.
+    all that chi and the CSM class read.  The walk makes no span: it
+    records how it found each flat, and flats makes every span and the
+    order on its first read.
     """
 
     def __init__(self, arrangement: Arrangement, mu_sums: tuple[int, ...], walk: tuple) -> None:
         self.arrangement = arrangement
         self.mu_sums = mu_sums
-        # (span by closed index set, pending join by closed index set, mu by
-        # closed index set)
+        # ({closed index set: (its finder's index set, the finder's pivots,
+        # the residue against the finder)}, mu by closed index set)
         self._walk = walk
-        self._size = len(walk[2])
+        self._size = len(walk[1])
 
     @cached_property
     def flats(self) -> tuple[Flat, ...]:
         """Every flat, in order of codim, then RREF rows.
 
-        The first read makes each pending span by its join (_join, the
-        walk's own step), sorts, and drops the walk.  A span row is its
-        pivot entry, which is its first nonzero entry, times its RREF row.
-        So with scale the lcm of the pivot entries of every span, read off
-        the rows, the row times scale // (its pivot entry) is scale times
-        its RREF row: ints that order like the RREF rows, so the sort
-        makes and compares no Fraction.  When scale is 1 the span is its
-        own key.
+        The first read joins each flat the walk found to its finder's span
+        (_join), in walk order, where a finder comes before every flat it
+        found; the top's span is Arrangement._independent's (the RREF of a
+        span is unique, whichever forms built it).  It then sorts and drops
+        the walk.  A span row is its pivot entry, which is its first nonzero
+        entry, times its RREF row.  So with scale the lcm of the pivot
+        entries of every span, read off the rows, the row times scale //
+        (its pivot entry) is scale times its RREF row: ints that order like
+        the RREF rows, so the sort makes and compares no Fraction.  When
+        scale is 1 the span is its own key.
         """
-        found, pending, mus = self._walk
+        found, mus = self._walk
         del self._walk
-        for x, (pivots, span, residue) in pending.items():
-            found[x] = _join(pivots, span, residue)[2]
-        spans = list(found.values())
-        scale = lcm(*[next(filter(None, row)) for span in spans for row in span])
+        arr = self.arrangement
+        spans = {(): ()}
+        for x, (finder, pivots, residue) in found.items():
+            spans[x] = _join(pivots, spans[finder], residue)
+        top = arr._independent[1]
+        spans[tuple(range(arr.size))] = tuple(
+            tuple(top[pc].get(j, 0) for j in range(arr.nvars)) for pc in sorted(top)
+        )
+        made = spans.values()
+        scale = lcm(*[next(filter(None, row)) for span in made for row in span])
 
         def scaled(row: tuple[int, ...]) -> tuple[int, ...]:
             m = scale // next(filter(None, row))
             return tuple([a * m for a in row])
 
-        keys = spans if scale == 1 else [tuple(map(scaled, span)) for span in spans]
+        keys = made if scale == 1 else [tuple(map(scaled, span)) for span in made]
         # (codim, key) differs between any two flats, so spans and indices are never compared
-        order = sorted(zip(map(len, spans), keys, spans, found))
+        order = sorted(zip(map(len, made), keys, made, spans))
         return tuple([Flat(span, codim, x, mus[x]) for codim, _, span, x in order])
 
     def of_codim(self, c: int) -> tuple[Flat, ...]:
@@ -107,12 +115,12 @@ class IntersectionLattice:
 
 
 def _join(pivots: tuple[int, ...], span: tuple[tuple[int, ...], ...],
-          residue: tuple[int, ...]) -> tuple[int, int, tuple[tuple[int, ...], ...]]:
-    """A flat's span joined with a residue against it: the lead, its place among the pivots, the span.
+          residue: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """A flat's span, with the given pivots, joined with a residue against it.
 
-    One elimination step at the lead (linalg._sparse_step, on dense rows)
-    on each row nonzero there, and the residue goes in at its pivot's
-    place.
+    One elimination step at the residue's lead (linalg._sparse_step, on
+    dense rows) on each row nonzero there, and the residue goes in at its
+    lead's place among the pivots.
     """
     p = next(filter(None, residue))
     lead = residue.index(p)
@@ -124,34 +132,32 @@ def _join(pivots: tuple[int, ...], span: tuple[tuple[int, ...], ...],
             g = gcd(*w)
             row = tuple([a // g for a in w]) if g > 1 else tuple(w)
         joined.append(row)
-    at = bisect(pivots, lead)
-    joined.insert(at, residue)
-    return lead, at, tuple(joined)
+    joined.insert(bisect(pivots, lead), residue)
+    return tuple(joined)
 
 
 def build_lattice(arr: Arrangement) -> IntersectionLattice:
     """All intersections of subsets of hyperplanes, with Mobius values.
 
-    A flat is found as the closed set of hyperplanes through it, its span
-    kept as Flat.span keeps it: primitive integer rows in pivot order.
-    Each hyperplane outside a flat F carries its residue against that
-    span, a tuple made primitive with a positive leading entry.  form_j
-    lies in span(F, form_i) exactly when the residues of form_i and
-    form_j are proportional, that is equal, so the hyperplanes grouped by
-    residue are the covers of F, one group each.  A residue is 0 at the
-    pivots of F, and its first nonzero column, lead, is the cover's new
-    pivot.  So one elimination step at lead on each row of F's span that
-    is nonzero there joins it to the span (_join), and one step at lead
-    turns each other group's residue into its residue against the cover,
-    which the forms of a group share.  A residue that is already 0 at
-    lead is kept as it is.  The walk makes no Fraction.
+    A flat is found as the closed set of hyperplanes through it, with the
+    pivots its span has as Flat.span keeps it: primitive integer rows in
+    pivot order.  Each hyperplane outside a flat F carries its residue
+    against that span, a tuple made primitive with a positive leading
+    entry.  form_j lies in span(F, form_i) exactly when the residues of
+    form_i and form_j are proportional, that is equal, so the hyperplanes
+    grouped by residue are the covers of F, one group each.  A residue is
+    0 at the pivots of F, and its first nonzero column, lead, is the
+    cover's new pivot.  So one elimination step at lead turns each other
+    group's residue into its residue against the cover, which the forms of
+    a group share.  A residue that is already 0 at lead is kept as it is.
+    The walk makes no span and no Fraction: it records each flat as (the
+    flat that found it, that flat's pivots, the residue against it), from
+    which IntersectionLattice.flats makes the span (_join).
 
     With r = rank A, a flat of codim r - 1 has one cover, the top: the
     span of all forms, closed under every hyperplane.  So the walk stops
     at codim r - 1 without reducing any residue against those flats, and
-    leaves their joins pending until something reads the flats; the top
-    enters once with the span Arrangement._independent builds (the RREF
-    of a span is unique, whichever forms built it).
+    the top is not recorded.
 
     mu by Weisner's theorem (Stanley, Enumerative Combinatorics I, Cor.
     3.9.3) for the atom of X's smallest hyperplane a: the Y <= X whose
@@ -169,28 +175,19 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
     {a} to a basis of X's forms, then drop a), and Y, of codim
     c - 1 <= r - 2, is in the walk; by induction on c every flat is
     found.  The walk goes level by level, so a flat's sum is complete
-    before its own covers are met; the top sums the flats of codim r - 1
-    that miss hyperplane 0.  The sums by codim follow.
+    before its own covers are met.  The top's mu makes the sum over the
+    whole lattice 0.  The sums by codim follow.
     """
-    top = arr._independent[1]
-    r = len(top)
-    everything = tuple(range(arr.size))
-    # closed index set -> span, below codim r - 1 and the top; the top is
-    # the bottom, () -> (), when A is empty
-    found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {
-        (): (), everything: tuple(
-            tuple(top[pc].get(j, 0) for j in range(arr.nvars)) for pc in sorted(top)
-        ),
-    }
-    # closed index set of codim r - 1 -> (pivots, span, residue): the join that makes its span
-    pending: dict[tuple[int, ...], tuple] = {}
+    r = len(arr._independent[1])
+    # closed index set -> (finder's closed index set, finder's pivots, residue)
+    found: dict[tuple[int, ...], tuple] = {}
     mus = {(): 1}
     covers = {f.coeffs: (i,) for i, f in enumerate(arr.forms)}
-    # (closed index set, pivots, span, {residue: the forms outside it with that residue})
-    frontier = [((), (), (), covers)] if r > 1 else []
+    # (closed index set, pivots, {residue: the forms outside it with that residue})
+    frontier = [((), (), covers)] if r > 1 else []
     while frontier:
         nxt = []
-        for indices, pivots, span, covers in frontier:
+        for indices, pivots, covers in frontier:
             first = indices[0] if indices else arr.size
             last = len(pivots) == r - 2
             for residue, through in covers.items():
@@ -199,15 +196,14 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
                     break
                 cover = tuple(sorted(indices + through))
                 mus[cover] = mus.get(cover, 0) - mus[indices]
-                if last:
-                    # the join from any lower cover makes the same span, its RREF
-                    pending[cover] = (pivots, span, residue)
-                    continue
                 if cover in found:
                     continue
-                lead, at, joined = _join(pivots, span, residue)
-                found[cover] = joined
-                p = residue[lead]
+                # any lower cover joins to the same span, its RREF
+                found[cover] = (indices, pivots, residue)
+                if last:
+                    continue
+                p = next(filter(None, residue))
+                lead = residue.index(p)
                 above: dict[tuple[int, ...], tuple[int, ...]] = {}
                 for v, js in covers.items():
                     if v is residue:
@@ -219,17 +215,16 @@ def build_lattice(arr: Arrangement) -> IntersectionLattice:
                         g = gcd(*w) if next(filter(None, w)) > 0 else -gcd(*w)
                         v = tuple([a // g for a in w]) if g != 1 else tuple(w)
                     above[v] = above.get(v, ()) + js
-                nxt.append((cover, pivots[:at] + (lead,) + pivots[at:], joined, above))
+                at = bisect(pivots, lead)
+                nxt.append((cover, pivots[:at] + (lead,) + pivots[at:], above))
         frontier = nxt
 
+    sums = [1] + [0] * r
+    for x, (_, pivots, _) in found.items():
+        sums[len(pivots) + 1] += mus[x]
     if r:
-        # when r = 1 the one flat below the top is the bottom
-        mus[everything] = -sum(mus[x] for x in (pending if r > 1 else found) if 0 not in x)
-    sums = [0] * (r + 1)
-    for x, span in found.items():
-        sums[len(span)] += mus[x]
-    sums[r - 1] += sum(mus[x] for x in pending)
-    return IntersectionLattice(arr, tuple(sums), (found, pending, mus))
+        sums[r] = mus[tuple(range(arr.size))] = -sum(mus.values())
+    return IntersectionLattice(arr, tuple(sums), (found, mus))
 
 
 def char_poly(lat: IntersectionLattice) -> tuple[int, ...]:

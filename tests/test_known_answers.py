@@ -9,23 +9,31 @@ of points along the edges of K_{3,3}.  Both members have the same lattice,
 so the same chi and the same CSM class, but D(A) differs in degree 5 by
 whether the six triple points lie on a conic.
 
+m generic lines (Rose & Terao; Yuzvinsky, "A free resolution of the
+module of derivations for generic arrangements", J. Algebra 136, 1991):
+D(A) has the same Hilbert function for any m lines no three of which
+meet, with s(k) = C(k + 2, 2) for k >= 0 and 0 below,
+dim D(A)_d = (m - 1) s(d - m + 2) - (m - 3) s(d - m + 1) + s(d - 1).
+
 Reflection arrangements (Orlik & Terao, Arrangements of Hyperplanes,
 Appendix C): free, with exponents in closed form.
 
-Each arrangement is also a file tests/inputs/<name>.arr, with goldens
-under tests/golden/inputs/; the tests here build its forms and check
-that the file parses to them.
+Each Ziegler and reflection arrangement is also a file
+tests/inputs/<name>.arr, with goldens under tests/golden/inputs/; the
+tests here build its forms and check that the file parses to them.
 """
 
 import json
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
 from arrcsm.arrangement import parse, parse_file
 from arrcsm.cli import run
+from arrcsm.logder import degree_dimension
 from property_checks import arrangement_text
 
 INPUTS = Path(__file__).resolve().parent / "inputs"
@@ -72,6 +80,36 @@ def test_projection_matches_its_closed_forms(capsys):
                 assert result["structure_sheaf"] == structure
                 assert result["transverse"] == {"pushed": transverse, "capped": transverse, "equal": True}
                 assert result["as_expected"] is True
+
+
+def _generic_lines(m: int) -> str:
+    """The .arr text of the lines (1, t, t^2), t = 1..m, on the moment curve: no three meet."""
+    return arrangement_text(3, [[1, t, t * t] for t in range(1, m + 1)])
+
+
+def _generic_dim(m: int, d: int) -> int:
+    def s(k: int) -> int:
+        return comb(k + 2, 2) if k >= 0 else 0
+
+    return (m - 1) * s(d - m + 2) - (m - 3) * s(d - m + 1) + s(d - 1)
+
+
+def test_generic_lines_have_yuzvinskys_hilbert_function():
+    for m in range(3, 9):
+        arr = parse(_generic_lines(m))
+        assert [degree_dimension(arr, d) for d in range(m + 3)] == [_generic_dim(m, d) for d in range(m + 3)]
+    assert degree_dimension(parse(_generic_lines(12)), 10) == _generic_dim(12, 10) == 66
+
+
+@pytest.mark.parametrize("m", range(5, 9))
+def test_freeness_logs_yuzvinskys_dims_for_generic_lines(capsys, tmp_path, m):
+    # not free for m > 3: the search stops at the overflow degree m - 2
+    path = tmp_path / f"lines_{m}.arr"
+    path.write_text(_generic_lines(m), encoding="utf-8")
+    result = _result(capsys, ["freeness", "--input", str(path)])
+    dims = [line.split(",")[0] for line in result["search_log"] if line.startswith("degree ")]
+    assert result["free"] is False
+    assert dims == [f"degree {d}: dim {_generic_dim(m, d)}" for d in range(m - 1)]
 
 
 def _cross(p, q):

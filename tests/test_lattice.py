@@ -482,29 +482,38 @@ def test_walk_visits_only_weisners_cover_pairs(monkeypatch):
     assert _cover_visits(monkeypatch, arr) == pairs == 81
 
 
-@pytest.mark.parametrize(
-    "argv,made",
-    [
-        (["csm", "generic5_p3.arr"], 0),
-        (["charpoly", "braid_essential.arr"], 0),
-        (["verify", "generic5_p3.arr"], 0),
-        (["verify", "three_concurrent.arr"], 1),
-        (["lattice", "tetrahedron_p3.arr"], 1),
-        (["report", "generic5_p3.arr"], 1),
-        (["report", "near_pencil_4.arr"], 1),
-    ],
-)
+# (command, corpus file) -> (reads of the flats, _join calls) in one run:
+# no join where only chi is read, and num_flats - 2 where the flats are
+READS_AND_JOINS = {
+    ("csm", "generic5_p3.arr"): (0, 0),
+    ("charpoly", "braid_essential.arr"): (0, 0),
+    ("verify", "generic5_p3.arr"): (0, 0),
+    ("verify", "three_concurrent.arr"): (1, 3),
+    ("lattice", "tetrahedron_p3.arr"): (1, 14),
+    ("report", "generic5_p3.arr"): (1, 25),
+    ("report", "near_pencil_4.arr"): (1, 8),
+    ("freeness", "four_generic.arr"): (0, 0),
+    ("derivations", "four_generic.arr"): (0, 0),
+}
+
+
+@pytest.mark.parametrize("argv,made", [(list(case), made) for case, (made, _) in READS_AND_JOINS.items()])
 def test_only_a_reader_of_the_flats_makes_them(monkeypatch, argv, made):
     # chi and the CSM class read the sums of mu by codim; verify's first
     # lattice is read for chi alone, and its second makes its flats only for
-    # the P^2 routes; lattice and report make them once
-    reads = []
+    # the P^2 routes; lattice and report make them once.  The walk makes no
+    # span: the first read of the flats joins every flat but the bottom and
+    # the top, whose span is the arrangement's own
+    reads, calls = [], []
     make = lattice.IntersectionLattice.flats.func
     flats = cached_property(lambda lat: reads.append(lat) or make(lat))
     flats.__set_name__(lattice.IntersectionLattice, "flats")
     monkeypatch.setattr(lattice.IntersectionLattice, "flats", flats)
+    monkeypatch.setattr(lattice, "_join", lambda *a, fn=lattice._join: calls.append(1) or fn(*a))
     assert cli.run([argv[0], "--input", str(CORPUS / argv[1])]) == 0
     assert len(reads) == made
+    assert len(calls) == READS_AND_JOINS[tuple(argv)][1]
+    assert all(len(lat.flats) - 2 == len(calls) for lat in reads)
 
 
 def _count_fractions(monkeypatch) -> list:

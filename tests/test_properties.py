@@ -205,15 +205,16 @@ def test_flat_spans_are_primitive_integer_rows(arr):
 
 
 def test_mu_sums_and_size_are_the_flats_and_leave_them_unmade():
-    # P^1..P^3 with and without a lineality space, the empty arrangement, one
-    # form, and rank 2, where the atoms are the level the walk leaves unjoined:
-    # the walk's sums by codim and its count are those of the flats, and chi,
-    # the CSM class and the count read them without making the flats
+    # P^1..P^4 with and without a lineality space, the empty arrangement, one
+    # form, rank 2, where the atoms are the level the walk reduces nothing
+    # against, and rank 5, where it records three levels of flats below that
+    # one: the walk's sums by codim and its count are those of the flats, and
+    # chi, the CSM class and the count read them without making the flats
     rng = Random(909)
     arrs = [parse("vars 3\n"), parse("vars 3\n1 2 3\n")]
     arrs += [parse(arrangement_text(3, [[1, 0, 0], [0, 1, 0], [1, -2, 0]]))]
-    arrs += [random_rational_arrangement(rng, nvars, 7) for nvars in (2, 3, 4) for _ in range(20)]
-    arrs += [random_arrangement(rng, nvars, 7) for nvars in (2, 3, 4) for _ in range(10)]
+    arrs += [random_rational_arrangement(rng, nvars, 7) for nvars in (2, 3, 4, 5) for _ in range(20)]
+    arrs += [random_arrangement(rng, nvars, 7) for nvars in (2, 3, 4, 5) for _ in range(10)]
     seen = set()
     for arr in arrs:
         lat = build_lattice(arr)
@@ -228,7 +229,7 @@ def test_mu_sums_and_size_are_the_flats_and_leave_them_unmade():
         assert chi == tuple(sum(f.mu for f in flats if f.codim == arr.nvars - k) for k in range(arr.nvars + 1))
         assert csm[-1] == sum(f.mu * (arr.nvars - f.codim) for f in flats if f.codim < arr.nvars)
         seen.add((r, r == arr.nvars))
-    assert {(0, False), (1, False), (2, False), (2, True), (3, False), (3, True), (4, True)} <= seen
+    assert {(0, False), (1, False), (2, False), (2, True), (3, False), (3, True), (4, True), (5, True)} <= seen
 
 
 @st.composite
