@@ -33,7 +33,12 @@ a kernel vector's pivot entries back to Q by rational reconstruction
 only when the caller asks for that vector, and keeps the lift only when
 the rows annihilate it exactly; checked in free-column order, each lift
 is the vector the RREF over Q gives.  The first lift that fails hands
-the rest to the integer core.
+the rest to the integer core.  The lift and the integer core read their
+RREFs the same way: _by_column indexes the rows by column, and
+_rref_vector makes free column fc's vector e_fc + sum n/d e_pc from the
+entries n/d at the pivots pc, the lifts of the RREF mod p or the exact
+rows' entries over their pivot entries.  The lift's check reads the
+integer rows through _by_column too.
 """
 
 from __future__ import annotations
@@ -192,23 +197,31 @@ def _lift(a: int) -> tuple[int, int] | None:
     return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
+def _by_column(rows: Iterable[tuple[int, dict[int, int]]]) -> dict[int, list[tuple[int, int]]]:
+    """The column index of keyed sparse rows: {column: [(row key, entry), ...]}."""
+    cols: dict[int, list[tuple[int, int]]] = {}
+    for key, row in rows:
+        for j, a in row.items():
+            cols.setdefault(j, []).append((key, a))
+    return cols
+
+
+def _rref_vector(fc: int, entries: Iterable[tuple[int, int, int]]) -> dict[int, int]:
+    """e_fc + sum n/d e_pc over the (pc, n, d) entries, times the lcm of the d, made primitive."""
+    terms = [(fc, 1, 1), *entries]
+    scale = lcm(*(d for _, _, d in terms))
+    return _primitive({j: n * (scale // d) for j, n, d in terms})
+
+
 def _exact_kernel(rows: Sequence[dict[int, int]], columns: Sequence[int]) -> list[dict[int, int]]:
     """ModularKernel's basis from the integer core: the rows reduced exactly, no prime."""
     reduced: dict[int, dict[int, int]] = {}
     for row in rows:
         _insert(reduced, row)
-    basis = []
-    for fc in columns:
-        if fc in reduced:
-            continue
-        # e_fc - sum row[fc]/row[pc] e_pc, times the lcm of the row[pc] it divides by
-        used = [(pc, row) for pc, row in reduced.items() if fc in row]
-        scale = lcm(*(row[pc] for pc, row in used))
-        w = {fc: scale}
-        for pc, row in used:
-            w[pc] = -row[fc] * (scale // row[pc])
-        basis.append(_primitive(w))
-    return basis
+    # row / row[pc] is the RREF row of pivot pc
+    cols = _by_column(reduced.items())
+    return [_rref_vector(fc, ((pc, -a, reduced[pc][pc]) for pc, a in cols.get(fc, ())))
+            for fc in columns if fc not in reduced]
 
 
 class ModularKernel:
@@ -244,45 +257,32 @@ class ModularKernel:
         self._cols: tuple[dict[int, list[tuple[int, int]]], ...] | None = None
 
     def __iter__(self) -> Iterator[dict[int, int]]:
-        made = 0
-        while self._exact is None and made < len(self._free):
-            v = self._lifted(self._free[made])
+        for made, fc in enumerate(self._free):
+            v = self._lifted(fc)
             if v is None:
                 self._exact = _exact_kernel(self.rows, self.columns)
                 self.upper = len(self._exact)
-            else:
-                made += 1
-                yield v
-        yield from (self._exact or ())[made:]
+                yield from self._exact[made:]
+                return
+            yield v
 
     def _lifted(self, fc: int) -> dict[int, int] | None:
         """The checked kernel vector of free column fc, or None when its lift or check fails."""
         if self._cols is None:
-            # each column of the RREF and of the integer rows, as (row key, entry) pairs
-            rref_cols: dict[int, list[tuple[int, int]]] = {j: [] for j in self.columns}
-            for pc, row in self._reduced.items():
-                for j, a in row.items():
-                    if j != pc:
-                        rref_cols[j].append((pc, a))
-            int_cols: dict[int, list[tuple[int, int]]] = {j: [] for j in self.columns}
-            for i, row in enumerate(self.rows):
-                for j, a in row.items():
-                    int_cols[j].append((i, a))
-            self._cols = rref_cols, int_cols
+            self._cols = _by_column(self._reduced.items()), _by_column(enumerate(self.rows))
         rref_cols, int_cols = self._cols
-        lifted = [(fc, 1, 1)]
-        for pc, a in rref_cols[fc]:
+        lifted = []
+        for pc, a in rref_cols.get(fc, ()):
             nd = _lift(_P - a)
             if nd is None:
                 return None
             lifted.append((pc, *nd))
-        den = lcm(*(d for _, _, d in lifted))
-        w = {j: n * (den // d) for j, n, d in lifted}
+        v = _rref_vector(fc, lifted)
         image: dict[int, int] = {}
-        for j, wj in w.items():
-            for i, a in int_cols[j]:
-                image[i] = image.get(i, 0) + a * wj
-        return None if any(image.values()) else _primitive(w)
+        for j, vj in v.items():
+            for i, a in int_cols.get(j, ()):
+                image[i] = image.get(i, 0) + a * vj
+        return None if any(image.values()) else v
 
 
 class QMatrix:

@@ -307,6 +307,32 @@ def test_a_failed_lift_goes_on_in_the_integer_core_without_a_second_rref(monkeyp
             assert kernel.upper == len(expected)
 
 
+def test_kernel_rows_that_lose_rank_mod_p(monkeypatch):
+    # entries that p = 2^61 - 1 divides vanish mod p, so the rows can lose
+    # rank there: upper starts above the kernel's dimension, and the lift of
+    # a column that is a pivot over Q fails its check
+    p = 2**61 - 1
+    entries = [-2, -1, 0, 1, 2, p, -p, 2 * p]
+    lifted = linalg.ModularKernel._lifted
+    rng = random.Random(50)
+    dropped = fell_back = 0
+    for _ in range(200):
+        ncols = rng.randint(1, 8)
+        rows = []
+        for _ in range(rng.randint(1, 6)):
+            support = sorted(rng.sample(range(ncols), rng.randint(1, min(3, ncols))))
+            rows.append({j: a for j in support if (a := rng.choice(entries))})
+        expected = [primitive(v) for v in fraction_kernel([dense(row, ncols) for row in rows], ncols)]
+        for fail in (False, True):
+            monkeypatch.setattr(linalg.ModularKernel, "_lifted", (lambda self, fc: None) if fail else lifted)
+            kernel = ModularKernel(rows, range(ncols))
+            assert [dense(v, ncols) for v in kernel] == expected
+            assert kernel.upper == len(expected)
+            fell_back += not fail and kernel._exact is not None
+        dropped += len(_rref_mod_p(rows)) < ncols - len(expected)
+    assert dropped >= 50 and fell_back > dropped
+
+
 def test_kernel_vectors_are_lifted_only_when_asked_for(monkeypatch):
     lifts = []
     lifted = linalg.ModularKernel._lifted

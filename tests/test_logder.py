@@ -204,14 +204,35 @@ def test_intersection_property_examples():
 
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+INPUTS = Path(__file__).resolve().parent / "inputs"
 
 
 def test_search_without_the_modular_kernel(monkeypatch):
-    arrs = [parse_file(path) for path in sorted(CORPUS.glob("*.arr"))]
-    modular = [minimal_generators(arr, arr.size + 1) for arr in arrs]
+    # the full walk and the D_0 walk of each input, with every lift failing:
+    # in tests/inputs the span rejects kernel vectors, one in each full walk
+    # of d4 and ziegler_conic and four in d4's D_0 walk
+    corpus = [parse_file(path) for path in sorted(CORPUS.glob("*.arr"))]
+    arrs = corpus + [parse_file(path) for path in sorted(INPUTS.glob("*.arr"))]
+    adapted = [arr.adapted()[0] for arr in arrs]
+    rejected = []
+
+    class CountedSpan(logder.IncrementalSpan):
+        def add(self, v):
+            residue = super().add(v)
+            rejected.append(residue is None)
+            return residue
+
+    def walks():
+        return ([minimal_generators(arr, arr.size + 1) for arr in arrs],
+                [minimal_generators(a, a.size, d0=True) for a in adapted])
+
+    monkeypatch.setattr(logder, "IncrementalSpan", CountedSpan)
+    modular = walks()
     monkeypatch.setattr(linalg.ModularKernel, "_lifted", lambda self, fc: None)
-    assert [minimal_generators(arr, arr.size + 1) for arr in arrs] == modular
-    for arr in arrs:
+    rejected.clear()
+    assert walks() == modular
+    assert sum(rejected) == 6
+    for arr in corpus:
         for d in range(4):
             monos = monomials_of_degree(arr.nvars, d)
             kernel = [dense(v, arr.nvars * len(monos)) for v in _degree_kernel(arr, d, monos)]
