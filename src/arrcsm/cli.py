@@ -207,25 +207,17 @@ def _search(
 ) -> tuple[GradedBasis, FreenessReport]:
     """The full walk of D(A) (of D_0(A) with d0) and Saito's decision on it, from chi's roots when it can.
 
-    The full walk is degrees 0..|A| (0..|A| - 1 with d0).  roots are chi's
-    nonnegative integer roots, None when chi does not split so.  A free
-    A's exponents are among them (Terao's factorization, Orlik & Terao
-    Thm 4.137), and by induction on the degree the full walk appends
-    nothing at a degree that is not one, where dim D(A)_d is the Hilbert
-    function of the generators so far, and at one that is the same
-    vectors, from the same span of multiples.  So the walk that skips the
-    degrees that are not roots (minimal_generators' skip) is the full
-    walk when Saito's criterion certifies its generators (Prop. 4.12;
-    exponents are unique); any other verdict, or roots None, runs the
-    full walk.  The verdict is never read off chi.
+    roots are chi's nonnegative integer roots, None when chi does not
+    split so.  The walk on them (minimal_generators' roots) stands on a
+    free verdict alone; any other verdict, or roots None, runs the full
+    walk.  The verdict is never read off chi.
     """
-    stop = arr.size if d0 else arr.size + 1
     if roots is not None:
-        graded = minimal_generators(arr, stop, skip=set(range(stop)).difference(roots), d0=d0)
+        graded = minimal_generators(arr, roots=roots, d0=d0)
         report = decide_freeness(arr, graded)
         if report.free:
             return graded, report
-    graded = minimal_generators(arr, stop, d0=d0)
+    graded = minimal_generators(arr, d0=d0)
     return graded, decide_freeness(arr, graded)
 
 

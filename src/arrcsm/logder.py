@@ -19,17 +19,18 @@ if c != 0 (a scalar determinant, no polynomial products or division).
 The full walk is degrees 0..|A|: a free module's exponents are
 nonnegative and sum to |A|.  By Terao's factorization (Orlik & Terao,
 Thm 4.137) the exponents of a free A are the roots of chi(A, t), so a
-walk that solves only those degrees finds the same generators, and
-Saito's criterion certifies or rejects whatever it finds.  The search
-runs on the arrangement it is given; verify searches
-Arrangement.adapted(), where the first rank A independent forms are
-coordinate hyperplanes, and adds a zero exponent per dimension of the
-lineality space.  There the first form is x_0, so D(A) =
-S*theta_E (+) D_0(A) with D_0(A) = {theta in D(A) : theta_0 = 0}
+walk that solves only those degrees (minimal_generators' roots) finds
+the same generators, and Saito's criterion certifies or rejects
+whatever it finds.  The search runs on the arrangement it is given;
+verify searches Arrangement.adapted(), where the first rank A
+independent forms are coordinate hyperplanes, and adds a zero exponent
+per dimension of the lineality space.  There the first form is x_0, so
+D(A) = S*theta_E (+) D_0(A) with D_0(A) = {theta in D(A) : theta_0 = 0}
 (Orlik & Terao, Prop. 4.27): minimal_generators with d0 puts the Euler
 field theta_E first among the generators and solves each kernel in
 D_0(A) alone, counting the C(d+n-1, n) multiples of theta_E at degree d
-without solving for them.  Either walk's result describes D(A).
+without solving for them, through degree |A| - 1.  Either walk's result
+describes D(A).
 
 A Derivation keeps the search's integer vector; multiples, rendering (by
 poly's integer writer) and Saito's integer determinant read it, and the
@@ -38,11 +39,12 @@ one Fraction made here is Saito's scalar, in decide_freeness.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Set
+from collections.abc import Container, Iterable, Set
 from fractions import Fraction
 from itertools import groupby
 from math import comb, prod
 from operator import itemgetter
+from sys import maxsize
 from typing import NamedTuple
 
 from .arrangement import Arrangement
@@ -85,9 +87,7 @@ def vector_to_derivation(vec, nvars: int, degree: int, monos: list[Monomial]) ->
     return Derivation(nvars, degree, terms)
 
 
-def _degree_kernel(
-    arr: Arrangement, d: int, monos: list[Monomial], d0: bool = False, trailing: Set[int] = frozenset()
-) -> ModularKernel:
+def _degree_kernel(arr: Arrangement, d: int, monos: list[Monomial], excluded: Set[int] = frozenset()) -> ModularKernel:
     """The kernel D(A)_d, its primitive vectors sparse in the (variable, monomial) layout.
 
     A form scaled to integers a, with pivot p its first nonzero index, gets
@@ -104,15 +104,16 @@ def _degree_kernel(
     coefficients of theta_j at the monomials free of x_j: unit vectors of
     the columns (j, m) with x_j not dividing m, pivots that no other
     kernel vector touches.  The kernel is solved on the other columns, in
-    the layout's own numbering j * per + k: the same RREF basis.  With d0
-    the system leaves out every column of theta_0 as well: its kernel is
-    D_0(A)_d = {theta in D(A)_d : theta_0 = 0}.
+    the layout's own numbering j * per + k: the same RREF basis.
 
-    The columns in trailing leave the system too: T, the trailing (last
-    nonzero) columns of the degree-d multiples of generators in D(A) (in
-    D_0(A) with d0; _degree_system).  The kernel then has |T| dimensions
-    fewer, and iterating it yields the RREF vectors of the other free
-    columns, unchanged.  Over Q, with R the rows:
+    The columns in excluded are fixed at 0 and leave the system too
+    (_degree_system).  With theta_0's columns among them the kernel is
+    D_0(A)_d = {theta in D(A)_d : theta_0 = 0}.  The others are T, the
+    trailing (last nonzero) columns of the degree-d multiples of
+    generators in D(A) (in D_0(A) when theta_0's columns go too).  The
+    kernel then has |T| dimensions fewer, and iterating it yields the
+    RREF vectors of the other free columns, unchanged.  Over Q, with R
+    the rows:
     - T holds only free columns.  A nonzero kernel vector is a
       combination of the RREF vectors v_f, each 1 at its free column f
       and nonzero elsewhere only at pivots before f, so its last nonzero
@@ -125,16 +126,14 @@ def _degree_kernel(
     - The dropped vectors are dependent.  The multiple with trailing
       column t is c_t v_t + sum of c_f v_f over free f < t, c_t != 0, so
       v_t lies in the span of the multiples and the v_f with f < t.
-    With T empty the system is the whole one, with no membership test.
     """
     n1, per = arr.nvars, len(monos)
     forms = arr.integer_forms
     coordinate = {min(a) for a in forms if len(a) == 1}
-    slots: list[list[int]] = [[] for _ in range(n1)]  # per x_j, k of each kept column j * per + k
-    for j in range(1 if d0 else 0, n1):
-        slots[j] = [k for k, mono in enumerate(monos) if j not in coordinate or mono[j]]
-    if trailing:
-        slots = [[k for k in ks if j * per + k not in trailing] for j, ks in enumerate(slots)]
+    slots = [  # per x_j, k of each kept column j * per + k
+        [k for k, mono in enumerate(monos) if (j not in coordinate or mono[j]) and j * per + k not in excluded]
+        for j in range(n1)
+    ]
     weight = [(d + 1) ** (n1 - 1 - k) for k in range(n1)]
     codes = [sum(e * w for e, w in zip(mono, weight)) for mono in monos]
     rows: list[dict[int, int]] = []
@@ -173,8 +172,9 @@ def _degree_system(
     The multiples are the sparse layout vectors of x^beta * g, for each g
     in gens and each monomial x^beta of degree d - deg g, keys ascending.
     T is their trailing (largest) columns: for gens in D(A) (in D_0(A)
-    with d0) they are free columns of D(A)_d's rows, and leave the kernel
-    (_degree_kernel).
+    with d0) they are free columns of D(A)_d's rows.  The kernel leaves
+    out T, and with d0 theta_0's columns range(per) as well
+    (_degree_kernel's excluded).
     """
     monos = monomials_of_degree(arr.nvars, d)
     per = len(monos)
@@ -184,8 +184,11 @@ def _degree_system(
         for g in gens
         for shift in monomials_of_degree(arr.nvars, d - g.degree)
     ]
-    trailing = {max(v) for v in multiples}
-    return monos, multiples, len(trailing), _degree_kernel(arr, d, monos, d0, trailing)
+    excluded = {max(v) for v in multiples}
+    known = len(excluded)
+    if d0:
+        excluded.update(range(per))
+    return monos, multiples, known, _degree_kernel(arr, d, monos, excluded)
 
 
 def free_dimension(exponents: Iterable[int], n: int, d: int) -> int:
@@ -223,19 +226,23 @@ class GradedBasis(NamedTuple("GradedBasis", [
         return tuple(g.degree for g in self.generators)
 
 
-def minimal_generators(
-    arr: Arrangement, stop: int, *, skip: Set[int] = frozenset(), d0: bool = False
-) -> GradedBasis:
-    """Minimal homogeneous generators of D(A), searched in degrees 0..stop - 1, stop >= 1.
+def minimal_generators(arr: Arrangement, *, roots: Container[int] = range(maxsize), d0: bool = False) -> GradedBasis:
+    """Minimal homogeneous generators of D(A), searched in degrees 0..|A| (0..|A| - 1 with d0).
 
-    stop = arr.size + 1 is the full walk, through degree |A|.  A degree
-    in skip solves no kernel and finds no generator: dims[d] is
+    That is the full walk: a free module's exponents are nonnegative and
+    sum to |A|.  Every degree solves its kernel by default; with roots, a
+    degree not among them solves none and finds no generator: dims[d] is
     free_dimension over the generators so far, and its log line and both
     exits run as at any degree.  That is dim D(A)_d when the generators
-    are a basis of D(A) with no exponent d, which only Saito's criterion
-    on the whole result certifies: a walk with skips stands on a free
-    verdict alone (cli._search).  A walk that misses a degree holding a
-    generator counts that generator's multiples as new generators later.
+    are a basis of D(A) with no exponent d.  A free A's exponents are
+    among chi's roots (Terao's factorization), and by induction on the
+    degree the full walk appends nothing at a degree that is not one,
+    and at one that is the same vectors, from the same span of
+    multiples.  So the walk on chi's roots is the full walk when Saito's
+    criterion certifies its generators (Prop. 4.12; exponents are
+    unique), and stands on a free verdict alone (cli._search).  A walk
+    that misses a degree holding a generator counts that generator's
+    multiples as new generators later, or ends exhausted.
 
     At each degree the span of monomial multiples of earlier generators
     is built first; new generators are an echelon-canonical complement
@@ -271,21 +278,21 @@ def minimal_generators(
     Terao, Prop. 4.27).  Only the generators after theta_E add multiples
     to the span and T, and dims[d] also counts theta_E's multiples, one
     per monomial of degree d - 1, which have theta_0 != 0 and so lie
-    outside the kernel.  The dimensions, generator degrees and exits are
-    then those of the full walk; the generators after theta_E are
-    D_0(A)'s.
+    outside the kernel.  theta_E takes one exponent 1, so the others sum
+    to |A| - 1, the last degree walked.  The dimensions, generator
+    degrees and exits are then those of the full walk through that
+    degree; the generators after theta_E are D_0(A)'s.
     """
-    if stop < 1:
-        raise ValueError(f"the search walks degrees 0..stop - 1 and needs stop >= 1, got {stop}")
     n1 = arr.nvars
+    last = arr.size - 1 if d0 else arr.size
     euler = Derivation(n1, 1, tuple((j, tuple(int(k == j) for k in range(n1)), 1) for j in range(n1)))
     gens: list[Derivation] = [euler] if d0 else []
     dims: dict[int, int] = {}
     log: list[str] = []
     exit_reason = "exhausted"
-    for d in range(stop):
+    for d in range(last + 1):
         fresh = 0
-        if d in skip:
+        if d not in roots:
             dims[d] = free_dimension((g.degree for g in gens), n1 - 1, d)
         else:
             monos, multiples, known, kernel = _degree_system(arr, d, gens[1:] if d0 else gens, d0)
@@ -315,7 +322,7 @@ def minimal_generators(
             )
             break
     else:
-        log.append(f"search exhausted degrees 0..{stop - 1}")
+        log.append(f"search exhausted degrees 0..{last}")
     return GradedBasis(
         dimensions=dims,
         generators=tuple(gens),
@@ -331,7 +338,7 @@ FreenessReport = NamedTuple("FreenessReport", [
 
 
 def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
-    """Saito's criterion on the generators that minimal_generators(arr, stop) found.
+    """Saito's criterion on the generators that minimal_generators(arr) found.
 
     Saito's lemma (Orlik & Terao, Arrangements of Hyperplanes, Prop. 4.12):
     for theta_0, ..., theta_n in D(A), the defining polynomial Q divides

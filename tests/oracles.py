@@ -581,7 +581,7 @@ def trailing_columns(gens: Iterable[Derivation], d: int, monos: list[Monomial]) 
 
 
 def whole_kernel_search(arr: Arrangement, stop: int, d0: bool = False) -> GradedBasis:
-    """minimal_generators(arr, stop, d0=d0), from whole kernels and the dense integer core.
+    """minimal_generators(arr, d0=d0) through degree stop - 1, from whole kernels and the dense integer core.
 
     With d0 the Euler field is the first generator, and dims[d] is the
     D_0 kernel's dimension plus its multiples, one per monomial of
@@ -595,7 +595,7 @@ def whole_kernel_search(arr: Arrangement, stop: int, d0: bool = False) -> Graded
     for d in range(stop):
         monos = monomials_of_degree(n1, d)
         dim = n1 * len(monos)
-        kernel = list(_degree_kernel(arr, d, monos, d0))
+        kernel = list(_degree_kernel(arr, d, monos, set(range(len(monos))) if d0 else set()))
         dims[d] = len(kernel) + (len(monomials_of_degree(n1, d - 1)) if d0 else 0)
         span: dict[int, list[int]] = {}
         for g in gens[1:] if d0 else gens:

@@ -93,7 +93,7 @@ def point_rows_match_reduction(rng: Random, cases: int) -> int:
 
 def freeness_of(arr: Arrangement) -> FreenessReport:
     """Saito's criterion on a fresh generator search of arr."""
-    return decide_freeness(arr, minimal_generators(arr, arr.size + 1))
+    return decide_freeness(arr, minimal_generators(arr))
 
 
 def verify(arr: Arrangement) -> VerificationReport:

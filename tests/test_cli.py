@@ -8,6 +8,7 @@ import sys
 import time
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 
@@ -33,6 +34,13 @@ INPUTS = REPO / "tests" / "inputs"
 # Non-free, although chi = (t - 1)(t - 3)^2 splits: the walk over its roots
 # overflows at degree 3, and the full walk finds 4 generators by degree 5.
 SPLIT_NOT_FREE = "vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n"
+
+# B_5: x_i - x_j and x_i + x_j, i < j, then the coordinate planes x_i; free
+# with exponents 1, 3, 5, 7, 9
+B5 = arrangement_text(5, [
+    *([int(c == i) + s * int(c == j) for c in range(5)] for i, j in combinations(range(5), 2) for s in (-1, 1)),
+    *([int(c == i) for c in range(5)] for i in range(5)),
+])
 
 
 def test_verify_text(capsys):
@@ -589,8 +597,12 @@ def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searc
         ("verify", None, [3, 5]),
         # the roots, through the overflow at degree 3, then the full walk to its overflow
         ("freeness", SPLIT_NOT_FREE, [1, 3, 0, 1, 2, 3, 4, 5]),
+        # B_5: chi = (t - 1)(t - 3)(t - 5)(t - 7)(t - 9); the D_0 walk steps
+        # through degrees 0..9 and solves 4 of them
+        ("freeness", B5, [1, 3, 5, 7, 9]),
+        ("verify", B5, [3, 5, 7, 9]),
     ],
-    ids=["freeness", "derivations", "report", "verify", "freeness_split_not_free"],
+    ids=["freeness", "derivations", "report", "verify", "freeness_split_not_free", "freeness_b5", "verify_b5"],
 )
 def test_the_search_solves_only_the_roots_of_chi(monkeypatch, tmp_path, capsys, command, text, solved):
     from arrcsm import logder
@@ -660,7 +672,7 @@ def _with_lineality(report, lineality):
 def _assert_search_equals_full(arr):
     """_search on chi's roots returns the full walk of D(A) and its decision, field by field."""
     graded, report = cli._search(arr, integer_roots(char_poly(build_lattice(arr))))
-    full = minimal_generators(arr, arr.size + 1)
+    full = minimal_generators(arr)
     assert graded._asdict() == full._asdict(), arr.forms
     assert report._asdict() == decide_freeness(arr, full)._asdict(), arr.forms
     return report
@@ -678,15 +690,15 @@ def _assert_guided_equals_full(arr):
     n1 = adapted.nvars
     if adapted.size:  # D(A') = S*theta_E (+) D_0(A'), D_0 = {theta_0 = 0} on A''s first form x_0
         assert adapted.forms[0].coeffs == (1,) + (0,) * (n1 - 1)
-        full = decide_freeness(adapted, minimal_generators(adapted, adapted.size, d0=True))
+        full = decide_freeness(adapted, minimal_generators(adapted, d0=True))
     else:  # no x_0 to split off: the full D(A') walk
-        full = decide_freeness(adapted, minimal_generators(adapted, adapted.size + 1))
+        full = decide_freeness(adapted, minimal_generators(adapted))
     full = _with_lineality(full, lineality)
     assert (guided.free, guided.exponents, guided.saito_scalar, guided.reason) == (
         full.free, full.exponents, full.saito_scalar, full.reason), arr.forms
     # the whole record: a free decision carries the full walk's log
     assert guided._asdict() == full._asdict(), arr.forms
-    whole = decide_freeness(adapted, minimal_generators(adapted, adapted.size + 1))
+    whole = decide_freeness(adapted, minimal_generators(adapted))
     whole = _with_lineality(whole, lineality)
     assert (guided.free, guided.exponents) == (whole.free, whole.exponents), arr.forms
     original = _assert_search_equals_full(arr)
@@ -953,7 +965,7 @@ def test_dimensions_of_a_free_arrangement_come_from_its_exponents():
     free = 0
     for path in sorted(CORPUS.glob("*.arr")):
         arr = parse_file(path)
-        graded = minimal_generators(arr, arr.size + 1)
+        graded = minimal_generators(arr)
         freeness = decide_freeness(arr, graded)
         if freeness.free:
             free += 1

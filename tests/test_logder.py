@@ -97,14 +97,14 @@ def test_vector_round_trip():
 
 
 def test_minimal_generators_boolean():
-    graded = minimal_generators(BOOLEAN, BOOLEAN.size + 1)
+    graded = minimal_generators(BOOLEAN)
     assert graded.generator_degrees == (1, 1, 1)
     assert graded.exit_reason == "complete"
     assert any("degree 1" in line for line in graded.search_log)
 
 
 def test_minimal_generators_four_generic_overflow():
-    graded = minimal_generators(FOUR_GENERIC, FOUR_GENERIC.size + 1)
+    graded = minimal_generators(FOUR_GENERIC)
     assert graded.exit_reason in ("overflow", "exhausted")
     assert len(graded.generators) != 3 or sum(graded.generator_degrees) != 4
 
@@ -123,7 +123,7 @@ FREENESS_CASES = [
 
 def test_decide_freeness_frozen():
     for arr, want_free, want_exps in FREENESS_CASES:
-        report = decide_freeness(arr, minimal_generators(arr, arr.size + 1))
+        report = decide_freeness(arr, minimal_generators(arr))
         assert report.free is want_free, arr.forms
         if want_free:
             assert report.exponents == want_exps
@@ -139,7 +139,7 @@ def test_free_reports_include_euler_slot():
     for arr, want_free, want_exps in FREENESS_CASES:
         if not want_free or arr.size == 0:
             continue
-        report = decide_freeness(arr, minimal_generators(arr, arr.size + 1))
+        report = decide_freeness(arr, minimal_generators(arr))
         assert 1 in report.exponents
 
 
@@ -148,7 +148,7 @@ def test_saito_determinant_rank2():
     # its scalar is read at t = 3; the third one's second generator is its
     # integer vector over a first entry of 2, so c needs that division
     for arr in (RANK2, parse("vars 2\n0 1\n1 -1\n2 -1\n"), parse("vars 2\n1 -2\n0 1\n1 1\n")):
-        report = decide_freeness(arr, minimal_generators(arr, arr.size + 1))
+        report = decide_freeness(arr, minimal_generators(arr))
         assert report.free
         mat = [list(polys(theta)) for theta in report.generators]
         det = poly_det(mat)
@@ -159,7 +159,7 @@ def test_saito_determinant_rank2():
 def test_saito_scalar_vanishes_on_dependent_generators():
     # three logarithmic fields of degrees summing to |A| that span a rank-2
     # module: det M(theta) is 0, so c is 0 and they certify nothing
-    graded = minimal_generators(BOOLEAN, BOOLEAN.size + 1)
+    graded = minimal_generators(BOOLEAN)
     g0, g1, _ = graded.generators
     report = decide_freeness(BOOLEAN, graded._replace(generators=(g0, g1, g1)))
     assert not report.free
@@ -170,7 +170,7 @@ def test_saito_rejects_degenerate_generators():
     # Replace one generator by a monomial multiple of another: the resulting
     # tuple is still made of logarithmic derivations, but the determinant
     # collapses to zero, so it no longer certifies freeness.
-    report = decide_freeness(BOOLEAN, minimal_generators(BOOLEAN, BOOLEAN.size + 1))
+    report = decide_freeness(BOOLEAN, minimal_generators(BOOLEAN))
     _, g1, g2 = report.generators
     fake = scaled_by_monomial(g1, (1, 0, 0))
     assert is_logarithmic(fake, BOOLEAN)
@@ -223,8 +223,8 @@ def test_search_without_the_modular_kernel(monkeypatch):
             return residue
 
     def walks():
-        return ([minimal_generators(arr, arr.size + 1) for arr in arrs],
-                [minimal_generators(a, a.size, d0=True) for a in adapted])
+        return ([minimal_generators(arr) for arr in arrs],
+                [minimal_generators(a, d0=True) for a in adapted])
 
     monkeypatch.setattr(logder, "IncrementalSpan", CountedSpan)
     modular = walks()
@@ -307,7 +307,7 @@ def test_multiples_that_fill_a_degree_take_no_kernel_vector(monkeypatch):
     monkeypatch.setattr(logder, "ModularKernel", RecordedKernel)
     monkeypatch.setattr(logder, "IncrementalSpan", RecordedSpan)
     monkeypatch.setattr(linalg.ModularKernel, "_lifted", counted)
-    graded = minimal_generators(near_pencil_5, near_pencil_5.size + 1)
+    graded = minimal_generators(near_pencil_5)
     assert graded.generator_degrees == (1, 1, 3)
     # degree 2: the 6 multiples of the two linear generators span D(A)_2, of
     # dim 6.  Their 6 trailing columns leave the kernel, whose upper bound
@@ -325,7 +325,7 @@ def test_the_pruned_kernel_is_the_whole_one_less_the_trailing_columns():
     # other vectors the pruned kernel keeps, in order, and
     # degree_dimension, given the generators, counts |T| + the rest
     near_pencil_6 = parse_file(CORPUS / "near_pencil_6.arr")
-    gens = minimal_generators(near_pencil_6, near_pencil_6.size + 1).generators
+    gens = minimal_generators(near_pencil_6).generators
     assert [g.degree for g in gens] == [1, 1, 4]
     sizes = []
     for d in range(8):
@@ -333,7 +333,7 @@ def test_the_pruned_kernel_is_the_whole_one_less_the_trailing_columns():
         earlier = [g for g in gens if g.degree < d]
         trailing = trailing_columns(earlier, d, monos)
         whole = list(_degree_kernel(near_pencil_6, d, monos))
-        pruned = _degree_kernel(near_pencil_6, d, monos, trailing=trailing)
+        pruned = _degree_kernel(near_pencil_6, d, monos, trailing)
         assert trailing <= {max(v) for v in whole}
         assert list(pruned) == [v for v in whole if max(v) not in trailing]
         assert len(whole) == len(trailing) + pruned.upper == degree_dimension(near_pencil_6, d, gens)
@@ -358,7 +358,7 @@ def test_mod_p_rank_drop_keeps_the_exact_span(monkeypatch):
             super().__init__(dim)
 
     monkeypatch.setattr(logder, "IncrementalSpan", RecordedSpan)
-    graded = minimal_generators(arr, arr.size + 1)
+    graded = minimal_generators(arr)
     assert graded.search_log[2] == "degree 2: dim 6, 0 new generator(s), total 2"
     assert [graded.dimensions[d] for d in range(4)] == [0, 2, 6, 13]
     assert spans == [3 * 1, 3 * 3, 3 * 6, 3 * 10]
@@ -372,10 +372,10 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     # 72 vectors of those columns are never made
     arr, _ = parse(arrangement_text(3, [[0, 1, t] for t in range(9)] + [[1, 0, 0]])).adapted()
     monos = monomials_of_degree(3, 8)
-    linear = minimal_generators(arr, 2).generators
+    linear = [g for g in minimal_generators(arr).generators if g.degree == 1]
     trailing = trailing_columns(linear, 8, monos)
     assert len(trailing) == 72
-    ncols = len(_degree_kernel(arr, 8, monos, trailing=trailing).columns)
+    ncols = len(_degree_kernel(arr, 8, monos, trailing).columns)
     assert ncols == len(_degree_kernel(arr, 8, monos).columns) - 72
     adds, lifts = {}, {}
 
@@ -392,7 +392,7 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
 
     monkeypatch.setattr(logder, "IncrementalSpan", CountedSpan)
     monkeypatch.setattr(linalg.ModularKernel, "_lifted", counted)
-    graded = minimal_generators(arr, arr.size + 1)
+    graded = minimal_generators(arr)
     assert graded.generator_degrees == (1, 1, 8)
     assert graded.dimensions[8] == 73
     assert adds[3 * 45] == 73 and lifts[ncols] == 1
@@ -401,38 +401,41 @@ def test_a_full_span_takes_no_more_kernel_vectors(monkeypatch):
     monkeypatch.setattr(CountedSpan, "rank", -1)
     adds.clear()
     lifts.clear()
-    assert minimal_generators(arr, arr.size + 1) == graded
+    assert minimal_generators(arr) == graded
     assert adds[3 * 45] == 72 + 1 and lifts[ncols] == 1
 
 
 def test_exhausted_walk_names_only_the_degrees_it_searched():
+    # a walk on roots that miss a generator degree steps through every
+    # degree to its bound, and ends exhausted.  near_pencil_5 is free with
+    # exponents 1, 1, 3
     near_pencil_5 = parse_file(CORPUS / "near_pencil_5.arr")
-    graded = minimal_generators(near_pencil_5, 3)
-    assert graded.search_log[-1] == "search exhausted degrees 0..2"
-    # chi = (t - 1)(t - 3)^2, not free: degrees 0..4 hold only two generators
-    split = parse("vars 3\n2 1 1\n1 1 1\n1 -1 1\n1 -2 -2\n1 2 2\n0 0 1\n2 -1 -1\n")
-    graded = minimal_generators(split, 5)
-    assert graded.search_log[-1] == "search exhausted degrees 0..4"
-    assert sorted(graded.dimensions) == [0, 1, 2, 3, 4]
-    assert graded.generator_degrees == (1, 2)
-    # the reason names the last degree walked, not |A|
-    report = decide_freeness(split, graded)
-    assert report.reason == "found 2 minimal generators through degree 4, expected 3"
+    graded = minimal_generators(near_pencil_5, roots=(1,))
+    assert graded.exit_reason == "exhausted"
+    assert graded.search_log[-1] == "search exhausted degrees 0..5"
+    assert sorted(graded.dimensions) == [0, 1, 2, 3, 4, 5]
+    assert graded.generator_degrees == (1, 1)
+    report = decide_freeness(near_pencil_5, graded)
+    assert report.reason == "found 2 minimal generators through degree 5, expected 3"
     assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
-    # a walk holds degree 0 at least
-    for stop in (0, -1):
-        with pytest.raises(ValueError, match="needs stop >= 1"):
-            minimal_generators(split, stop)
-    # three generators by degree 3, but their degrees sum past |A| = 6
+    # the D_0 walk ends at |A| - 1, and the reason names that degree, not |A|
+    adapted, _ = near_pencil_5.adapted()
+    graded = minimal_generators(adapted, roots=(1,), d0=True)
+    assert graded.search_log[-1] == "search exhausted degrees 0..4"
+    assert decide_freeness(adapted, graded).reason == "found 2 minimal generators through degree 4, expected 3"
+    # three generators by degree 3, but their degrees sum past |A| = 6; the
+    # full walk overflows at degree 4
     sum_past = parse("vars 3\n2 -1 0\n-1 1 -1\n-1 2 -1\n0 1 0\n2 0 -1\n1 1 -1\n")
-    graded = minimal_generators(sum_past, 4)
-    assert graded.search_log[-1] == "search exhausted degrees 0..3"
+    graded = minimal_generators(sum_past, roots=(1, 3))
+    assert graded.exit_reason == "exhausted"
+    assert graded.search_log[-1] == "search exhausted degrees 0..6"
     report = decide_freeness(sum_past, graded)
     assert report.reason == "generator degrees (1, 3, 3) sum to 7, not 6"
     assert (report.free, report.exponents, report.saito_scalar) == (False, None, None)
     assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
+    assert minimal_generators(sum_past).exit_reason == "overflow"
     # a free verdict is the last log line too
-    graded = minimal_generators(near_pencil_5, near_pencil_5.size + 1)
+    graded = minimal_generators(near_pencil_5)
     report = decide_freeness(near_pencil_5, graded)
     assert report.free and report.reason is None
     verdict = f"free: Saito determinant = {report.saito_scalar} * defining polynomial"

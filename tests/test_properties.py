@@ -266,19 +266,20 @@ def test_residue_rows_cut_out_the_kernel_of_the_evaluation_rows(case):
 def test_the_euler_field_splits_off_one_exponent_1(rng, shape):
     """D(A') = S*theta_E (+) D_0(A') on A' = A.adapted(), whose first form is x_0.
 
-    Walked through degree |A|, the D_0 walk, which solves only the
-    kernels of D_0(A') = {theta_0 = 0} and counts theta_E's multiples
-    beside them, describes D(A') as the full walk does: the same
-    dimensions, generator degrees and exit, with theta_E its first
-    generator (Orlik & Terao, Prop. 4.27).
+    Walked through degree |A| - 1, its bound, the D_0 walk, which solves
+    only the kernels of D_0(A') = {theta_0 = 0} and counts theta_E's
+    multiples beside them, describes D(A') as the full walk through |A|
+    does: the same dimensions, generator degrees and exit, with theta_E
+    its first generator (Orlik & Terao, Prop. 4.27).  On every draw the
+    full walk stops by degree |A| - 1.
     """
     nvars, max_forms = shape
     adapted, _ = random_arrangement(rng, nvars, max_forms).adapted()
     n = adapted.projective_dim
     assert adapted.forms[0].coeffs == (1,) + (0,) * n
     assume(n >= 1)  # a rank-1 A: D_0(A') = 0 in P^0, whose search stops at degree 0
-    whole = minimal_generators(adapted, adapted.size + 1)
-    d0 = minimal_generators(adapted, adapted.size + 1, d0=True)
+    whole = minimal_generators(adapted)
+    d0 = minimal_generators(adapted, d0=True)
     assert whole.dimensions == d0.dimensions, adapted.forms
     assert sorted(d0.generator_degrees) == sorted(whole.generator_degrees), adapted.forms
     assert whole.exit_reason == d0.exit_reason
@@ -315,11 +316,10 @@ def test_the_search_equals_the_search_over_whole_kernels(rng, shape):
     dense integer core.
     """
     arr = random_arrangement(rng, *shape)
-    stop = arr.size + 1
-    assert minimal_generators(arr, stop) == whole_kernel_search(arr, stop), arr.forms
+    assert minimal_generators(arr) == whole_kernel_search(arr, arr.size + 1), arr.forms
     adapted, _ = arr.adapted()
-    d0 = minimal_generators(adapted, stop, d0=True)
-    assert d0 == whole_kernel_search(adapted, stop, d0=True), adapted.forms
+    d0 = minimal_generators(adapted, d0=True)
+    assert d0 == whole_kernel_search(adapted, adapted.size, d0=True), adapted.forms
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
@@ -340,18 +340,21 @@ def test_the_multiples_trailing_columns_leave_the_kernel(rng, shape, d0):
     walked = []
     pruned_kernel = logder._degree_kernel
 
-    def recorded(arr, d, monos, d0=False, trailing=frozenset()):
-        walked.append((d, trailing))
-        return pruned_kernel(arr, d, monos, d0, trailing)
+    def recorded(arr, d, monos, excluded=frozenset()):
+        walked.append((d, excluded))
+        return pruned_kernel(arr, d, monos, excluded)
 
     with patch.object(logder, "_degree_kernel", recorded):
-        graded = minimal_generators(arr, arr.size + 1, d0=d0)
+        graded = minimal_generators(arr, d0=d0)
     assert [d for d, _ in walked] == list(graded.dimensions)
-    for d, trailing in walked:
+    for d, excluded in walked:
         monos = monomials_of_degree(arr.nvars, d)
+        theta_0 = set(range(len(monos))) if d0 else set()
+        trailing = excluded - theta_0
         found = graded.generators[1:] if d0 else graded.generators  # theta_E adds no multiple
+        assert theta_0 <= excluded, (arr.forms, d)
         assert trailing == trailing_columns([g for g in found if g.degree < d], d, monos), (arr.forms, d)
-        whole = _degree_kernel(arr, d, monos, d0)
+        whole = _degree_kernel(arr, d, monos, theta_0)
         columns = whole.columns
         expected = fraction_kernel([[row.get(c, 0) for c in columns] for row in whole.rows], len(columns))
         # each vector's last nonzero entry is the 1 at its free column
@@ -361,7 +364,7 @@ def test_the_multiples_trailing_columns_leave_the_kernel(rng, shape, d0):
             {columns[i]: a for i, a in enumerate(primitive(v)) if a}
             for fc, v in zip(free, expected) if fc not in trailing
         ]
-        assert list(pruned_kernel(arr, d, monos, d0, trailing)) == kept, (arr.forms, d)
+        assert list(pruned_kernel(arr, d, monos, excluded)) == kept, (arr.forms, d)
         euler = len(monomials_of_degree(arr.nvars, d - 1)) if d0 else 0
         assert graded.dimensions[d] == len(expected) + euler, (arr.forms, d)
 
