@@ -68,51 +68,37 @@ class LinearForm(NamedTuple("LinearForm", [("coeffs", tuple[int, ...])])):
         return cls(tuple(v) if g in (0, 1) else tuple([a // g for a in v]))
 
 
-class Arrangement:
+class Arrangement(NamedTuple("Arrangement", [
+    ("nvars", int), ("forms", tuple[LinearForm, ...]), ("name", str), ("warnings", tuple[str, ...]),
+])):
     """Immutable central arrangement in k^nvars (hyperplanes in P^(nvars-1)).
 
     Equal arrangements have equal nvars and forms; name and warnings are
-    not compared or hashed.  The attributes are set once, in __init__; the
-    cached properties below write straight into the instance __dict__.
+    not compared or hashed.  The class has no __slots__: the cached
+    properties below write into the instance __dict__.
     """
 
-    nvars: int
-    forms: tuple[LinearForm, ...]
-    name: str
-    warnings: tuple[str, ...]
-
-    def __init__(
-        self, nvars: int, forms: tuple[LinearForm, ...], name: str = "", warnings: tuple[str, ...] = ()
-    ):
+    def __new__(
+        cls, nvars: int, forms: tuple[LinearForm, ...], name: str = "", warnings: tuple[str, ...] = ()
+    ) -> "Arrangement":
         if nvars < 1:
             raise ValueError("need at least one coordinate")
         for f in forms:
             if len(f.coeffs) != nvars:
                 raise ValueError("form arity does not match the arrangement")
-        canon = {f.coeffs for f in forms}
-        if len(canon) != len(forms):
+        if len({f.coeffs for f in forms}) != len(forms):
             raise ValueError("duplicate hyperplanes must be collapsed before construction")
-        self.__dict__.update(nvars=nvars, forms=forms, name=name, warnings=warnings)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
+        return super().__new__(cls, nvars, forms, name, warnings)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
         return (self.nvars, self.forms) == (other.nvars, other.forms)
 
+    __ne__ = object.__ne__  # tuple's would compare name and warnings too
+
     def __hash__(self) -> int:
         return hash((self.nvars, self.forms))
-
-    def __repr__(self) -> str:
-        return (
-            f"Arrangement(nvars={self.nvars!r}, forms={self.forms!r},"
-            f" name={self.name!r}, warnings={self.warnings!r})"
-        )
 
     @property
     def size(self) -> int:

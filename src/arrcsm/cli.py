@@ -27,8 +27,9 @@ parse the .arr file of a subcommand that takes _INPUT, print warnings,
 emit JSON, turn errors into exit codes.
 
 Every search for derivations goes through _search, which solves only
-chi's roots when chi splits over the nonnegative integers.  freeness,
-derivations and report search D(A) in input coordinates, whose
+chi's roots when chi splits over the nonnegative integers, and returns
+Saito's FreenessReport, which holds the walk it judged as its search.
+freeness, derivations and report search D(A) in input coordinates, whose
 generators and log they print; verify and corpus search D_0(A) in
 coordinates adapted to A (_guided_freeness).
 
@@ -73,7 +74,6 @@ from .lattice import (
 )
 from .logder import (
     FreenessReport,
-    GradedBasis,
     InternalError,
     decide_freeness,
     degree_dimension,
@@ -130,16 +130,14 @@ def _csm_payload(vec: tuple[int, ...]) -> dict:
     }
 
 
-def _derivations_payload(
-    arr: Arrangement, gb: GradedBasis, freeness: FreenessReport, max_degree: int,
-    generators: list[str],
-) -> dict:
+def _derivations_payload(arr: Arrangement, freeness: FreenessReport, max_degree: int, generators: list[str]) -> dict:
     """_search's full-walk dimensions, and past its stop those of D(A) = sum_i S(-e_i) when A is free.
 
     A non-free A solves one kernel for each degree past the stop.
-    generators are gb's generators rendered, which report shares with
-    _freeness_payload.
+    generators are the walk's generators rendered, which report shares
+    with _freeness_payload.
     """
+    gb = freeness.search
 
     def dimension(d: int) -> int:
         if d in gb.dimensions:
@@ -159,11 +157,14 @@ def _derivations_payload(
 
 
 def _freeness_payload(rep: FreenessReport, generators: list[str]) -> dict:
-    """rep's fields, its Saito scalar as a string and its generators rendered as generators."""
+    """rep's decision, its Saito scalar as a string, and its walk's generators rendered and log with the verdict."""
     return {
-        **rep._asdict(),
+        "free": rep.free,
+        "exponents": rep.exponents,
         "saito_scalar": str(rep.saito_scalar) if rep.saito_scalar is not None else None,
+        "reason": rep.reason,
         "generators": generators,
+        "search_log": (*rep.search.search_log, rep.verdict),
     }
 
 
@@ -202,10 +203,8 @@ def _verify_payload(vr: VerificationReport) -> dict:
     }
 
 
-def _search(
-    arr: Arrangement, roots: tuple[int, ...] | None, d0: bool = False
-) -> tuple[GradedBasis, FreenessReport]:
-    """The full walk of D(A) (of D_0(A) with d0) and Saito's decision on it, from chi's roots when it can.
+def _search(arr: Arrangement, roots: tuple[int, ...] | None, d0: bool = False) -> FreenessReport:
+    """Saito's decision on the full walk of D(A) (of D_0(A) with d0), which it holds, from chi's roots when it can.
 
     roots are chi's nonnegative integer roots, None when chi does not
     split so.  The walk on them (minimal_generators' roots) stands on a
@@ -213,12 +212,10 @@ def _search(
     walk.  The verdict is never read off chi.
     """
     if roots is not None:
-        graded = minimal_generators(arr, roots=roots, d0=d0)
-        report = decide_freeness(arr, graded)
+        report = decide_freeness(arr, minimal_generators(arr, roots=roots, d0=d0))
         if report.free:
-            return graded, report
-    graded = minimal_generators(arr, d0=d0)
-    return graded, decide_freeness(arr, graded)
+            return report
+    return decide_freeness(arr, minimal_generators(arr, d0=d0))
 
 
 def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessReport:
@@ -231,11 +228,12 @@ def _guided_freeness(arr: Arrangement, lat: IntersectionLattice) -> FreenessRepo
     (minimal_generators with d0) and walks the roots of
     chi(A', t) / (t - 1) = chi(A, t) / (t^(n+1-r) (t - 1)), the exponents
     of a free D_0(A'): those of A' but one 1.  The report is that of the
-    full walk of D_0(A').  The empty A' has no x'_0: the full walk of D(A').
+    full walk of D_0(A'), which it holds as its search.  The empty A' has
+    no x'_0: the full walk of D(A').
     """
     adapted, lineality = arr.adapted()
     roots = integer_roots(reduced_char_poly(lat)) if adapted.size else None
-    _, report = _search(adapted, None if roots is None else roots[lineality:], d0=bool(adapted.size))
+    report = _search(adapted, None if roots is None else roots[lineality:], d0=bool(adapted.size))
     if report.free:
         report = report._replace(exponents=(0,) * lineality + report.exponents)
     return report
@@ -336,14 +334,14 @@ def _max_degree(args) -> int:
 
 def _derivations(args, arr):
     max_degree = _max_degree(args)
-    graded, freeness = _search(arr, integer_roots(char_poly(build_lattice(arr))))
-    generators = [g.render() for g in graded.generators]
-    return _derivations_payload(arr, graded, freeness, max_degree, generators), 0
+    freeness = _search(arr, integer_roots(char_poly(build_lattice(arr))))
+    generators = [g.render() for g in freeness.search.generators]
+    return _derivations_payload(arr, freeness, max_degree, generators), 0
 
 
 def _freeness(args, arr):
-    _, rep = _search(arr, integer_roots(char_poly(build_lattice(arr))))
-    return _freeness_payload(rep, [g.render() for g in rep.generators]), 0
+    rep = _search(arr, integer_roots(char_poly(build_lattice(arr))))
+    return _freeness_payload(rep, [g.render() for g in rep.search.generators]), 0
 
 
 def _verify(args, arr):
@@ -363,16 +361,16 @@ def _report(args, arr):
     max_degree = _max_degree(args)
     primes = _parse_primes(args.primes, arr)
     lat = build_lattice(arr)
-    graded, freeness = _search(arr, integer_roots(char_poly(lat)))
+    freeness = _search(arr, integer_roots(char_poly(lat)))
     vr = verify_arrangement(lat, freeness)
-    # decide_freeness keeps the search's generators: render them once for both payloads
-    generators = [g.render() for g in graded.generators]
+    # both payloads print the walk's generators: render them once
+    generators = [g.render() for g in freeness.search.generators]
     verification = _verify_payload(vr)
     result = {
         "lattice": _lattice_payload(lat),
         "charpoly": _charpoly_payload(lat),
         "csm": _csm_payload(verification["routes"]["lattice_csm"]),
-        "derivations": _derivations_payload(arr, graded, freeness, max_degree, generators),
+        "derivations": _derivations_payload(arr, freeness, max_degree, generators),
         "freeness": _freeness_payload(freeness, generators),
         "verification": verification,
     }

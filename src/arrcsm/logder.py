@@ -272,18 +272,21 @@ def minimal_generators(arr: Arrangement, *, roots: Container[int] = range(maxsiz
     Early exits: more than n+1 generators (never free), or exactly n+1
     with degree sum |A| (Saito candidate found).
 
-    With d0, for an A whose first form is x_0, theta_E comes first among
-    the generators and the kernels are those of D_0(A) =
-    {theta in D(A) : theta_0 = 0}; D(A) = S*theta_E (+) D_0(A) (Orlik &
-    Terao, Prop. 4.27).  Only the generators after theta_E add multiples
-    to the span and T, and dims[d] also counts theta_E's multiples, one
-    per monomial of degree d - 1, which have theta_0 != 0 and so lie
-    outside the kernel.  theta_E takes one exponent 1, so the others sum
-    to |A| - 1, the last degree walked.  The dimensions, generator
-    degrees and exits are then those of the full walk through that
-    degree; the generators after theta_E are D_0(A)'s.
+    With d0, A's first form must be x_0, or ValueError: theta_E comes
+    first among the generators and the kernels are those of D_0(A) =
+    {theta in D(A) : theta_0 = 0}, and D(A) = S*theta_E (+) D_0(A) when
+    x_0 is in A (Orlik & Terao, Prop. 4.27).  Only the generators after
+    theta_E add multiples to the span and T, and dims[d] also counts
+    theta_E's multiples, one per monomial of degree d - 1, which have
+    theta_0 != 0 and so lie outside the kernel.  theta_E takes one
+    exponent 1, so the others sum to |A| - 1, the last degree walked.
+    The dimensions, generator degrees and exits are then those of the
+    full walk through that degree; the generators after theta_E are
+    D_0(A)'s.
     """
     n1 = arr.nvars
+    if d0 and arr.integer_forms[:1] != [{0: 1}]:
+        raise ValueError("minimal_generators with d0 needs x_0 as the first form")
     last = arr.size - 1 if d0 else arr.size
     euler = Derivation(n1, 1, tuple((j, tuple(int(k == j) for k in range(n1)), 1) for j in range(n1)))
     gens: list[Derivation] = [euler] if d0 else []
@@ -331,10 +334,20 @@ def minimal_generators(arr: Arrangement, *, roots: Container[int] = range(maxsiz
     )
 
 
-FreenessReport = NamedTuple("FreenessReport", [
+class FreenessReport(NamedTuple("FreenessReport", [
     ("free", bool), ("exponents", tuple[int, ...] | None), ("saito_scalar", Fraction | None),
-    ("generators", tuple[Derivation, ...]), ("reason", str | None), ("search_log", tuple[str, ...]),
-])
+    ("reason", str | None), ("search", GradedBasis),
+])):
+    """Saito's decision on search, the walk it judged: free with its generator degrees as exponents, or why not."""
+
+    __slots__ = ()
+
+    @property
+    def verdict(self) -> str:
+        """The decision as the line that closes the search's log."""
+        if self.reason is None:
+            return f"free: Saito determinant = {self.saito_scalar} * defining polynomial"
+        return f"not free: {self.reason}"
 
 
 def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
@@ -348,7 +361,7 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
     Saito's criterion the theta_i are a basis of D(A), and the
     arrangement is free, if and only if c != 0.
 
-    The verdict, the last line of the report's search_log, is the first of
+    The report holds graded as its search.  Its verdict is the first of
     four outcomes that holds, checked in this order: not free when the
     search overflowed the rank bound n + 1, not free when it found other
     than n + 1 generators, not free when their degrees do not sum to |A|,
@@ -385,17 +398,12 @@ def decide_freeness(arr: Arrangement, graded: GradedBasis) -> FreenessReport:
         det = integer_det(rows) * leads
         reason = None if det else "Saito determinant vanishes"
         scalar = Fraction(det, q_x0 * prod(g.terms[0][2] for g in gens)) if det else None
-    if reason is None:
-        verdict = f"free: Saito determinant = {scalar} * defining polynomial"
-    else:
-        verdict = f"not free: {reason}"
     return FreenessReport(
         free=reason is None,
         exponents=tuple(degrees) if reason is None else None,
         saito_scalar=scalar,
-        generators=gens,
         reason=reason,
-        search_log=(*graded.search_log, verdict),
+        search=graded,
     )
 
 

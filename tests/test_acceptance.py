@@ -152,12 +152,12 @@ def test_criterion_05_freeness_decisions():
         if want is not None:
             if rep.exponents != want:
                 failures.append(f"{name}: exponents {rep.exponents} != {want}")
-            mat = [list(polys(g)) for g in rep.generators]
+            mat = [list(polys(g)) for g in rep.search.generators]
             det = poly_det(mat)
             if det != defining_polynomial(arr).scale(rep.saito_scalar):
                 failures.append(f"{name}: Saito determinant mismatch")
-        if not rep.search_log or not rep.search_log[-1].startswith(("free:", "not free:")):
-            failures.append(f"{name}: search log missing its verdict line")
+        if not rep.search.search_log or not rep.verdict.startswith(("free:", "not free:")):
+            failures.append(f"{name}: search log or verdict line missing")
     elapsed = time.perf_counter() - t0
     if elapsed > 10.0:
         failures.append(f"took {elapsed:.2f}s, budget 10s")

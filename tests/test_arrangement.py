@@ -210,10 +210,13 @@ def test_equality_and_hash_ignore_name_and_warnings():
     assert hash(plain) == hash(named) and len({plain, named}) == 1
     assert plain != Arrangement(3, forms[:1])
     assert plain != Arrangement(4, tuple(LinearForm.make([*f.coeffs, 0]) for f in forms))
-    with pytest.raises(AttributeError):
-        plain.name = "renamed"
-    with pytest.raises(AttributeError):
-        del named.name
+    for field in plain._fields:
+        with pytest.raises(AttributeError):
+            setattr(plain, field, None)
+        with pytest.raises(AttributeError):
+            delattr(named, field)
+    # with no __slots__, the cached properties keep their values in the instance __dict__
+    assert plain.integer_forms is plain.integer_forms and "integer_forms" in vars(plain)
     # another type compares unequal through NotImplemented, not an error
     assert (plain == 3) is False and plain != 3
     assert repr(named) == (

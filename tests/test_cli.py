@@ -531,14 +531,14 @@ def test_rational_forms_are_scaled_not_truncated(tmp_path, capsys):
 
 @pytest.fixture
 def stage_calls(monkeypatch):
-    """Count build_lattice and minimal_generators calls wherever they are looked up."""
+    """Count build_lattice, minimal_generators and decide_freeness calls wherever they are looked up."""
     from arrcsm import chow, cli, lattice, logder
 
     # only cli starts these stages; chow evaluates routes on what it is given
     for name in ("build_lattice", "decide_freeness", "minimal_generators"):
         assert not hasattr(chow, name), name
 
-    calls = {"build_lattice": 0, "minimal_generators": 0}
+    calls = {"build_lattice": 0, "minimal_generators": 0, "decide_freeness": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -547,7 +547,7 @@ def stage_calls(monkeypatch):
 
         return wrapper
 
-    for name, owner in (("build_lattice", lattice), ("minimal_generators", logder)):
+    for name, owner in (("build_lattice", lattice), ("minimal_generators", logder), ("decide_freeness", logder)):
         wrapper = counting(name, getattr(owner, name))
         for module in (cli, owner):
             monkeypatch.setattr(module, name, wrapper)
@@ -583,7 +583,8 @@ def test_each_stage_runs_once(stage_calls, tmp_path, capsys, argv, builds, searc
     # the search on three_concurrent stops at degree 2, below --max-degree
     assert run([argv[0], "--input", str(target), "--json", *argv[1:]]) == 0
     capsys.readouterr()
-    assert stage_calls == {"build_lattice": builds, "minimal_generators": searches}
+    # one decision per walk
+    assert stage_calls == {"build_lattice": builds, "minimal_generators": searches, "decide_freeness": searches}
 
 
 @pytest.mark.parametrize(
@@ -649,7 +650,7 @@ def test_a_bad_prime_is_refused_before_any_stage(
     path.write_text("vars 6\n1 0 0 0 0 0\n0 1 0 0 0 0\n0 0 2 0 0 1\n", encoding="utf-8")
     assert run([command, "--input", str(path), "--primes", primes]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
-    assert stage_calls == {"build_lattice": 0, "minimal_generators": 0}
+    assert stage_calls == {"build_lattice": 0, "minimal_generators": 0, "decide_freeness": 0}
 
 
 @pytest.mark.parametrize("command", ["lattice", "verify", "report"])
@@ -670,10 +671,10 @@ def _with_lineality(report, lineality):
 
 
 def _assert_search_equals_full(arr):
-    """_search on chi's roots returns the full walk of D(A) and its decision, field by field."""
-    graded, report = cli._search(arr, integer_roots(char_poly(build_lattice(arr))))
+    """_search on chi's roots returns the decision on the full walk of D(A), and that walk, field by field."""
+    report = cli._search(arr, integer_roots(char_poly(build_lattice(arr))))
     full = minimal_generators(arr)
-    assert graded._asdict() == full._asdict(), arr.forms
+    assert report.search._asdict() == full._asdict(), arr.forms
     assert report._asdict() == decide_freeness(arr, full)._asdict(), arr.forms
     return report
 
@@ -696,7 +697,7 @@ def _assert_guided_equals_full(arr):
     full = _with_lineality(full, lineality)
     assert (guided.free, guided.exponents, guided.saito_scalar, guided.reason) == (
         full.free, full.exponents, full.saito_scalar, full.reason), arr.forms
-    # the whole record: a free decision carries the full walk's log
+    # the whole record: a free decision holds the full walk
     assert guided._asdict() == full._asdict(), arr.forms
     whole = decide_freeness(adapted, minimal_generators(adapted))
     whole = _with_lineality(whole, lineality)
@@ -797,7 +798,7 @@ def test_split_chi_of_a_non_free_arrangement_falls_back(stage_calls, tmp_path, c
     assert run(["verify", "--input", str(path), "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)["result"]
     # the guided search, then the full walk; the second build is the routes'
-    assert stage_calls == {"build_lattice": 2, "minimal_generators": 2}
+    assert stage_calls == {"build_lattice": 2, "minimal_generators": 2, "decide_freeness": 2}
     assert doc["free"] is False
     assert doc["exponents"] is None
     assert run(["freeness", "--input", str(path), "--json"]) == 0
@@ -970,8 +971,8 @@ def test_dimensions_of_a_free_arrangement_come_from_its_exponents():
         if freeness.free:
             free += 1
             # with no searched degree, every dimension is read off the exponents
-            unsearched = graded._replace(dimensions={})
-            dims = cli._derivations_payload(arr, unsearched, freeness, 5, [])["dims"]
+            unsearched = freeness._replace(search=graded._replace(dimensions={}))
+            dims = cli._derivations_payload(arr, unsearched, 5, [])["dims"]
             assert dims == [[d, degree_dimension(arr, d)] for d in range(6)], path.name
     assert free == 9  # all but four_generic and generic5_p3
 

@@ -31,8 +31,10 @@ from pathlib import Path
 
 import pytest
 
+from arrcsm import cli
 from arrcsm.arrangement import parse, parse_file
 from arrcsm.cli import run
+from arrcsm.lattice import build_lattice
 from arrcsm.logder import degree_dimension
 from property_checks import arrangement_text
 
@@ -110,6 +112,16 @@ def test_freeness_logs_yuzvinskys_dims_for_generic_lines(capsys, tmp_path, m):
     dims = [line.split(",")[0] for line in result["search_log"] if line.startswith("degree ")]
     assert result["free"] is False
     assert dims == [f"degree {d}: dim {_generic_dim(m, d)}" for d in range(m - 1)]
+
+
+@pytest.mark.parametrize("m,dim", [(5, 10), (6, 15), (7, 21), (8, 28)])
+def test_verify_holds_the_d0_walk_with_yuzvinskys_dim_at_its_overflow(m, dim):
+    # verify's record carries the walk it judged: D_0 of A' overflows at
+    # degree m - 2, and counts dim D(A)_(m - 2) there
+    arr = parse(_generic_lines(m))
+    search = cli._guided_freeness(arr, build_lattice(arr)).search
+    assert (search.exit_reason, max(search.dimensions)) == ("overflow", m - 2)
+    assert search.dimensions[m - 2] == _generic_dim(m, m - 2) == dim
 
 
 def _cross(p, q):

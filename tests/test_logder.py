@@ -123,7 +123,8 @@ FREENESS_CASES = [
 
 def test_decide_freeness_frozen():
     for arr, want_free, want_exps in FREENESS_CASES:
-        report = decide_freeness(arr, minimal_generators(arr))
+        graded = minimal_generators(arr)
+        report = decide_freeness(arr, graded)
         assert report.free is want_free, arr.forms
         if want_free:
             assert report.exponents == want_exps
@@ -132,7 +133,8 @@ def test_decide_freeness_frozen():
         else:
             assert report.exponents is None
             assert report.reason
-        assert report.search_log
+        # the report holds the walk it judged, not a copy of its fields
+        assert report.search is graded
 
 
 def test_free_reports_include_euler_slot():
@@ -150,7 +152,7 @@ def test_saito_determinant_rank2():
     for arr in (RANK2, parse("vars 2\n0 1\n1 -1\n2 -1\n"), parse("vars 2\n1 -2\n0 1\n1 1\n")):
         report = decide_freeness(arr, minimal_generators(arr))
         assert report.free
-        mat = [list(polys(theta)) for theta in report.generators]
+        mat = [list(polys(theta)) for theta in report.search.generators]
         det = poly_det(mat)
         q = defining_polynomial(arr)
         assert det == q.scale(report.saito_scalar)
@@ -171,7 +173,7 @@ def test_saito_rejects_degenerate_generators():
     # tuple is still made of logarithmic derivations, but the determinant
     # collapses to zero, so it no longer certifies freeness.
     report = decide_freeness(BOOLEAN, minimal_generators(BOOLEAN))
-    _, g1, g2 = report.generators
+    _, g1, g2 = report.search.generators
     fake = scaled_by_monomial(g1, (1, 0, 0))
     assert is_logarithmic(fake, BOOLEAN)
     mat = [list(polys(fake)), list(polys(g1)), list(polys(g2))]
@@ -417,7 +419,7 @@ def test_exhausted_walk_names_only_the_degrees_it_searched():
     assert graded.generator_degrees == (1, 1)
     report = decide_freeness(near_pencil_5, graded)
     assert report.reason == "found 2 minimal generators through degree 5, expected 3"
-    assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
+    assert report.verdict == f"not free: {report.reason}" and report.search is graded
     # the D_0 walk ends at |A| - 1, and the reason names that degree, not |A|
     adapted, _ = near_pencil_5.adapted()
     graded = minimal_generators(adapted, roots=(1,), d0=True)
@@ -432,14 +434,31 @@ def test_exhausted_walk_names_only_the_degrees_it_searched():
     report = decide_freeness(sum_past, graded)
     assert report.reason == "generator degrees (1, 3, 3) sum to 7, not 6"
     assert (report.free, report.exponents, report.saito_scalar) == (False, None, None)
-    assert report.search_log == graded.search_log + (f"not free: {report.reason}",)
+    assert report.verdict == f"not free: {report.reason}" and report.search is graded
     assert minimal_generators(sum_past).exit_reason == "overflow"
-    # a free verdict is the last log line too
+    # a free verdict names Saito's scalar
     graded = minimal_generators(near_pencil_5)
     report = decide_freeness(near_pencil_5, graded)
-    assert report.free and report.reason is None
-    verdict = f"free: Saito determinant = {report.saito_scalar} * defining polynomial"
-    assert report.search_log == graded.search_log + (verdict,)
+    assert report.free and report.reason is None and report.search is graded
+    assert report.verdict == f"free: Saito determinant = {report.saito_scalar} * defining polynomial"
+
+
+@pytest.mark.parametrize(
+    "text,exponents",
+    [
+        # no forms: the D_0 walk would search no degree, and Saito's check fail on it
+        ("vars 3\n", (0, 0, 0)),
+        # the D_0 walk would end exhausted with degrees (1, 1, 2) and say not free
+        ("vars 3\n1 1 0\n0 1 0\n0 0 1\n", (1, 1, 1)),
+    ],
+    ids=["no_forms", "x_plus_y_first"],
+)
+def test_the_d0_walk_needs_x0_as_the_first_form(text, exponents):
+    arr = parse(text)
+    with pytest.raises(ValueError, match="d0 needs x_0 as the first form"):
+        minimal_generators(arr, d0=True)
+    report = decide_freeness(arr, minimal_generators(arr))
+    assert (report.free, report.exponents) == (True, exponents)
 
 
 def test_a_two_term_form_puts_one_entry_per_column(monkeypatch):
